@@ -280,85 +280,6 @@ BM_JsqPickPackedScalar(benchmark::State &state)
 }
 BENCHMARK(BM_JsqPickPackedScalar)->Arg(16)->Arg(64);
 
-/**
- * The tournament-tree alternative the issue asked to bench against: an
- * implicit binary tree of winner indices over the leaves, O(log n)
- * replay per update instead of an O(n) sweep. Kept bench-local: it
- * loses at one-line width (the paper's 16-worker configuration) and
- * only wins from ~64 lanes, and it would force stateful updates into
- * DispatchView's refresh path (see BENCH_dispatch.json and
- * docs/cache_line_analysis.md §"Picking the pick").
- */
-class TournamentPick
-{
-  public:
-    explicit TournamentPick(size_t n) : n_(n)
-    {
-        leaves_ = 1;
-        while (leaves_ < n)
-            leaves_ <<= 1;
-        len_.assign(leaves_, ~0u);
-        quanta_.assign(leaves_, 0);
-        winner_.assign(2 * leaves_, 0);
-        for (size_t i = 0; i < n_; ++i)
-            len_[i] = 0;
-        for (size_t i = 0; i < leaves_; ++i)
-            winner_[leaves_ + i] = i;
-        for (size_t node = leaves_ - 1; node >= 1; --node)
-            winner_[node] =
-                better(winner_[2 * node], winner_[2 * node + 1]);
-    }
-
-    size_t pick() const { return winner_[1]; }
-
-    void
-    update(size_t i, uint32_t len, uint32_t quanta)
-    {
-        len_[i] = len;
-        quanta_[i] = quanta;
-        for (size_t node = (leaves_ + i) / 2; node >= 1; node /= 2)
-            winner_[node] =
-                better(winner_[2 * node], winner_[2 * node + 1]);
-    }
-
-    uint32_t len(size_t i) const { return len_[i]; }
-    uint32_t quanta(size_t i) const { return quanta_[i]; }
-
-  private:
-    size_t
-    better(size_t a, size_t b) const
-    {
-        if (len_[a] != len_[b])
-            return len_[a] < len_[b] ? a : b;
-        if (quanta_[a] != quanta_[b])
-            return quanta_[a] > quanta_[b] ? a : b;
-        return a < b ? a : b;
-    }
-
-    size_t n_;
-    size_t leaves_;
-    std::vector<uint32_t> len_;
-    std::vector<uint32_t> quanta_;
-    std::vector<size_t> winner_;
-};
-
-void
-BM_JsqPickTournament(benchmark::State &state)
-{
-    const size_t n = static_cast<size_t>(state.range(0));
-    TournamentPick tree(n);
-    for (size_t i = 0; i < n; ++i)
-        tree.update(i, static_cast<uint32_t>(i % 4),
-                    static_cast<uint32_t>(i));
-    for (auto _ : state) {
-        const size_t best = tree.pick();
-        benchmark::DoNotOptimize(best);
-        tree.update(best, tree.len(best) + 1, tree.quanta(best));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_JsqPickTournament)->Arg(16)->Arg(64);
-
 void
 BM_DispatchBatchPacked(benchmark::State &state)
 {

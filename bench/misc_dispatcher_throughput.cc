@@ -9,10 +9,7 @@
  * this machine (single-threaded: the actual instruction path, no
  * cross-core traffic) in both forms:
  *
- *  - scalar: the classic per-request path — one RX pop, one RDTSC
- *    arrival stamp, one JSQ+MSQ scan over the shared worker counter
- *    lines, one worker-ring push per request;
- *  - batched: the PR 3 dispatcher_main() path — one RX pop_n per
+ *  - batched: the pre-packed dispatcher_main() path — one RX pop_n per
  *    batch, one arrival stamp and one counter-line refresh per batch,
  *    then per-request scans over a dispatcher-local vector view;
  *  - packed: the current dispatcher_main() path — the batched shape,
@@ -20,7 +17,11 @@
  *    uint32 lanes and adaptive pick (one-line scan at <= 16 workers,
  *    SIMD horizontal min above; dispatch_view.h).
  *
- * Requests are staged into the RX queue in untimed rounds so all modes
+ * The classic per-request scalar path (one RX pop, stamp, shared-line
+ * scan and push per request) is no longer measured; its last recorded
+ * cost is the legacy_scalar_ns column of BENCH_dispatch.json.
+ *
+ * Requests are staged into the RX queue in untimed rounds so both modes
  * measure dispatch work against a backlogged RX — the regime where
  * dispatcher capacity is the binding constraint (Fig. 2/16). The output
  * is a TSV table plot_bench.py can render, and the packed ns/job at 16
@@ -89,47 +90,6 @@ forward(Cluster &c, int best, runtime::Request &req,
     ++c.assigned[static_cast<size_t>(best)];
     c.lines[static_cast<size_t>(best)].finished.fetch_add(
         1, std::memory_order_relaxed);
-}
-
-double
-scalar_ns_per_job(int workers)
-{
-    Cluster c(workers);
-    runtime::Request scratch;
-    Cycles timed = 0;
-    int done = 0;
-    while (done < kIters) {
-        const int round = std::min(kRound, kIters - done);
-        stage(c, round, static_cast<uint64_t>(done));
-        const Cycles t0 = rdcycles();
-        for (int i = 0; i < round; ++i) {
-            auto req = c.rx.pop();
-            req->arrival_cycles = rdcycles();
-            // Per-request JSQ + MSQ scan over the shared counter lines.
-            uint64_t best_len = ~0ULL;
-            int best = 0;
-            uint32_t best_q = 0;
-            for (int w = 0; w < workers; ++w) {
-                const size_t i_w = static_cast<size_t>(w);
-                const uint64_t fin =
-                    c.readers[i_w].read_finished(c.lines[i_w]);
-                const uint64_t len =
-                    c.assigned[i_w] > fin ? c.assigned[i_w] - fin : 0;
-                const uint32_t q =
-                    runtime::WorkerStatsReader::read_current_quanta(
-                        c.lines[i_w]);
-                if (len < best_len || (len == best_len && q > best_q)) {
-                    best_len = len;
-                    best = w;
-                    best_q = q;
-                }
-            }
-            forward(c, best, *req, scratch);
-        }
-        timed += rdcycles() - t0;
-        done += round;
-    }
-    return cycles_to_ns(timed) / kIters;
 }
 
 double
@@ -239,21 +199,20 @@ int
 main()
 {
     bench::banner("Section 6",
-                  "dispatcher per-job cost, scalar vs batched vs packed-"
+                  "dispatcher per-job cost, batched vs packed-"
                   TQ_DISPATCH_VIEW_SIMD
                   " hot path (batch=32, backlogged RX), and implied Mrps");
 
     // Warm the clock calibration before timing.
     cycles_per_ns();
 
-    std::printf("workers\tscalar_ns\tbatched_ns\tpacked_ns\tscalar_mrps\t"
-                "batched_mrps\tpacked_mrps\tspeedup\n");
+    std::printf("workers\tbatched_ns\tpacked_ns\tbatched_mrps\t"
+                "packed_mrps\n");
     for (int workers : {4, 8, 16}) {
-        const double s = scalar_ns_per_job(workers);
         const double b = batched_ns_per_job(workers);
         const double p = packed_ns_per_job(workers);
-        std::printf("%d\t%.1f\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f\t%.2fx\n",
-                    workers, s, b, p, 1e3 / s, 1e3 / b, 1e3 / p, s / p);
+        std::printf("%d\t%.1f\t%.1f\t%.2f\t%.2f\n", workers, b, p,
+                    1e3 / b, 1e3 / p);
         std::fflush(stdout);
     }
     std::printf("# paper reports ~14 Mrps for TQ's dispatcher, >> the\n"

@@ -10,7 +10,8 @@
  *    the best point (lowest short-class p999 slowdown, non-saturated)
  *    is the baseline per-class quanta must beat.
  *  - Per-class static: hand-picked class quanta (shorts complete in one
- *    slice, longs are sliced fine) with the deficit/starvation mirror.
+ *    slice, longs are sliced fine) with the default deficit clamp and
+ *    starvation guard.
  *  - Adaptive: the runtime's QuantumController iterated over simulation
  *    rounds — each round runs the cluster with the controller's current
  *    quanta and feeds back per-class completions / mean service / p99
@@ -32,6 +33,7 @@
 
 #include "bench_util.h"
 #include "common/dist.h"
+#include "common/sched_core.h"
 #include "runtime/quantum_controller.h"
 #include "sim/sweep.h"
 #include "sim/two_level.h"
@@ -72,8 +74,8 @@ run_arm(const Workload &w, const std::vector<SimNanos> &class_quantum,
     cfg.duration = bench::sim_duration();
     cfg.class_quantum = class_quantum;
     if (!class_quantum.empty()) {
-        cfg.deficit_clamp = us(8);
-        cfg.starvation_promote_after = 128;
+        cfg.deficit_clamp = us(sched::kDefaultDeficitClampUs);
+        cfg.starvation_promote_after = sched::kDefaultStarvationPromoteAfter;
     }
     return run_two_level(cfg, *w.dist, mrps(w.rate_mrps));
 }
@@ -216,10 +218,12 @@ main(int argc, char **argv)
         std::printf("  \"machine\": { \"cpus\": %u },\n",
                     std::thread::hardware_concurrency());
         std::printf("  \"config\": { \"window_ms\": %.0f, "
-                    "\"deficit_clamp_us\": 8, "
-                    "\"starvation_promote_after\": 128, "
+                    "\"deficit_clamp_us\": %g, "
+                    "\"starvation_promote_after\": %u, "
                     "\"adaptive_rounds_max\": 8 },\n",
-                    to_sec(bench::sim_duration()) * 1e3);
+                    to_sec(bench::sim_duration()) * 1e3,
+                    sched::kDefaultDeficitClampUs,
+                    sched::kDefaultStarvationPromoteAfter);
         std::printf("  \"workloads\": {\n");
         for (size_t l = 0; l < loads.size(); ++l) {
             const Workload &w = loads[l];

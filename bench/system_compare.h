@@ -15,6 +15,7 @@
 
 #include "bench_util.h"
 #include "common/dist.h"
+#include "common/sched_core.h"
 #include "sim/caladan.h"
 #include "sim/central.h"
 #include "sim/sweep.h"
@@ -35,12 +36,11 @@ struct SystemOptions
     /**
      * When non-empty, an extra TQ variant with per-class quanta
      * (TwoLevelConfig::class_quantum, one entry per workload class, ns)
-     * plus the deficit/starvation mirror runs alongside the fixed-
-     * quantum TQ and prints as `TQPC_<class>` columns (DESIGN.md §4i).
+     * plus the default deficit clamp and starvation guard runs
+     * alongside the fixed-quantum TQ and prints as `TQPC_<class>`
+     * columns (DESIGN.md §4i).
      */
     std::vector<SimNanos> tq_class_quantum;
-    SimNanos tq_deficit_clamp = us(8);
-    uint64_t tq_starvation_promote_after = 128;
 };
 
 /** The simulations behind one comparison row. */
@@ -109,9 +109,9 @@ run_systems(const ServiceDist &dist, const std::vector<double> &rates,
             cfg.stop_when_saturated = true;
             cfg.arrival = opts.arrival;
             cfg.class_quantum = opts.tq_class_quantum;
-            cfg.deficit_clamp = opts.tq_deficit_clamp;
+            cfg.deficit_clamp = us(sched::kDefaultDeficitClampUs);
             cfg.starvation_promote_after =
-                opts.tq_starvation_promote_after;
+                sched::kDefaultStarvationPromoteAfter;
             row.tq_pc = run_two_level(cfg, dist, rate);
             break;
           }

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/sched_core.h"
+
 namespace tq::runtime {
 
 /** Dispatcher load-balancing policy (paper sections 3.2, 5.4). */
@@ -38,28 +40,27 @@ struct RuntimeConfig
 
     /**
      * Per-class quanta keyed by Request::job_class (DESIGN.md §4i).
-     * Empty — the default — keeps the single fixed quantum and the
-     * exact pre-change hot path: no per-class state exists, no deficit
-     * accounting runs, and figure outputs are byte-identical. When
-     * non-empty, class c is admitted with class_quantum_us[c] (classes
-     * beyond the table, or beyond kMaxQuantumClasses = 8, fall back to
-     * quantum_us / the last slot), the worker resolves the budget with
-     * one table load at admission, and deficit accounting plus the
-     * starvation guard below engage. Ignored under WorkPolicy::Fcfs,
-     * where probes never fire. Mirrors sim TwoLevelConfig::class_quantum.
+     * Empty — the default — is the fixed quantum: one scheduler ledger
+     * slot with deficit and guard off, so every grant arms quantum_us.
+     * When non-empty, class c is admitted with class_quantum_us[c]
+     * (classes beyond the table, or beyond sched::kMaxClasses = 8, fall
+     * back to quantum_us / the last slot) and gets its own ledger slot
+     * with the deficit clamp and starvation guard below. Ignored under
+     * WorkPolicy::Fcfs, where probes never fire. The simulator's
+     * TwoLevelConfig::class_quantum runs the same scheduler.
      */
     std::vector<double> class_quantum_us;
 
     /**
      * Per-class deficit clamp in microseconds (per-class mode only).
-     * Each class banks `granted - used` cycles after every slice — a
-     * class that completes early banks credit, one whose probes overrun
-     * the deadline pays the overshoot back — and the bank is clamped to
-     * +-deficit_clamp_us so neither windfall compounds. The effective
-     * budget at each grant is quantum + deficit, floored at quantum/4
-     * so a debt-laden class always makes real progress.
+     * Each class banks `granted - used` cycles after every slice, with
+     * granted the effective budget the slice was armed with — early
+     * completion banks credit, probe overrun pays the overshoot back —
+     * clamped to +-deficit_clamp_us. The effective budget at each grant
+     * is quantum + deficit, floored at quantum/4 + 1 cycles so a
+     * debt-laden class always makes real progress.
      */
-    double deficit_clamp_us = 8.0;
+    double deficit_clamp_us = sched::kDefaultDeficitClampUs;
 
     /**
      * Starvation guard (per-class mode only): after a class with
@@ -69,7 +70,8 @@ struct RuntimeConfig
      * winning forever under a flood of fresher work). 0 disables the
      * guard. Promotions are counted (Worker::starvation_promotions()).
      */
-    uint32_t starvation_promote_after = 128;
+    uint32_t starvation_promote_after =
+        sched::kDefaultStarvationPromoteAfter;
 
     /**
      * Adaptive quantum controller (DESIGN.md §4i): when true — and the

@@ -14,8 +14,8 @@
  * walk; a portable scalar path doubles as the property-test reference
  * (tests/layout_test.cc). A tournament tree was benched as the third
  * alternative: it loses at one-line width and only wins from ~64 lanes,
- * so it stays bench-local — see docs/cache_line_analysis.md §"Picking
- * the pick" and BENCH_dispatch.json for the numbers.
+ * so it was not adopted — see docs/cache_line_analysis.md §"Picking the
+ * pick" and BENCH_dispatch.json for the recorded numbers.
  *
  * Semantics are bit-identical to the scalar scan it replaces:
  *  - lengths are clamped into [0, kLenMax]; real queue depth is bounded

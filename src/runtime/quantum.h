@@ -24,35 +24,23 @@
 #include <atomic>
 
 #include "common/cycles.h"
+#include "common/sched_core.h"
 
 namespace tq::runtime {
 
-/** Job classes with distinct quanta. `job_class` values at or beyond
- *  the limit clamp into the last slot (they still schedule; they just
- *  share a quantum), matching telemetry's per-class instrument bound. */
-inline constexpr int kMaxQuantumClasses = 8;
-
-/** Atomic per-class quantum cycle budgets (single writer after
- *  construction: the adaptive controller; readers: workers, one
- *  relaxed load per admission). */
+/** Atomic per-class quantum cycle budgets, one per scheduler ledger
+ *  slot (sched::kMaxClasses; `job_class` values at or beyond it share
+ *  the last slot). Single writer after construction: the adaptive
+ *  controller; readers: workers, one relaxed load per admission. */
 class ClassQuantumTable
 {
   public:
-    /** Every slot starts at @p default_cycles (the fixed quantum). */
+    /** Every slot starts at @p default_cycles (the fixed quantum; on the
+     *  fixed path the workers only ever read slot 0). */
     explicit ClassQuantumTable(Cycles default_cycles)
     {
         for (auto &c : cycles_)
             c.store(default_cycles, std::memory_order_relaxed);
-    }
-
-    /** Table slot for a request's job_class (clamped, never negative). */
-    static int
-    slot_of(int job_class)
-    {
-        if (job_class < 0)
-            return 0;
-        return job_class < kMaxQuantumClasses ? job_class
-                                              : kMaxQuantumClasses - 1;
     }
 
     /** The quantum budget for @p slot (relaxed; admission-time load). */
@@ -72,7 +60,7 @@ class ClassQuantumTable
     }
 
   private:
-    std::atomic<Cycles> cycles_[kMaxQuantumClasses];
+    std::atomic<Cycles> cycles_[sched::kMaxClasses];
 };
 
 } // namespace tq::runtime

@@ -15,6 +15,7 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
           cfg.num_workers,
           telemetry::kEnabled ? cfg.telemetry_trace_capacity : 1,
           cfg.num_dispatchers)),
+      quantum_table_(ns_to_cycles(cfg.quantum_us * 1e3)),
       assigned_(std::make_unique<std::atomic<uint64_t>[]>(
           static_cast<size_t>(cfg.num_workers))),
       query_readers_(static_cast<size_t>(cfg.num_workers)),
@@ -25,24 +26,26 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
     TQ_CHECK(cfg_.num_dispatchers >= 1 &&
              cfg_.num_dispatchers <= cfg_.num_workers &&
              cfg_.num_dispatchers <= telemetry::kMaxDispatcherShards);
-    // Per-class mode (DESIGN.md §4i): a populated quantum table, or an
-    // adaptive controller that needs one even with an empty config
-    // table. FCFS never arms probes — its workers drop the table and
-    // run the fixed path regardless.
-    const bool per_class = (!cfg_.class_quantum_us.empty() ||
-                            cfg_.adaptive_quantum) &&
-                           cfg_.work != WorkPolicy::Fcfs;
-    if (per_class) {
-        quantum_table_ = std::make_unique<ClassQuantumTable>(
-            ns_to_cycles(cfg_.quantum_us * 1e3));
+    // Scheduling shape (DESIGN.md §4i), resolved once for all workers.
+    // Per-class mode — a populated table, or an adaptive controller that
+    // needs one — gives every table slot a ledger slot, the deficit
+    // clamp and the guard. Otherwise, and always under FCFS (probes
+    // never fire), it is the fixed quantum: one slot, neither knob.
+    sched_shape_.las = cfg_.work == WorkPolicy::Las;
+    if ((!cfg_.class_quantum_us.empty() || cfg_.adaptive_quantum) &&
+        cfg_.work != WorkPolicy::Fcfs) {
+        sched_shape_.slots = sched::kMaxClasses;
+        sched_shape_.deficit_clamp =
+            ns_to_cycles(cfg_.deficit_clamp_us * 1e3);
+        sched_shape_.promote_after = cfg_.starvation_promote_after;
         std::vector<double> initial(
-            static_cast<size_t>(kMaxQuantumClasses), cfg_.quantum_us);
+            static_cast<size_t>(sched::kMaxClasses), cfg_.quantum_us);
         for (size_t c = 0; c < cfg_.class_quantum_us.size() &&
-                           c < static_cast<size_t>(kMaxQuantumClasses);
+                           c < static_cast<size_t>(sched::kMaxClasses);
              ++c) {
             TQ_CHECK(cfg_.class_quantum_us[c] > 0);
             initial[c] = cfg_.class_quantum_us[c];
-            quantum_table_->store(
+            quantum_table_.store(
                 static_cast<int>(c),
                 ns_to_cycles(cfg_.class_quantum_us[c] * 1e3));
         }
@@ -58,8 +61,8 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
     }
     for (int w = 0; w < cfg_.num_workers; ++w)
         workers_.push_back(std::make_unique<Worker>(
-            w, cfg_, handler, &metrics_->worker(w), &lc_,
-            quantum_table_.get()));
+            w, cfg_, handler, &metrics_->worker(w), &lc_, quantum_table_,
+            sched_shape_));
     for (int d = 0; d < cfg_.num_dispatchers; ++d) {
         shards_.push_back(std::make_unique<DispatcherShard>(cfg_, d));
         DispatcherShard &sh = *shards_.back();
@@ -416,7 +419,7 @@ Runtime::telemetry_snapshot()
 bool
 Runtime::adapt_quanta()
 {
-    if (!controller_ || !quantum_table_)
+    if (!controller_)
         return false; // static fallback: fixed path, adaptation off, or
                       // a -DTQ_TELEMETRY=OFF build (no controller made)
     const telemetry::MetricsSnapshot snap = telemetry_snapshot();
@@ -437,9 +440,9 @@ Runtime::adapt_quanta()
             const std::vector<double> &q = controller_->quanta_us();
             for (size_t c = 0;
                  c < q.size() &&
-                 c < static_cast<size_t>(kMaxQuantumClasses);
+                 c < static_cast<size_t>(sched::kMaxClasses);
                  ++c)
-                quantum_table_->store(static_cast<int>(c),
+                quantum_table_.store(static_cast<int>(c),
                                       ns_to_cycles(q[c] * 1e3));
         }
     }
@@ -449,10 +452,10 @@ Runtime::adapt_quanta()
 double
 Runtime::class_quantum_us(int job_class) const
 {
-    if (!quantum_table_)
-        return cfg_.quantum_us;
-    return cycles_to_ns(quantum_table_->load(
-               ClassQuantumTable::slot_of(job_class))) /
+    if (sched_shape_.slots == 1)
+        return cfg_.quantum_us; // fixed path: the configured scalar
+    return cycles_to_ns(quantum_table_.load(
+               sched::clamp_slot(job_class, sched::kMaxClasses))) /
            1e3;
 }
 

@@ -360,10 +360,11 @@ class Runtime
     RuntimeConfig cfg_;
     std::unique_ptr<telemetry::MetricsRegistry> metrics_;
 
-    /** Per-class quantum table (DESIGN.md §4i); null on the fixed path
-     *  (empty class_quantum_us, no adaptation, or FCFS). Declared
-     *  before workers_: the workers capture the raw pointer. */
-    std::unique_ptr<ClassQuantumTable> quantum_table_;
+    /** Per-class quantum table (DESIGN.md §4i) and the workers'
+     *  scheduling shape (one ledger slot = the fixed quantum). Declared
+     *  before workers_, which reference the table. */
+    ClassQuantumTable quantum_table_;
+    sched::SchedShape<Cycles> sched_shape_;
     /** Adaptive control law; constructed only in telemetry builds with
      *  adaptive_quantum set. Guarded by stats_mu_ (snapshot-rate). */
     std::unique_ptr<QuantumController> controller_;

@@ -5,37 +5,33 @@
 
 #include "common/check.h"
 #include "common/cycles.h"
+#include "common/sched_core.h"
 #include "fault/fault.h"
 #include "probe/probe.h"
 
 namespace tq::runtime {
 
-static_assert(kMaxQuantumClasses == telemetry::kMaxTrackedClasses,
+static_assert(sched::kMaxClasses == telemetry::kMaxTrackedClasses,
               "quantum-table slots and per-class telemetry slots must "
               "stay in one-to-one correspondence");
 
 Worker::Worker(int id, const RuntimeConfig &cfg, Handler handler,
                telemetry::WorkerTelemetry *telem, const LifecycleControl *lc,
-               const ClassQuantumTable *quanta)
+               const ClassQuantumTable &quanta,
+               const sched::SchedShape<Cycles> &shape)
     : id_(id),
       cfg_(cfg),
       handler_(std::move(handler)),
       telem_(telem),
       lc_(lc),
-      quantum_cycles_(ns_to_cycles(cfg.quantum_us * 1e3)),
-      // FCFS never arms probes, so per-class budgets cannot apply: the
-      // table is dropped and the fixed path runs (DESIGN.md §4i).
-      quanta_table_(cfg.work == WorkPolicy::Fcfs ? nullptr : quanta),
-      per_class_(quanta_table_ != nullptr),
-      deficit_clamp_cycles_(ns_to_cycles(cfg.deficit_clamp_us * 1e3)),
+      quanta_(quanta),
+      sched_(shape),
       dispatch_ring_(cfg.ring_capacity),
       tx_ring_(cfg.ring_capacity)
 {
     TQ_CHECK(cfg_.tasks_per_worker > 0);
     TQ_CHECK(handler_);
     TQ_CHECK(lc_ != nullptr);
-    if (cfg_.work == WorkPolicy::Las)
-        las_heap_.reserve(static_cast<size_t>(cfg_.tasks_per_worker));
     for (int t = 0; t < cfg_.tasks_per_worker; ++t) {
         auto task = std::make_unique<Task>();
         Task *raw = task.get();
@@ -73,34 +69,16 @@ Worker::poll_admissions()
             Task *task = idle_.back();
             idle_.pop_back();
             task->req = pending[i];
-            task->quanta = 0;
-            task->admit_seq = admit_seq_next_++;
             task->service_cycles = 0;
-            task->started = false;
             task->job_done = false;
             task->has_job = true;
-            if (per_class_) {
-                // Quantum resolution point (DESIGN.md §4i): one relaxed
-                // table load per job, here at admission. Every later
-                // probe/yield decision compares against the Task's
-                // precomputed cycle budget — a controller update never
-                // reaches a job mid-service.
-                const int slot =
-                    ClassQuantumTable::slot_of(pending[i].job_class);
-                task->cls = static_cast<uint8_t>(slot);
-                task->budget_cycles = quanta_table_->load(slot);
-                ++class_sched_[static_cast<size_t>(slot)].runnable;
-            } else {
-                task->budget_cycles = quantum_cycles_;
-            }
-            if (cfg_.work == WorkPolicy::Las) {
-                las_heap_.push_back(task);
-                std::push_heap(las_heap_.begin(), las_heap_.end(),
-                               LasAfter{});
-            } else {
-                busy_.push_back(task);
-            }
-            busy_count_.fetch_add(1, std::memory_order_relaxed);
+            // Quantum resolution point (DESIGN.md §4i): one relaxed table
+            // load per job, here at admission. Every later probe/yield
+            // decision compares against the Task's precomputed cycle
+            // budget — a controller update never reaches a job
+            // mid-service.
+            const int slot = sched_.admit(task, pending[i].job_class);
+            task->budget_cycles = quanta_.load(slot);
 #if defined(TQ_TELEMETRY_ENABLED)
             telem_->counters.admitted.fetch_add(1,
                                                std::memory_order_relaxed);
@@ -111,85 +89,14 @@ Worker::poll_admissions()
     }
 }
 
-Worker::Task *
-Worker::select_task()
-{
-    if (per_class_ && cfg_.starvation_promote_after != 0) {
-        // Starvation guard (DESIGN.md §4i): a class passed over for
-        // starvation_promote_after consecutive grants while runnable is
-        // force-promoted ahead of the policy order. The scan is eight
-        // worker-private loads; the extract below is the cold path.
-        int starved = -1;
-        uint32_t worst = 0;
-        for (int c = 0; c < kMaxQuantumClasses; ++c) {
-            const ClassSched &cs = class_sched_[static_cast<size_t>(c)];
-            if (cs.runnable != 0 &&
-                cs.skipped >= cfg_.starvation_promote_after &&
-                cs.skipped > worst) {
-                worst = cs.skipped;
-                starved = c;
-            }
-        }
-        if (starved >= 0) {
-            Task *task = extract_promoted(starved);
-            if (task != nullptr) {
-                starvation_promotions_.fetch_add(
-                    1, std::memory_order_relaxed);
-                return task;
-            }
-        }
-    }
-    if (cfg_.work == WorkPolicy::Las) {
-        // Least-attained-service: resume the task that has consumed the
-        // fewest quanta, FIFO among equals — O(log n) heap selection in
-        // place of the old O(n) scan + mid-vector erase.
-        std::pop_heap(las_heap_.begin(), las_heap_.end(), LasAfter{});
-        Task *task = las_heap_.back();
-        las_heap_.pop_back();
-        return task;
-    }
-    Task *task = busy_.front();
-    busy_.pop_front();
-    return task;
-}
-
-Worker::Task *
-Worker::extract_promoted(int cls)
-{
-    if (cfg_.work == WorkPolicy::Las) {
-        // The class's best task under the LAS order (fewest quanta,
-        // FIFO among equals), extracted by scan + re-heapify: O(n) over
-        // at most tasks_per_worker entries, on a rare path.
-        size_t best = las_heap_.size();
-        for (size_t i = 0; i < las_heap_.size(); ++i) {
-            if (las_heap_[i]->cls != cls)
-                continue;
-            if (best == las_heap_.size() ||
-                LasAfter{}(las_heap_[best], las_heap_[i]))
-                best = i;
-        }
-        if (best == las_heap_.size())
-            return nullptr; // defensive: runnable count said otherwise
-        Task *task = las_heap_[best];
-        las_heap_.erase(las_heap_.begin() + static_cast<ptrdiff_t>(best));
-        std::make_heap(las_heap_.begin(), las_heap_.end(), LasAfter{});
-        return task;
-    }
-    for (auto it = busy_.begin(); it != busy_.end(); ++it) {
-        if ((*it)->cls == cls) {
-            Task *task = *it;
-            busy_.erase(it);
-            return task;
-        }
-    }
-    return nullptr;
-}
-
 void
 Worker::run_one_slice()
 {
     TQ_FAULT_SITE(WorkerSlice);
-    Task *task = select_task();
+    const auto [e, promoted] = sched_.next();
+    if (promoted)
+        starvation_promotions_.fetch_add(1, std::memory_order_relaxed);
+    Task *task = e.handle;
 
     // The paper's call_the_yield binding: before resuming, point the
     // thread-local yield hook at this task's coroutine so probes in the
@@ -197,38 +104,25 @@ Worker::run_one_slice()
     bind_yield(
         [](void *coro) { static_cast<Coroutine *>(coro)->yield(); },
         task->coro.get());
-    // Budget for this grant: the admission-resolved quantum, deficit-
-    // adjusted in per-class mode. On the fixed path budget_cycles is
-    // exactly quantum_cycles_, so the armed deadline is unchanged.
-    Cycles budget = task->budget_cycles;
-    if (per_class_)
-        budget = effective_budget(
-            task->budget_cycles,
-            class_sched_[static_cast<size_t>(task->cls)].deficit);
+    // Budget for this grant: the admission-resolved quantum plus the
+    // class's deficit; on the fixed path exactly the quantum.
+    const Cycles budget = sched_.grant(e, task->budget_cycles);
+    // The slice is timed when settlement can move a deficit or telemetry
+    // records it; the fixed quantum (clamp 0) reads no extra clock.
+    const bool timed = sched_.ledger().settles() || telemetry::kEnabled;
+    const Cycles slice_start = timed ? rdcycles() : 0;
 #if defined(TQ_TELEMETRY_ENABLED)
     bind_telemetry(telem_, task->req.id);
-    const Cycles slice_start = rdcycles();
-    if (!task->started) {
-        task->started = true;
-        // Queueing stage: dispatcher handoff -> first quantum start.
+    if (e.quanta == 0) // first slice: the job's queueing stage ends
         telem_->queue_cycles.add(slice_start - task->req.dispatch_cycles);
-    }
     telem_->counters.quanta.fetch_add(1, std::memory_order_relaxed);
     telem_->trace.record(telemetry::EventKind::QuantumStart, task->req.id,
-                         task->quanta);
-    if (per_class_) {
-        telem_->class_grants[task->cls].fetch_add(
-            1, std::memory_order_relaxed);
-        telem_->class_granted_cycles[task->cls].fetch_add(
+                         e.quanta);
+    if (classes_tracked()) {
+        telem_->class_grants[e.slot].fetch_add(1, std::memory_order_relaxed);
+        telem_->class_granted_cycles[e.slot].fetch_add(
             budget, std::memory_order_relaxed);
     }
-#else
-    // Deficit accounting is scheduler state, not telemetry: it needs
-    // the slice duration in every build, but only in per-class mode —
-    // the fixed path stays free of extra rdcycles() reads.
-    Cycles slice_start = 0;
-    if (per_class_)
-        slice_start = rdcycles();
 #endif
     if (cfg_.work == WorkPolicy::Fcfs)
         disarm_quantum(); // FCFS: probes never fire
@@ -236,62 +130,32 @@ Worker::run_one_slice()
         arm_quantum(budget);
     task->coro->resume();
     disarm_quantum();
+    const Cycles slice = timed ? rdcycles() - slice_start : 0;
+    // Deficit settlement: bank granted-minus-used. A class that completes
+    // inside its budget accrues credit; one whose probes overrun the
+    // deadline goes into debt and pays the overshoot back.
+    sched_.settle(e, budget, slice);
 #if defined(TQ_TELEMETRY_ENABLED)
-    const Cycles slice_end = rdcycles();
-    const Cycles slice = slice_end - slice_start;
     task->service_cycles += slice;
     if (!task->job_done && cfg_.work != WorkPolicy::Fcfs) {
         // Preemption overhead: how far the slice ran past the armed
         // deadline before a probe fired and the switch-out completed.
         telem_->preempt_cycles.add(slice > budget ? slice - budget : 0);
     }
-#else
-    Cycles slice = 0;
-    if (per_class_)
-        slice = rdcycles() - slice_start;
+    if (classes_tracked())
+        telem_->class_deficit[e.slot].store(
+            sched_.ledger().account(e.slot).deficit,
+            std::memory_order_relaxed);
 #endif
-    if (per_class_) {
-        // Deficit settlement: bank granted-minus-used. A class that
-        // completes inside its budget accrues credit (its next grants
-        // run a little longer); one whose probes overrun the deadline
-        // goes into debt and pays the overshoot back. The clamp bounds
-        // both directions (DESIGN.md §4i invariants).
-        ClassSched &cs = class_sched_[static_cast<size_t>(task->cls)];
-        ++cs.grants;
-        cs.granted_cycles += budget;
-        const int64_t clamp = static_cast<int64_t>(deficit_clamp_cycles_);
-        const int64_t settled = cs.deficit + static_cast<int64_t>(budget) -
-                                static_cast<int64_t>(slice);
-        cs.deficit = std::clamp(settled, -clamp, clamp);
-#if defined(TQ_TELEMETRY_ENABLED)
-        telem_->class_deficit[task->cls].store(cs.deficit,
-                                               std::memory_order_relaxed);
-#endif
-        // Starvation bookkeeping: this class was served; every other
-        // class with runnable tasks was passed over once more.
-        for (int c = 0; c < kMaxQuantumClasses; ++c) {
-            ClassSched &other = class_sched_[static_cast<size_t>(c)];
-            if (c == task->cls)
-                other.skipped = 0;
-            else if (other.runnable != 0)
-                ++other.skipped;
-        }
-    }
 
     if (task->job_done) {
-        complete(task);
+        complete(e);
     } else {
         // Preempted: account the serviced quantum and requeue — tail of
         // the PS ring, or heap reinsert with the bumped quanta for LAS.
-        ++task->quanta;
         stats_.current_quanta.fetch_add(1, std::memory_order_relaxed);
         stats_.total_quanta.fetch_add(1, std::memory_order_relaxed);
-        if (cfg_.work == WorkPolicy::Las) {
-            las_heap_.push_back(task);
-            std::push_heap(las_heap_.begin(), las_heap_.end(), LasAfter{});
-        } else {
-            busy_.push_back(task);
-        }
+        sched_.requeue(e);
     }
 }
 
@@ -318,8 +182,9 @@ Worker::push_response(const Response &resp)
 }
 
 void
-Worker::complete(Task *task)
+Worker::complete(const Sched::Entry &e)
 {
+    Task *task = e.handle;
     Response resp;
     resp.id = task->req.id;
     resp.gen_cycles = task->req.gen_cycles;
@@ -336,25 +201,22 @@ Worker::complete(Task *task)
     // dropped: the job *did* finish, and the JSQ view must not leak
     // queue length.
     stats_.finished.fetch_add(1, std::memory_order_relaxed);
-    stats_.current_quanta.fetch_sub(task->quanta,
-                                    std::memory_order_relaxed);
-    if (per_class_)
-        --class_sched_[static_cast<size_t>(task->cls)].runnable;
+    stats_.current_quanta.fetch_sub(e.quanta, std::memory_order_relaxed);
+    sched_.finish(e);
 #if defined(TQ_TELEMETRY_ENABLED)
     telem_->counters.finished.fetch_add(1, std::memory_order_relaxed);
     telem_->service_cycles.add(task->service_cycles);
     telem_->trace.record(telemetry::EventKind::JobFinished, task->req.id);
-    if (per_class_) {
+    if (classes_tracked()) {
         // Per-class controller feed (DESIGN.md §4i): attained service
         // and sojourn keyed by the quantum-table slot.
-        telem_->class_finished[task->cls].fetch_add(
-            1, std::memory_order_relaxed);
-        telem_->class_service[task->cls].add(task->service_cycles);
-        telem_->class_sojourn[task->cls].add(resp.done_cycles -
-                                             task->req.arrival_cycles);
+        telem_->class_finished[e.slot].fetch_add(1,
+                                                 std::memory_order_relaxed);
+        telem_->class_service[e.slot].add(task->service_cycles);
+        telem_->class_sojourn[e.slot].add(resp.done_cycles -
+                                          task->req.arrival_cycles);
     }
 #endif
-    busy_count_.fetch_sub(1, std::memory_order_relaxed);
     idle_.push_back(task);
 }
 
@@ -364,17 +226,7 @@ Worker::abandon_remaining()
     // Clear the run queue so a second sweep only sees what arrived
     // since — the tasks' coroutines are suspended mid-job and are never
     // resumed again; tasks_ still owns them for destruction.
-    const size_t queued = busy_.size() + las_heap_.size();
-    uint64_t abandoned = static_cast<uint64_t>(queued);
-    busy_count_.fetch_sub(queued, std::memory_order_relaxed);
-    if (per_class_) {
-        for (const Task *t : busy_)
-            --class_sched_[static_cast<size_t>(t->cls)].runnable;
-        for (const Task *t : las_heap_)
-            --class_sched_[static_cast<size_t>(t->cls)].runnable;
-    }
-    busy_.clear();
-    las_heap_.clear();
+    uint64_t abandoned = sched_.abandon();
     while (dispatch_ring_.pop())
         ++abandoned;
     if (abandoned != 0)
@@ -391,7 +243,7 @@ Worker::run()
         if (phase >= Lifecycle::Stopping)
             break;
         poll_admissions();
-        if (!ready_empty()) {
+        if (!sched_.empty()) {
             empty_polls = 0;
             run_one_slice();
             continue;

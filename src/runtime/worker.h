@@ -12,10 +12,11 @@
  * back to the scheduler.
  *
  * Admissions drain the dispatch ring in batches (SpscRing::pop_n — one
- * shared-index acquire/release pair per batch). Run-queue selection is
- * PS: ring rotation; FCFS: front of queue; LAS: an O(log n) binary
- * min-heap keyed on (quanta, admit_seq), FIFO among equal-quanta tasks
- * — the same order the previous O(n) scan produced.
+ * shared-index acquire/release pair per batch). Run-queue selection,
+ * per-class budgets, deficit settlement and the starvation guard are
+ * the shared scheduling core (common/sched_core.h) instantiated on
+ * cycles and task pointers — the simulator runs the same code — so
+ * this class keeps only the coroutine, probe, telemetry and TX work.
  *
  * The loop is lifecycle-aware (runtime/lifecycle.h): in Draining it
  * finishes admitted jobs and exits once the dispatcher is done and the
@@ -27,11 +28,11 @@
 #define TQ_RUNTIME_WORKER_H
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/sched_core.h"
 #include "conc/spsc_ring.h"
 #include "coro/coroutine.h"
 #include "runtime/config.h"
@@ -59,15 +60,15 @@ class Worker
      *     snapshots work in every configuration.
      * @param lc the runtime's shared lifecycle control block; read at
      *     loop boundaries and inside every backpressure loop.
-     * @param quanta the runtime's shared per-class quantum table, or
-     *     nullptr for the fixed-quantum path (empty class_quantum_us and
-     *     no adaptation): with no table the worker carries zero
-     *     per-class state and behaves exactly as before the table
-     *     existed (DESIGN.md §4i, byte-identical fallback).
+     * @param quanta the runtime's per-class quantum table, loaded once
+     *     per admission.
+     * @param shape the scheduling shape the runtime resolved (one
+     *     ledger slot = the fixed quantum; DESIGN.md §4i).
      */
     Worker(int id, const RuntimeConfig &cfg, Handler handler,
            telemetry::WorkerTelemetry *telem, const LifecycleControl *lc,
-           const ClassQuantumTable *quanta = nullptr);
+           const ClassQuantumTable &quanta,
+           const sched::SchedShape<Cycles> &shape);
 
     /** Dispatcher-side input ring (single producer: the dispatcher). */
     SpscRing<Request> &dispatch_ring() { return dispatch_ring_; }
@@ -77,13 +78,6 @@ class Worker
 
     /** The shared statistics cache line (paper section 4). */
     WorkerStatsLine &stats_line() { return stats_; }
-
-    /** Jobs admitted but not finished (readable from any thread). */
-    size_t
-    active_jobs() const
-    {
-        return busy_count_.load(std::memory_order_relaxed);
-    }
 
     /** TX-ring-full spin iterations (backpressure pressure gauge). */
     uint64_t
@@ -126,9 +120,6 @@ class Worker
      */
     void abandon_remaining();
 
-    /** Worker index within the runtime. */
-    int id() const { return id_; }
-
     /** Grants the starvation guard forced ahead of the policy order
      *  (0 on the fixed-quantum path or with the guard disabled). */
     uint64_t
@@ -137,28 +128,18 @@ class Worker
         return starvation_promotions_.load(std::memory_order_relaxed);
     }
 
-    /** One class's scheduling account (per-class mode only). Plain
-     *  fields, written only by the worker thread: read them after the
-     *  thread has been joined (tests, post-drain reports). */
-    struct ClassSched
-    {
-        int64_t deficit = 0;          ///< banked cycles, clamped to
-                                      ///< +-deficit_clamp (DESIGN.md §4i)
-        uint32_t skipped = 0;         ///< consecutive grants that went to
-                                      ///< other classes while runnable
-        uint32_t runnable = 0;        ///< tasks of this class in the runq
-        uint64_t grants = 0;          ///< slices granted
-        uint64_t granted_cycles = 0;  ///< sum of armed budgets (effective-
-                                      ///< quantum parity with the sim)
-    };
+    /** One ledger slot's scheduling account (common/sched_core.h). */
+    using ClassSched = sched::ClassLedger<Cycles>::Account;
 
-    /** Class @p slot's account. Zeros on the fixed-quantum path. Safe
-     *  only from the worker thread or after it has been joined. */
+    /** Ledger slot @p slot's account. On the fixed path every job is
+     *  booked to slot 0 and the other slots read as zeros. Plain
+     *  fields written only by the worker thread: read them after it has
+     *  been joined (tests, post-drain reports). */
     const ClassSched &
     class_sched(int slot) const
     {
-        return class_sched_[static_cast<size_t>(
-            ClassQuantumTable::slot_of(slot))];
+        return sched_.ledger().account(
+            sched::clamp_slot(slot, sched::kMaxClasses));
     }
 
   private:
@@ -167,39 +148,16 @@ class Worker
     {
         Request req;               ///< job currently bound to the slot
         uint64_t result = 0;       ///< handler return value
-        uint32_t quanta = 0;       ///< quanta consumed by the current job
-        uint64_t admit_seq = 0;    ///< admission order (LAS FIFO ties)
-        Cycles budget_cycles = 0;  ///< quantum resolved at admission (one
-                                   ///< table load; the probe deadline
-                                   ///< compares against this precomputed
-                                   ///< cycle budget, DESIGN.md §4i)
-        uint8_t cls = 0;           ///< quantum-table slot of req.job_class
+        Cycles budget_cycles = 0;  ///< quantum resolved at admission
+                                   ///< (one table load, DESIGN.md §4i)
         Cycles service_cycles = 0; ///< accumulated slice time (telemetry)
-        bool started = false;      ///< first slice already ran
         bool has_job = false;      ///< a job is admitted to this slot
         bool job_done = false;     ///< handler returned; response pending
         std::unique_ptr<Coroutine> coro; ///< persistent task coroutine
     };
 
-    /**
-     * Min-heap order over (quanta, admit_seq) for std::push_heap (which
-     * builds a max-heap, so the comparator is reversed): the task with
-     * the fewest serviced quanta wins, FIFO among equals by admission
-     * sequence. This reproduces the old O(n) scan's selection exactly
-     * (the scan picked the earliest-queued minimum, which by induction
-     * is the earliest-admitted one) at O(log n) per selection with no
-     * mid-vector erase.
-     */
-    struct LasAfter
-    {
-        bool
-        operator()(const Task *a, const Task *b) const
-        {
-            if (a->quanta != b->quanta)
-                return a->quanta > b->quanta;
-            return a->admit_seq > b->admit_seq;
-        }
-    };
+    /** The shared per-core scheduler on cycles and task pointers. */
+    using Sched = sched::SchedCore<Cycles, Task *>;
 
     /** Admission batch: enough to refill every default task slot in one
      *  ring round trip without outgrowing the stack buffer. */
@@ -207,52 +165,21 @@ class Worker
 
     void poll_admissions();
     void run_one_slice();
-    void complete(Task *task);
+    void complete(const Sched::Entry &e);
     bool push_response(const Response &resp);
 
-    /** Pop the next task per policy, or the most-starved class's best
-     *  task when the starvation guard fires (per-class mode only). */
-    Task *select_task();
-
-    /** Extract class @p cls's best task from the run queue: the LAS
-     *  minimum of that class, or the PS front-most. Cold path — only
-     *  reached when the guard fires after starvation_promote_after
-     *  consecutive skipped grants. */
-    Task *extract_promoted(int cls);
-
-    /** Effective budget at grant time: quantum + clamped deficit,
-     *  floored at quantum/4 so a debt-laden class still progresses. */
-    Cycles
-    effective_budget(Cycles base, int64_t deficit) const
-    {
-        const int64_t budget = static_cast<int64_t>(base) + deficit;
-        const int64_t floor = static_cast<int64_t>(base / 4) + 1;
-        return static_cast<Cycles>(budget > floor ? budget : floor);
-    }
-
-    /** Admitted-but-unfinished tasks under the active work policy. */
-    bool
-    ready_empty() const
-    {
-        return cfg_.work == WorkPolicy::Las ? las_heap_.empty()
-                                            : busy_.empty();
-    }
+    /** Per-class telemetry instruments record only when classes have
+     *  ledger slots of their own; the one-slot fixed path leaves them
+     *  untouched, which keeps the default snapshot text unchanged. */
+    bool classes_tracked() const { return sched_.ledger().slots() > 1; }
 
     int id_;
     const RuntimeConfig cfg_;
     Handler handler_;
     telemetry::WorkerTelemetry *telem_;
     const LifecycleControl *lc_;
-    Cycles quantum_cycles_;
-
-    /** Per-class scheduling (DESIGN.md §4i). per_class_ is false on the
-     *  fixed path (no table, or FCFS where probes never fire): then no
-     *  member below is ever touched and run_one_slice() arms the same
-     *  quantum_cycles_ budget as before the table existed. */
-    const ClassQuantumTable *quanta_table_;
-    bool per_class_;
-    Cycles deficit_clamp_cycles_ = 0;
-    ClassSched class_sched_[kMaxQuantumClasses] = {};
+    const ClassQuantumTable &quanta_;
+    Sched sched_;
 
     SpscRing<Request> dispatch_ring_;
     SpscRing<Response> tx_ring_;
@@ -260,13 +187,6 @@ class Worker
 
     std::vector<std::unique_ptr<Task>> tasks_;
     std::vector<Task *> idle_;
-    /** PS/FCFS run queue: plain ring rotation (pop front, push back). */
-    std::deque<Task *> busy_;
-    /** LAS run queue: binary min-heap on (quanta, admit_seq). Only one
-     *  of busy_ / las_heap_ is populated, per cfg_.work. */
-    std::vector<Task *> las_heap_;
-    uint64_t admit_seq_next_ = 0;
-    std::atomic<size_t> busy_count_{0};
 
     // Backpressure / shutdown accounting. Always recorded (unlike the
     // TQ_TELEMETRY counters): every touch is on the cold overflow or

@@ -127,7 +127,6 @@ class CentralSim
                 core_.complete(idx,
                                core_.now() + cfg_.overheads.response_cost);
             } else {
-                ++j.serviced_quanta;
                 runq_.push_back(idx); // PS rotation of the global queue
             }
             grant_if_possible();

@@ -41,7 +41,6 @@ EngineCore::try_admit(double demand_scale)
     j.demand = s.demand;
     j.remaining = s.demand * demand_scale;
     j.job_class = s.job_class;
-    j.serviced_quanta = 0;
     ++in_flight_;
     ++arrivals_;
     return idx;

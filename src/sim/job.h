@@ -19,7 +19,6 @@ struct Job
     SimNanos demand = 0;      ///< total service requirement
     SimNanos remaining = 0;   ///< service still owed
     int job_class = 0;        ///< index into the workload's class names
-    uint32_t serviced_quanta = 0; ///< completed quanta (for MSQ ties)
 };
 
 } // namespace tq::sim

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/sched_core.h"
 #include "common/shard.h"
 #include "sim/event_core.h"
 
@@ -17,27 +18,24 @@ constexpr uint32_t kNone = ~0u;
 
 enum EventKind : uint32_t { kArrival, kDispatchDone, kCoreDone, kFrontDone };
 
-/** Per-core scheduler state. */
+/** The shared per-core scheduler on simulated ns and unit ids. */
+using CoreSched = sched::SchedCore<SimNanos, uint32_t>;
+
+/** Per-core state around the shared scheduler. */
 struct Core
 {
-    std::deque<uint32_t> runq;   ///< admitted, not currently running
-    uint32_t running = kNone;
+    explicit Core(const sched::SchedShape<SimNanos> &shape) : sched(shape) {}
+
+    CoreSched sched;             ///< admitted units not running
+    CoreSched::Entry running{kNone}; ///< handle kNone while idle
     SimNanos slice = 0;          ///< service granted to `running`
+    SimNanos granted = 0;        ///< budget `running` was armed with
     uint64_t quanta_sum = 0;     ///< MSQ metric: serviced quanta of
                                  ///< currently admitted jobs
-    int jobs = 0;                ///< queue length seen by JSQ
     uint64_t finished = 0;       ///< completions (the shared counter)
     // Figure-16 style effective-quantum accounting.
     double grant_intervals = 0;
     uint64_t grants = 0;
-    SimNanos granted = 0;        ///< budget granted to `running` (the
-                                 ///< deficit charges granted - used)
-    // Per-class scheduler mirror (DESIGN.md §4i), sized only when the
-    // deficit/starvation knobs are active — empty otherwise so the
-    // default path touches none of it.
-    std::vector<SimNanos> deficit;  ///< banked credit, ±deficit_clamp
-    std::vector<uint64_t> skipped;  ///< consecutive grants passed over
-    std::vector<uint32_t> runnable; ///< admitted units per class
 };
 
 struct Dispatcher
@@ -56,7 +54,6 @@ class TwoLevelSim
           core_(dist, rate, cfg.seed, cfg.duration, cfg.max_in_flight,
                 cfg.stop_when_saturated, cfg.warmup),
           fanout_(static_cast<uint32_t>(cfg.fanout)),
-          cores_(static_cast<size_t>(cfg.num_cores)),
           assigned_(static_cast<size_t>(cfg.num_cores), 0),
           snap_finished_(static_cast<size_t>(cfg.num_cores), 0),
           snap_quanta_(static_cast<size_t>(cfg.num_cores), 0)
@@ -73,25 +70,27 @@ class TwoLevelSim
         for (int d = 0; d < cfg.num_dispatchers; ++d)
             spans_.push_back(
                 shard_span(cfg.num_cores, cfg.num_dispatchers, d));
-        if (!cfg_.class_quantum.empty())
-            TQ_CHECK(cfg_.class_quantum.size() ==
-                     dist.class_names().size());
+        // Scheduling shape (DESIGN.md §4i), resolved as the runtime
+        // resolves it: per-class quanta give each class a ledger slot
+        // with the deficit clamp and the starvation guard; the fixed
+        // quantum — and FCFS, whose cores never slice — is one slot
+        // with both off.
+        sched::SchedShape<SimNanos> shape;
+        shape.las = cfg.core_policy == CorePolicy::Las;
+        if (!cfg.class_quantum.empty()) {
+            TQ_CHECK(cfg.class_quantum.size() == dist.class_names().size());
+            TQ_CHECK(cfg.class_quantum.size() <=
+                     static_cast<size_t>(sched::kMaxClasses));
+            if (cfg.core_policy != CorePolicy::Fcfs) {
+                shape.slots = static_cast<int>(cfg.class_quantum.size());
+                shape.deficit_clamp = cfg.deficit_clamp;
+                shape.promote_after = cfg.starvation_promote_after;
+            }
+        }
+        cores_.assign(static_cast<size_t>(cfg.num_cores), Core(shape));
         num_classes_ = dist.class_names().size();
         class_grant_intervals_.resize(num_classes_, 0);
         class_grants_.resize(num_classes_, 0);
-        // The deficit/starvation mirror needs a per-class quantum table
-        // to mirror, exactly like the runtime (a fixed-quantum worker
-        // has no per-class state), and FCFS cores never slice.
-        per_class_sched_ = !cfg_.class_quantum.empty() &&
-                           cfg_.core_policy != CorePolicy::Fcfs &&
-                           (cfg_.deficit_clamp > 0 ||
-                            cfg_.starvation_promote_after > 0);
-        if (per_class_sched_)
-            for (auto &core : cores_) {
-                core.deficit.resize(num_classes_, 0);
-                core.skipped.resize(num_classes_, 0);
-                core.runnable.resize(num_classes_, 0);
-            }
     }
 
     SimResult
@@ -141,9 +140,9 @@ class TwoLevelSim
     // --------------------------------------------------------- units --
     // Queues and core slots hold *units*: at fanout 1 a unit IS the
     // arena index (same values, same arithmetic, byte-identical runs);
-    // at fanout k unit = idx * k + shard, with per-shard remaining and
-    // quanta kept in side arrays and the logical job completing when
-    // its last shard drains (scatter-gather, last-response-wins).
+    // at fanout k unit = idx * k + shard, with per-shard remaining
+    // kept in a side array and the logical job completing when its
+    // last shard drains (scatter-gather, last-response-wins).
     uint32_t
     idx_of(uint32_t unit) const
     {
@@ -155,13 +154,6 @@ class TwoLevelSim
     {
         return fanout_ == 1 ? job(unit).remaining
                             : shard_remaining_[unit];
-    }
-
-    uint64_t
-    quanta_of(uint32_t unit)
-    {
-        return fanout_ == 1 ? job(unit).serviced_quanta
-                            : shard_quanta_[unit];
     }
 
     // ------------------------------------------------------- arrivals --
@@ -257,18 +249,14 @@ class TwoLevelSim
     split_into_shards(uint32_t idx)
     {
         const size_t need = static_cast<size_t>(idx + 1) * fanout_;
-        if (shard_remaining_.size() < need) {
+        if (shard_remaining_.size() < need)
             shard_remaining_.resize(need, 0);
-            shard_quanta_.resize(need, 0);
-        }
         if (shards_live_.size() <= idx)
             shards_live_.resize(static_cast<size_t>(idx) + 1, 0);
         shards_live_[idx] = fanout_;
         const double per_shard = job(idx).remaining / fanout_;
-        for (uint32_t s = 0; s < fanout_; ++s) {
+        for (uint32_t s = 0; s < fanout_; ++s)
             shard_remaining_[idx * fanout_ + s] = per_shard;
-            shard_quanta_[idx * fanout_ + s] = 0;
-        }
     }
 
     void
@@ -294,13 +282,9 @@ class TwoLevelSim
 
         const int target = pick_core(d);
         Core &core = cores_[static_cast<size_t>(target)];
-        core.runq.push_back(unit);
-        ++core.jobs;
+        core.sched.admit(unit, job(idx_of(unit)).job_class);
         ++assigned_[static_cast<size_t>(target)];
-        core.quanta_sum += quanta_of(unit); // 0 for fresh units
-        if (per_class_sched_)
-            ++core.runnable[class_of(unit)];
-        if (core.running == kNone)
+        if (core.running.handle == kNone)
             start_slice(target);
 
         maybe_start_dispatch(d);
@@ -399,115 +383,26 @@ class TwoLevelSim
     }
 
     // ------------------------------------------------------- workers --
-    /** Service received so far (LAS priority key), per unit. */
-    double
-    attained(uint32_t unit)
-    {
-        if (fanout_ == 1) {
-            const Job &j = job(unit);
-            return j.demand * (1.0 + cfg_.probe_overhead_frac) -
-                   j.remaining;
-        }
-        const Job &j = job(idx_of(unit));
-        return j.demand * (1.0 + cfg_.probe_overhead_frac) / fanout_ -
-               shard_remaining_[unit];
-    }
-
-    SimNanos
-    quantum_for(const Job &j) const
-    {
-        if (!cfg_.class_quantum.empty())
-            return cfg_.class_quantum[static_cast<size_t>(j.job_class)];
-        return cfg_.quantum;
-    }
-
-    size_t
-    class_of(uint32_t unit)
-    {
-        return static_cast<size_t>(job(idx_of(unit)).job_class);
-    }
-
-    /**
-     * Starvation guard (mirror of Worker::select_task): pick the most-
-     * starved runnable class at or past the promotion threshold and
-     * extract its least-attained unit (PS: first of class, matching the
-     * runtime's front-of-deque scan). Returns false when no class
-     * qualifies and the normal PS/LAS pick should run.
-     */
-    bool
-    promote_starved(Core &core)
-    {
-        if (cfg_.starvation_promote_after == 0)
-            return false;
-        size_t cls = num_classes_;
-        uint64_t worst = cfg_.starvation_promote_after - 1;
-        for (size_t k = 0; k < num_classes_; ++k)
-            if (core.runnable[k] != 0 && core.skipped[k] > worst) {
-                worst = core.skipped[k];
-                cls = k;
-            }
-        if (cls == num_classes_)
-            return false;
-        size_t best = core.runq.size();
-        double best_attained = 0;
-        for (size_t i = 0; i < core.runq.size(); ++i) {
-            if (class_of(core.runq[i]) != cls)
-                continue;
-            if (cfg_.core_policy != CorePolicy::Las) {
-                best = i; // PS: first admitted unit of the class
-                break;
-            }
-            const double a = attained(core.runq[i]);
-            if (best == core.runq.size() || a < best_attained) {
-                best_attained = a;
-                best = i;
-            }
-        }
-        TQ_CHECK(best < core.runq.size()); // runnable[cls] != 0
-        core.running = core.runq[best];
-        core.runq.erase(core.runq.begin() + static_cast<ptrdiff_t>(best));
-        ++starvation_promotions_;
-        return true;
-    }
-
+    // Selection, budgets, deficit and the starvation guard are the
+    // shared scheduler (common/sched_core.h), the same code the runtime
+    // worker runs; what stays here is slicing simulated service and
+    // scheduling the completion event.
     void
     start_slice(int c)
     {
         Core &core = cores_[static_cast<size_t>(c)];
-        TQ_CHECK(core.running == kNone);
-        if (core.runq.empty())
+        TQ_CHECK(core.running.handle == kNone);
+        if (core.sched.empty())
             return;
-        if (per_class_sched_ && promote_starved(core)) {
-            // fall through to the budget computation with `running` set
-        } else if (cfg_.core_policy == CorePolicy::Las) {
-            // Least-attained-service first: serve the job that has
-            // received the least service so far (FIFO among equals).
-            size_t best = 0;
-            double best_attained = attained(core.runq[0]);
-            for (size_t i = 1; i < core.runq.size(); ++i) {
-                const double a = attained(core.runq[i]);
-                if (a < best_attained) {
-                    best_attained = a;
-                    best = i;
-                }
-            }
-            core.running = core.runq[best];
-            core.runq.erase(core.runq.begin() +
-                            static_cast<ptrdiff_t>(best));
-        } else {
-            core.running = core.runq.front();
-            core.runq.pop_front();
-        }
-        const Job &j = job(idx_of(core.running));
-        const SimNanos remaining = remaining_of(core.running);
-        SimNanos budget = quantum_for(j);
-        if (per_class_sched_ && cfg_.deficit_clamp > 0) {
-            // Effective budget = base + banked deficit, floored at a
-            // quarter-quantum so a deeply indebted class still makes
-            // progress (Worker::effective_budget).
-            const size_t cls = class_of(core.running);
-            budget = std::max(budget / 4, budget + core.deficit[cls]);
-        }
+        const auto [e, promoted] = core.sched.next();
+        starvation_promotions_ += promoted ? 1 : 0;
+        core.running = e;
+        const Job &j = job(idx_of(e.handle));
+        const SimNanos remaining = remaining_of(e.handle);
+        const SimNanos budget = core.sched.grant(
+            e, cfg_.class_quantum.empty()
+                   ? cfg_.quantum
+                   : cfg_.class_quantum[static_cast<size_t>(j.job_class)]);
         const SimNanos slice = cfg_.core_policy == CorePolicy::Fcfs
                                    ? remaining
                                    : std::min(budget, remaining);
@@ -520,20 +415,9 @@ class TwoLevelSim
         core.grant_intervals += slice;
         ++core.grants;
         if (num_classes_ != 0) {
-            const size_t cls = class_of(core.running);
+            const size_t cls = static_cast<size_t>(j.job_class);
             class_grant_intervals_[cls] += slice;
             ++class_grants_[cls];
-        }
-        if (per_class_sched_) {
-            // One grant elapsed: the granted class's starvation clock
-            // resets, every other runnable class ages one step.
-            const size_t cls = class_of(core.running);
-            for (size_t k = 0; k < num_classes_; ++k) {
-                if (k == cls)
-                    core.skipped[k] = 0;
-                else if (core.runnable[k] != 0)
-                    ++core.skipped[k];
-            }
         }
         core_.schedule(core_.now() + busy, kCoreDone, c);
     }
@@ -542,45 +426,31 @@ class TwoLevelSim
     on_core_done(int c)
     {
         Core &core = cores_[static_cast<size_t>(c)];
-        const uint32_t unit = core.running;
-        core.running = kNone;
-        double &remaining = remaining_of(unit);
+        const CoreSched::Entry e = core.running;
+        core.running.handle = kNone;
+        double &remaining = remaining_of(e.handle);
         remaining -= core.slice;
-
-        if (per_class_sched_ && cfg_.deficit_clamp > 0) {
-            // Granted minus used, clamped: early completers bank credit
-            // toward their class's next grant (Worker::run_one_slice).
-            const size_t cls = class_of(unit);
-            core.deficit[cls] = std::clamp(
-                core.deficit[cls] + core.granted - core.slice,
-                -cfg_.deficit_clamp, cfg_.deficit_clamp);
-        }
+        core.sched.settle(e, core.granted, core.slice);
 
         if (remaining <= 1e-9) {
             // Unit done: at fanout 1 the response leaves directly from
             // the worker; a fanned-out request completes only when its
             // LAST shard drains (scatter-gather gathers at the client).
-            --core.jobs;
+            core.sched.finish(e);
             ++core.finished;
-            core.quanta_sum -= quanta_of(unit);
-            if (per_class_sched_)
-                --core.runnable[class_of(unit)];
+            core.quanta_sum -= e.quanta;
             if (fanout_ == 1) {
-                core_.complete(unit, core_.now() +
-                                         cfg_.overheads.response_cost);
+                core_.complete(e.handle, core_.now() +
+                                             cfg_.overheads.response_cost);
             } else {
-                const uint32_t idx = idx_of(unit);
+                const uint32_t idx = idx_of(e.handle);
                 if (--shards_live_[idx] == 0)
                     core_.complete(
                         idx, core_.now() + cfg_.overheads.response_cost);
             }
         } else {
-            if (fanout_ == 1)
-                ++job(unit).serviced_quanta;
-            else
-                ++shard_quanta_[unit];
             ++core.quanta_sum;
-            core.runq.push_back(unit); // PS: back of the round-robin queue
+            core.sched.requeue(e);
         }
         start_slice(c);
     }
@@ -591,7 +461,6 @@ class TwoLevelSim
 
     /** Per-unit shard state, only populated at fanout > 1. */
     std::vector<double> shard_remaining_;
-    std::vector<uint64_t> shard_quanta_;
     std::vector<uint32_t> shards_live_; ///< per job index
 
     std::vector<Dispatcher> dispatchers_;
@@ -609,9 +478,8 @@ class TwoLevelSim
     SimNanos last_refresh_ = -1;
     std::vector<int> ties_;
 
-    // Per-class scheduler mirror (DESIGN.md §4i).
+    // Per-class effective-quantum metrics (DESIGN.md §4i).
     size_t num_classes_ = 0;
-    bool per_class_sched_ = false;
     std::vector<double> class_grant_intervals_;
     std::vector<uint64_t> class_grants_;
     uint64_t starvation_promotions_ = 0;

@@ -12,7 +12,8 @@
  * Responses leave directly from the worker (response_cost), matching the
  * paper's datapath.
  *
- * This simulator also models the TQ variants of the breakdown study
+ * The per-core scheduler is common/sched_core.h, the code the runtime
+ * worker runs. This simulator also models the TQ variants of the breakdown study
  * (section 5.4): per-class quantum overrides (TQ-TIMING), alternative
  * load balancers (TQ-RAND, TQ-POWER-TWO) and FCFS cores (TQ-FCFS);
  * TQ-IC / TQ-SLOW-YIELD are expressed through `switch_overhead` /
@@ -71,32 +72,30 @@ struct TwoLevelConfig
     Overheads overheads = Overheads::tq_default();
 
     /**
-     * Per-class quantum override (TQ-TIMING variant): when non-empty,
-     * class c is scheduled with class_quantum[c] instead of `quantum`,
-     * emulating inaccurate preemption timing — and, with the knobs
-     * below, mirroring the runtime's per-class scheduler
-     * (runtime/quantum.h, DESIGN.md §4i).
+     * Per-class quanta (TQ-TIMING variant): when non-empty (one entry
+     * per workload class, at most 8), class c is scheduled with
+     * class_quantum[c] instead of `quantum` and gets its own slot in the
+     * shared per-core scheduler (DESIGN.md §4i). Empty — or FCFS cores
+     * — is the fixed quantum: one slot, no deficit, no guard.
      */
     std::vector<SimNanos> class_quantum;
 
     /**
-     * Deficit accounting mirror of the runtime worker (DESIGN.md §4i):
-     * when > 0 (and class_quantum is set, and cores are not FCFS) each
-     * core keeps a per-class deficit — granted minus used per slice,
-     * clamped to ±deficit_clamp ns — and grants class c an effective
-     * budget of max(base/4, base + deficit[c]). In the simulator slices
-     * never overrun (there is no probe latency), so the deficit only
-     * banks early-completion credit; it still exercises the same
-     * clamp/floor arithmetic the runtime uses. 0 (the default) keeps
-     * the TQ-TIMING model byte-identical to the historical simulator.
+     * Per-class deficit clamp in ns (class_quantum set, cores not
+     * FCFS): each core banks effective budget minus used per slice and
+     * class, clamped to ±deficit_clamp, and grants class c
+     * max(base/4 + 1, base + deficit[c]). Slices never overrun here (no
+     * probe latency), so only early-completion credit is banked. 0 (the
+     * default) carries no deficit.
      */
     SimNanos deficit_clamp = 0;
 
     /**
-     * Starvation guard mirror (runtime knob of the same name): after a
+     * Starvation guard (class_quantum set, cores not FCFS): after a
      * runnable class has been passed over for this many consecutive
-     * grants on a core, its least-attained unit is force-promoted ahead
-     * of the normal PS/LAS pick. 0 (default) disables the guard.
+     * grants on a core, its unit with the fewest serviced quanta (PS:
+     * its first queued unit) is promoted ahead of the PS/LAS pick. 0
+     * (default) disables the guard.
      */
     uint64_t starvation_promote_after = 0;
 

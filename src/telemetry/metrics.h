@@ -33,7 +33,8 @@
 namespace tq::telemetry {
 
 /** Per-class instrument slots. Must match the runtime's quantum-table
- *  bound (runtime/quantum.h kMaxQuantumClasses; asserted in worker.cc):
+ *  scheduler's slot bound (common/sched_core.h sched::kMaxClasses;
+ *  asserted in worker.cc):
  *  job classes at or beyond the limit share the last slot. */
 inline constexpr int kMaxTrackedClasses = 8;
 

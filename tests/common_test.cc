@@ -16,6 +16,7 @@
 #include "common/histogram.h"
 #include "common/percentile.h"
 #include "common/rng.h"
+#include "common/sched_core.h"
 #include "common/shard.h"
 #include "common/units.h"
 #include "common/zipf.h"
@@ -536,6 +537,242 @@ TEST(PickMinRotated, RotationRoundRobinsTiedShards)
     for (uint64_t k = 0; k < 64; ++k)
         EXPECT_EQ(pick_min_rotated(idle, 4, k),
                   static_cast<int>(k % 4));
+}
+
+using QEntry = sched::RunEntry<int>;
+
+bool
+same_entry(const QEntry &a, const QEntry &b)
+{
+    return a.handle == b.handle && a.seq == b.seq && a.quanta == b.quanta &&
+           a.slot == b.slot;
+}
+
+/** Brute-force oracle for RunQueue: a plain vector in queue order. The
+ *  ring pops its front-most entry; LAS scans for the fewest quanta,
+ *  then the earliest seq. extract() does the same over one slot. */
+size_t
+oracle_best(const std::vector<QEntry> &q, bool las, int slot)
+{
+    size_t best = q.size();
+    for (size_t i = 0; i < q.size(); ++i) {
+        if (slot >= 0 && q[i].slot != slot)
+            continue;
+        if (best == q.size()) {
+            best = i;
+            if (!las)
+                break;
+        } else if (q[i].quanta < q[best].quanta ||
+                   (q[i].quanta == q[best].quanta &&
+                    q[i].seq < q[best].seq)) {
+            best = i;
+        }
+    }
+    return best;
+}
+
+TEST(SchedCore, RunQueueMatchesBruteForceOracle)
+{
+    // Random admit/pop/requeue/extract sequences against the scan
+    // oracle, for the ring (PS/FCFS) and the LAS heap alike. Frequent
+    // requeues keep many entries at equal quanta, so the seq tie-break
+    // and the slot filter of the guard's extract decide most picks.
+    Rng rng(77);
+    for (int trial = 0; trial < 20000; ++trial) {
+        const bool las = trial % 2 == 1;
+        const int slots = 1 + static_cast<int>(rng.below(4));
+        sched::RunQueue<int> rq(las);
+        std::vector<QEntry> oracle;
+        uint64_t seq = 0;
+        int next_handle = 0;
+        const int ops = 1 + static_cast<int>(rng.below(48));
+        for (int op = 0; op < ops; ++op) {
+            const uint64_t kind = rng.below(4);
+            if (kind == 0 || oracle.empty()) {
+                const int slot = static_cast<int>(rng.below(slots));
+                rq.admit(next_handle, slot);
+                oracle.push_back(
+                    {next_handle++, 0, seq++, static_cast<uint8_t>(slot)});
+            } else if (kind == 3) {
+                const int slot = static_cast<int>(rng.below(slots));
+                const std::optional<QEntry> got = rq.extract(slot);
+                const size_t want = oracle_best(oracle, las, slot);
+                ASSERT_EQ(got.has_value(), want < oracle.size())
+                    << "trial " << trial << " op " << op;
+                if (got) {
+                    ASSERT_TRUE(same_entry(*got, oracle[want]))
+                        << "trial " << trial << " op " << op;
+                    oracle.erase(oracle.begin() +
+                                 static_cast<ptrdiff_t>(want));
+                }
+            } else {
+                const QEntry got = rq.pop();
+                const size_t want = oracle_best(oracle, las, -1);
+                ASSERT_TRUE(same_entry(got, oracle[want]))
+                    << "trial " << trial << " op " << op;
+                oracle.erase(oracle.begin() + static_cast<ptrdiff_t>(want));
+                if (kind == 1) { // preempted: back with one more quantum
+                    rq.requeue(got);
+                    QEntry back = got;
+                    ++back.quanta;
+                    oracle.push_back(back);
+                }
+            }
+            ASSERT_EQ(rq.size(), oracle.size());
+        }
+    }
+}
+
+TEST(SchedCore, LedgerAgreesAcrossCyclesAndSimNanos)
+{
+    // The runtime instantiates the ledger on integral cycles, the sim
+    // on double nanoseconds. On the same integer inputs both must grant
+    // the same budgets, bank the same deficits and promote the same
+    // slots. Bases are multiples of 4 so the base/4 floor is exact in
+    // both time types.
+    Rng rng(2025);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const int slots = 1 + static_cast<int>(rng.below(4));
+        const uint64_t clamp = 4 * rng.below(500);
+        const uint64_t promote = rng.below(4);
+        sched::ClassLedger<Cycles> cyc(slots, clamp, promote);
+        sched::ClassLedger<SimNanos> sim(slots, static_cast<double>(clamp),
+                                         promote);
+        std::vector<uint32_t> runnable(static_cast<size_t>(slots), 0);
+        for (int op = 0; op < 64; ++op) {
+            const int s = static_cast<int>(rng.below(slots));
+            const uint64_t kind = rng.below(3);
+            if (kind == 0) {
+                cyc.enter(s);
+                sim.enter(s);
+                ++runnable[static_cast<size_t>(s)];
+            } else if (kind == 1 && runnable[static_cast<size_t>(s)] > 0) {
+                cyc.leave(s);
+                sim.leave(s);
+                --runnable[static_cast<size_t>(s)];
+            } else {
+                ASSERT_EQ(cyc.starved(), sim.starved()) << "trial " << trial;
+                const uint64_t base = 4 * (1 + rng.below(1000));
+                const Cycles b_cyc = cyc.grant(s, base);
+                const SimNanos b_sim =
+                    sim.grant(s, static_cast<double>(base));
+                ASSERT_EQ(static_cast<double>(b_cyc), b_sim)
+                    << "trial " << trial << " op " << op;
+                const uint64_t used = rng.below(3 * base);
+                cyc.settle(s, b_cyc, used);
+                sim.settle(s, b_sim, static_cast<double>(used));
+            }
+            for (int k = 0; k < slots; ++k) {
+                const auto &a = cyc.account(k);
+                const auto &b = sim.account(k);
+                ASSERT_EQ(static_cast<double>(a.deficit), b.deficit)
+                    << "trial " << trial << " op " << op << " slot " << k;
+                ASSERT_LE(a.deficit, static_cast<int64_t>(clamp));
+                ASSERT_GE(a.deficit, -static_cast<int64_t>(clamp));
+                ASSERT_EQ(a.skipped, b.skipped);
+                ASSERT_EQ(a.runnable, b.runnable);
+                ASSERT_EQ(a.grants, b.grants);
+                ASSERT_EQ(static_cast<double>(a.granted), b.granted);
+            }
+        }
+    }
+}
+
+TEST(SchedCore, LedgerPinsClampFloorAndSettlementRule)
+{
+    sched::ClassLedger<Cycles> l(/*slots=*/2, /*deficit_clamp=*/400,
+                                 /*promote_after=*/0);
+    EXPECT_TRUE(l.settles());
+    EXPECT_EQ(l.budget(0, 1000), 1000u) << "no deficit: the base";
+    // Credit is clamped: 1000 granted, 100 used banks 900 -> 400.
+    l.settle(0, 1000, 100);
+    EXPECT_EQ(l.account(0).deficit, 400);
+    EXPECT_EQ(l.budget(0, 1000), 1400u);
+    // "granted" is the effective budget, not the base: a slice armed
+    // with 1400 that uses exactly 1400 leaves the credit unchanged.
+    l.settle(0, 1400, 1400);
+    EXPECT_EQ(l.account(0).deficit, 400);
+    // Debt is clamped too: 400 + 1400 - 3000 = -1200 -> -400.
+    l.settle(0, 1400, 3000);
+    EXPECT_EQ(l.account(0).deficit, -400);
+    EXPECT_EQ(l.budget(0, 1000), 600u);
+    EXPECT_EQ(l.account(1).deficit, 0) << "slots settle independently";
+
+    // The floor: base/4 + 1 however deep the debt.
+    sched::ClassLedger<Cycles> deep(1, 2000, 0);
+    deep.settle(0, 1000, 5000);
+    EXPECT_EQ(deep.account(0).deficit, -2000);
+    EXPECT_EQ(deep.budget(0, 1000), 251u);
+
+    // Known debt trap of the current rule, found by the benchmark's
+    // kv_zipf_las workload (both classes ended pinned at -clamp): a
+    // preempted slice always runs past its armed budget by the probe
+    // latency, so `deficit += granted - used` only ever sinks further
+    // and the class keeps the floor budget until a job completes early.
+    // Pinned as-is; changing the rule is a measured change of its own.
+    for (int i = 0; i < 100; ++i) {
+        const Cycles granted = deep.budget(0, 1000);
+        deep.settle(0, granted, granted + 50);
+    }
+    EXPECT_EQ(deep.account(0).deficit, -2000);
+    EXPECT_EQ(deep.budget(0, 1000), 251u);
+}
+
+TEST(SchedCore, StarvationGuardPicksTheLongestSkippedRunnableSlot)
+{
+    sched::ClassLedger<Cycles> l(/*slots=*/3, /*deficit_clamp=*/0,
+                                 /*promote_after=*/2);
+    l.enter(0);
+    l.enter(1);
+    l.grant(0, 100);
+    EXPECT_EQ(l.starved(), -1) << "slot 1 skipped once, threshold 2";
+    l.grant(0, 100);
+    EXPECT_EQ(l.account(1).skipped, 2u);
+    EXPECT_EQ(l.account(2).skipped, 0u) << "idle slots never age";
+    EXPECT_EQ(l.starved(), 1);
+    // A tie between two starved slots goes to the lower one.
+    l.enter(2);
+    l.grant(1, 100);
+    l.grant(1, 100);
+    EXPECT_EQ(l.account(0).skipped, 2u);
+    EXPECT_EQ(l.account(2).skipped, 2u);
+    EXPECT_EQ(l.starved(), 0);
+    // Granting the starved slot resets its age.
+    l.grant(0, 100);
+    EXPECT_EQ(l.starved(), 2);
+
+    // promote_after = 0 turns the guard off.
+    sched::ClassLedger<Cycles> off(2, 0, 0);
+    off.enter(1);
+    for (int i = 0; i < 1000; ++i)
+        off.grant(0, 100);
+    EXPECT_EQ(off.starved(), -1);
+}
+
+TEST(SchedCore, OneSlotShapeIsTheFixedQuantum)
+{
+    // The degenerate shape every engine runs without per-class quanta:
+    // any class books to slot 0, every budget is the base whatever the
+    // slices used, and the guard never fires.
+    sched::SchedCore<Cycles, int> core(sched::SchedShape<Cycles>{});
+    EXPECT_FALSE(core.ledger().settles()) << "clamp 0: nothing to time";
+    EXPECT_EQ(core.admit(1, 0), 0);
+    EXPECT_EQ(core.admit(2, 5), 0);
+    EXPECT_EQ(core.admit(3, -1), 0);
+    for (int i = 0; i < 30; ++i) {
+        const auto [e, promoted] = core.next();
+        EXPECT_FALSE(promoted);
+        EXPECT_EQ(e.handle, 1 + i % 3) << "ring rotation";
+        const Cycles budget = core.grant(e, 2000);
+        EXPECT_EQ(budget, 2000u);
+        core.settle(e, budget, i % 2 ? 10 : 9000);
+        core.requeue(e);
+    }
+    EXPECT_EQ(core.ledger().account(0).deficit, 0);
+    EXPECT_EQ(core.ledger().account(0).runnable, 3u);
+    EXPECT_EQ(core.abandon(), 3u);
+    EXPECT_TRUE(core.empty());
+    EXPECT_EQ(core.ledger().account(0).runnable, 0u);
 }
 
 TEST(Cycles, MonotonicAndCalibrated)

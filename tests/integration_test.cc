@@ -461,9 +461,9 @@ TEST(Integration, PerClassEffectiveQuantumOrderingMatchesSim)
         for (int w = 0; w < cfg.num_workers; ++w) {
             const auto &c0 = rt.worker(w).class_sched(0);
             const auto &c1 = rt.worker(w).class_sched(1);
-            cycles0 += c0.granted_cycles;
+            cycles0 += c0.granted;
             grants0 += c0.grants;
-            cycles1 += c1.granted_cycles;
+            cycles1 += c1.granted;
             grants1 += c1.grants;
         }
         ASSERT_GT(grants0, 0u);

@@ -485,7 +485,15 @@ TEST(Lifecycle, BatchedDispatchAccountsForEveryAcceptedJob)
             rt.drain_responses(responses); // keep TX mostly drained
     }
     ASSERT_GT(accepted, 0u);
-    EXPECT_TRUE(rt.drain(/*deadline_sec=*/60.0));
+    // Drops are a legitimate outcome here (a descheduled collector or
+    // worker exhausts the push budget), so drain()'s verdict is not
+    // asserted. A drain that stalls until its deadline still fails: it
+    // must finish well inside it.
+    const auto drain_start = std::chrono::steady_clock::now();
+    rt.drain(/*deadline_sec=*/60.0);
+    EXPECT_LT(std::chrono::steady_clock::now() - drain_start,
+              std::chrono::seconds(30))
+        << "drain ran into its deadline";
     rt.drain_responses(responses);
     EXPECT_EQ(responses.size() + rt.dropped_responses() +
                   rt.abandoned_jobs(),
@@ -828,9 +836,9 @@ TEST(PerClassQuanta, BudgetsResolvedAtAdmissionFollowTheTable)
     const auto &c1 = w.class_sched(1);
     ASSERT_GT(c0.grants, 0u);
     ASSERT_GT(c1.grants, 0u);
-    const double eff0 = static_cast<double>(c0.granted_cycles) /
+    const double eff0 = static_cast<double>(c0.granted) /
                         static_cast<double>(c0.grants);
-    const double eff1 = static_cast<double>(c1.granted_cycles) /
+    const double eff1 = static_cast<double>(c1.granted) /
                         static_cast<double>(c1.grants);
     EXPECT_GT(eff0, eff1) << "eff0=" << eff0 << " eff1=" << eff1;
     EXPECT_EQ(c0.runnable, 0u) << "all admitted jobs completed";
@@ -859,7 +867,7 @@ TEST(PerClassQuanta, NeverArrivingClassIsInertNoPromotionsNoGrants)
 
     const Worker &w = rt.worker(0);
     EXPECT_EQ(w.starvation_promotions(), 0u);
-    for (int slot = 1; slot < kMaxQuantumClasses; ++slot) {
+    for (int slot = 1; slot < sched::kMaxClasses; ++slot) {
         EXPECT_EQ(w.class_sched(slot).grants, 0u) << "slot " << slot;
         EXPECT_EQ(w.class_sched(slot).runnable, 0u) << "slot " << slot;
         EXPECT_EQ(w.class_sched(slot).deficit, 0) << "slot " << slot;
@@ -917,7 +925,7 @@ TEST(PerClassQuanta, DeficitStaysWithinConfiguredClamp)
     const int64_t clamp =
         static_cast<int64_t>(ns_to_cycles(cfg.deficit_clamp_us * 1e3));
     for (int wi = 0; wi < cfg.num_workers; ++wi) {
-        for (int slot = 0; slot < kMaxQuantumClasses; ++slot) {
+        for (int slot = 0; slot < sched::kMaxClasses; ++slot) {
             const int64_t d = rt.worker(wi).class_sched(slot).deficit;
             EXPECT_LE(d, clamp) << "worker " << wi << " slot " << slot;
             EXPECT_GE(d, -clamp) << "worker " << wi << " slot " << slot;
@@ -968,7 +976,8 @@ TEST(PerClassQuanta, FcfsDropsTheTableEntirely)
 {
     // FCFS never arms probes, so per-class budgets are meaningless:
     // the runtime must fall back to the fixed path even with a
-    // populated class_quantum_us.
+    // populated class_quantum_us — one ledger slot that books every
+    // class, with no deficit and no guard.
     RuntimeConfig cfg;
     cfg.num_workers = 1;
     cfg.work = WorkPolicy::Fcfs;
@@ -983,8 +992,11 @@ TEST(PerClassQuanta, FcfsDropsTheTableEntirely)
     const auto responses = run_requests(rt, reqs);
     rt.stop();
     ASSERT_EQ(responses.size(), reqs.size());
-    EXPECT_EQ(rt.worker(0).class_sched(0).grants, 0u)
-        << "fixed path: no per-class accounting";
+    EXPECT_EQ(rt.worker(0).class_sched(1).grants, 0u)
+        << "fixed path: class 1 must not get a slot of its own";
+    EXPECT_EQ(rt.worker(0).class_sched(0).grants, reqs.size())
+        << "FCFS: one grant per job, all booked to the single slot";
+    EXPECT_EQ(rt.worker(0).class_sched(0).deficit, 0);
     EXPECT_EQ(rt.worker(0).starvation_promotions(), 0u);
 }
 
@@ -1006,15 +1018,16 @@ TEST(PerClassQuanta, StarvationGuardForcesPromotionUnderLasFlood)
 
     // Let the long job attain a few quanta alone first.
     const auto first =
-        run_requests(rt, {make_spin_request(999, 5e6, /*job_class=*/1)},
+        run_requests(rt, {make_spin_request(999, 20e6, /*job_class=*/1)},
                      /*timeout_sec=*/0.0);
     ASSERT_TRUE(first.empty()) << "long job should still be running";
     // Let it attain well over 25 quanta (a short's lifetime worth) so
     // LAS ranks it strictly behind every in-progress short. Poll the
     // atomic grant counter instead of sleeping a fixed interval: a
-    // fixed sleep can overshoot the long's entire 5ms on a loaded
-    // host, leaving the flood nothing to starve. 250 grants of 2us
-    // leaves ~4.5ms of long work as margin.
+    // fixed sleep can overshoot the long's entire service on a loaded
+    // host, leaving the flood nothing to starve. Its 20ms leave room
+    // for this thread to be descheduled for milliseconds after the
+    // poll on a loaded host.
     const Cycles poll_deadline = rdcycles() + ns_to_cycles(10e9);
     while (rt.worker(0).stats_line().total_quanta.load(
                std::memory_order_relaxed) < 250u &&

@@ -426,11 +426,14 @@ TEST(TwoLevel, MultipleDispatchersScaleAdmissionThroughput)
 TEST(TwoLevel, SingleDispatcherResultsArePinnedBitForBit)
 {
     // The sharded-tier remodel must leave num_dispatchers = 1 byte-
-    // identical: these hexfloat goldens were captured on the
+    // identical: the first three hexfloat goldens were captured on the
     // pre-sharding simulator across three unrelated configurations
     // (JSQ-MSQ/PS, saturated fixed-demand, and fanout/LAS/JsqRandom).
     // Any drift here means the D = 1 bypass leaks new behaviour into
-    // the figures.
+    // the figures. The last three were captured before the per-core
+    // scheduler moved into common/sched_core.h: fig07's per-class TQ
+    // column (deficit + guard), LAS with a fixed quantum near capacity
+    // (deep per-core queues), and fig11_12's TQ-TIMING per-class quanta.
     {
         ExponentialDist dist(us(1));
         TwoLevelConfig cfg;
@@ -471,6 +474,59 @@ TEST(TwoLevel, SingleDispatcherResultsArePinnedBitForBit)
         EXPECT_FALSE(r.saturated);
         EXPECT_EQ(r.overall_mean_slowdown, 0x1.ff1ac3f194a02p-1);
         EXPECT_EQ(r.overall_p999_slowdown, 0x1.5772924db89f3p+5);
+    }
+    {
+        auto dist = workload_table::extreme_bimodal();
+        TwoLevelConfig cfg;
+        cfg.num_cores = 16;
+        cfg.duration = ms(20);
+        cfg.seed = 5;
+        cfg.class_quantum = {us(2), us(0.5)};
+        cfg.deficit_clamp = us(8);
+        cfg.starvation_promote_after = 128;
+        const SimResult r = run_two_level(cfg, *dist, mrps(4));
+        EXPECT_EQ(r.completed, 80170u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.overall_mean_slowdown, 0x1.531744e550265p+0);
+        EXPECT_EQ(r.overall_p999_slowdown, 0x1.23a23e262b021p+1);
+        EXPECT_EQ(r.avg_effective_quantum, 0x1.f4p+8);
+        ASSERT_EQ(r.class_effective_quantum.size(), 2u);
+        EXPECT_EQ(r.class_effective_quantum[0], 0x1.f4p+8);
+        EXPECT_EQ(r.class_effective_quantum[1], 0x1.f4p+8);
+        EXPECT_EQ(r.starvation_promotions, 0u);
+    }
+    {
+        auto dist = workload_table::extreme_bimodal();
+        TwoLevelConfig cfg;
+        cfg.num_cores = 16;
+        cfg.quantum = us(1);
+        cfg.core_policy = CorePolicy::Las;
+        cfg.duration = ms(20);
+        cfg.seed = 9;
+        const SimResult r = run_two_level(cfg, *dist, mrps(5));
+        EXPECT_EQ(r.completed, 100000u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.overall_mean_slowdown, 0x1.1b41f427118b4p+1);
+        EXPECT_EQ(r.overall_p999_slowdown, 0x1.976953d84cccdp+2);
+        EXPECT_EQ(r.avg_effective_quantum, 0x1.ac4fc1da477eap+9);
+        EXPECT_EQ(r.by_class("Long").p999_sojourn, 0x1.59920d9e39c18p+22);
+    }
+    {
+        auto dist = workload_table::rocksdb(0.005);
+        TwoLevelConfig cfg;
+        cfg.num_cores = 16;
+        cfg.class_quantum = {us(1), us(3)};
+        cfg.duration = ms(20);
+        cfg.seed = 13;
+        const SimResult r = run_two_level(cfg, *dist, mrps(2));
+        EXPECT_EQ(r.completed, 40127u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.overall_mean_slowdown, 0x1.3ffe16b7dc1e6p+0);
+        EXPECT_EQ(r.overall_p999_slowdown, 0x1.8971da1101b4fp+2);
+        EXPECT_EQ(r.avg_effective_quantum, 0x1.6ef244b79bdfap+10);
+        ASSERT_EQ(r.class_effective_quantum.size(), 2u);
+        EXPECT_EQ(r.class_effective_quantum[0], 0x1.2cp+9);
+        EXPECT_EQ(r.class_effective_quantum[1], 0x1.77p+11);
     }
 }
 
