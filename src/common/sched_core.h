@@ -162,11 +162,13 @@ class RunQueue
 /**
  * Per-class accounts of one core (DESIGN.md §4i).
  *
- * Deficit: each settled slice banks `granted - used`, granted being the
- * effective budget it was armed with, clamped to ±clamp. A grant's
- * effective budget is `max(base/4 + 1, base + deficit)`; the floor
- * keeps a class in debt progressing. Clamp 0 carries no deficit: every
- * budget is the base. Starvation: a grant resets its
+ * Deficit: Deficit Round Robin's counter update. A grant's effective
+ * budget is `max(base/4 + 1, base + deficit)`, the floor keeping a class
+ * in debt progressing; settling a slice armed with that budget sets the
+ * deficit to `effective - used`, clamped to ±clamp. Off the floor that
+ * is `deficit += base - used`, so a class carries only its last slice's
+ * overrun as debt, or its last leftover as credit. Clamp 0 carries no
+ * deficit: every budget is the base. Starvation: a grant resets its
  * slot's `skipped` age and ages every other runnable slot; a slot at
  * `promote_after` is promoted ahead of the policy order (0: guard off).
  *
@@ -238,15 +240,15 @@ class ClassLedger
         return effective;
     }
 
-    /** Settle a slice armed with @p granted that ran for @p used. */
+    /** Settle a slice armed with @p granted that ran for @p used: the
+     *  deficit becomes what was available minus what was used. */
     void
     settle(int slot, Time granted, Time used)
     {
         if (clamp_ == 0)
             return;
-        const Signed settled = acct_[slot].deficit +
-                               static_cast<Signed>(granted) -
-                               static_cast<Signed>(used);
+        const Signed settled =
+            static_cast<Signed>(granted) - static_cast<Signed>(used);
         acct_[slot].deficit = std::clamp(settled, -clamp_, clamp_);
     }
 

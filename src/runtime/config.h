@@ -53,12 +53,13 @@ struct RuntimeConfig
 
     /**
      * Per-class deficit clamp in microseconds (per-class mode only).
-     * Each class banks `granted - used` cycles after every slice, with
-     * granted the effective budget the slice was armed with — early
-     * completion banks credit, probe overrun pays the overshoot back —
-     * clamped to +-deficit_clamp_us. The effective budget at each grant
-     * is quantum + deficit, floored at quantum/4 + 1 cycles so a
-     * debt-laden class always makes real progress.
+     * The effective budget at each grant is quantum + deficit, floored
+     * at quantum/4 + 1 cycles so a debt-laden class always makes real
+     * progress. After every slice the class's deficit becomes
+     * `granted - used` cycles (Deficit Round Robin), with granted that
+     * effective budget, clamped to +-deficit_clamp_us: early completion
+     * carries the leftover as credit, and a probe overrun carries only
+     * that slice's overshoot as debt into the next grant.
      */
     double deficit_clamp_us = sched::kDefaultDeficitClampUs;
 

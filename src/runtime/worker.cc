@@ -131,9 +131,10 @@ Worker::run_one_slice()
     task->coro->resume();
     disarm_quantum();
     const Cycles slice = timed ? rdcycles() - slice_start : 0;
-    // Deficit settlement: bank granted-minus-used. A class that completes
-    // inside its budget accrues credit; one whose probes overrun the
-    // deadline goes into debt and pays the overshoot back.
+    // Deficit settlement (DRR): the deficit becomes granted-minus-used. A
+    // class that completes inside its budget carries the leftover as
+    // credit; one whose probe fired past the deadline carries that
+    // overrun as debt into its next grant, and no more.
     sched_.settle(e, budget, slice);
 #if defined(TQ_TELEMETRY_ENABLED)
     task->service_cycles += slice;

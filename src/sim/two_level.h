@@ -82,11 +82,13 @@ struct TwoLevelConfig
 
     /**
      * Per-class deficit clamp in ns (class_quantum set, cores not
-     * FCFS): each core banks effective budget minus used per slice and
-     * class, clamped to ±deficit_clamp, and grants class c
+     * FCFS): after each slice a core sets the class's deficit to the
+     * effective budget minus the time used (Deficit Round Robin),
+     * clamped to ±deficit_clamp, and grants class c
      * max(base/4 + 1, base + deficit[c]). Slices never overrun here (no
-     * probe latency), so only early-completion credit is banked. 0 (the
-     * default) carries no deficit.
+     * probe latency), so the deficit is the last slice's early-completion
+     * leftover, or 0 after a preemption. 0 (the default) carries no
+     * deficit.
      */
     SimNanos deficit_clamp = 0;
 

@@ -688,11 +688,13 @@ TEST(SchedCore, LedgerPinsClampFloorAndSettlementRule)
     l.settle(0, 1000, 100);
     EXPECT_EQ(l.account(0).deficit, 400);
     EXPECT_EQ(l.budget(0, 1000), 1400u);
-    // "granted" is the effective budget, not the base: a slice armed
-    // with 1400 that uses exactly 1400 leaves the credit unchanged.
+    // "granted" is the effective budget, credit included, and the
+    // deficit becomes what it left over: a slice armed with 1400 that
+    // uses exactly 1400 spends the credit.
     l.settle(0, 1400, 1400);
-    EXPECT_EQ(l.account(0).deficit, 400);
-    // Debt is clamped too: 400 + 1400 - 3000 = -1200 -> -400.
+    EXPECT_EQ(l.account(0).deficit, 0);
+    EXPECT_EQ(l.budget(0, 1000), 1000u);
+    // Debt is clamped too: 1400 - 3000 = -1600 -> -400.
     l.settle(0, 1400, 3000);
     EXPECT_EQ(l.account(0).deficit, -400);
     EXPECT_EQ(l.budget(0, 1000), 600u);
@@ -704,18 +706,86 @@ TEST(SchedCore, LedgerPinsClampFloorAndSettlementRule)
     EXPECT_EQ(deep.account(0).deficit, -2000);
     EXPECT_EQ(deep.budget(0, 1000), 251u);
 
-    // Known debt trap of the current rule, found by the benchmark's
-    // kv_zipf_las workload (both classes ended pinned at -clamp): a
-    // preempted slice always runs past its armed budget by the probe
-    // latency, so `deficit += granted - used` only ever sinks further
-    // and the class keeps the floor budget until a job completes early.
-    // Pinned as-is; changing the rule is a measured change of its own.
+    // Every preempted slice runs past its armed budget by the probe
+    // latency. The debt is that last overrun, not a sum of them: after
+    // one floor grant the class is back at base minus the overrun, and
+    // it stays there (`deficit += granted - used` sank to -clamp and
+    // kept the floor budget instead).
     for (int i = 0; i < 100; ++i) {
         const Cycles granted = deep.budget(0, 1000);
+        EXPECT_EQ(granted, i == 0 ? 251u : 950u) << "slice " << i;
         deep.settle(0, granted, granted + 50);
+        EXPECT_EQ(deep.account(0).deficit, -50) << "slice " << i;
     }
-    EXPECT_EQ(deep.account(0).deficit, -2000);
-    EXPECT_EQ(deep.budget(0, 1000), 251u);
+}
+
+/** Seeded random slices on one ledger slot, checked against Deficit
+ *  Round Robin's settlement after every slice; then a constant overrun
+ *  and a single huge one (a host stall) on top of that history. Bases
+ *  and clamps are multiples of 4, so Cycles and SimNanos agree. */
+template <typename Time>
+void
+check_drr_settlement(uint64_t seed)
+{
+    using Signed = typename sched::ClassLedger<Time>::Signed;
+    const auto t = [](uint64_t v) { return static_cast<Time>(v); };
+    const auto s = [](uint64_t v) { return static_cast<Signed>(v); };
+    Rng rng(seed);
+    for (int trial = 0; trial < 500; ++trial) {
+        const uint64_t clamp = 4 * (1 + rng.below(1000));
+        sched::ClassLedger<Time> l(1, t(clamp), 0);
+        const auto deficit = [&] { return l.account(0).deficit; };
+        for (int op = 0; op < 32; ++op) {
+            const uint64_t base = 4 * (1 + rng.below(1000));
+            const Time eff = l.grant(0, t(base));
+            const uint64_t used = rng.below(3 * base); // early or overrun
+            l.settle(0, eff, t(used));
+            ASSERT_LE(deficit(), s(clamp)) << "trial " << trial;
+            ASSERT_GE(deficit(), -s(clamp)) << "trial " << trial;
+            ASSERT_EQ(deficit(),
+                      std::clamp(static_cast<Signed>(eff) - s(used),
+                                 -s(clamp), s(clamp)))
+                << "trial " << trial << " op " << op;
+        }
+
+        // A constant overrun o settles at -o after one slice, whatever
+        // the history, and the budget at base - o (above the floor).
+        const uint64_t base = 4 * (1 + rng.below(1000));
+        const uint64_t floor = base / 4 + 1;
+        const uint64_t o = 1 + rng.below(std::min(clamp, base / 2));
+        for (int i = 0; i < 4; ++i) {
+            const Time eff = l.grant(0, t(base));
+            if (i > 0) {
+                ASSERT_EQ(eff, t(std::max(floor, base - o)))
+                    << "trial " << trial;
+            }
+            l.settle(0, eff, eff + t(o));
+            ASSERT_EQ(deficit(), -s(o)) << "trial " << trial << " i " << i;
+        }
+
+        // A host stall sinks the class to -clamp: it costs one grant at
+        // the lowest budget (the floor once clamp >= base), then the
+        // class is back at the steady overrun.
+        const uint64_t small = 4 * (1 + rng.below(clamp / 4));
+        const uint64_t small_floor = small / 4 + 1;
+        const uint64_t small_o = 1 + rng.below(small / 2);
+        Time eff = l.grant(0, t(small));
+        l.settle(0, eff, eff + t(1000 * clamp));
+        ASSERT_EQ(deficit(), -s(clamp)) << "trial " << trial;
+        eff = l.grant(0, t(small));
+        ASSERT_EQ(eff, t(small_floor)) << "trial " << trial;
+        l.settle(0, eff, eff + t(small_o));
+        ASSERT_EQ(deficit(), -s(small_o)) << "trial " << trial;
+        ASSERT_EQ(l.budget(0, t(small)),
+                  t(std::max(small_floor, small - small_o)))
+            << "trial " << trial;
+    }
+}
+
+TEST(SchedCore, LedgerSettlesByDeficitRoundRobinOnRandomSlices)
+{
+    check_drr_settlement<Cycles>(1995);
+    check_drr_settlement<SimNanos>(1995);
 }
 
 TEST(SchedCore, StarvationGuardPicksTheLongestSkippedRunnableSlot)

@@ -933,6 +933,50 @@ TEST(PerClassQuanta, DeficitStaysWithinConfiguredClamp)
     }
 }
 
+TEST(PerClassQuanta, PreemptedLongJobsLeaveNoDebtTrapForShorts)
+{
+    // LAS with {2us, 5us} quanta on one worker. Two probed class-0 jobs
+    // of 100us come first: every one of their ~100 slices is preempted
+    // past its deadline by the probe latency. A ledger that sums those
+    // overruns pins class 0 at -clamp, where the 1us shorts that follow
+    // get the 0.5us floor budget and take about three grants each.
+    // Under DRR settlement the debt is the last overrun only, so each
+    // short finishes inside its first grant and the class ends in
+    // credit.
+    RuntimeConfig cfg;
+    cfg.num_workers = 1;
+    cfg.work = WorkPolicy::Las;
+    cfg.class_quantum_us = {2.0, 5.0};
+    Runtime rt(cfg, spin_handler());
+    rt.start();
+
+    constexpr uint64_t kLongs = 2, kShorts = 4000;
+    std::vector<Request> longs;
+    for (uint64_t i = 0; i < kLongs; ++i)
+        longs.push_back(make_spin_request(i, 100e3, 0));
+    ASSERT_EQ(run_requests(rt, longs).size(), kLongs);
+    std::vector<Request> shorts;
+    uint64_t class1 = 0;
+    for (uint64_t i = kLongs; i < kLongs + kShorts; ++i) {
+        const bool scan = i % 200 == 0; // a few class-1 jobs ride along
+        class1 += scan ? 1 : 0;
+        shorts.push_back(
+            make_spin_request(i, scan ? 20e3 : 1e3, scan ? 1 : 0));
+    }
+    ASSERT_EQ(run_requests(rt, shorts).size(), kShorts);
+    rt.stop();
+
+    const Worker::ClassSched &c0 = rt.worker(0).class_sched(0);
+    const uint64_t finished0 = kLongs + kShorts - class1;
+    const double grants_per_job = static_cast<double>(c0.grants) /
+                                  static_cast<double>(finished0);
+    EXPECT_LE(grants_per_job, 1.05)
+        << c0.grants << " class-0 grants for " << finished0 << " jobs";
+    const int64_t clamp =
+        static_cast<int64_t>(ns_to_cycles(cfg.deficit_clamp_us * 1e3));
+    EXPECT_GT(c0.deficit, -clamp) << "class 0 pinned at max debt";
+}
+
 TEST(PerClassQuanta, AdaptQuantaIsInertOnDisabledPaths)
 {
     // Fixed path: no table, no controller — adapt_quanta() must be a
