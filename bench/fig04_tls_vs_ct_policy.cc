@@ -40,9 +40,9 @@ main()
         tls.quantum = us(1);
         tls.overheads = Overheads::ideal();
         tls.duration = bench::sim_duration();
-        tls.lb = LbPolicy::JsqMsq;
+        tls.lb = DispatchPolicy::JsqMsq;
         const SimResult r_msq = run_two_level(tls, *dist, rate);
-        tls.lb = LbPolicy::JsqRandom;
+        tls.lb = DispatchPolicy::JsqRandom;
         const SimResult r_rand = run_two_level(tls, *dist, rate);
 
         auto fmt = [](const SimResult &r) {

@@ -148,12 +148,12 @@ main(int argc, char **argv)
     }
     {
         Variant v{"TQ-RAND", base};
-        v.cfg.lb = LbPolicy::Random;
+        v.cfg.lb = DispatchPolicy::Random;
         variants.push_back(v);
     }
     {
         Variant v{"TQ-POWER-TWO", base};
-        v.cfg.lb = LbPolicy::PowerOfTwo;
+        v.cfg.lb = DispatchPolicy::PowerOfTwo;
         variants.push_back(v);
     }
     {

@@ -39,11 +39,11 @@
 
 #include "bench_util.h"
 #include "common/cycles.h"
+#include "common/dispatch_view.h"
 #include "common/dist.h"
 #include "common/shard.h"
 #include "conc/mpmc_queue.h"
 #include "conc/spsc_ring.h"
-#include "runtime/dispatch_view.h"
 #include "runtime/request.h"
 #include "runtime/shard_front.h"
 #include "runtime/worker_stats.h"
@@ -119,7 +119,7 @@ struct ShardBench
 
     ShardSpan span;
     MpmcQueue<runtime::Request> rx;
-    runtime::DispatchView view;
+    DispatchView view;
     std::vector<runtime::WorkerStatsLine> lines;
     std::vector<runtime::WorkerStatsReader> readers;
     std::vector<uint64_t> assigned;

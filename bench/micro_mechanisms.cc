@@ -19,11 +19,11 @@
 #include <vector>
 
 #include "common/cycles.h"
+#include "common/dispatch_view.h"
 #include "conc/mpmc_queue.h"
 #include "conc/spsc_ring.h"
 #include "coro/coroutine.h"
 #include "probe/probe.h"
-#include "runtime/dispatch_view.h"
 #include "runtime/worker_stats.h"
 #include "telemetry/telemetry.h"
 
@@ -241,12 +241,12 @@ BENCHMARK(BM_DispatchBatchAmortized)->Arg(1)->Arg(8)->Arg(32);
 void
 BM_JsqPickPacked(benchmark::State &state)
 {
-    // The packed per-request decision (runtime/dispatch_view.h), pick +
+    // The packed per-request decision (common/dispatch_view.h), pick +
     // bump. Arg is the worker count: at 16 the lengths are exactly one
     // line and the adaptive pick takes the single-pass scan; at 64 it
     // takes the SIMD horizontal min + movemask tie walk.
     const size_t n = static_cast<size_t>(state.range(0));
-    runtime::DispatchView view(n);
+    DispatchView view(n);
     for (size_t i = 0; i < n; ++i) {
         view.set_len(i, i % 4);
         view.set_quanta(i, static_cast<uint32_t>(i));
@@ -266,7 +266,7 @@ BM_JsqPickPackedScalar(benchmark::State &state)
     // The portable two-pass oracle over the same packed lanes: the
     // property-test reference every shipped pick must match exactly.
     const size_t n = static_cast<size_t>(state.range(0));
-    runtime::DispatchView view(n);
+    DispatchView view(n);
     for (size_t i = 0; i < n; ++i) {
         view.set_len(i, i % 4);
         view.set_quanta(i, static_cast<uint32_t>(i));
@@ -291,7 +291,7 @@ BM_DispatchBatchPacked(benchmark::State &state)
     runtime::WorkerStatsLine lines[kWorkers];
     runtime::WorkerStatsReader readers[kWorkers];
     uint64_t assigned[kWorkers] = {};
-    runtime::DispatchView view(kWorkers);
+    DispatchView view(kWorkers);
     for (int i = 0; i < kWorkers; ++i)
         lines[i].finished.store(static_cast<uint32_t>(i * 3));
     for (auto _ : state) {

@@ -10,7 +10,9 @@
  * with a (time, seq) comparator, replicated here verbatim as the
  * baseline — against the packed 4-ary EventQueue, at steady queue sizes
  * of 1K/100K/1M events. Both sides consume the same RNG stream and the
- * popped-time checksums must match, which doubles as an ordering check.
+ * popped-time checksums must match. The legacy side stays as the
+ * recorded speed baseline of BENCH_sim.json; the ordering oracle is
+ * `EventQueue.*` in tests/sim_test.cc.
  *
  * Part 2 — sweep wall-clock: the Figure 5/6 grid (5 quanta x 9 rates,
  * two-level engine, Extreme Bimodal) timed serially and with the

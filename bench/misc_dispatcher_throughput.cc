@@ -35,9 +35,9 @@
 
 #include "bench_util.h"
 #include "common/cycles.h"
+#include "common/dispatch_view.h"
 #include "conc/mpmc_queue.h"
 #include "conc/spsc_ring.h"
-#include "runtime/dispatch_view.h"
 #include "runtime/request.h"
 #include "runtime/worker_stats.h"
 
@@ -152,7 +152,7 @@ double
 packed_ns_per_job(int workers)
 {
     Cluster c(workers);
-    runtime::DispatchView view(static_cast<size_t>(workers));
+    DispatchView view(static_cast<size_t>(workers));
     runtime::Request batch[kBatch];
     runtime::Request scratch;
     Cycles timed = 0;

@@ -10,17 +10,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/dispatch_view.h"
 #include "common/sched_core.h"
 
 namespace tq::runtime {
-
-/** Dispatcher load-balancing policy (paper sections 3.2, 5.4). */
-enum class DispatchPolicy {
-    JsqMsq,      ///< JSQ with Maximum-Serviced-Quanta ties (TQ default)
-    JsqRandom,   ///< JSQ with random ties
-    Random,      ///< uniform random worker
-    PowerOfTwo,  ///< least-loaded of two random workers
-};
 
 /** Per-worker quantum scheduling policy. */
 enum class WorkPolicy {
@@ -147,7 +140,9 @@ struct RuntimeConfig
     DispatchPolicy dispatch = DispatchPolicy::JsqMsq; ///< load balancer
     WorkPolicy work = WorkPolicy::ProcessorSharing;   ///< per-core policy
 
-    uint64_t seed = 1; ///< randomized policies (Random / PowerOfTwo)
+    /** Dispatch RNG seed: the JsqRandom, Random and PowerOfTwo picks
+     *  draw from it (shard i seeds with seed + i). */
+    uint64_t seed = 1;
 
     /**
      * stop()'s graceful-drain budget in seconds: how long stop() lets

@@ -288,70 +288,26 @@ Runtime::queue_lengths()
     return lens;
 }
 
-int
-Runtime::pick_worker(DispatcherShard &sh)
-{
-    // Policies operate over the shard's owned span; returned ids are
-    // global worker indices.
-    const int first = sh.span.first;
-    const int n = sh.span.count;
-    switch (cfg_.dispatch) {
-      case DispatchPolicy::Random:
-        return first +
-               static_cast<int>(sh.rng.below(static_cast<uint64_t>(n)));
-      case DispatchPolicy::PowerOfTwo: {
-        if (n == 1)
-            return first; // no second worker to sample; degrade gracefully
-        const int a =
-            static_cast<int>(sh.rng.below(static_cast<uint64_t>(n)));
-        int b =
-            static_cast<int>(sh.rng.below(static_cast<uint64_t>(n - 1)));
-        if (b >= a)
-            ++b;
-        const auto len = [&](int i) {
-            sh.finished_view[static_cast<size_t>(i)] =
-                sh.readers[static_cast<size_t>(i)].read_finished(
-                    *sh.stat_lines[static_cast<size_t>(i)]);
-            const uint64_t asn =
-                assigned_[static_cast<size_t>(first + i)].load(
-                    std::memory_order_relaxed);
-            const uint64_t fin = sh.finished_view[static_cast<size_t>(i)];
-            // assigned_ is bumped *after* the ring push, so a fast
-            // worker can transiently put finished ahead of assigned;
-            // clamp so it is not mis-ranked as infinitely loaded.
-            return asn > fin ? asn - fin : 0;
-        };
-        return first + (len(a) <= len(b) ? a : b);
-      }
-      case DispatchPolicy::JsqRandom:
-      case DispatchPolicy::JsqMsq:
-        refresh_dispatch_views(sh);
-        return pick_worker_from_view(sh);
-    }
-    TQ_CHECK(false);
-    return first;
-}
-
 void
 Runtime::refresh_dispatch_views(DispatcherShard &sh)
 {
-    // Refresh the shard's JSQ view from its workers' counter lines:
-    // queue length = assigned - finished (delta-tracked across wraps,
-    // clamped at 0 against the transient finished>assigned race noted
-    // above). This is the only place a dispatcher touches shared cache
-    // lines for load balancing; everything downstream works on the
-    // packed view until the next batch boundary. stat_lines keeps the
-    // walk over the workers' lines pointer-chase-free. The length sum
-    // doubles as the shard's aggregate-load input (shard_front.h).
+    // Refresh the shard's view from its workers' counter lines: queue
+    // length = assigned - finished (delta-tracked across wraps, clamped
+    // at 0 against the transient finished>assigned race noted in
+    // queue_lengths()). This is the only place a dispatcher touches
+    // shared cache lines for load balancing; every policy's pick works
+    // on the packed view until the next batch boundary. stat_lines
+    // keeps the walk over the workers' lines pointer-chase-free. The
+    // length sum doubles as the shard's aggregate-load input
+    // (shard_front.h).
     const size_t n = static_cast<size_t>(sh.span.count);
     uint64_t sum = 0;
     for (size_t i = 0; i < n; ++i) {
-        sh.finished_view[i] = sh.readers[i].read_finished(*sh.stat_lines[i]);
+        const uint64_t fin = sh.readers[i].read_finished(*sh.stat_lines[i]);
         const uint64_t asn =
             assigned_[static_cast<size_t>(sh.span.first) + i].load(
                 std::memory_order_relaxed);
-        const uint64_t len =
-            asn > sh.finished_view[i] ? asn - sh.finished_view[i] : 0;
+        const uint64_t len = asn > fin ? asn - fin : 0;
         sh.view.set_len(i, len);
         sum += len;
         if (cfg_.dispatch == DispatchPolicy::JsqMsq)
@@ -359,23 +315,6 @@ Runtime::refresh_dispatch_views(DispatcherShard &sh)
                 i, WorkerStatsReader::read_current_quanta(*sh.stat_lines[i]));
     }
     sh.queue_sum = sum;
-}
-
-int
-Runtime::pick_worker_from_view(DispatcherShard &sh)
-{
-    // JSQ over the shard's packed local view (dispatch_view.h), with
-    // the policy's tie-break. With a batch size of 1 (a refresh before
-    // every call) this is exactly the unbatched policy; inside a batch,
-    // ties use the boundary snapshot of current_quanta and queue
-    // lengths grow with each assignment. The view is span-local;
-    // translate to a global worker id on the way out.
-    const int best = cfg_.dispatch == DispatchPolicy::JsqRandom
-                         ? sh.view.pick_jsq_random(sh.rng)
-                         : sh.view.pick_jsq_msq();
-    TQ_CHECK(best >= 0);
-    sh.view.bump_len(static_cast<size_t>(best));
-    return sh.span.first + best;
 }
 
 void
@@ -524,24 +463,20 @@ Runtime::steal_into(DispatcherShard &sh, Request *buf, size_t buf_len)
 void
 Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
 {
-    const bool jsq_policy = cfg_.dispatch == DispatchPolicy::JsqMsq ||
-                            cfg_.dispatch == DispatchPolicy::JsqRandom;
-    const bool sharded = shards_.size() > 1;
     // One arrival stamp covers the batch: the requests were all in
     // RX when the batch was claimed, and per-request RDTSC is
     // exactly the kind of per-job cost batching amortizes away.
     const Cycles arrived_at = rdcycles();
-    // Non-JSQ policies do not read the view, but a sharded runtime
-    // still refreshes per batch: the queue-sum side effect feeds the
-    // advertised load line the front tier steers by.
-    if (jsq_policy || sharded)
-        refresh_dispatch_views(sh);
+    // One view refresh per batch, whatever the policy: with a batch
+    // of 1 every pick sees fresh counters; inside a batch the picks
+    // see the boundary snapshot plus this batch's own assignments.
+    refresh_dispatch_views(sh);
     uint64_t pushed = 0;
     for (size_t i = 0; i < n; ++i) {
         Request &req = reqs[i];
         req.arrival_cycles = arrived_at;
         // Scatter-gather expansion: a request with fanout k becomes
-        // k shard pushes, each placed by its own policy pick (JSQ's
+        // k shard pushes, each placed by its own policy pick (the
         // incremental bump_len spreads the shards naturally). The
         // degenerate k=1 loop is exactly the classic per-request
         // path. Per-shard counters: dispatched_total/assigned_ move
@@ -549,8 +484,9 @@ Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
         const uint32_t fanout = req.fanout == 0 ? 1 : req.fanout;
         for (uint32_t s = 0; s < fanout; ++s) {
             req.shard = s;
-            const int target =
-                jsq_policy ? pick_worker_from_view(sh) : pick_worker(sh);
+            const int best = sh.view.pick(cfg_.dispatch, sh.rng);
+            sh.view.bump_len(static_cast<size_t>(best));
+            const int target = sh.span.first + best;
 #if defined(TQ_TELEMETRY_ENABLED)
             // Stamp the handoff *before* the push: once the request
             // is in the ring the worker may already be reading it.
@@ -578,7 +514,7 @@ Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
 #if defined(TQ_TELEMETRY_ENABLED)
     metrics_->dispatcher(sh.index).batch_occupancy.add(n);
 #endif
-    if (sharded)
+    if (shards_.size() > 1)
         publish_load(sh, pushed);
 }
 

@@ -48,12 +48,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/dispatch_view.h"
 #include "common/rng.h"
 #include "common/shard.h"
 #include "conc/cacheline.h"
 #include "conc/mpmc_queue.h"
 #include "runtime/config.h"
-#include "runtime/dispatch_view.h"
 #include "runtime/lifecycle.h"
 #include "runtime/quantum.h"
 #include "runtime/quantum_controller.h"
@@ -112,7 +112,6 @@ struct DispatcherShard
           rx(cfg.ring_capacity),
           view(static_cast<size_t>(span.count > 0 ? span.count : 1)),
           readers(static_cast<size_t>(span.count)),
-          finished_view(static_cast<size_t>(span.count), 0),
           rng(cfg.seed + static_cast<uint64_t>(shard_index))
     {
     }
@@ -125,16 +124,16 @@ struct DispatcherShard
      *  the final drain sweep (after all threads joined). */
     MpmcQueue<Request> rx;
 
-    /** Dispatcher-local packed JSQ/MSQ view over the owned span
-     *  (dispatch_view.h): refreshed from the workers' counter lines
-     *  once per RX batch, then bumped incrementally as the batch's
-     *  requests are assigned — per-request work inside a batch never
-     *  touches a shared cache line. Indices are span-local. */
+    /** Dispatcher-local packed view over the owned span
+     *  (common/dispatch_view.h), read by every dispatch policy:
+     *  refreshed from the workers' counter lines once per RX batch,
+     *  then bumped incrementally as the batch's requests are assigned —
+     *  per-request work inside a batch never touches a shared cache
+     *  line. Indices are span-local. */
     DispatchView view;
 
     /** Dispatcher-private JSQ wrap state; no other thread touches it. */
     std::vector<WorkerStatsReader> readers;
-    std::vector<uint64_t> finished_view;
 
     /** The owned workers' stats lines as one contiguous pointer array
      *  so the per-batch refresh walks pointers, not unique_ptr<Worker>
@@ -350,9 +349,7 @@ class Runtime
     void dispatcher_main(int shard_index);
     void dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n);
     int pick_shard();
-    int pick_worker(DispatcherShard &sh);
     void refresh_dispatch_views(DispatcherShard &sh);
-    int pick_worker_from_view(DispatcherShard &sh);
     bool push_request(DispatcherShard &sh, int target, const Request &req);
     void publish_load(DispatcherShard &sh, uint64_t just_pushed);
     size_t steal_into(DispatcherShard &sh, Request *buf, size_t buf_len);

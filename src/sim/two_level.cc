@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/rng.h"
+#include "common/dispatch_view.h"
 #include "common/sched_core.h"
 #include "common/shard.h"
 #include "sim/event_core.h"
@@ -32,14 +32,24 @@ struct Core
     SimNanos granted = 0;        ///< budget `running` was armed with
     uint64_t quanta_sum = 0;     ///< MSQ metric: serviced quanta of
                                  ///< currently admitted jobs
+    uint64_t assigned = 0;       ///< units dispatched to this core
     uint64_t finished = 0;       ///< completions (the shared counter)
     // Figure-16 style effective-quantum accounting.
     double grant_intervals = 0;
     uint64_t grants = 0;
 };
 
+/** One dispatcher shard: its serial queue and its view of the cores it
+ *  owns, the same DispatchView and pick the runtime's shards run. */
 struct Dispatcher
 {
+    explicit Dispatcher(ShardSpan s)
+        : span(s), view(static_cast<size_t>(s.count))
+    {
+    }
+
+    ShardSpan span; ///< owned cores [first, first + count)
+    DispatchView view;
     std::deque<uint32_t> q;
     bool busy = false;
     uint32_t in_hand = kNone;
@@ -53,10 +63,7 @@ class TwoLevelSim
         : cfg_(cfg),
           core_(dist, rate, cfg.seed, cfg.duration, cfg.max_in_flight,
                 cfg.stop_when_saturated, cfg.warmup),
-          fanout_(static_cast<uint32_t>(cfg.fanout)),
-          assigned_(static_cast<size_t>(cfg.num_cores), 0),
-          snap_finished_(static_cast<size_t>(cfg.num_cores), 0),
-          snap_quanta_(static_cast<size_t>(cfg.num_cores), 0)
+          fanout_(static_cast<uint32_t>(cfg.fanout))
     {
         TQ_CHECK(cfg.num_cores > 0);
         TQ_CHECK(cfg.num_dispatchers > 0);
@@ -64,12 +71,12 @@ class TwoLevelSim
         TQ_CHECK(cfg.fanout >= 1);
         core_.set_arrival(cfg.arrival);
         core_.set_arrival_trace(cfg.arrival_trace);
-        dispatchers_.resize(static_cast<size_t>(cfg.num_dispatchers));
+        dispatchers_.reserve(static_cast<size_t>(cfg.num_dispatchers));
+        for (int d = 0; d < cfg.num_dispatchers; ++d)
+            dispatchers_.emplace_back(
+                shard_span(cfg.num_cores, cfg.num_dispatchers, d));
         front_pending_.resize(static_cast<size_t>(cfg.num_dispatchers));
         front_loads_.resize(static_cast<size_t>(cfg.num_dispatchers), 0);
-        for (int d = 0; d < cfg.num_dispatchers; ++d)
-            spans_.push_back(
-                shard_span(cfg.num_cores, cfg.num_dispatchers, d));
         // Scheduling shape (DESIGN.md §4i), resolved as the runtime
         // resolves it: per-class quanta give each class a ledger slot
         // with the deficit clamp and the starvation guard; the fixed
@@ -216,11 +223,11 @@ class TwoLevelSim
     /**
      * Front-tier JSQ (common/shard.h): steer to the shard with the
      * smallest aggregate load — dispatch backlog (queued + in hand +
-     * still crossing the front latency) plus the owned cores'
-     * viewed queue lengths, read from the same periodically refreshed
-     * stats snapshot the dispatchers use, mirroring the staleness of
-     * the runtime's advertised load lines. Rotation by arrival count
-     * spreads tied picks like the runtime's submitter-local counter.
+     * still crossing the front latency) plus the owned cores' queue
+     * lengths in the shard's view, which carries the dispatchers'
+     * periodically refreshed staleness, mirroring the runtime's
+     * advertised load lines. Rotation by arrival count spreads tied
+     * picks like the runtime's submitter-local counter.
      */
     int
     pick_shard()
@@ -232,11 +239,8 @@ class TwoLevelSim
             uint64_t load =
                 disp.q.size() + (disp.busy ? 1 : 0) +
                 front_pending_[static_cast<size_t>(d)].size();
-            const ShardSpan span = spans_[static_cast<size_t>(d)];
-            for (int w = span.first; w < span.first + span.count; ++w) {
-                const long len = viewed_len(w);
-                load += len > 0 ? static_cast<uint64_t>(len) : 0;
-            }
+            for (size_t i = 0; i < disp.view.workers(); ++i)
+                load += disp.view.len(i);
             front_loads_[static_cast<size_t>(d)] =
                 load > UINT32_MAX ? UINT32_MAX
                                   : static_cast<uint32_t>(load);
@@ -283,7 +287,7 @@ class TwoLevelSim
         const int target = pick_core(d);
         Core &core = cores_[static_cast<size_t>(target)];
         core.sched.admit(unit, job(idx_of(unit)).job_class);
-        ++assigned_[static_cast<size_t>(target)];
+        ++core.assigned;
         if (core.running.handle == kNone)
             start_slice(target);
 
@@ -292,9 +296,11 @@ class TwoLevelSim
 
     // -------------------------------------------------- load balancing --
     /**
-     * Dispatcher's view of worker w's queue length and quanta: its own
-     * assignment count minus the worker's finished counter as of the
-     * last refresh of the shared cache lines (paper section 4).
+     * Re-read the cores' counters into every dispatcher's view (paper
+     * section 4: the counter lines are "periodically read by the
+     * dispatcher"): length = assigned - finished, quanta = the MSQ
+     * metric. Between refreshes each view goes stale except for its own
+     * dispatcher's assignments, which bump_len() adds.
      */
     void
     refresh_stats_if_due()
@@ -303,83 +309,29 @@ class TwoLevelSim
             core_.now() - last_refresh_ < cfg_.stats_refresh_period)
             return;
         last_refresh_ = core_.now();
-        for (int w = 0; w < cfg_.num_cores; ++w) {
-            snap_finished_[static_cast<size_t>(w)] =
-                cores_[static_cast<size_t>(w)].finished;
-            snap_quanta_[static_cast<size_t>(w)] =
-                cores_[static_cast<size_t>(w)].quanta_sum;
-        }
+        for (Dispatcher &disp : dispatchers_)
+            for (int i = 0; i < disp.span.count; ++i) {
+                const Core &core =
+                    cores_[static_cast<size_t>(disp.span.first + i)];
+                disp.view.set_len(static_cast<size_t>(i),
+                                  core.assigned - core.finished);
+                disp.view.set_quanta(
+                    static_cast<size_t>(i),
+                    static_cast<uint32_t>(
+                        std::min<uint64_t>(core.quanta_sum, UINT32_MAX)));
+            }
     }
 
-    long
-    viewed_len(int w) const
-    {
-        return static_cast<long>(assigned_[static_cast<size_t>(w)]) -
-               static_cast<long>(snap_finished_[static_cast<size_t>(w)]);
-    }
-
+    /** Dispatcher @p d's pick over its owned span (one all-cores span
+     *  when unsharded), translated to a global core id. */
     int
     pick_core(int d)
     {
-        // The pick ranges over dispatcher @p d's owned span only: with
-        // one dispatcher that is every core (the historical behaviour,
-        // RNG stream included); a sharded tier keeps worker ownership
-        // disjoint, exactly like the runtime's per-shard DispatchView.
         refresh_stats_if_due();
-        Rng &rng = core_.rng();
-        const ShardSpan span = spans_[static_cast<size_t>(d)];
-        const int first = span.first;
-        const int n = span.count;
-        switch (cfg_.lb) {
-          case LbPolicy::Random:
-            return first +
-                   static_cast<int>(rng.below(static_cast<uint64_t>(n)));
-          case LbPolicy::PowerOfTwo: {
-            if (n == 1)
-                return first; // no second core to sample
-            const int a =
-                static_cast<int>(rng.below(static_cast<uint64_t>(n)));
-            int b = static_cast<int>(
-                rng.below(static_cast<uint64_t>(n - 1)));
-            if (b >= a)
-                ++b;
-            const long qa = viewed_len(first + a);
-            const long qb = viewed_len(first + b);
-            if (qa != qb)
-                return first + (qa < qb ? a : b);
-            return first + (rng.bernoulli(0.5) ? a : b);
-          }
-          case LbPolicy::JsqRandom:
-          case LbPolicy::JsqMsq: {
-            long best_len = viewed_len(first);
-            for (int c = first + 1; c < first + n; ++c)
-                best_len = std::min(best_len, viewed_len(c));
-            // Collect ties (global core ids).
-            ties_.clear();
-            for (int c = first; c < first + n; ++c)
-                if (viewed_len(c) == best_len)
-                    ties_.push_back(c);
-            if (ties_.size() == 1)
-                return ties_[0];
-            if (cfg_.lb == LbPolicy::JsqRandom)
-                return ties_[rng.below(ties_.size())];
-            // MSQ: the core whose current jobs have received the most
-            // quanta is expected to finish them soonest (section 3.2).
-            int best = ties_[0];
-            uint64_t best_quanta = snap_quanta_[static_cast<size_t>(best)];
-            for (size_t i = 1; i < ties_.size(); ++i) {
-                const int c = ties_[i];
-                const uint64_t q = snap_quanta_[static_cast<size_t>(c)];
-                if (q > best_quanta) {
-                    best = c;
-                    best_quanta = q;
-                }
-            }
-            return best;
-          }
-        }
-        TQ_CHECK(false);
-        return 0;
+        Dispatcher &disp = dispatchers_[static_cast<size_t>(d)];
+        const int i = disp.view.pick(cfg_.lb, core_.rng());
+        disp.view.bump_len(static_cast<size_t>(i));
+        return disp.span.first + i;
     }
 
     // ------------------------------------------------------- workers --
@@ -464,19 +416,13 @@ class TwoLevelSim
     std::vector<uint32_t> shards_live_; ///< per job index
 
     std::vector<Dispatcher> dispatchers_;
-    /** Shard d's owned core span; one all-cores span when unsharded. */
-    std::vector<ShardSpan> spans_;
     /** Units steered to shard d, still crossing the front-tier pick
      *  latency (constant delay => FIFO per shard). */
     std::vector<std::deque<uint32_t>> front_pending_;
     /** Scratch for the front tier's per-shard load estimates. */
     std::vector<uint32_t> front_loads_;
     std::vector<Core> cores_;
-    std::vector<uint64_t> assigned_;
-    std::vector<uint64_t> snap_finished_;
-    std::vector<uint64_t> snap_quanta_;
     SimNanos last_refresh_ = -1;
-    std::vector<int> ties_;
 
     // Per-class effective-quantum metrics (DESIGN.md §4i).
     size_t num_classes_ = 0;

@@ -6,7 +6,9 @@
  *
  * The dispatcher is a serial resource (dispatch_cost per job) applying a
  * blind load-balancing policy — JSQ with MSQ or random tie-breaking,
- * uniform random, or power-of-two choices. Each worker core schedules
+ * uniform random, or power-of-two choices — through the runtime's own
+ * pick: each dispatcher owns a common/dispatch_view.h view of its cores,
+ * refreshed every stats_refresh_period. Each worker core schedules
  * its admitted jobs with processor sharing in `quantum`-sized slices
  * (switch_overhead charged per preemption) or FCFS run-to-completion.
  * Responses leave directly from the worker (response_cost), matching the
@@ -15,7 +17,7 @@
  * The per-core scheduler is common/sched_core.h, the code the runtime
  * worker runs. This simulator also models the TQ variants of the breakdown study
  * (section 5.4): per-class quantum overrides (TQ-TIMING), alternative
- * load balancers (TQ-RAND, TQ-POWER-TWO) and FCFS cores (TQ-FCFS);
+ * dispatch policies (TQ-RAND, TQ-POWER-TWO) and FCFS cores (TQ-FCFS);
  * TQ-IC / TQ-SLOW-YIELD are expressed through `switch_overhead` /
  * `probe_overhead_frac`.
  */
@@ -23,19 +25,12 @@
 #define TQ_SIM_TWO_LEVEL_H
 
 #include "common/arrival.h"
+#include "common/dispatch_view.h"
 #include "common/dist.h"
 #include "sim/metrics.h"
 #include "sim/overheads.h"
 
 namespace tq::sim {
-
-/** Dispatcher load-balancing policies (paper sections 3.2, 5.4). */
-enum class LbPolicy {
-    JsqMsq,      ///< join-shortest-queue, Maximum-Serviced-Quanta ties
-    JsqRandom,   ///< join-shortest-queue, random ties
-    Random,      ///< uniform random core
-    PowerOfTwo,  ///< least-loaded of two random cores
-};
 
 /** Per-core quantum scheduling policies. */
 enum class CorePolicy {
@@ -68,7 +63,7 @@ struct TwoLevelConfig
     int num_dispatchers = 1;
     SimNanos quantum = us(2);
     CorePolicy core_policy = CorePolicy::ProcessorSharing;
-    LbPolicy lb = LbPolicy::JsqMsq;
+    DispatchPolicy lb = DispatchPolicy::JsqMsq; ///< dispatcher pick
     Overheads overheads = Overheads::tq_default();
 
     /**

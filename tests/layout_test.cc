@@ -13,19 +13,21 @@
  *  - Pick: property tests that DispatchView's SIMD/vector pick paths
  *    match the scalar JSQ+MSQ reference (DESIGN.md §"Dispatcher")
  *    bit-for-bit over randomized length/quanta arrays, including the
- *    assigned<finished wrap-clamp path, the kLenMax saturation path,
- *    and the JSQ-random reservoir's RNG call sequence.
+ *    assigned<finished wrap-clamp path and the kLenMax saturation path,
+ *    and that the policy-generic pick() reproduces the simulator's
+ *    original per-policy pick, RNG draws included.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/dispatch_view.h"
 #include "common/rng.h"
 #include "conc/cacheline.h"
 #include "conc/mpmc_queue.h"
 #include "conc/spsc_ring.h"
-#include "runtime/dispatch_view.h"
 #include "runtime/lifecycle.h"
 #include "runtime/runtime.h"
 #include "runtime/worker_stats.h"
@@ -103,13 +105,13 @@ struct LayoutAudit
     }
 
     static const uint32_t *
-    view_len_data(const runtime::DispatchView &v)
+    view_len_data(const DispatchView &v)
     {
         return v.len_.get();
     }
 
     static const uint32_t *
-    view_quanta_data(const runtime::DispatchView &v)
+    view_quanta_data(const DispatchView &v)
     {
         return v.quanta_.get();
     }
@@ -138,7 +140,6 @@ struct LayoutAudit
 namespace {
 
 using namespace tq;
-using runtime::DispatchView;
 
 // ---------------------------------------------------------------------
 // Compile-time layout contract: one assert per audited struct, mirroring
@@ -411,38 +412,114 @@ TEST(DispatchPick, BumpLenMatchesIncrementalScalarUse)
     }
 }
 
-TEST(DispatchPick, JsqRandomConsumesRngIdenticallyToTheOldLoop)
+/**
+ * The simulator's dispatcher pick before both engines moved onto
+ * DispatchView::pick, copied verbatim from its pick_core() (the policy
+ * enum renamed, the span starting at 0, the view's lengths and quanta
+ * standing in for its counter snapshots). The oracle for the shared
+ * pick: same worker, same RNG draws.
+ */
+struct SimPickOracle
 {
-    // The pre-SIMD dispatcher loop, verbatim: one below(++tie_count) per
-    // tied worker in ascending index order. Seeded runs must reproduce.
+    DispatchPolicy lb;
+    std::vector<long> lens;
+    std::vector<uint64_t> snap_quanta_;
+    std::vector<int> ties_;
+
+    long viewed_len(int w) const { return lens[static_cast<size_t>(w)]; }
+
+    int
+    pick_core(Rng &rng)
+    {
+        const int first = 0;
+        const int n = static_cast<int>(lens.size());
+        switch (lb) {
+          case DispatchPolicy::Random:
+            return first +
+                   static_cast<int>(rng.below(static_cast<uint64_t>(n)));
+          case DispatchPolicy::PowerOfTwo: {
+            if (n == 1)
+                return first; // no second core to sample
+            const int a =
+                static_cast<int>(rng.below(static_cast<uint64_t>(n)));
+            int b = static_cast<int>(
+                rng.below(static_cast<uint64_t>(n - 1)));
+            if (b >= a)
+                ++b;
+            const long qa = viewed_len(first + a);
+            const long qb = viewed_len(first + b);
+            if (qa != qb)
+                return first + (qa < qb ? a : b);
+            return first + (rng.bernoulli(0.5) ? a : b);
+          }
+          case DispatchPolicy::JsqRandom:
+          case DispatchPolicy::JsqMsq: {
+            long best_len = viewed_len(first);
+            for (int c = first + 1; c < first + n; ++c)
+                best_len = std::min(best_len, viewed_len(c));
+            // Collect ties (global core ids).
+            ties_.clear();
+            for (int c = first; c < first + n; ++c)
+                if (viewed_len(c) == best_len)
+                    ties_.push_back(c);
+            if (ties_.size() == 1)
+                return ties_[0];
+            if (lb == DispatchPolicy::JsqRandom)
+                return ties_[rng.below(ties_.size())];
+            // MSQ: the core whose current jobs have received the most
+            // quanta is expected to finish them soonest (section 3.2).
+            int best = ties_[0];
+            uint64_t best_quanta = snap_quanta_[static_cast<size_t>(best)];
+            for (size_t i = 1; i < ties_.size(); ++i) {
+                const int c = ties_[i];
+                const uint64_t q = snap_quanta_[static_cast<size_t>(c)];
+                if (q > best_quanta) {
+                    best = c;
+                    best_quanta = q;
+                }
+            }
+            return best;
+          }
+        }
+        return -1;
+    }
+};
+
+TEST(DispatchPick, EveryPolicyMatchesTheSimulatorsOriginalPick)
+{
+    // Views of 1-64 lanes (one and several SIMD lines) with dense ties
+    // in length and quanta; for each policy, the same seed on both
+    // sides must give the same worker and leave both RNG streams at the
+    // same position.
+    const DispatchPolicy policies[] = {
+        DispatchPolicy::JsqMsq, DispatchPolicy::JsqRandom,
+        DispatchPolicy::Random, DispatchPolicy::PowerOfTwo};
     Rng data_rng(1234);
     for (int trial = 0; trial < 5000; ++trial) {
-        const size_t n = 1 + data_rng.below(48);
+        const size_t n = 1 + data_rng.below(64);
+        const uint64_t len_range = 1 + data_rng.below(trial % 2 ? 3 : 20);
         DispatchView view(n);
-        std::vector<uint64_t> lens(n);
+        SimPickOracle oracle;
         for (size_t i = 0; i < n; ++i) {
-            lens[i] = data_rng.below(3); // dense ties
-            view.set_len(i, lens[i]);
+            const uint64_t len = data_rng.below(len_range);
+            const uint32_t q = static_cast<uint32_t>(data_rng.below(3));
+            view.set_len(i, len);
+            view.set_quanta(i, q);
+            oracle.lens.push_back(static_cast<long>(len));
+            oracle.snap_quanta_.push_back(q);
         }
-
-        const uint64_t seed = data_rng();
-        Rng view_rng(seed);
-        Rng ref_rng(seed);
-
-        const int got = view.pick_jsq_random(view_rng);
-
-        uint64_t best_len = ~0ULL;
-        for (size_t i = 0; i < n; ++i)
-            best_len = lens[i] < best_len ? lens[i] : best_len;
-        int want = -1;
-        uint64_t tie_count = 0;
-        for (size_t i = 0; i < n; ++i)
-            if (lens[i] == best_len && ref_rng.below(++tie_count) == 0)
-                want = static_cast<int>(i);
-
-        ASSERT_EQ(got, want) << "trial " << trial;
-        // Identical consumption: the next draw from both streams agrees.
-        ASSERT_EQ(view_rng(), ref_rng()) << "trial " << trial;
+        for (const DispatchPolicy policy : policies) {
+            oracle.lb = policy;
+            const uint64_t seed = data_rng();
+            Rng view_rng(seed);
+            Rng ref_rng(seed);
+            ASSERT_EQ(view.pick(policy, view_rng), oracle.pick_core(ref_rng))
+                << "trial " << trial << " n=" << n << " policy "
+                << static_cast<int>(policy);
+            ASSERT_EQ(view_rng(), ref_rng())
+                << "trial " << trial << " policy "
+                << static_cast<int>(policy);
+        }
     }
 }
 

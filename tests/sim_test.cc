@@ -9,11 +9,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <queue>
+#include <vector>
 
 #include "common/dist.h"
+#include "common/rng.h"
 #include "sim/caladan.h"
 #include "sim/central.h"
+#include "sim/event_core.h"
 #include "sim/sweep.h"
 #include "sim/two_level.h"
 
@@ -124,7 +129,7 @@ TEST(TwoLevel, JsqBeatsRandomLoadBalancing)
     auto dist = workload_table::exp1();
     TwoLevelConfig jsq = tl_config();
     TwoLevelConfig rnd = tl_config();
-    rnd.lb = LbPolicy::Random;
+    rnd.lb = DispatchPolicy::Random;
     const double rate = mrps(12); // 75% utilization of 16 cores
     const SimResult r_jsq = run_two_level(jsq, *dist, rate);
     const SimResult r_rnd = run_two_level(rnd, *dist, rate);
@@ -138,11 +143,11 @@ TEST(TwoLevel, PowerOfTwoBetweenJsqAndRandom)
     auto dist = workload_table::exp1();
     TwoLevelConfig cfg = tl_config();
     const double rate = mrps(12);
-    cfg.lb = LbPolicy::JsqRandom;
+    cfg.lb = DispatchPolicy::JsqRandom;
     const double jsq = run_two_level(cfg, *dist, rate).overall_p999_slowdown;
-    cfg.lb = LbPolicy::PowerOfTwo;
+    cfg.lb = DispatchPolicy::PowerOfTwo;
     const double po2 = run_two_level(cfg, *dist, rate).overall_p999_slowdown;
-    cfg.lb = LbPolicy::Random;
+    cfg.lb = DispatchPolicy::Random;
     const double rnd = run_two_level(cfg, *dist, rate).overall_p999_slowdown;
     EXPECT_LT(jsq, po2 * 1.05);
     EXPECT_LT(po2, rnd);
@@ -466,7 +471,7 @@ TEST(TwoLevel, SingleDispatcherResultsArePinnedBitForBit)
         cfg.num_cores = 8;
         cfg.fanout = 4;
         cfg.core_policy = CorePolicy::Las;
-        cfg.lb = LbPolicy::JsqRandom;
+        cfg.lb = DispatchPolicy::JsqRandom;
         cfg.duration = ms(10);
         cfg.seed = 11;
         const SimResult r = run_two_level(cfg, dist, mrps(0.5));
@@ -527,6 +532,87 @@ TEST(TwoLevel, SingleDispatcherResultsArePinnedBitForBit)
         ASSERT_EQ(r.class_effective_quantum.size(), 2u);
         EXPECT_EQ(r.class_effective_quantum[0], 0x1.2cp+9);
         EXPECT_EQ(r.class_effective_quantum[1], 0x1.77p+11);
+    }
+}
+
+TEST(TwoLevel, DispatchPoliciesArePinnedBitForBit)
+{
+    // One golden per dispatcher pick path the blocks above leave
+    // uncovered: uniform random, power-of-two (bernoulli tie-break),
+    // JSQ-random over a multi-line 40-core view, JSQ-MSQ on a stale
+    // view that only the dispatcher's own assignments bump, and the
+    // sharded front tier summing its shards' view lengths. The goldens
+    // were captured before the engines shared one policy enum; naming
+    // the policy through the field's own type keeps this block building
+    // against both.
+    using Lb = decltype(TwoLevelConfig::lb);
+    ExponentialDist exp1(us(1));
+    {
+        TwoLevelConfig cfg;
+        cfg.num_cores = 16;
+        cfg.duration = ms(10);
+        cfg.seed = 21;
+        cfg.lb = Lb::Random;
+        const SimResult r = run_two_level(cfg, exp1, mrps(10));
+        EXPECT_EQ(r.completed, 100059u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.overall_mean_slowdown, 0x1.3c13f3d819fa7p+6);
+        EXPECT_EQ(r.overall_p999_slowdown, 0x1.6512116cbcb8ap+10);
+        EXPECT_EQ(r.avg_effective_quantum, 0x1.b080cb00aa955p+9);
+    }
+    {
+        TwoLevelConfig cfg;
+        cfg.num_cores = 16;
+        cfg.duration = ms(10);
+        cfg.seed = 22;
+        cfg.lb = Lb::PowerOfTwo;
+        const SimResult r = run_two_level(cfg, exp1, mrps(10));
+        EXPECT_EQ(r.completed, 99795u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.overall_mean_slowdown, 0x1.dcc018fed2947p+2);
+        EXPECT_EQ(r.overall_p999_slowdown, 0x1.fd3ddef3a8dd1p+8);
+        EXPECT_EQ(r.avg_effective_quantum, 0x1.b0268e09dae3fp+9);
+    }
+    {
+        TwoLevelConfig cfg;
+        cfg.num_cores = 40;
+        cfg.duration = ms(10);
+        cfg.seed = 23;
+        cfg.lb = Lb::JsqRandom;
+        const SimResult r = run_two_level(cfg, exp1, mrps(30));
+        EXPECT_EQ(r.completed, 300641u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.overall_mean_slowdown, 0x1.a62ba24b7e305p+1);
+        EXPECT_EQ(r.overall_p999_slowdown, 0x1.8286d12b4dbf5p+7);
+        EXPECT_EQ(r.avg_effective_quantum, 0x1.b0c7820d20b16p+9);
+    }
+    {
+        TwoLevelConfig cfg;
+        cfg.num_cores = 16;
+        cfg.duration = ms(10);
+        cfg.seed = 24;
+        cfg.stats_refresh_period = us(5);
+        const SimResult r = run_two_level(cfg, exp1, mrps(12));
+        EXPECT_EQ(r.completed, 120103u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.overall_mean_slowdown, 0x1.321ffc1246783p+3);
+        EXPECT_EQ(r.overall_p999_slowdown, 0x1.5efe2b3035787p+9);
+        EXPECT_EQ(r.avg_effective_quantum, 0x1.b035ff9ea0326p+9);
+    }
+    {
+        ExponentialDist exp2(us(2));
+        TwoLevelConfig cfg;
+        cfg.num_cores = 16;
+        cfg.num_dispatchers = 4;
+        cfg.fanout = 4;
+        cfg.duration = ms(10);
+        cfg.seed = 25;
+        const SimResult r = run_two_level(cfg, exp2, mrps(3));
+        EXPECT_EQ(r.completed, 30156u);
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.overall_mean_slowdown, 0x1.7529a1ccf05dfp+0);
+        EXPECT_EQ(r.overall_p999_slowdown, 0x1.c4c4142b9cad5p+6);
+        EXPECT_EQ(r.avg_effective_quantum, 0x1.e9219f6a98f8ep+8);
     }
 }
 
@@ -891,6 +977,62 @@ TEST(Sweep, StopWhenSaturatedKeepsTheVerdict)
     // are identical, not merely equivalent.
     expect_same_result(run_two_level(early, dist, mrps(1)),
                        run_two_level(full, dist, mrps(1)));
+}
+
+// --------------------------------------------------------- event queue --
+
+TEST(EventQueue, PopsInTimeThenPushOrderLikeAPriorityQueue)
+{
+    // Oracle: the (time, seq) min-heap every engine owned before the
+    // packed 4-ary queue. Timestamps come from a small grid so most pops
+    // break a tie on push order; sequences long enough to grow the store
+    // and mix full and partial sibling groups.
+    struct Ref
+    {
+        SimNanos time;
+        uint64_t seq;
+        uint32_t kind;
+        int core;
+        bool
+        operator>(const Ref &o) const
+        {
+            return time != o.time ? time > o.time : seq > o.seq;
+        }
+    };
+    Rng rng(2024);
+    for (int trial = 0; trial < 40; ++trial) {
+        EventQueue q;
+        std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
+        uint64_t seq = 0;
+        const uint64_t grid = 1 + rng.below(trial % 2 == 0 ? 4 : 64);
+        const size_t steps = 500 + rng.below(5000);
+        for (size_t step = 0; step < steps; ++step) {
+            if (ref.empty() || rng.below(3) != 0) {
+                const SimNanos t = static_cast<SimNanos>(rng.below(grid));
+                const uint32_t kind = static_cast<uint32_t>(
+                    rng.below(1u << EventQueue::kKindBits));
+                const int core = static_cast<int>(rng.below(1000)) - 1;
+                q.push(t, kind, core);
+                ref.push(Ref{t, seq++, kind, core});
+            } else {
+                const EventQueue::Popped got = q.pop();
+                const Ref want = ref.top();
+                ref.pop();
+                ASSERT_EQ(got.time, want.time) << "trial " << trial;
+                ASSERT_EQ(got.kind, want.kind) << "trial " << trial;
+                ASSERT_EQ(got.core, want.core) << "trial " << trial;
+            }
+            ASSERT_EQ(q.size(), ref.size());
+        }
+        while (!ref.empty()) {
+            const EventQueue::Popped got = q.pop();
+            ASSERT_EQ(got.time, ref.top().time);
+            ASSERT_EQ(got.kind, ref.top().kind);
+            ASSERT_EQ(got.core, ref.top().core);
+            ref.pop();
+        }
+        EXPECT_TRUE(q.empty());
+    }
 }
 
 } // namespace
