@@ -158,93 +158,11 @@ BM_MpmcPopN(benchmark::State &state)
 BENCHMARK(BM_MpmcPopN)->Arg(1)->Arg(8)->Arg(32);
 
 void
-BM_JsqScan16Workers(benchmark::State &state)
-{
-    // The dispatcher's per-job decision: scan 16 counter cache lines for
-    // the shortest queue with MSQ tie-breaking (paper section 4).
-    runtime::WorkerStatsLine lines[16];
-    runtime::WorkerStatsReader readers[16];
-    uint64_t assigned[16] = {};
-    for (int i = 0; i < 16; ++i)
-        lines[i].finished.store(static_cast<uint32_t>(i * 3));
-    for (auto _ : state) {
-        uint64_t best_len = ~0ULL;
-        int best = 0;
-        uint32_t best_q = 0;
-        for (int i = 0; i < 16; ++i) {
-            const uint64_t len =
-                assigned[i] - readers[i].read_finished(lines[i]);
-            const uint32_t q =
-                runtime::WorkerStatsReader::read_current_quanta(lines[i]);
-            if (len < best_len || (len == best_len && q > best_q)) {
-                best_len = len;
-                best = i;
-                best_q = q;
-            }
-        }
-        benchmark::DoNotOptimize(best);
-        ++assigned[best];
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_JsqScan16Workers);
-
-void
-BM_DispatchBatchAmortized(benchmark::State &state)
-{
-    // The batched dispatcher's per-request decision (runtime.cc): the
-    // 16 shared counter lines are read once per batch into a local
-    // view; each request then scans/bumps only that local view. Arg is
-    // the batch size; Arg 1 reproduces the per-request refresh cost of
-    // the unbatched path (compare BM_JsqScan16Workers).
-    const size_t k = static_cast<size_t>(state.range(0));
-    constexpr int kWorkers = 16;
-    runtime::WorkerStatsLine lines[kWorkers];
-    runtime::WorkerStatsReader readers[kWorkers];
-    uint64_t assigned[kWorkers] = {};
-    uint64_t len_view[kWorkers] = {};
-    uint32_t quanta_view[kWorkers] = {};
-    for (int i = 0; i < kWorkers; ++i)
-        lines[i].finished.store(static_cast<uint32_t>(i * 3));
-    for (auto _ : state) {
-        // Batch boundary: one pass over the shared lines.
-        for (int i = 0; i < kWorkers; ++i) {
-            const uint64_t fin = readers[i].read_finished(lines[i]);
-            len_view[i] = assigned[i] > fin ? assigned[i] - fin : 0;
-            quanta_view[i] =
-                runtime::WorkerStatsReader::read_current_quanta(lines[i]);
-        }
-        // Per-request work: local-view JSQ+MSQ scan + incremental bump.
-        for (size_t j = 0; j < k; ++j) {
-            uint64_t best_len = ~0ULL;
-            int best = 0;
-            uint32_t best_q = 0;
-            for (int i = 0; i < kWorkers; ++i) {
-                if (len_view[i] < best_len ||
-                    (len_view[i] == best_len && quanta_view[i] > best_q)) {
-                    best_len = len_view[i];
-                    best = i;
-                    best_q = quanta_view[i];
-                }
-            }
-            benchmark::DoNotOptimize(best);
-            ++len_view[best];
-            ++assigned[best];
-            lines[best].finished.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(k));
-}
-BENCHMARK(BM_DispatchBatchAmortized)->Arg(1)->Arg(8)->Arg(32);
-
-void
 BM_JsqPickPacked(benchmark::State &state)
 {
     // The packed per-request decision (common/dispatch_view.h), pick +
     // bump. Arg is the worker count: at 16 the lengths are exactly one
-    // line and the adaptive pick takes the single-pass scan; at 64 it
-    // takes the SIMD horizontal min + movemask tie walk.
+    // line, at 64 (fig17's widest sim view) they span four.
     const size_t n = static_cast<size_t>(state.range(0));
     DispatchView view(n);
     for (size_t i = 0; i < n; ++i) {
@@ -261,31 +179,12 @@ BM_JsqPickPacked(benchmark::State &state)
 BENCHMARK(BM_JsqPickPacked)->Arg(16)->Arg(64);
 
 void
-BM_JsqPickPackedScalar(benchmark::State &state)
-{
-    // The portable two-pass oracle over the same packed lanes: the
-    // property-test reference every shipped pick must match exactly.
-    const size_t n = static_cast<size_t>(state.range(0));
-    DispatchView view(n);
-    for (size_t i = 0; i < n; ++i) {
-        view.set_len(i, i % 4);
-        view.set_quanta(i, static_cast<uint32_t>(i));
-    }
-    for (auto _ : state) {
-        const int best = view.pick_jsq_msq_scalar();
-        benchmark::DoNotOptimize(best);
-        view.bump_len(static_cast<size_t>(best));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_JsqPickPackedScalar)->Arg(16)->Arg(64);
-
-void
 BM_DispatchBatchPacked(benchmark::State &state)
 {
-    // BM_DispatchBatchAmortized with the packed view: one counter-line
-    // refresh into DispatchView per batch, then packed picks. This is the
-    // shipped dispatcher_main() hot path; Arg is the batch size.
+    // The batched dispatcher's per-request decision (runtime.cc): the
+    // 16 shared counter lines are read once per batch into the packed
+    // DispatchView; each request then picks and bumps only that view.
+    // Arg is the batch size; Arg 1 is the per-request refresh cost.
     const size_t k = static_cast<size_t>(state.range(0));
     constexpr int kWorkers = 16;
     runtime::WorkerStatsLine lines[kWorkers];

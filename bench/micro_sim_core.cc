@@ -5,14 +5,9 @@
  *
  * Part 1 — event queue: the classic hold model (pop the earliest event,
  * push a successor a small exponential jitter later), which is exactly
- * the near-FIFO pattern the cluster simulators generate. Compares the
- * engines' old machinery — `std::priority_queue` over 24-byte events
- * with a (time, seq) comparator, replicated here verbatim as the
- * baseline — against the packed 4-ary EventQueue, at steady queue sizes
- * of 1K/100K/1M events. Both sides consume the same RNG stream and the
- * popped-time checksums must match. The legacy side stays as the
- * recorded speed baseline of BENCH_sim.json; the ordering oracle is
- * `EventQueue.*` in tests/sim_test.cc.
+ * the near-FIFO pattern the cluster simulators generate, timed on the
+ * packed 4-ary EventQueue at steady queue sizes of 1K/100K/1M/4M
+ * events. The ordering oracle is `EventQueue.*` in tests/sim_test.cc.
  *
  * Part 2 — sweep wall-clock: the Figure 5/6 grid (5 quanta x 9 rates,
  * two-level engine, Extreme Bimodal) timed serially and with the
@@ -27,7 +22,6 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <queue>
 #include <vector>
 
 #include "bench_util.h"
@@ -42,33 +36,6 @@ using namespace tq::sim;
 
 namespace {
 
-/**
- * The event representation every engine owned before the event-core
- * refactor: 24 bytes after padding, ordered by (time, seq) through a
- * std::greater min-heap. Kept only as the benchmark baseline.
- */
-struct LegacyEvent
-{
-    SimNanos time;
-    uint8_t kind;
-    int core;
-    uint64_t seq;
-
-    bool
-    operator>(const LegacyEvent &other) const
-    {
-        if (time != other.time)
-            return time > other.time;
-        return seq > other.seq;
-    }
-};
-
-struct HoldResult
-{
-    double events_per_sec;
-    double checksum; ///< sum of popped times; must match across queues
-};
-
 double
 now_sec()
 {
@@ -79,7 +46,7 @@ now_sec()
 
 /**
  * Pre-drawn exponential jitters so the timed loop measures queue
- * operations, not log1p(); both queues consume the identical sequence.
+ * operations, not log1p().
  */
 std::vector<SimNanos>
 jitter_table(SimNanos mean)
@@ -91,35 +58,9 @@ jitter_table(SimNanos mean)
     return jit;
 }
 
-HoldResult
-hold_legacy(size_t queue_size, size_t ops,
-            const std::vector<SimNanos> &jit)
-{
-    std::priority_queue<LegacyEvent, std::vector<LegacyEvent>,
-                        std::greater<LegacyEvent>>
-        q;
-    uint64_t seq = 0;
-    size_t j = 0;
-    const size_t mask = jit.size() - 1;
-    SimNanos t = 0;
-    for (size_t i = 0; i < queue_size; ++i) {
-        t += jit[j++ & mask];
-        q.push(LegacyEvent{t, 0, static_cast<int>(i & 15), seq++});
-    }
-    double checksum = 0;
-    const double start = now_sec();
-    for (size_t i = 0; i < ops; ++i) {
-        const LegacyEvent ev = q.top();
-        q.pop();
-        checksum += ev.time;
-        q.push(LegacyEvent{ev.time + jit[j++ & mask], 0, ev.core, seq++});
-    }
-    const double secs = now_sec() - start;
-    return HoldResult{static_cast<double>(ops) / secs, checksum};
-}
-
-HoldResult
-hold_new(size_t queue_size, size_t ops, const std::vector<SimNanos> &jit)
+/** Hold-model Mevents/s at a steady @p queue_size. */
+double
+hold_meps(size_t queue_size, size_t ops, const std::vector<SimNanos> &jit)
 {
     EventQueue q;
     q.reserve(queue_size + 1);
@@ -138,7 +79,8 @@ hold_new(size_t queue_size, size_t ops, const std::vector<SimNanos> &jit)
         q.push(ev.time + jit[j++ & mask], 0, ev.core);
     }
     const double secs = now_sec() - start;
-    return HoldResult{static_cast<double>(ops) / secs, checksum};
+    TQ_CHECK(checksum > 0); // keeps the popped times live
+    return static_cast<double>(ops) / secs / 1e6;
 }
 
 /** The Figure 5/6 grid as one timed unit. */
@@ -191,19 +133,12 @@ main(int argc, char **argv)
     struct Row
     {
         size_t size;
-        double legacy_meps;
-        double new_meps;
-        double speedup;
+        double meps;
     };
     std::vector<Row> rows;
     for (size_t n : sizes) {
         const size_t ops = n >= 1000000 ? 2000000 : 4000000;
-        const HoldResult legacy = hold_legacy(n, ops, jit);
-        const HoldResult fresh = hold_new(n, ops, jit);
-        TQ_CHECK(legacy.checksum == fresh.checksum);
-        rows.push_back(Row{n, legacy.events_per_sec / 1e6,
-                           fresh.events_per_sec / 1e6,
-                           fresh.events_per_sec / legacy.events_per_sec});
+        rows.push_back(Row{n, hold_meps(n, ops, jit)});
     }
 
     auto dist = workload_table::extreme_bimodal();
@@ -217,9 +152,9 @@ main(int argc, char **argv)
         std::printf("{\n");
         std::printf(
             "  \"description\": \"Simulator event-core microbenchmark: "
-            "hold-model events/sec of the old std::priority_queue event "
-            "machinery vs the packed 4-ary EventQueue, plus the Figure "
-            "5/6 grid wall-clock serial vs --sweep-threads=%d.\",\n",
+            "hold-model events/sec of the packed 4-ary EventQueue, plus "
+            "the Figure 5/6 grid wall-clock serial vs "
+            "--sweep-threads=%d.\",\n",
             threads);
         std::printf("  \"date\": \"%s\",\n", date);
         std::printf("  \"config\": { \"jitter_mean_us\": 2.0, "
@@ -227,11 +162,8 @@ main(int argc, char **argv)
                     to_sec(bench::sim_duration()) * 1e3, threads);
         std::printf("  \"event_queue_hold\": [\n");
         for (size_t i = 0; i < rows.size(); ++i)
-            std::printf("    { \"queue_size\": %zu, "
-                        "\"legacy_meps\": %.1f, \"new_meps\": %.1f, "
-                        "\"speedup\": %.2f }%s\n",
-                        rows[i].size, rows[i].legacy_meps,
-                        rows[i].new_meps, rows[i].speedup,
+            std::printf("    { \"queue_size\": %zu, \"meps\": %.1f }%s\n",
+                        rows[i].size, rows[i].meps,
                         i + 1 < rows.size() ? "," : "");
         std::printf("  ],\n");
         std::printf("  \"fig_grid_wall_clock\": { \"serial_sec\": %.2f, "
@@ -242,12 +174,11 @@ main(int argc, char **argv)
     }
 
     bench::banner("micro_sim_core",
-                  "event-queue hold model (old pq vs EventQueue) and "
+                  "event-queue hold model (EventQueue) and "
                   "figure-grid wall clock (serial vs threads)");
-    std::printf("queue_size\tlegacy_Meps\tnew_Meps\tspeedup\n");
+    std::printf("queue_size\tMeps\n");
     for (const Row &r : rows)
-        std::printf("%zu\t%.1f\t%.1f\t%.2f\n", r.size, r.legacy_meps,
-                    r.new_meps, r.speedup);
+        std::printf("%zu\t%.1f\n", r.size, r.meps);
     std::printf("## fig05_06 grid wall clock\nmode\tseconds\n");
     std::printf("serial\t%.2f\nthreads%d\t%.2f\nspeedup\t%.2f\n", serial_sec,
                 threads, parallel_sec, serial_sec / parallel_sec);

@@ -25,6 +25,36 @@ enum class WorkPolicy {
                       ///< yields at run time, paper section 3.1)
 };
 
+/** Task coroutines per worker. The paper observes stable performance at
+ *  four or more and uses eight (section 5.1). */
+inline constexpr int kTasksPerWorker = 8;
+
+/**
+ * Sharded-mode dispatch backpressure (num_dispatchers > 1 only): a
+ * shard stops forwarding RX -> worker rings once its outstanding
+ * (assigned-but-unfinished) jobs reach this many per owned worker,
+ * keeping the excess in its MPMC RX. Without the window a shard runs
+ * arbitrarily far ahead of its workers and buries the backlog in
+ * private SPSC rings where siblings cannot steal it — stealing only
+ * rebalances work that is still in an RX queue. Not applied at
+ * num_dispatchers == 1, which forwards as fast as the rings accept,
+ * exactly as the pre-sharding dispatcher did.
+ */
+inline constexpr uint64_t kShardWindow = 64;
+
+/**
+ * Steal trigger: only shards advertising at least this much load (RX
+ * backlog + worker queue sum, see runtime/shard_front.h) are eligible
+ * victims. Keeps idle-pair shards from ping-ponging speculative pops
+ * at each other.
+ */
+inline constexpr uint32_t kStealMinLoad = 2;
+
+/** Per-thread trace-ring capacity in events (telemetry builds).
+ *  Overflow drops events and counts them; it never blocks a worker
+ *  (see OBSERVABILITY.md). */
+inline constexpr size_t kTelemetryTraceCapacity = 1 << 14;
+
 /** Runtime configuration. */
 struct RuntimeConfig
 {
@@ -70,20 +100,15 @@ struct RuntimeConfig
     /**
      * Adaptive quantum controller (DESIGN.md §4i): when true — and the
      * build has telemetry — Runtime::adapt_quanta() digests a telemetry
-     * snapshot through runtime/quantum_controller.h and republishes the
-     * per-class quantum table; workers pick the new budgets up at their
-     * next admission. Enables per-class mode even with an empty
+     * snapshot through runtime/quantum_controller.h, run with the
+     * QuantumControllerConfig defaults, and republishes the per-class
+     * quantum table; workers pick the new budgets up at their next
+     * admission. Enables per-class mode even with an empty
      * class_quantum_us (all classes start at quantum_us). Under
      * -DTQ_TELEMETRY=OFF the controller is compiled out and the table
      * statically keeps its configured values (adapt_quanta() == false).
      */
     bool adaptive_quantum = false;
-
-    double quantum_slo_slowdown = 5.0; ///< controller target: SLO-class
-                                       ///< p99 sojourn / mean service
-    double quantum_adapt_gain = 0.25;  ///< multiplicative step per tick
-    double quantum_min_us = 0.5;       ///< controller clamp floor
-    double quantum_max_us = 16.0;      ///< controller clamp ceiling
 
     /**
      * Dispatcher shards (DESIGN.md §4g). 1 — the default — is the
@@ -106,35 +131,10 @@ struct RuntimeConfig
      * popped once, by exactly one shard). 0 disables stealing: shards
      * are then statically partitioned and a hot shard can strand
      * capacity (cf. DESIGN.md §4g on why work conservation matters at
-     * microsecond scale).
+     * microsecond scale). Only siblings advertising at least
+     * kStealMinLoad are victims.
      */
     size_t steal_max_batch = 8;
-
-    /**
-     * Steal trigger: only shards advertising at least this much load
-     * (RX backlog + worker queue sum, see runtime/shard_front.h) are
-     * eligible victims. Keeps idle-pair shards from ping-ponging
-     * speculative pops at each other.
-     */
-    uint32_t steal_min_load = 2;
-
-    /**
-     * Sharded-mode dispatch backpressure (num_dispatchers > 1 only):
-     * a shard stops forwarding RX -> worker rings once its outstanding
-     * (assigned-but-unfinished) jobs reach shard_window per owned
-     * worker, keeping the excess in its MPMC RX. Without the window a
-     * shard runs arbitrarily far ahead of its workers and buries the
-     * backlog in private SPSC rings where siblings cannot steal it —
-     * stealing only rebalances work that is still in an RX queue. 0
-     * disables the window (classic run-ahead). Ignored at
-     * num_dispatchers == 1, which forwards as fast as the rings accept,
-     * exactly as the pre-sharding dispatcher did.
-     */
-    size_t shard_window = 64;
-
-    /** Task coroutines per worker. The paper observes stable performance
-     *  at four or more and uses eight (section 5.1). */
-    int tasks_per_worker = 8;
 
     size_t ring_capacity = 1 << 14; ///< per-ring request/response slots
     DispatchPolicy dispatch = DispatchPolicy::JsqMsq; ///< load balancer
@@ -173,11 +173,6 @@ struct RuntimeConfig
      * bottleneck and the RX queue has depth.
      */
     size_t dispatch_batch = 32;
-
-    /** Per-thread trace-ring capacity in events (telemetry builds).
-     *  Overflow drops events and counts them; it never blocks a worker
-     *  (see OBSERVABILITY.md). */
-    size_t telemetry_trace_capacity = 1 << 14;
 };
 
 } // namespace tq::runtime

@@ -48,7 +48,8 @@ struct ClassObservation
     double p99_sojourn_us = 0;  ///< p99 arrival -> completion
 };
 
-/** Control-law parameters (see RuntimeConfig for the runtime knobs). */
+/** Control-law parameters. The runtime runs the defaults;
+ *  bench/quanta_adaptive tunes them against the simulator. */
 struct QuantumControllerConfig
 {
     double target_slowdown = 5.0; ///< SLO: p99 sojourn / mean service

@@ -13,7 +13,7 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
     : cfg_(cfg),
       metrics_(std::make_unique<telemetry::MetricsRegistry>(
           cfg.num_workers,
-          telemetry::kEnabled ? cfg.telemetry_trace_capacity : 1,
+          telemetry::kEnabled ? kTelemetryTraceCapacity : 1,
           cfg.num_dispatchers)),
       quantum_table_(ns_to_cycles(cfg.quantum_us * 1e3)),
       assigned_(std::make_unique<std::atomic<uint64_t>[]>(
@@ -49,15 +49,9 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
                 static_cast<int>(c),
                 ns_to_cycles(cfg_.class_quantum_us[c] * 1e3));
         }
-        if (cfg_.adaptive_quantum && telemetry::kEnabled) {
-            QuantumControllerConfig qc;
-            qc.target_slowdown = cfg_.quantum_slo_slowdown;
-            qc.gain = cfg_.quantum_adapt_gain;
-            qc.min_quantum_us = cfg_.quantum_min_us;
-            qc.max_quantum_us = cfg_.quantum_max_us;
+        if (cfg_.adaptive_quantum && telemetry::kEnabled)
             controller_ = std::make_unique<QuantumController>(
-                qc, std::move(initial));
-        }
+                QuantumControllerConfig{}, std::move(initial));
     }
     for (int w = 0; w < cfg_.num_workers; ++w)
         workers_.push_back(std::make_unique<Worker>(
@@ -439,7 +433,7 @@ Runtime::steal_into(DispatcherShard &sh, Request *buf, size_t buf_len)
             continue;
         const uint32_t load =
             other->load_line.load.load(std::memory_order_relaxed);
-        if (load >= cfg_.steal_min_load && load > best) {
+        if (load >= kStealMinLoad && load > best) {
             best = load;
             victim = other->index;
         }
@@ -537,14 +531,14 @@ Runtime::dispatcher_main(int shard_index)
         const Lifecycle phase = lc_.phase();
         if (phase >= Lifecycle::Stopping)
             break;
-        if (sharded && cfg_.shard_window > 0) {
+        if (sharded) {
             // Backpressure: past the window, hold the backlog in RX
             // (where siblings can steal it) instead of burying it in
             // the workers' private rings. queue_sum is the view from
             // the last refresh, so the first test is free; only a full
             // window pays for a re-read before deciding to wait.
             const uint64_t window =
-                cfg_.shard_window * static_cast<uint64_t>(sh.span.count);
+                kShardWindow * static_cast<uint64_t>(sh.span.count);
             if (sh.queue_sum >= window) {
                 refresh_dispatch_views(sh);
                 publish_load(sh, 0);

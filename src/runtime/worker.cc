@@ -29,10 +29,9 @@ Worker::Worker(int id, const RuntimeConfig &cfg, Handler handler,
       dispatch_ring_(cfg.ring_capacity),
       tx_ring_(cfg.ring_capacity)
 {
-    TQ_CHECK(cfg_.tasks_per_worker > 0);
     TQ_CHECK(handler_);
     TQ_CHECK(lc_ != nullptr);
-    for (int t = 0; t < cfg_.tasks_per_worker; ++t) {
+    for (int t = 0; t < kTasksPerWorker; ++t) {
         auto task = std::make_unique<Task>();
         Task *raw = task.get();
         // Persistent coroutine body: serve jobs forever, yielding back to

@@ -39,12 +39,11 @@ class CentralSim
     CentralSim(const CentralConfig &cfg, const ServiceDist &dist,
                double rate)
         : cfg_(cfg),
-          core_(dist, rate, cfg.seed, cfg.duration, cfg.max_in_flight,
-                cfg.stop_when_saturated, cfg.warmup),
+          core_(dist, rate, cfg.seed, cfg.duration, cfg.stop_when_saturated,
+                cfg.arrival),
           cores_(static_cast<size_t>(cfg.num_cores))
     {
         TQ_CHECK(cfg.num_cores > 0);
-        core_.set_arrival(cfg.arrival);
     }
 
     SimResult

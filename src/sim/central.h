@@ -48,9 +48,7 @@ struct CentralConfig
     ArrivalSpec arrival;
 
     SimNanos duration = ms(200);
-    double warmup = 0.1;
     uint64_t seed = 1;
-    size_t max_in_flight = 1u << 20;
 
     /** Stop once saturation is detected; see TwoLevelConfig for the
      *  contract (the `saturated` flag is unaffected). */

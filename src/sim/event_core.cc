@@ -3,15 +3,15 @@
 namespace tq::sim {
 
 EngineCore::EngineCore(const ServiceDist &dist, double rate, uint64_t seed,
-                       SimNanos duration, size_t max_in_flight,
-                       bool stop_when_saturated, double warmup)
+                       SimNanos duration, bool stop_when_saturated,
+                       const ArrivalSpec &arrival)
     : dist_(dist),
       rate_(rate),
       duration_(duration),
-      max_in_flight_(max_in_flight),
       stop_when_saturated_(stop_when_saturated),
+      arrival_(make_arrival_process(arrival, rate)),
       rng_(seed),
-      metrics_(dist.class_names(), warmup)
+      metrics_(dist.class_names(), kWarmup)
 {
     TQ_CHECK(rate > 0);
     TQ_CHECK(duration > 0);
@@ -28,7 +28,7 @@ EngineCore::EngineCore(const ServiceDist &dist, double rate, uint64_t seed,
 uint32_t
 EngineCore::try_admit(double demand_scale)
 {
-    if (in_flight_ >= max_in_flight_) {
+    if (in_flight_ >= kMaxInFlight) {
         ++dropped_;
         saturated_ = true;
         return kNoJob;

@@ -18,10 +18,11 @@
  *    lazily as arrivals stream out of the RNG; the slab's high-water
  *    mark is the peak concurrency, not the total arrival count, and it
  *    is reused across quanta within a run.
- *  - EngineCore: the common driver — streaming Poisson arrivals,
- *    admission with the in-flight saturation guard, the event loop with
- *    hard-stop/backlog checks, metrics collection, and SimResult
- *    finalization. Engines keep only their scheduling logic.
+ *  - EngineCore: the common run loop — streaming arrivals from the
+ *    configured process, admission with the in-flight saturation guard,
+ *    the event loop with hard-stop/backlog checks, metrics collection,
+ *    and SimResult finalization. Engines keep only their scheduling
+ *    logic.
  */
 #ifndef TQ_SIM_EVENT_CORE_H
 #define TQ_SIM_EVENT_CORE_H
@@ -276,9 +277,6 @@ class JobArena
     Job &operator[](uint32_t idx) { return slab_[idx]; }
     const Job &operator[](uint32_t idx) const { return slab_[idx]; }
 
-    /** Peak concurrent jobs ever alive (slab size). */
-    size_t high_water() const { return slab_.size(); }
-
   private:
     std::vector<Job> slab_;
     std::vector<uint32_t> free_;
@@ -297,14 +295,23 @@ class EngineCore
   public:
     static constexpr uint32_t kNoJob = JobArena::kNone;
 
+    /** Fraction of the completions discarded as warm-up by the metrics. */
+    static constexpr double kWarmup = 0.1;
+
+    /** Saturation guard: an arrival finding this many jobs in flight is
+     *  dropped and the run marked saturated. */
+    static constexpr size_t kMaxInFlight = 1u << 20;
+
     /**
      * @param stop_when_saturated end the run as soon as saturation is
      * detected instead of draining; see the config structs for the
      * contract (the `saturated` flag is unaffected).
+     * @param arrival the arrival process every next_arrival_after() draw
+     * comes from (Poisson by default).
      */
     EngineCore(const ServiceDist &dist, double rate, uint64_t seed,
-               SimNanos duration, size_t max_in_flight,
-               bool stop_when_saturated, double warmup);
+               SimNanos duration, bool stop_when_saturated,
+               const ArrivalSpec &arrival);
 
     Rng &rng() { return rng_; }
     SimNanos now() const { return now_; }
@@ -319,36 +326,19 @@ class EngineCore
     }
 
     /**
-     * Next arrival instant after @p from. The default (no installed
-     * process) is the streaming Poisson draw — one exponential at the
-     * mean gap, byte-identical to the historical inline code so every
-     * figure bench replays unchanged. With set_arrival() the draw comes
-     * from the installed process (MMPP/on-off/diurnal) instead, using
-     * the same engine RNG so the service/arrival draw interleave stays
-     * a pure function of the seed.
+     * Next arrival instant after @p from, drawn from the arrival
+     * process with the engine RNG, so the service/arrival draw
+     * interleave stays a pure function of the seed. The Poisson process
+     * draws one exponential at the mean gap, value-identical to the
+     * historical inline code, so every figure bench replays unchanged.
      */
     SimNanos
     next_arrival_after(SimNanos from)
     {
-        const SimNanos t = arrival_ != nullptr
-                               ? arrival_->next(from, rng_)
-                               : from + rng_.exponential(1.0 / rate_);
+        const SimNanos t = arrival_->next(from, rng_);
         if (arrival_trace_ != nullptr)
             arrival_trace_->push_back(t);
         return t;
-    }
-
-    /**
-     * Install a non-Poisson arrival process (Kind::Poisson uninstalls —
-     * the default inline draw is already exactly Poisson, and keeping
-     * it branch-local preserves the byte-identical replay guarantee).
-     */
-    void
-    set_arrival(const ArrivalSpec &spec)
-    {
-        arrival_ = spec.kind == ArrivalSpec::Kind::Poisson
-                       ? nullptr
-                       : make_arrival_process(spec, rate_);
     }
 
     /**
@@ -360,13 +350,6 @@ class EngineCore
     void set_arrival_trace(std::vector<double> *trace)
     {
         arrival_trace_ = trace;
-    }
-
-    /** Modulation phases entered by the installed process (0 = Poisson). */
-    uint64_t
-    arrival_phases_begun() const
-    {
-        return arrival_ != nullptr ? arrival_->phases_begun() : 0;
     }
 
     /**
@@ -424,10 +407,8 @@ class EngineCore
     const ServiceDist &dist_;
     double rate_;
     SimNanos duration_;
-    size_t max_in_flight_;
     bool stop_when_saturated_;
 
-    /** Installed non-Poisson arrival process (null = Poisson draw). */
     std::unique_ptr<ArrivalProcess> arrival_;
     std::vector<double> *arrival_trace_ = nullptr;
 

@@ -61,15 +61,14 @@ class TwoLevelSim
     TwoLevelSim(const TwoLevelConfig &cfg, const ServiceDist &dist,
                 double rate)
         : cfg_(cfg),
-          core_(dist, rate, cfg.seed, cfg.duration, cfg.max_in_flight,
-                cfg.stop_when_saturated, cfg.warmup),
+          core_(dist, rate, cfg.seed, cfg.duration, cfg.stop_when_saturated,
+                cfg.arrival),
           fanout_(static_cast<uint32_t>(cfg.fanout))
     {
         TQ_CHECK(cfg.num_cores > 0);
         TQ_CHECK(cfg.num_dispatchers > 0);
         TQ_CHECK(cfg.num_dispatchers <= cfg.num_cores);
         TQ_CHECK(cfg.fanout >= 1);
-        core_.set_arrival(cfg.arrival);
         core_.set_arrival_trace(cfg.arrival_trace);
         dispatchers_.reserve(static_cast<size_t>(cfg.num_dispatchers));
         for (int d = 0; d < cfg.num_dispatchers; ++d)

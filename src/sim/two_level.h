@@ -138,9 +138,7 @@ struct TwoLevelConfig
     int fanout = 1;
 
     SimNanos duration = ms(200); ///< arrival-generation window
-    double warmup = 0.1;         ///< discarded sample prefix
     uint64_t seed = 1;
-    size_t max_in_flight = 1u << 20; ///< saturation guard
 
     /**
      * End the run as soon as saturation is detected (in-flight cap hit,

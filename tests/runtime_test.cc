@@ -723,7 +723,6 @@ TEST(Sharded, StealRebalancesSkewedBacklog)
     cfg.num_workers = 2;
     cfg.num_dispatchers = 2;
     cfg.steal_max_batch = 8;
-    cfg.steal_min_load = 2;
     Runtime rt(cfg, spin_handler());
     constexpr uint64_t kJobs = 3000;
     for (uint64_t i = 0; i < kJobs; ++i)

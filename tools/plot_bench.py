@@ -14,9 +14,9 @@ dependency; the benches themselves never need it.
 
 A .json input is treated as a recorded calibration run and dispatched
 on its keys: dispatcher_throughput rows (BENCH_dispatch.json) become a
-grouped before/after Mrps bar chart plus a speedup series;
-event_queue_hold rows (BENCH_sim.json) become legacy-vs-new events/sec
-bars over queue size plus the per-bench figure-suite speedup chart;
+per-worker-count Mrps bar chart plus the sharded-dispatcher scaling
+panel; event_queue_hold rows (BENCH_sim.json) become events/sec bars
+over queue size plus the per-bench figure-suite speedup chart;
 a scenarios document (BENCH_scenarios.json) becomes baseline-vs-bursty
 p999 bars plus the fan-out sojourn curves; a quanta document
 (BENCH_quanta.json) becomes the fixed-quantum sweep with per-class and
@@ -85,16 +85,12 @@ def parse_tables(lines):
 
 
 def plot_dispatch_json(path, output):
-    """Render BENCH_dispatch.json: hot-path Mrps bars, speedup, and the
+    """Render BENCH_dispatch.json: hot-path Mrps bars and the
     sharded-dispatcher scaling panel when the run recorded one."""
     with open(path) as f:
         data = json.load(f)
     rows = data["dispatcher_throughput"]
     workers = [r["workers"] for r in rows]
-    before_mrps = [1e3 / r["before_ns_per_job"] for r in rows]
-    after_mrps = [r.get("after_mrps", 1e3 / r["after_ns_per_job"])
-                  for r in rows]
-    scalar_ns = [r.get("legacy_scalar_ns") for r in rows]
     sharded = data.get("sharded_scaling")
 
     import matplotlib
@@ -102,64 +98,50 @@ def plot_dispatch_json(path, output):
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    ncols = 3 if sharded else 2
+    ncols = 2 if sharded else 1
     fig, axes = plt.subplots(1, ncols, figsize=(5.5 * ncols, 4.5),
                              squeeze=False)
-    ax, ax2 = axes[0][0], axes[0][1]
+    ax = axes[0][0]
     xs = range(len(workers))
     width = 0.38
-    ax.bar([x - width / 2 for x in xs], before_mrps, width,
-           label="batched views (before)")
-    ax.bar([x + width / 2 for x in xs], after_mrps, width,
-           label="packed view (after)")
+    ax.bar(list(xs), [r["packed_mrps"] for r in rows], width)
+    for x, r in zip(xs, rows):
+        ax.annotate(f'{r["packed_ns"]:.1f} ns', (x, r["packed_mrps"]),
+                    ha="center", va="bottom", fontsize=8)
     ax.set_xticks(list(xs))
     ax.set_xticklabels([str(w) for w in workers])
     ax.set_xlabel("workers")
     ax.set_ylabel("dispatcher Mrps")
     ax.set_title("dispatcher throughput, one shard", fontsize=9)
-    ax.legend(fontsize=8)
     ax.grid(True, axis="y", alpha=0.3)
 
-    if all(scalar_ns):
-        ax2.plot(workers,
-                 [s / r["after_ns_per_job"]
-                  for s, r in zip(scalar_ns, rows)],
-                 marker="o", label="packed vs legacy scalar")
-    ax2.axhline(1.5, linestyle="--", alpha=0.5, label="1.5x target")
-    ax2.set_xlabel("workers")
-    ax2.set_ylabel("speedup (x)")
-    ax2.set_ylim(bottom=0)
-    ax2.set_title("hot-path speedup vs legacy", fontsize=9)
-    ax2.legend(fontsize=8)
-    ax2.grid(True, alpha=0.3)
-
     if sharded:
-        ax3 = axes[0][2]
+        ax2 = axes[0][1]
         rt = sharded["runtime_isolated"]
         sim = sharded["sim_capacity_64c_0p5us_slo10"]
         shard_counts = [r["shards"] for r in rt]
-        xs3 = range(len(shard_counts))
-        ax3.bar([x - width / 2 for x in xs3],
+        xs2 = range(len(shard_counts))
+        ax2.bar([x - width / 2 for x in xs2],
                 [r["scaling_x"] for r in rt], width,
                 label="runtime (isolated per-shard)")
-        ax3.bar([x + width / 2 for x in xs3],
+        ax2.bar([x + width / 2 for x in xs2],
                 [r["scaling_x"] for r in sim], width,
                 label="sim cluster capacity")
-        for x, r in zip(xs3, sim):
-            ax3.annotate(f'{r["max_mrps"]:.0f} Mrps',
+        for x, r in zip(xs2, sim):
+            ax2.annotate(f'{r["max_mrps"]:.0f} Mrps',
                          (x + width / 2, r["scaling_x"]), ha="center",
                          va="bottom", fontsize=7)
-        ax3.plot([x - 0.5 for x in xs3] + [len(shard_counts) - 0.5],
+        ax2.plot([x - 0.5 for x in xs2] + [len(shard_counts) - 0.5],
                  [s for s in shard_counts] + [shard_counts[-1]],
                  drawstyle="steps-post", linestyle=":", alpha=0.6,
                  label="linear")
-        ax3.set_xticks(list(xs3))
-        ax3.set_xticklabels([str(s) for s in shard_counts])
-        ax3.set_xlabel("dispatcher shards")
-        ax3.set_ylabel("aggregate scaling vs 1 shard (x)")
-        ax3.set_title("sharded tier scaling (fig17)", fontsize=9)
-        ax3.legend(fontsize=8)
-        ax3.grid(True, axis="y", alpha=0.3)
+        ax2.set_xticks(list(xs2))
+        ax2.set_xticklabels([str(s) for s in shard_counts])
+        ax2.set_xlabel("dispatcher shards")
+        ax2.set_ylabel("aggregate scaling vs 1 shard (x)")
+        ax2.set_title("sharded tier scaling (fig17)", fontsize=9)
+        ax2.legend(fontsize=8)
+        ax2.grid(True, axis="y", alpha=0.3)
 
     fig.tight_layout()
     fig.savefig(output, dpi=130)
@@ -183,20 +165,12 @@ def plot_sim_json(path, output):
                              squeeze=False)
     ax = axes[0][0]
     xs = range(len(hold))
-    width = 0.38
-    ax.bar([x - width / 2 for x in xs], [r["legacy_meps"] for r in hold],
-           width, label="std::priority_queue (before)")
-    ax.bar([x + width / 2 for x in xs], [r["new_meps"] for r in hold],
-           width, label="EventQueue (after)")
-    for x, r in zip(xs, hold):
-        ax.annotate(f'{r["speedup"]:.2f}x', (x + width / 2, r["new_meps"]),
-                    ha="center", va="bottom", fontsize=8)
+    ax.bar(list(xs), [r["meps"] for r in hold], 0.5)
     ax.set_xticks(list(xs))
     ax.set_xticklabels([f'{r["queue_size"]:,}' for r in hold])
     ax.set_xlabel("steady queue size (events)")
     ax.set_ylabel("hold-model Mevents/s")
-    ax.set_title("event queue: old vs new machinery", fontsize=9)
-    ax.legend(fontsize=8)
+    ax.set_title("EventQueue hold model", fontsize=9)
     ax.grid(True, axis="y", alpha=0.3)
 
     if suite:
@@ -208,7 +182,7 @@ def plot_sim_json(path, output):
         ax2.invert_yaxis()
         ax2.axvline(1.0, linestyle="--", alpha=0.5)
         ax2.set_xlabel("wall-clock speedup vs seed (x)")
-        cpus = data.get("machine", {}).get("cpus")
+        cpus = data["figure_suite"].get("cpus")
         host = f" ({cpus}-CPU host)" if cpus else ""
         ax2.set_title(f"figure-suite wall clock{host}", fontsize=9)
         ax2.grid(True, axis="x", alpha=0.3)
