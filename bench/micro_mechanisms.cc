@@ -16,6 +16,11 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <pthread.h>
+#include <sched.h>
+
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "common/cycles.h"
@@ -210,7 +215,7 @@ BM_DispatchBatchPacked(benchmark::State &state)
             benchmark::DoNotOptimize(best);
             view.bump_len(static_cast<size_t>(best));
             ++assigned[best];
-            lines[best].finished.fetch_add(1, std::memory_order_relaxed);
+            owner_add(lines[best].finished, 1);
         }
     }
     state.SetItemsProcessed(state.iterations() *
@@ -232,21 +237,85 @@ BENCHMARK(BM_PreemptGuard);
 void
 BM_TelemetryCounterInc(benchmark::State &state)
 {
-    // One relaxed fetch_add on a cache-line-padded per-worker counter:
+    // One owner-only add on a cache-line-padded per-worker counter:
     // what a recording site pays besides the branch on telem != nullptr.
     telemetry::WorkerCounters counters;
-    for (auto _ : state)
-        counters.quanta.fetch_add(1, std::memory_order_relaxed);
+    for (auto _ : state) {
+        owner_add(counters.quanta, 1);
+        benchmark::ClobberMemory();
+    }
     benchmark::DoNotOptimize(
         counters.quanta.load(std::memory_order_relaxed));
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TelemetryCounterInc);
 
+/** Pins the calling thread to @p cpu (no-op when it cannot). */
+void
+pin_to(int cpu)
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+}
+
+void
+BM_IncAfterPolledStore(benchmark::State &state)
+{
+    // The mechanism behind owner_add (conc/cacheline.h): a worker
+    // publishes to a line another core polls (a ring index, a stats
+    // line), then bumps a counter of its own. Arg 0 bumps it with a
+    // relaxed fetch_add, which on x86 is a lock-prefixed full barrier:
+    // it waits for the published store to win the polled line back.
+    // Arg 1 bumps it with owner_add, a plain load and store. Both
+    // threads are pinned to distinct CPUs; the poller spins with the
+    // runtime's pause.
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    sched_getaffinity(0, sizeof(allowed), &allowed);
+    std::vector<int> cpus;
+    for (int c = 0; c < CPU_SETSIZE && cpus.size() < 2; ++c)
+        if (CPU_ISSET(c, &allowed))
+            cpus.push_back(c);
+    if (cpus.size() < 2) {
+        state.SkipWithError("needs two CPUs");
+        return;
+    }
+    const bool owner = state.range(0) != 0;
+    state.SetLabel(owner ? "owner_add" : "fetch_add");
+    PaddedAtomic<uint64_t> polled;
+    PaddedAtomic<uint64_t> counter;
+    std::atomic<bool> stop{false};
+    std::thread poller([&] {
+        pin_to(cpus[1]);
+        while (!stop.load(std::memory_order_relaxed)) {
+            benchmark::DoNotOptimize(
+                polled.value.load(std::memory_order_relaxed));
+            cpu_relax();
+        }
+    });
+    pin_to(cpus[0]);
+    uint64_t i = 0;
+    for (auto _ : state) {
+        polled.value.store(++i, std::memory_order_release);
+        if (owner)
+            owner_add(counter.value, 1);
+        else
+            counter.value.fetch_add(1, std::memory_order_relaxed);
+    }
+    stop.store(true, std::memory_order_relaxed);
+    poller.join();
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+    benchmark::DoNotOptimize(counter.value.load(std::memory_order_relaxed));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IncAfterPolledStore)->ArgName("owner")->Arg(0)->Arg(1);
+
 void
 BM_TelemetryHistogramAdd(benchmark::State &state)
 {
-    // Bucket index (clz) + three relaxed fetch_adds.
+    // Bucket index (clz) + three owner-only adds.
     telemetry::CycleHistogram hist;
     uint64_t v = 1;
     for (auto _ : state) {

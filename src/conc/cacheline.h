@@ -8,11 +8,12 @@
  * shared variables from false-sharing.
  *
  * Layout discipline (docs/cache_line_analysis.md): every cross-thread
- * line has exactly one writing thread, padding is explicit and stated,
- * and each packed struct carries a static_assert on its size and
- * alignment so a field addition fails the build instead of silently
- * false-sharing. tests/layout_test.cc exercises the same invariants at
- * runtime with real objects.
+ * line has exactly one writing thread (which bumps its counters with
+ * owner_add(), below), padding is explicit and stated, and each packed
+ * struct carries a static_assert on its size and alignment so a field
+ * addition fails the build instead of silently false-sharing.
+ * tests/layout_test.cc exercises the same invariants at runtime with
+ * real objects.
  */
 #ifndef TQ_CONC_CACHELINE_H
 #define TQ_CONC_CACHELINE_H
@@ -20,6 +21,7 @@
 #include <atomic>
 #include <cstddef>
 #include <new>
+#include <type_traits>
 
 namespace tq {
 
@@ -98,6 +100,30 @@ static_assert(sizeof(PaddedAtomic<size_t>) == kCacheLineSize &&
               "a padded cursor must own exactly one line");
 static_assert(sizeof(CacheAligned<char[kCacheLineSize]>) == kCacheLineSize,
               "an exactly line-sized payload must not grow a second line");
+
+/**
+ * Owner-only add: `a += n` on a counter with exactly one writing thread.
+ *
+ * The single-writer rule above makes a read-modify-write unnecessary:
+ * no other thread stores to @p a, so a relaxed load plus a relaxed
+ * store is the same update. It compiles to a plain load and store. A
+ * relaxed fetch_add would not be cheaper: on x86 it is still a
+ * `lock`-prefixed instruction, a full barrier that stalls the writer
+ * until its earlier stores to other shared lines have left the core.
+ * Readers keep their relaxed loads and see every value whole.
+ *
+ * Wraps exactly like fetch_add (T is unsigned), so a decrement is the
+ * add of the negated delta. A second writer would lose updates: counters
+ * that more than one thread bumps keep fetch_add.
+ */
+template <typename T>
+inline void
+owner_add(std::atomic<T> &a, std::type_identity_t<T> n)
+{
+    static_assert(std::is_unsigned_v<T>, "wrapping add needs unsigned T");
+    a.store(static_cast<T>(a.load(std::memory_order_relaxed) + n),
+            std::memory_order_relaxed);
+}
 
 /** Pause hint for spin loops (PAUSE on x86, plain nop elsewhere). */
 inline void

@@ -96,13 +96,28 @@ class SpscRing
     bool
     push(T value)
     {
+        return push_with([&value](T &slot) { slot = std::move(value); });
+    }
+
+    /**
+     * Enqueue by filling the next slot in place: @p fill(slot) runs only
+     * once the ring has room. Producer-side only. The room test reads
+     * the cached consumer index and re-reads the shared one only when
+     * the cache says full, so a ring that stays full costs one load per
+     * call and never builds the value it would drop.
+     * @return false if the ring is full (@p fill not called).
+     */
+    template <typename Fill>
+    bool
+    push_with(Fill &&fill)
+    {
         const size_t head = prod_.head.load(std::memory_order_relaxed);
         if (head - prod_.cached_tail > mask_) {
             prod_.cached_tail = cons_.tail.load(std::memory_order_acquire);
             if (head - prod_.cached_tail > mask_)
                 return false;
         }
-        slots_[head & mask_] = std::move(value);
+        fill(slots_[head & mask_]);
         prod_.head.store(head + 1, std::memory_order_release);
         return true;
     }

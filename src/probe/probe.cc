@@ -23,8 +23,7 @@ probe_expired(ProbeState &s)
         // Record the deferral once per expiry, not once per probe that
         // re-observes the already-passed deadline inside the guard.
         if (!s.yield_pending && s.telem != nullptr) {
-            s.telem->counters.guard_deferrals.fetch_add(
-                1, std::memory_order_relaxed);
+            owner_add(s.telem->counters.guard_deferrals, 1);
             s.telem->trace.record(telemetry::EventKind::GuardDeferredYield,
                                   s.telem_job);
         }
@@ -37,7 +36,7 @@ probe_expired(ProbeState &s)
     ++s.yields;
 #if defined(TQ_TELEMETRY_ENABLED)
     if (s.telem != nullptr) {
-        s.telem->counters.yields.fetch_add(1, std::memory_order_relaxed);
+        owner_add(s.telem->counters.yields, 1);
         s.telem->trace.record(telemetry::EventKind::ProbeYield,
                               s.telem_job);
     }

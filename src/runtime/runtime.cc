@@ -403,11 +403,18 @@ Runtime::push_request(DispatcherShard &sh, int target, const Request &req)
 {
     TQ_FAULT_SITE(DispatcherPush);
     auto &ring = workers_[static_cast<size_t>(target)]->dispatch_ring();
+    return ring.push(req) || push_request_spin(sh, ring, req);
+}
+
+bool
+Runtime::push_request_spin(DispatcherShard &sh, SpscRing<Request> &ring,
+                           const Request &req)
+{
     // Worker ring full: bounded backpressure — spin with a stop check,
     // then a counted drop — mirroring the worker's TX policy.
     const size_t limit = cfg_.push_spin_limit;
     size_t spins = 0;
-    while (!ring.push(req)) {
+    do {
         if (lc_.force_stop() || (limit != 0 && spins >= limit)) {
             sh.counters.abandoned.fetch_add(1, std::memory_order_relaxed);
             return false;
@@ -415,7 +422,7 @@ Runtime::push_request(DispatcherShard &sh, int target, const Request &req)
         ++spins;
         sh.counters.full_spins.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::yield();
-    }
+    } while (!ring.push(req));
     return true;
 }
 
@@ -447,7 +454,7 @@ Runtime::steal_into(DispatcherShard &sh, Request *buf, size_t buf_len)
     if (got > 0) {
         telemetry::DispatcherTelemetry &dt =
             metrics_->dispatcher(sh.index);
-        dt.steals.fetch_add(1, std::memory_order_relaxed);
+        owner_add(dt.steals, 1);
         dt.steal_batch.add(got);
     }
 #endif
@@ -490,15 +497,13 @@ Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
             if (!push_request(sh, target, req))
                 continue; // dropped (counted); the outer loop
                           // re-checks the phase per batch
-            assigned_[static_cast<size_t>(target)].fetch_add(
-                1, std::memory_order_relaxed);
-            sh.counters.dispatched_total.fetch_add(
-                1, std::memory_order_relaxed);
+            owner_add(assigned_[static_cast<size_t>(target)], 1);
+            owner_add(sh.counters.dispatched_total, 1);
             ++pushed;
 #if defined(TQ_TELEMETRY_ENABLED)
             telemetry::DispatcherTelemetry &dt =
                 metrics_->dispatcher(sh.index);
-            dt.dispatched.fetch_add(1, std::memory_order_relaxed);
+            owner_add(dt.dispatched, 1);
             dt.dispatch_cycles.add(dispatched_at - req.arrival_cycles);
             dt.trace.record(telemetry::EventKind::JobDispatched, req.id,
                             static_cast<uint32_t>(target));

@@ -73,6 +73,8 @@ namespace tq::runtime {
  * (docs/cache_line_analysis.md). Writer: the owning shard's dispatcher
  * thread (plus the drain()/stop() caller for `abandoned`, strictly
  * after the dispatchers have exited); readers: cold stats accessors.
+ * `dispatched_total` therefore moves by owner_add(); the two rare-path
+ * counters keep their fetch_add.
  */
 struct alignas(kCacheLineSize) DispatcherCounters
 {
@@ -351,6 +353,11 @@ class Runtime
     int pick_shard();
     void refresh_dispatch_views(DispatcherShard &sh);
     bool push_request(DispatcherShard &sh, int target, const Request &req);
+    /** push_request()'s ring-full spin, kept out of the dispatch path
+     *  (its counters are read-modify-writes; see check_hot_locks.py). */
+    [[gnu::cold, gnu::noinline]] bool
+    push_request_spin(DispatcherShard &sh, SpscRing<Request> &ring,
+                      const Request &req);
     void publish_load(DispatcherShard &sh, uint64_t just_pushed);
     size_t steal_into(DispatcherShard &sh, Request *buf, size_t buf_len);
 
@@ -374,7 +381,9 @@ class Runtime
     /** Per-worker assigned counts. Writer: the owning shard's
      *  dispatcher; readers: queue_lengths() callers (relaxed — the JSQ
      *  view is approximate by design, paper section 4). Workers are
-     *  owned by exactly one shard, so each slot has one writer. */
+     *  owned by exactly one shard, so each slot has one writer (a
+     *  stolen job is counted by the thief, which owns the worker it
+     *  pushes to) and moves by owner_add(). */
     std::unique_ptr<std::atomic<uint64_t>[]> assigned_;
 
     /** External readers' wrap state, guarded by stats_mu_. */

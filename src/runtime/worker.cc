@@ -79,8 +79,7 @@ Worker::poll_admissions()
             const int slot = sched_.admit(task, pending[i].job_class);
             task->budget_cycles = quanta_.load(slot);
 #if defined(TQ_TELEMETRY_ENABLED)
-            telem_->counters.admitted.fetch_add(1,
-                                               std::memory_order_relaxed);
+            owner_add(telem_->counters.admitted, 1);
 #endif
         }
         if (got < want)
@@ -94,7 +93,7 @@ Worker::run_one_slice()
     TQ_FAULT_SITE(WorkerSlice);
     const auto [e, promoted] = sched_.next();
     if (promoted)
-        starvation_promotions_.fetch_add(1, std::memory_order_relaxed);
+        count_promotion();
     Task *task = e.handle;
 
     // The paper's call_the_yield binding: before resuming, point the
@@ -114,13 +113,12 @@ Worker::run_one_slice()
     bind_telemetry(telem_, task->req.id);
     if (e.quanta == 0) // first slice: the job's queueing stage ends
         telem_->queue_cycles.add(slice_start - task->req.dispatch_cycles);
-    telem_->counters.quanta.fetch_add(1, std::memory_order_relaxed);
+    owner_add(telem_->counters.quanta, 1);
     telem_->trace.record(telemetry::EventKind::QuantumStart, task->req.id,
                          e.quanta);
     if (classes_tracked()) {
-        telem_->class_grants[e.slot].fetch_add(1, std::memory_order_relaxed);
-        telem_->class_granted_cycles[e.slot].fetch_add(
-            budget, std::memory_order_relaxed);
+        owner_add(telem_->class_grants[e.slot], 1);
+        owner_add(telem_->class_granted_cycles[e.slot], budget);
     }
 #endif
     if (cfg_.work == WorkPolicy::Fcfs)
@@ -153,8 +151,8 @@ Worker::run_one_slice()
     } else {
         // Preempted: account the serviced quantum and requeue — tail of
         // the PS ring, or heap reinsert with the bumped quanta for LAS.
-        stats_.current_quanta.fetch_add(1, std::memory_order_relaxed);
-        stats_.total_quanta.fetch_add(1, std::memory_order_relaxed);
+        owner_add(stats_.current_quanta, 1);
+        owner_add(stats_.total_quanta, 1);
         sched_.requeue(e);
     }
 }
@@ -162,14 +160,21 @@ Worker::run_one_slice()
 bool
 Worker::push_response(const Response &resp)
 {
-    // Response leaves directly from the worker (paper section 3.2). If
-    // the TX ring is full the collector is behind: bounded backpressure —
-    // spin with a stop check, then a counted drop — so a collector that
-    // stopped draining can never wedge this thread (or shutdown) forever.
+    // Response leaves directly from the worker (paper section 3.2).
     TQ_FAULT_SITE(WorkerComplete);
+    return tx_ring_.push(resp) || push_response_spin(resp);
+}
+
+bool
+Worker::push_response_spin(const Response &resp)
+{
+    // The TX ring is full, so the collector is behind: bounded
+    // backpressure — spin with a stop check, then a counted drop — so a
+    // collector that stopped draining can never wedge this thread (or
+    // shutdown) forever.
     const size_t limit = cfg_.push_spin_limit;
     size_t spins = 0;
-    while (!tx_ring_.push(resp)) {
+    do {
         if (lc_->force_stop() || (limit != 0 && spins >= limit)) {
             dropped_responses_.fetch_add(1, std::memory_order_relaxed);
             return false;
@@ -177,8 +182,14 @@ Worker::push_response(const Response &resp)
         ++spins;
         tx_full_spins_.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::yield();
-    }
+    } while (!tx_ring_.push(resp));
     return true;
+}
+
+void
+Worker::count_promotion()
+{
+    starvation_promotions_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -200,18 +211,17 @@ Worker::complete(const Sched::Entry &e)
     // Publish to the dispatcher's cache line even when the response was
     // dropped: the job *did* finish, and the JSQ view must not leak
     // queue length.
-    stats_.finished.fetch_add(1, std::memory_order_relaxed);
-    stats_.current_quanta.fetch_sub(e.quanta, std::memory_order_relaxed);
+    owner_add(stats_.finished, 1);
+    owner_add(stats_.current_quanta, 0u - e.quanta);
     sched_.finish(e);
 #if defined(TQ_TELEMETRY_ENABLED)
-    telem_->counters.finished.fetch_add(1, std::memory_order_relaxed);
+    owner_add(telem_->counters.finished, 1);
     telem_->service_cycles.add(task->service_cycles);
     telem_->trace.record(telemetry::EventKind::JobFinished, task->req.id);
     if (classes_tracked()) {
         // Per-class controller feed (DESIGN.md §4i): attained service
         // and sojourn keyed by the quantum-table slot.
-        telem_->class_finished[e.slot].fetch_add(1,
-                                                 std::memory_order_relaxed);
+        owner_add(telem_->class_finished[e.slot], 1);
         telem_->class_service[e.slot].add(task->service_cycles);
         telem_->class_sojourn[e.slot].add(resp.done_cycles -
                                           task->req.arrival_cycles);

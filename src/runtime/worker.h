@@ -167,6 +167,12 @@ class Worker
     void run_one_slice();
     void complete(const Sched::Entry &e);
     bool push_response(const Response &resp);
+    /** push_response()'s TX-full spin, kept out of the completion path
+     *  (its counters are read-modify-writes; see check_hot_locks.py). */
+    [[gnu::cold, gnu::noinline]] bool push_response_spin(const Response &resp);
+    /** Counts one starvation-guard promotion, out of run_one_slice()
+     *  for the same reason. */
+    [[gnu::cold, gnu::noinline]] void count_promotion();
 
     /** Per-class telemetry instruments record only when classes have
      *  ledger slots of their own; the one-slot fixed path leaves them

@@ -23,12 +23,14 @@ namespace tq::runtime {
  * One worker's shared statistics cache line. Writer: the worker, and
  * only the worker — the dispatcher and stats readers load it but never
  * store, so the line ping-pongs at the worker's completion rate, not
- * the (much higher) dispatch rate. The three counters live together
- * deliberately: the dispatcher's JSQ/MSQ refresh wants `finished` and
- * `current_quanta` in the same load, and one line per worker keeps the
- * 16-worker refresh to 16 line reads. Field order is the read order of
- * refresh_dispatch_views(); the pad keeps neighbouring workers' lines
- * (e.g. in a bench's contiguous array) from false-sharing.
+ * the (much higher) dispatch rate. The one writer updates it with
+ * owner_add() (conc/cacheline.h), never a lock-prefixed RMW. The
+ * three counters live together deliberately: the dispatcher's JSQ/MSQ
+ * refresh wants `finished` and `current_quanta` in the same load, and
+ * one line per worker keeps the 16-worker refresh to 16 line reads.
+ * Field order is the read order of refresh_dispatch_views(); the pad
+ * keeps neighbouring workers' lines (e.g. in a bench's contiguous
+ * array) from false-sharing.
  */
 struct alignas(kCacheLineSize) WorkerStatsLine
 {

@@ -4,8 +4,11 @@
  * readable log-bucketed histograms, aggregated by a MetricsRegistry.
  *
  * Layout follows the dispatcher/worker counter contract of the paper
- * (section 4): every writer owns its own cache line, readers only load,
- * and nothing on the hot path takes a lock or issues an ordered RMW.
+ * (section 4): every writer owns its own cache line and readers only
+ * load. Nothing on the hot path takes a lock or issues any atomic
+ * read-modify-write: each counter has one writer, which bumps it with
+ * owner_add() (conc/cacheline.h), a plain load and store. A relaxed
+ * fetch_add would still be a lock-prefixed full barrier on x86.
  * Snapshots are therefore safe *while the runtime is running*: they are
  * per-counter linearizable (each value is a single relaxed load) but not
  * a cross-counter atomic cut — totals observed across counters may be
@@ -41,9 +44,10 @@ inline constexpr int kMaxTrackedClasses = 8;
 /**
  * Lock-free log2-bucketed histogram of cycle counts.
  *
- * add() is wait-free (three relaxed fetch_adds on writer-owned lines in
- * the common case of one writer per instance); any thread may snapshot
- * concurrently. Bucket i counts values in [2^i, 2^(i+1)), with values 0
+ * add() is wait-free: three owner-only adds (owner_add(), a plain load
+ * and store each) on lines of its one writing thread. Any thread may
+ * snapshot concurrently. A histogram with two writers would lose
+ * samples. Bucket i counts values in [2^i, 2^(i+1)), with values 0
  * and 1 sharing bucket 0 and values >= 2^(kBuckets-1) clamped into the
  * last bucket.
  */
@@ -62,9 +66,9 @@ class CycleHistogram
     void
     add(Cycles value)
     {
-        buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(value, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
+        owner_add(buckets_[bucket_of(value)], 1);
+        owner_add(sum_, value);
+        owner_add(count_, 1);
     }
 
     /** Bucket index a value lands in (exposed for tests). */

@@ -41,20 +41,23 @@ class TraceRing
 
     /**
      * Record one event, stamped with the current cycle counter.
-     * Producer-side only; never blocks. On overflow the event is
-     * discarded and the drop counter incremented.
+     * Producer-side only; never blocks. The room test comes first: on
+     * overflow no clock is read and no event is built, only the drop
+     * counter moves (a long run keeps its rings full, so this is the
+     * common case there).
      */
     void
     record(EventKind kind, uint64_t job, uint32_t arg = 0)
     {
-        TraceEvent ev;
-        ev.tsc = rdcycles();
-        ev.job = job;
-        ev.arg = arg;
-        ev.kind = kind;
-        ev.tid = tid_;
-        if (!ring_.push(ev))
-            dropped_.fetch_add(1, std::memory_order_relaxed);
+        const bool stored = ring_.push_with([&](TraceEvent &ev) {
+            ev.tsc = rdcycles();
+            ev.job = job;
+            ev.arg = arg;
+            ev.kind = kind;
+            ev.tid = tid_;
+        });
+        if (!stored)
+            owner_add(dropped_, 1);
     }
 
     /**
@@ -88,8 +91,8 @@ class TraceRing
   private:
     friend struct ::tq::LayoutAudit;
 
-    // tid_ (constant) and dropped_ (producer-written on the cold
-    // overflow path, consumer-read) share the leading line; the ring_
+    // tid_ (constant) and dropped_ (written by the producer alone on
+    // the overflow path, consumer-read) share the leading line; the ring_
     // member is line-aligned (its index sides are), so placing the two
     // small fields *before* it packs them into the alignment gap
     // instead of growing the object by a line after it.

@@ -1,13 +1,14 @@
 /**
  * @file
  * Unit and stress tests for tq_conc: SPSC ring, MPMC queue, buffer pool,
- * spin mutex, cache-line padding.
+ * spin mutex, cache-line padding, owner-only counters.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -26,6 +27,50 @@ TEST(CacheAligned, OccupiesWholeLines)
     EXPECT_EQ(sizeof(CacheAligned<int>) % kCacheLineSize, 0u);
     EXPECT_EQ(alignof(CacheAligned<int>), kCacheLineSize);
     EXPECT_EQ(sizeof(PaddedAtomic<uint64_t>), kCacheLineSize);
+}
+
+template <typename T>
+void
+expect_owner_add_matches_fetch_add()
+{
+    // Start next to both wrap points and walk a delta sequence that
+    // crosses them: adds, decrements written as negated deltas (the
+    // stats line's current_quanta release), and the extremes.
+    constexpr T kMax = std::numeric_limits<T>::max();
+    const T deltas[] = {0, 1, 5, T(0) - 1, T(0) - 7, kMax, kMax / 2 + 3,
+                        2, T(0) - kMax, T(0) - 3, 1000, T(0) - 1000};
+    for (const T start : {T(0), T(1), T(kMax - 2), T(kMax / 2)}) {
+        std::atomic<T> rmw{start};
+        std::atomic<T> owned{start};
+        for (const T d : deltas) {
+            rmw.fetch_add(d, std::memory_order_relaxed);
+            owner_add(owned, d);
+            ASSERT_EQ(owned.load(), rmw.load())
+                << "start " << start << " delta " << d;
+        }
+    }
+}
+
+TEST(OwnerAdd, MatchesFetchAddBitForBitIncludingWrap)
+{
+    expect_owner_add_matches_fetch_add<uint32_t>();
+    expect_owner_add_matches_fetch_add<uint64_t>();
+}
+
+TEST(SpscRing, PushWithFillsOnlyWhenThereIsRoom)
+{
+    SpscRing<int> ring(2);
+    int fills = 0;
+    const auto fill = [&fills](int &slot) { slot = 10 + fills++; };
+    EXPECT_TRUE(ring.push_with(fill));
+    EXPECT_TRUE(ring.push_with(fill));
+    EXPECT_FALSE(ring.push_with(fill));
+    EXPECT_EQ(fills, 2) << "a full ring must not build the value it drops";
+    EXPECT_EQ(ring.pop(), 10);
+    EXPECT_TRUE(ring.push_with(fill));
+    EXPECT_EQ(ring.pop(), 11);
+    EXPECT_EQ(ring.pop(), 12);
+    EXPECT_EQ(fills, 3);
 }
 
 TEST(SpscRing, CapacityRoundsUpToPowerOfTwo)

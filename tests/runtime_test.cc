@@ -752,6 +752,23 @@ TEST(Sharded, StealRebalancesSkewedBacklog)
     }
     EXPECT_TRUE(rt.drain(/*deadline_sec=*/60.0));
     EXPECT_EQ(rt.abandoned_jobs(), 0u);
+
+    // Every per-job counter has one writer, so none may lose an update:
+    // assigned-minus-finished drains to zero on each worker only if the
+    // shard that forwarded a job (the thief, for a stolen one) bumped
+    // the assigned count of the worker it pushed to.
+    for (uint64_t len : rt.queue_lengths())
+        EXPECT_EQ(len, 0u) << "a worker's assigned count went astray";
+    uint64_t finished = 0;
+    for (int w = 0; w < cfg.num_workers; ++w)
+        finished += rt.worker(w).stats_line().finished.load();
+    EXPECT_EQ(finished, kJobs);
+    if (telemetry::kEnabled) {
+        const auto snap = rt.telemetry_snapshot();
+        EXPECT_EQ(snap.dispatched, kJobs);
+        EXPECT_EQ(snap.admitted, snap.dispatched);
+        EXPECT_EQ(snap.finished, snap.admitted);
+    }
 }
 
 TEST(Sharded, ForcedStopAccountsEveryJobAcrossShards)
