@@ -1,9 +1,9 @@
 /**
  * @file
  * Scenario-diversity bench (ROADMAP "Scenario diversity"): how far the
- * tail moves when the convenient defaults — smooth Poisson arrivals,
- * uniform keys, one shard per request — are replaced with the shapes
- * production traces actually have.
+ * tail moves when the convenient defaults — smooth Poisson arrivals and
+ * uniform keys — are replaced with the shapes production traces
+ * actually have.
  *
  *  - MMPP burst vs Poisson: a 2-state Markov-modulated arrival process
  *    (common/arrival.h) at the *same mean rate* as the Poisson
@@ -11,8 +11,6 @@
  *    report is the p999 tail slowdown attributable purely to burstiness.
  *  - Zipfian MiniKV: skiplist GETs under uniform vs Zipf(0.99) hot keys
  *    (workloads::ZipfKeyGen) served by the real runtime.
- *  - Scatter-gather fan-out: k in {2,4,8} shards of demand/k, completing
- *    on the last response, vs the serial k=1 request — runtime and sim.
  *
  * `--json` emits a machine-readable document (recorded as
  * BENCH_scenarios.json, rendered by tools/plot_bench.py); the default
@@ -25,7 +23,6 @@
 #include <ctime>
 #include <memory>
 #include <thread>
-#include <vector>
 
 #include "bench_util.h"
 #include "cache/chase.h"
@@ -36,7 +33,6 @@
 #include "probe/probe.h"
 #include "runtime/runtime.h"
 #include "sim/two_level.h"
-#include "telemetry/telemetry.h"
 #include "workloads/minikv.h"
 #include "workloads/spin.h"
 
@@ -80,14 +76,13 @@ struct Arm
 // ---------------------------------------------------------------- sim --
 
 Arm
-sim_arm(const ArrivalSpec &arrival, double rate_mrps, int fanout)
+sim_arm(const ArrivalSpec &arrival, double rate_mrps)
 {
     sim::TwoLevelConfig cfg;
     cfg.num_cores = 8;
     cfg.duration = bench::sim_duration();
     cfg.seed = kSeed;
     cfg.arrival = arrival;
-    cfg.fanout = fanout;
     const FixedDist dist(us(8));
     const sim::SimResult r =
         sim::run_two_level(cfg, dist, mrps(rate_mrps));
@@ -101,14 +96,9 @@ sim_arm(const ArrivalSpec &arrival, double rate_mrps, int fanout)
 
 // ------------------------------------------------------------ runtime --
 
-/**
- * One open-loop run against a fresh runtime of spin workers. The
- * factory scales demand by 1/fanout so a k-shard request does the same
- * total work as the serial baseline, mirroring the sim's shard split.
- */
+/** One open-loop run against a fresh runtime of spin workers. */
 Arm
-runtime_spin_arm(const ArrivalSpec &arrival, double rate_mrps,
-                 uint32_t fanout, double *spread_mean_us)
+runtime_spin_arm(const ArrivalSpec &arrival, double rate_mrps)
 {
     runtime::RuntimeConfig cfg;
     cfg.num_workers = 2;
@@ -126,24 +116,9 @@ runtime_spin_arm(const ArrivalSpec &arrival, double rate_mrps,
     lg.duration_sec = 0.15;
     lg.seed = kSeed;
     lg.arrival = arrival;
-    lg.fanout = fanout;
     lg.metrics = &rt.metrics();
-    const auto factory = [fanout](const ServiceSample &s, uint64_t) {
-        runtime::Request req;
-        req.job_class = s.job_class;
-        req.payload = static_cast<uint64_t>(s.demand / fanout);
-        return req;
-    };
     const net::ClientStats stats =
-        net::run_open_loop(server, dist, factory, lg);
-    if (spread_mean_us) {
-        *spread_mean_us = 0;
-        if (telemetry::kEnabled) {
-            const telemetry::MetricsSnapshot snap = rt.telemetry_snapshot();
-            if (snap.fanout_spread.count > 0)
-                *spread_mean_us = snap.fanout_spread.mean_ns / 1e3;
-        }
-    }
+        net::run_open_loop(server, dist, net::spin_request_factory(), lg);
     rt.stop();
     Arm a;
     a.completed = stats.completed;
@@ -264,11 +239,10 @@ main(int argc, char **argv)
     // is burstiness, not extra load.
     const double sim_rate = 0.5;     // Mrps; 8 cores / 8us = 1 Mrps cap
     const double rt_rate = 0.01;     // Mrps; threads timeshare this host
-    const Arm sim_poisson = sim_arm(poisson, sim_rate, 1);
-    const Arm sim_mmpp = sim_arm(mmpp, sim_rate / mean_mult(shape), 1);
-    const Arm rt_poisson = runtime_spin_arm(poisson, rt_rate, 1, nullptr);
-    const Arm rt_mmpp = runtime_spin_arm(mmpp, rt_rate / mean_mult(shape),
-                                         1, nullptr);
+    const Arm sim_poisson = sim_arm(poisson, sim_rate);
+    const Arm sim_mmpp = sim_arm(mmpp, sim_rate / mean_mult(shape));
+    const Arm rt_poisson = runtime_spin_arm(poisson, rt_rate);
+    const Arm rt_mmpp = runtime_spin_arm(mmpp, rt_rate / mean_mult(shape));
 
     const workloads::ZipfKeyGen uniform_keys(1 << 14, 0.0);
     const workloads::ZipfKeyGen zipf_keys(1 << 14, 0.99);
@@ -280,17 +254,6 @@ main(int argc, char **argv)
     const double chase_uniform_ns = chase_latency_ns(0);
     const double chase_zipf_ns = chase_latency_ns(0.99);
 
-    const std::vector<int> ks = {1, 2, 4, 8};
-    std::vector<Arm> fan_sim, fan_rt;
-    std::vector<double> fan_spread_us;
-    for (int k : ks) {
-        fan_sim.push_back(sim_arm(poisson, sim_rate, k));
-        double spread = 0;
-        fan_rt.push_back(runtime_spin_arm(
-            poisson, rt_rate, static_cast<uint32_t>(k), &spread));
-        fan_spread_us.push_back(spread);
-    }
-
     if (json) {
         char date[32];
         const std::time_t t = std::time(nullptr);
@@ -300,8 +263,7 @@ main(int argc, char **argv)
             "  \"description\": \"Scenario diversity: p999 sojourn under "
             "MMPP bursts vs Poisson (same mean rate, sim + runtime), "
             "uniform vs Zipf(0.99) MiniKV GETs on the runtime, uniform "
-            "vs Zipf(0.99) pointer-chase lines in the cache model, and "
-            "scatter-gather fan-out k in {1,2,4,8} (sim + runtime). "
+            "vs Zipf(0.99) pointer-chase lines in the cache model. "
             "Runtime arms timeshare one host, so cross-arm ratios are "
             "the signal, not absolute values.\",\n");
         std::printf("  \"date\": \"%s\",\n", date);
@@ -337,35 +299,17 @@ main(int argc, char **argv)
         std::printf(
             "    \"zipf_chase\": { \"array_kb\": 16, \"quantum_us\": 2, "
             "\"uniform_avg_ns\": %.2f, \"zipf_avg_ns\": %.2f, "
-            "\"latency_ratio\": %.2f },\n",
+            "\"latency_ratio\": %.2f }\n",
             chase_uniform_ns, chase_zipf_ns,
             chase_uniform_ns > 0 ? chase_zipf_ns / chase_uniform_ns : 0);
-        std::printf("    \"fanout_sim\": [\n");
-        for (size_t i = 0; i < ks.size(); ++i)
-            std::printf("      { \"k\": %d, \"mean_us\": %.2f, "
-                        "\"p999_us\": %.2f, \"mean_vs_k1\": %.2f }%s\n",
-                        ks[i], fan_sim[i].mean_us, fan_sim[i].p999_us,
-                        fan_sim[0].mean_us > 0
-                            ? fan_sim[i].mean_us / fan_sim[0].mean_us
-                            : 0,
-                        i + 1 < ks.size() ? "," : "");
-        std::printf("    ],\n");
-        std::printf("    \"fanout_runtime\": [\n");
-        for (size_t i = 0; i < ks.size(); ++i)
-            std::printf("      { \"k\": %d, \"mean_us\": %.2f, "
-                        "\"p999_us\": %.2f, \"spread_mean_us\": %.2f }%s\n",
-                        ks[i], fan_rt[i].mean_us, fan_rt[i].p999_us,
-                        fan_spread_us[i],
-                        i + 1 < ks.size() ? "," : "");
-        std::printf("    ]\n");
         std::printf("  }\n");
         std::printf("}\n");
         return 0;
     }
 
     bench::banner("scenario_burst_skew",
-                  "tail impact of MMPP bursts, Zipfian hot keys and "
-                  "scatter-gather fan-out vs the smooth baselines");
+                  "tail impact of MMPP bursts and Zipfian hot keys vs "
+                  "the smooth baselines");
     char b1[32], b2[32];
     std::printf("## burst: p999 sojourn, same mean rate\n");
     std::printf("engine\tpoisson_p999_us\tmmpp_p999_us\ttail_slowdown\n");
@@ -384,18 +328,5 @@ main(int argc, char **argv)
     std::printf("lines\tavg_latency_ns\n");
     std::printf("uniform\t%.2f\n", chase_uniform_ns);
     std::printf("zipf0.99\t%.2f\n", chase_zipf_ns);
-    std::printf("## scatter-gather fan-out (sim)\n");
-    std::printf("k\tmean_us\tp999_us\tmean_vs_k1\n");
-    for (size_t i = 0; i < ks.size(); ++i)
-        std::printf("%d\t%.1f\t%s\t%.2f\n", ks[i], fan_sim[i].mean_us,
-                    cell_arm(fan_sim[i], b1, sizeof b1),
-                    fan_sim[0].mean_us > 0
-                        ? fan_sim[i].mean_us / fan_sim[0].mean_us
-                        : 0);
-    std::printf("## scatter-gather fan-out (runtime)\n");
-    std::printf("k\tmean_us\tp999_us\tspread_mean_us\n");
-    for (size_t i = 0; i < ks.size(); ++i)
-        std::printf("%d\t%.1f\t%.1f\t%.2f\n", ks[i], fan_rt[i].mean_us,
-                    fan_rt[i].p999_us, fan_spread_us[i]);
     return 0;
 }

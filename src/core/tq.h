@@ -16,7 +16,6 @@
  *    centralized, Caladan-style) used to regenerate the paper's figures.
  *  - tq::cache — cache model, pointer-chase study, reuse distances.
  *  - tq::workloads — MiniKV, TPC-C emulator, calibrated spinner.
- *  - tq::baselines — real Shinjuku-style and Caladan-style runtimes.
  *  - tq::net — open-loop load generator.
  *
  * Typical quickstart (see examples/quickstart.cc):
@@ -35,8 +34,6 @@
 #ifndef TQ_CORE_TQ_H
 #define TQ_CORE_TQ_H
 
-#include "baselines/centralized.h"
-#include "baselines/stealing.h"
 #include "cache/cache_sim.h"
 #include "cache/chase.h"
 #include "cache/reuse.h"

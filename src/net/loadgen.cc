@@ -7,9 +7,16 @@
 #include "common/cycles.h"
 #include "common/rng.h"
 #include "fault/fault.h"
-#include "runtime/fanout.h"
 
 namespace tq::net {
+
+namespace {
+
+/** Fraction of each class's samples discarded as warm-up before the
+ *  percentiles are taken. */
+constexpr double kWarmup = 0.1;
+
+} // namespace
 
 const ClientClassStats &
 ClientStats::by_class(const std::string &name) const
@@ -25,7 +32,6 @@ run_open_loop(Server &server, const ServiceDist &dist,
               const RequestFactory &factory, const LoadGenConfig &cfg)
 {
     TQ_CHECK(cfg.rate_mrps > 0);
-    TQ_CHECK(cfg.fanout >= 1);
     Rng rng(cfg.seed);
     const auto &names = dist.class_names();
     std::vector<PercentileTracker> sojourn(names.size());
@@ -35,7 +41,6 @@ run_open_loop(Server &server, const ServiceDist &dist,
     ClientStats stats;
     std::vector<runtime::Response> responses;
     responses.reserve(4096);
-    runtime::FanoutCollector gather;
 
     // The send schedule lives in the nanosecond domain (1 Mrps =
     // 1e-3 req/ns) and is drawn from the same ArrivalProcess machinery
@@ -56,27 +61,18 @@ run_open_loop(Server &server, const ServiceDist &dist,
         TQ_FAULT_SITE(LoadgenCollect);
         // The server drains each worker TX ring with batched pop_n
         // (one shared-index round trip per ring per burst), so the
-        // whole backlog lands here in one call. Shard responses pass
-        // through the gather stage; stats count logical completions.
+        // whole backlog lands here in one call.
         responses.clear();
         server.drain(responses);
         for (const auto &r : responses) {
-            runtime::Response logical;
-            Cycles spread = 0;
-            if (!gather.feed(r, &logical, &spread))
-                continue;
-            const size_t c = static_cast<size_t>(logical.job_class);
-            sojourn[c].add(logical.sojourn_ns());
-            e2e[c].add(logical.e2e_ns());
+            const size_t c = static_cast<size_t>(r.job_class);
+            sojourn[c].add(r.sojourn_ns());
+            e2e[c].add(r.e2e_ns());
             ++counts[c];
             ++stats.completed;
 #if defined(TQ_TELEMETRY_ENABLED)
-            if (ct != nullptr) {
-                ct->sojourn_cycles.add(logical.done_cycles -
-                                       logical.arrival_cycles);
-                if (logical.fanout > 1)
-                    ct->fanout_spread_cycles.add(spread);
-            }
+            if (ct != nullptr)
+                ct->sojourn_cycles.add(r.done_cycles - r.arrival_cycles);
 #endif
         }
     };
@@ -101,7 +97,6 @@ run_open_loop(Server &server, const ServiceDist &dist,
         runtime::Request req = factory(s, next_id);
         req.id = next_id++;
         req.gen_cycles = sched;
-        req.fanout = cfg.fanout;
         TQ_FAULT_SITE(LoadgenSend);
         if (server.submit(req))
             ++stats.submitted;
@@ -168,10 +163,10 @@ run_open_loop(Server &server, const ServiceDist &dist,
         ClientClassStats cs;
         cs.name = names[c];
         cs.completed = counts[c];
-        cs.p999_sojourn_us = sojourn[c].quantile(0.999, cfg.warmup) / 1e3;
-        cs.p99_sojourn_us = sojourn[c].quantile(0.99, cfg.warmup) / 1e3;
-        cs.mean_sojourn_us = sojourn[c].mean(cfg.warmup) / 1e3;
-        cs.p999_e2e_us = e2e[c].quantile(0.999, cfg.warmup) / 1e3;
+        cs.p999_sojourn_us = sojourn[c].quantile(0.999, kWarmup) / 1e3;
+        cs.p99_sojourn_us = sojourn[c].quantile(0.99, kWarmup) / 1e3;
+        cs.mean_sojourn_us = sojourn[c].mean(kWarmup) / 1e3;
+        cs.p999_e2e_us = e2e[c].quantile(0.999, kWarmup) / 1e3;
         stats.classes.push_back(std::move(cs));
     }
     return stats;

@@ -36,7 +36,6 @@ struct LoadGenConfig
 {
     double rate_mrps = 0.05;    ///< offered request rate
     double duration_sec = 0.5;  ///< generation window
-    double warmup = 0.1;        ///< discarded sample prefix
     double drain_timeout_sec = 10.0; ///< wait for stragglers after window
     uint64_t seed = 1;          ///< arrival-process RNG seed
 
@@ -49,14 +48,6 @@ struct LoadGenConfig
      * runtime and through the sim (tests/integration_test.cc parity).
      */
     ArrivalSpec arrival;
-
-    /**
-     * Scatter-gather width: every request is stamped with this fan-out
-     * and the dispatcher expands it into that many shards; the generator
-     * gathers shard responses (runtime/fanout.h) and all reported stats
-     * count *logical* requests, completing on the last shard.
-     */
-    uint32_t fanout = 1;
 
     /**
      * Optional sink for every arrival draw (absolute ns, including the
@@ -118,7 +109,7 @@ struct ClientStats
     const ClientClassStats &by_class(const std::string &name) const;
 };
 
-/** Abstract server interface so baselines can reuse the generator. */
+/** Abstract server interface, so tests can substitute a server. */
 class Server
 {
   public:

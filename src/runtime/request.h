@@ -32,19 +32,11 @@ struct Request
                                ///< (runtime/quantum.h; classes >= 7
                                ///< share slot 7)
     uint64_t payload = 0;      ///< class-specific argument (key, ns, ...)
-
-    /**
-     * Scatter-gather width: the dispatcher expands a request with
-     * fanout k into k shard copies, each placed independently (one
-     * pick+push per shard). 1 — the default — is the classic
-     * single-shard path. The client gathers the shard responses and
-     * completes the logical request on the last one
-     * (runtime/fanout.h).
-     */
-    uint32_t fanout = 1;
-    uint32_t shard = 0;        ///< shard index in [0, fanout), set by
-                               ///< the dispatcher during expansion
 };
+
+// Six words: a dispatch-ring slot is 48 bytes and an RX MPMC cell
+// (sequence + request) 56 (docs/cache_line_analysis.md).
+static_assert(sizeof(Request) == 48, "Request layout grew");
 
 /** One completed response, emitted directly by the worker. */
 struct Response
@@ -56,8 +48,6 @@ struct Response
     int job_class = 0;
     int worker = -1;           ///< core that executed the job
     uint64_t result = 0;       ///< handler's output (checksum etc.)
-    uint32_t fanout = 1;       ///< copied from the request
-    uint32_t shard = 0;        ///< which shard this response answers
 
     /** Server-side sojourn (dispatcher receive -> completion), ns. */
     double
@@ -73,6 +63,9 @@ struct Response
         return cycles_to_ns(done_cycles - gen_cycles);
     }
 };
+
+// Six words, like Request: a TX ring slot is 48 bytes.
+static_assert(sizeof(Response) == 48, "Response layout grew");
 
 } // namespace tq::runtime
 

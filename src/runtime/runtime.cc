@@ -476,39 +476,28 @@ Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
     for (size_t i = 0; i < n; ++i) {
         Request &req = reqs[i];
         req.arrival_cycles = arrived_at;
-        // Scatter-gather expansion: a request with fanout k becomes
-        // k shard pushes, each placed by its own policy pick (the
-        // incremental bump_len spreads the shards naturally). The
-        // degenerate k=1 loop is exactly the classic per-request
-        // path. Per-shard counters: dispatched_total/assigned_ move
-        // in worker-job units everywhere downstream.
-        const uint32_t fanout = req.fanout == 0 ? 1 : req.fanout;
-        for (uint32_t s = 0; s < fanout; ++s) {
-            req.shard = s;
-            const int best = sh.view.pick(cfg_.dispatch, sh.rng);
-            sh.view.bump_len(static_cast<size_t>(best));
-            const int target = sh.span.first + best;
+        const int best = sh.view.pick(cfg_.dispatch, sh.rng);
+        sh.view.bump_len(static_cast<size_t>(best));
+        const int target = sh.span.first + best;
 #if defined(TQ_TELEMETRY_ENABLED)
-            // Stamp the handoff *before* the push: once the request
-            // is in the ring the worker may already be reading it.
-            const Cycles dispatched_at = rdcycles();
-            req.dispatch_cycles = dispatched_at;
+        // Stamp the handoff *before* the push: once the request is in
+        // the ring the worker may already be reading it.
+        const Cycles dispatched_at = rdcycles();
+        req.dispatch_cycles = dispatched_at;
 #endif
-            if (!push_request(sh, target, req))
-                continue; // dropped (counted); the outer loop
-                          // re-checks the phase per batch
-            owner_add(assigned_[static_cast<size_t>(target)], 1);
-            owner_add(sh.counters.dispatched_total, 1);
-            ++pushed;
+        if (!push_request(sh, target, req))
+            continue; // dropped (counted); the outer loop re-checks
+                      // the phase per batch
+        owner_add(assigned_[static_cast<size_t>(target)], 1);
+        owner_add(sh.counters.dispatched_total, 1);
+        ++pushed;
 #if defined(TQ_TELEMETRY_ENABLED)
-            telemetry::DispatcherTelemetry &dt =
-                metrics_->dispatcher(sh.index);
-            owner_add(dt.dispatched, 1);
-            dt.dispatch_cycles.add(dispatched_at - req.arrival_cycles);
-            dt.trace.record(telemetry::EventKind::JobDispatched, req.id,
-                            static_cast<uint32_t>(target));
+        telemetry::DispatcherTelemetry &dt = metrics_->dispatcher(sh.index);
+        owner_add(dt.dispatched, 1);
+        dt.dispatch_cycles.add(dispatched_at - req.arrival_cycles);
+        dt.trace.record(telemetry::EventKind::JobDispatched, req.id,
+                        static_cast<uint32_t>(target));
 #endif
-        }
     }
 #if defined(TQ_TELEMETRY_ENABLED)
     metrics_->dispatcher(sh.index).batch_occupancy.add(n);

@@ -204,8 +204,6 @@ Worker::complete(const Sched::Entry &e)
     resp.job_class = task->req.job_class;
     resp.worker = id_;
     resp.result = task->result;
-    resp.fanout = task->req.fanout;
-    resp.shard = task->req.shard;
     push_response(resp);
 
     // Publish to the dispatcher's cache line even when the response was

@@ -18,7 +18,7 @@ constexpr uint32_t kNone = ~0u;
 
 enum EventKind : uint32_t { kArrival, kDispatchDone, kCoreDone, kFrontDone };
 
-/** The shared per-core scheduler on simulated ns and unit ids. */
+/** The shared per-core scheduler on simulated ns and job arena indices. */
 using CoreSched = sched::SchedCore<SimNanos, uint32_t>;
 
 /** Per-core state around the shared scheduler. */
@@ -26,13 +26,13 @@ struct Core
 {
     explicit Core(const sched::SchedShape<SimNanos> &shape) : sched(shape) {}
 
-    CoreSched sched;             ///< admitted units not running
+    CoreSched sched;             ///< admitted jobs not running
     CoreSched::Entry running{kNone}; ///< handle kNone while idle
     SimNanos slice = 0;          ///< service granted to `running`
     SimNanos granted = 0;        ///< budget `running` was armed with
     uint64_t quanta_sum = 0;     ///< MSQ metric: serviced quanta of
                                  ///< currently admitted jobs
-    uint64_t assigned = 0;       ///< units dispatched to this core
+    uint64_t assigned = 0;       ///< jobs dispatched to this core
     uint64_t finished = 0;       ///< completions (the shared counter)
     // Figure-16 style effective-quantum accounting.
     double grant_intervals = 0;
@@ -62,13 +62,11 @@ class TwoLevelSim
                 double rate)
         : cfg_(cfg),
           core_(dist, rate, cfg.seed, cfg.duration, cfg.stop_when_saturated,
-                cfg.arrival),
-          fanout_(static_cast<uint32_t>(cfg.fanout))
+                cfg.arrival)
     {
         TQ_CHECK(cfg.num_cores > 0);
         TQ_CHECK(cfg.num_dispatchers > 0);
         TQ_CHECK(cfg.num_dispatchers <= cfg.num_cores);
-        TQ_CHECK(cfg.fanout >= 1);
         core_.set_arrival_trace(cfg.arrival_trace);
         dispatchers_.reserve(static_cast<size_t>(cfg.num_dispatchers));
         for (int d = 0; d < cfg.num_dispatchers; ++d)
@@ -143,25 +141,6 @@ class TwoLevelSim
   private:
     Job &job(uint32_t idx) { return core_.job(idx); }
 
-    // --------------------------------------------------------- units --
-    // Queues and core slots hold *units*: at fanout 1 a unit IS the
-    // arena index (same values, same arithmetic, byte-identical runs);
-    // at fanout k unit = idx * k + shard, with per-shard remaining
-    // kept in a side array and the logical job completing when its
-    // last shard drains (scatter-gather, last-response-wins).
-    uint32_t
-    idx_of(uint32_t unit) const
-    {
-        return fanout_ == 1 ? unit : unit / fanout_;
-    }
-
-    double &
-    remaining_of(uint32_t unit)
-    {
-        return fanout_ == 1 ? job(unit).remaining
-                            : shard_remaining_[unit];
-    }
-
     // ------------------------------------------------------- arrivals --
     void
     on_arrival()
@@ -169,21 +148,15 @@ class TwoLevelSim
         const uint32_t idx =
             core_.try_admit(1.0 + cfg_.probe_overhead_frac);
         if (idx != EngineCore::kNoJob) {
-            if (fanout_ > 1)
-                split_into_shards(idx);
             if (cfg_.num_dispatchers == 1) {
                 // Single dispatcher: the paper's configuration, and
                 // byte-identical to the pre-sharding simulator — no
-                // front tier exists, arrivals enqueue directly. A
-                // fanned-out request's units all cross the one
-                // dispatcher (one serial dispatch_cost each, like the
-                // real dispatcher's per-shard pick+push loop).
-                for (uint32_t s = 0; s < fanout_; ++s)
-                    dispatchers_[0].q.push_back(idx * fanout_ + s);
+                // front tier exists, arrivals enqueue directly.
+                dispatchers_[0].q.push_back(idx);
                 maybe_start_dispatch(0);
             } else {
                 // Sharded tier (DESIGN.md §4g): the front tier steers
-                // the whole request to one shard by rotated JSQ over
+                // the request to one shard by rotated JSQ over
                 // the shards' load estimates, charging front_tier_cost
                 // as pure latency (submitters are parallel, so the
                 // steering pick adds delay but no serial bottleneck —
@@ -191,9 +164,7 @@ class TwoLevelSim
                 // resource). The constant delay preserves FIFO order
                 // per shard, so a deque models the in-flight picks.
                 const int d = pick_shard();
-                for (uint32_t s = 0; s < fanout_; ++s)
-                    front_pending_[static_cast<size_t>(d)].push_back(
-                        idx * fanout_ + s);
+                front_pending_[static_cast<size_t>(d)].push_back(idx);
                 core_.schedule(core_.now() +
                                    cfg_.overheads.front_tier_cost,
                                kFrontDone, d);
@@ -204,18 +175,15 @@ class TwoLevelSim
             core_.schedule(t, kArrival, -1);
     }
 
-    /** Front-tier pick latency elapsed: the request's units land in
-     *  shard @p d's dispatch queue. */
+    /** Front-tier pick latency elapsed: the request lands in shard
+     *  @p d's dispatch queue. */
     void
     on_front_done(int d)
     {
         auto &pending = front_pending_[static_cast<size_t>(d)];
-        for (uint32_t s = 0; s < fanout_; ++s) {
-            TQ_DCHECK(!pending.empty());
-            dispatchers_[static_cast<size_t>(d)].q.push_back(
-                pending.front());
-            pending.pop_front();
-        }
+        TQ_DCHECK(!pending.empty());
+        dispatchers_[static_cast<size_t>(d)].q.push_back(pending.front());
+        pending.pop_front();
         maybe_start_dispatch(d);
     }
 
@@ -249,20 +217,6 @@ class TwoLevelSim
     }
 
     void
-    split_into_shards(uint32_t idx)
-    {
-        const size_t need = static_cast<size_t>(idx + 1) * fanout_;
-        if (shard_remaining_.size() < need)
-            shard_remaining_.resize(need, 0);
-        if (shards_live_.size() <= idx)
-            shards_live_.resize(static_cast<size_t>(idx) + 1, 0);
-        shards_live_[idx] = fanout_;
-        const double per_shard = job(idx).remaining / fanout_;
-        for (uint32_t s = 0; s < fanout_; ++s)
-            shard_remaining_[idx * fanout_ + s] = per_shard;
-    }
-
-    void
     maybe_start_dispatch(int d)
     {
         Dispatcher &disp = dispatchers_[static_cast<size_t>(d)];
@@ -279,13 +233,13 @@ class TwoLevelSim
     on_dispatch_done(int d)
     {
         Dispatcher &disp = dispatchers_[static_cast<size_t>(d)];
-        const uint32_t unit = disp.in_hand;
+        const uint32_t idx = disp.in_hand;
         disp.in_hand = kNone;
         disp.busy = false;
 
         const int target = pick_core(d);
         Core &core = cores_[static_cast<size_t>(target)];
-        core.sched.admit(unit, job(idx_of(unit)).job_class);
+        core.sched.admit(idx, job(idx).job_class);
         ++core.assigned;
         if (core.running.handle == kNone)
             start_slice(target);
@@ -348,8 +302,8 @@ class TwoLevelSim
         const auto [e, promoted] = core.sched.next();
         starvation_promotions_ += promoted ? 1 : 0;
         core.running = e;
-        const Job &j = job(idx_of(e.handle));
-        const SimNanos remaining = remaining_of(e.handle);
+        const Job &j = job(e.handle);
+        const SimNanos remaining = j.remaining;
         const SimNanos budget = core.sched.grant(
             e, cfg_.class_quantum.empty()
                    ? cfg_.quantum
@@ -379,26 +333,17 @@ class TwoLevelSim
         Core &core = cores_[static_cast<size_t>(c)];
         const CoreSched::Entry e = core.running;
         core.running.handle = kNone;
-        double &remaining = remaining_of(e.handle);
+        double &remaining = job(e.handle).remaining;
         remaining -= core.slice;
         core.sched.settle(e, core.granted, core.slice);
 
         if (remaining <= 1e-9) {
-            // Unit done: at fanout 1 the response leaves directly from
-            // the worker; a fanned-out request completes only when its
-            // LAST shard drains (scatter-gather gathers at the client).
+            // Job done: the response leaves directly from the worker.
             core.sched.finish(e);
             ++core.finished;
             core.quanta_sum -= e.quanta;
-            if (fanout_ == 1) {
-                core_.complete(e.handle, core_.now() +
-                                             cfg_.overheads.response_cost);
-            } else {
-                const uint32_t idx = idx_of(e.handle);
-                if (--shards_live_[idx] == 0)
-                    core_.complete(
-                        idx, core_.now() + cfg_.overheads.response_cost);
-            }
+            core_.complete(e.handle,
+                           core_.now() + cfg_.overheads.response_cost);
         } else {
             ++core.quanta_sum;
             core.sched.requeue(e);
@@ -408,14 +353,9 @@ class TwoLevelSim
 
     const TwoLevelConfig &cfg_;
     EngineCore core_;
-    uint32_t fanout_;
-
-    /** Per-unit shard state, only populated at fanout > 1. */
-    std::vector<double> shard_remaining_;
-    std::vector<uint32_t> shards_live_; ///< per job index
 
     std::vector<Dispatcher> dispatchers_;
-    /** Units steered to shard d, still crossing the front-tier pick
+    /** Jobs steered to shard d, still crossing the front-tier pick
      *  latency (constant delay => FIFO per shard). */
     std::vector<std::deque<uint32_t>> front_pending_;
     /** Scratch for the front tier's per-shard load estimates. */

@@ -90,8 +90,8 @@ struct TwoLevelConfig
     /**
      * Starvation guard (class_quantum set, cores not FCFS): after a
      * runnable class has been passed over for this many consecutive
-     * grants on a core, its unit with the fewest serviced quanta (PS:
-     * its first queued unit) is promoted ahead of the PS/LAS pick. 0
+     * grants on a core, its job with the fewest serviced quanta (PS:
+     * its first queued job) is promoted ahead of the PS/LAS pick. 0
      * (default) disables the guard.
      */
     uint64_t starvation_promote_after = 0;
@@ -126,16 +126,6 @@ struct TwoLevelConfig
      * the vector, so only set it for single runs.
      */
     std::vector<double> *arrival_trace = nullptr;
-
-    /**
-     * Scatter-gather fan-out: each logical request splits into `fanout`
-     * shards of demand/fanout, the dispatcher places each shard
-     * independently (one dispatch_cost per shard, like the real
-     * dispatcher's per-shard pick+push), and the request completes when
-     * its last shard finishes. 1 = the classic single-shard path,
-     * byte-identical to the historical results.
-     */
-    int fanout = 1;
 
     SimNanos duration = ms(200); ///< arrival-generation window
     uint64_t seed = 1;

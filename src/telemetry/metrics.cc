@@ -195,7 +195,6 @@ MetricsRegistry::snapshot() const
     }
     s.dispatch = summarize_merged(dispatch_hists);
     s.sojourn = summarize(client_.sojourn_cycles);
-    s.fanout_spread = summarize(client_.fanout_spread_cycles);
     s.queueing = summarize_merged(queue);
     s.service = summarize_merged(service);
     s.preempt = summarize_merged(preempt);
@@ -294,8 +293,6 @@ MetricsSnapshot::to_string() const
     row("service", service);
     row("preempt", preempt);
     row("sojourn", sojourn);
-    if (fanout_spread.count > 0)
-        row("fanout-spread", fanout_spread);
     if (!per_class.empty()) {
         // Only rendered when the per-class scheduler recorded grants,
         // so the default snapshot output stays byte-stable.

@@ -214,10 +214,6 @@ class ClientTelemetry
 
     CycleHistogram sojourn_cycles; ///< dispatcher arrival -> completion
 
-    /** Last-minus-first shard completion spread per gathered fan-out
-     *  request (cycles); empty for single-shard traffic. */
-    CycleHistogram fanout_spread_cycles;
-
     /** In-flight requests sampled at each arrival-process phase
      *  boundary (CycleHistogram reused as a generic log2 value
      *  histogram, like batch_occupancy: count = phases begun, sum =
@@ -298,9 +294,6 @@ struct MetricsSnapshot
     StageStats service;  ///< sum of slice durations per job
     StageStats preempt;  ///< per-preemption deadline overshoot
     StageStats sojourn;  ///< client-observed arrival -> completion
-    /** Shard completion spread per gathered fan-out request (empty for
-     *  single-shard traffic). */
-    StageStats fanout_spread;
 
     /** Per-class quantum instruments, trimmed to the highest class with
      *  any grants — empty on the fixed-quantum path, so consumers of

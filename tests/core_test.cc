@@ -26,7 +26,6 @@ TEST(Core, UmbrellaExposesEveryModule)
     [[maybe_unused]] sim::TwoLevelConfig sim_cfg;
     [[maybe_unused]] compiler::PassConfig pass_cfg;
     [[maybe_unused]] cache::ChaseConfig chase_cfg;
-    [[maybe_unused]] baselines::StealingConfig steal_cfg;
     [[maybe_unused]] net::LoadGenConfig lg_cfg;
     Rng rng(1);
     EXPECT_GT(workload_table::exp1()->mean(), 0.0);

@@ -7,15 +7,11 @@
  *  - TPC-C on the runtime with per-worker shards.
  *  - The compiler -> simulator pipeline of the breakdown study: CI
  *    overhead measured on instrumented IR degrades simulated capacity.
- *  - The real centralized baseline vs real TQ on the same workload:
- *    same answers, different scheduling machinery.
  */
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 
-#include "baselines/centralized.h"
 #include "compiler/report.h"
 #include "net/runtime_server.h"
 #include "probe/probe.h"
@@ -255,44 +251,6 @@ TEST(Integration, MmppArrivalSequenceIdenticalAcrossRuntimeAndSim)
         ASSERT_DOUBLE_EQ(send_trace[i], sim_trace[i]);
 }
 
-// Scatter-gather through the real dispatcher: every logical request is
-// expanded into k shards (each dispatched with its own policy pick),
-// the client gathers them, and stats stay in logical units.
-TEST(Integration, FanoutRequestsGatherOnRealRuntime)
-{
-    RuntimeConfig cfg;
-    cfg.num_workers = 4;
-    Runtime rt(cfg, [](const Request &req) {
-        workloads::spin_for(static_cast<double>(req.payload));
-        return req.id;
-    });
-    rt.start();
-    net::RuntimeServer server(rt);
-
-    FixedDist dist(us(1), "spin");
-    net::LoadGenConfig lg;
-    lg.rate_mrps = 0.005;
-    lg.duration_sec = 0.1;
-    lg.fanout = 4;
-    lg.metrics = &rt.metrics();
-    const net::ClientStats stats = net::run_open_loop(
-        server, dist, net::spin_request_factory(), lg);
-
-    EXPECT_GT(stats.submitted, 100u);
-    EXPECT_EQ(stats.send_failures, 0u);
-    EXPECT_EQ(stats.completed, stats.submitted);
-    EXPECT_EQ(stats.timed_out, 0u);
-    // The dispatcher saw one pick+push per shard.
-    EXPECT_EQ(rt.dispatched(), stats.submitted * 4);
-    rt.stop();
-#if defined(TQ_TELEMETRY_ENABLED)
-    const telemetry::MetricsSnapshot snap = rt.telemetry_snapshot();
-    // One spread sample per gathered logical request.
-    EXPECT_EQ(snap.fanout_spread.count, stats.completed);
-    EXPECT_EQ(snap.finished, stats.submitted * 4);
-#endif
-}
-
 // Shard-assignment parity: the runtime and the simulator both derive
 // dispatcher-shard ownership from tq::shard_span (common/shard.h), so
 // checking the runtime's advertised spans against that single source —
@@ -349,60 +307,6 @@ TEST(Integration, ShardAssignmentMatchesSharedSpanFunction)
     EXPECT_EQ(rt.dispatched(0), reqs.size());
     EXPECT_EQ(rt.dispatched(), reqs.size());
     rt.stop();
-}
-
-TEST(Integration, CentralizedAndTwoLevelAgreeOnResults)
-{
-    // Same handler, same requests, two real scheduling architectures:
-    // answers must match exactly; only scheduling differs.
-    auto handler = [](const Request &req) {
-        workloads::spin_for(1000.0);
-        return req.payload * 3;
-    };
-    std::vector<Request> reqs;
-    for (uint64_t i = 0; i < 60; ++i) {
-        Request r;
-        r.id = i;
-        r.gen_cycles = rdcycles();
-        r.payload = i;
-        reqs.push_back(r);
-    }
-
-    std::map<uint64_t, uint64_t> tq_results;
-    {
-        RuntimeConfig cfg;
-        cfg.num_workers = 2;
-        Runtime rt(cfg, handler);
-        rt.start();
-        for (const auto &r : run_requests(rt, reqs))
-            tq_results[r.id] = r.result;
-        rt.stop();
-    }
-    std::map<uint64_t, uint64_t> ct_results;
-    {
-        baselines::CentralizedConfig cfg;
-        cfg.num_workers = 2;
-        baselines::CentralizedRuntime rt(cfg, handler);
-        rt.start();
-        for (const auto &r : reqs)
-            while (!rt.submit(r))
-                std::this_thread::yield();
-        std::vector<Response> responses;
-        const Cycles deadline = rdcycles() + ns_to_cycles(120e9);
-        while (responses.size() < reqs.size() && rdcycles() < deadline) {
-            rt.drain(responses);
-            std::this_thread::yield();
-        }
-        for (const auto &r : responses)
-            ct_results[r.id] = r.result;
-        rt.stop();
-    }
-    ASSERT_EQ(tq_results.size(), reqs.size());
-    ASSERT_EQ(ct_results.size(), reqs.size());
-    for (const auto &req : reqs) {
-        EXPECT_EQ(tq_results[req.id], req.payload * 3);
-        EXPECT_EQ(ct_results[req.id], tq_results[req.id]);
-    }
 }
 
 TEST(Integration, PerClassEffectiveQuantumOrderingMatchesSim)

@@ -10,7 +10,6 @@
 
 #include "common/cycles.h"
 #include "net/loadgen.h"
-#include "runtime/fanout.h"
 
 namespace tq::net {
 namespace {
@@ -231,122 +230,6 @@ TEST(LoadGen, SendTraceIsDeterministicAndCoversTheWindow)
     ASSERT_EQ(trace_a.size(), trace_b.size());
     for (size_t i = 0; i < trace_a.size(); ++i)
         EXPECT_DOUBLE_EQ(trace_a[i], trace_b[i]);
-}
-
-/** Fake scatter-gather server: emulates the dispatcher's shard
- *  expansion — each submit yields `fanout` shard responses, shard s
- *  completing after (s+1) * delay. */
-class ShardEchoServer : public Server
-{
-  public:
-    explicit ShardEchoServer(double delay_ns)
-        : delay_cycles_(ns_to_cycles(delay_ns))
-    {
-    }
-
-    bool
-    submit(const runtime::Request &req) override
-    {
-        const uint32_t fanout = req.fanout == 0 ? 1 : req.fanout;
-        const Cycles now = rdcycles();
-        for (uint32_t s = 0; s < fanout; ++s) {
-            runtime::Response resp;
-            resp.id = req.id;
-            resp.gen_cycles = req.gen_cycles;
-            resp.arrival_cycles = now;
-            resp.done_cycles = now + (s + 1) * delay_cycles_;
-            resp.job_class = req.job_class;
-            resp.fanout = fanout;
-            resp.shard = s;
-            resp.result = req.payload;
-            pending_.push_back(resp);
-        }
-        return true;
-    }
-
-    size_t
-    drain(std::vector<runtime::Response> &out) override
-    {
-        size_t n = 0;
-        const Cycles now = rdcycles();
-        while (!pending_.empty() && pending_.front().done_cycles <= now) {
-            out.push_back(pending_.front());
-            pending_.pop_front();
-            ++n;
-        }
-        return n;
-    }
-
-  private:
-    Cycles delay_cycles_;
-    std::deque<runtime::Response> pending_;
-};
-
-// A fanned-out request completes when its LAST shard responds, counts
-// once, and its sojourn spans to the slowest shard's completion.
-TEST(LoadGen, FanoutCompletesOnLastShardAndCountsLogically)
-{
-    constexpr double kShardDelayNs = 20e3; // slowest shard: 4 * 20us
-    ShardEchoServer server(kShardDelayNs);
-    auto dist = std::make_unique<FixedDist>(us(1), "job");
-    LoadGenConfig cfg;
-    cfg.rate_mrps = 0.01;
-    cfg.duration_sec = 0.05;
-    cfg.fanout = 4;
-    const ClientStats stats =
-        run_open_loop(server, *dist, spin_request_factory(), cfg);
-    EXPECT_GT(stats.submitted, 0u);
-    EXPECT_EQ(stats.completed, stats.submitted);
-    EXPECT_EQ(stats.timed_out, 0u);
-    const auto &c = stats.by_class("job");
-    EXPECT_EQ(c.completed, stats.completed);
-    // Sojourn is last-shard completion: ~4 * 20us, never the first
-    // shard's 20us.
-    EXPECT_GE(c.mean_sojourn_us, 75.0);
-    EXPECT_LT(c.mean_sojourn_us, 120.0);
-}
-
-// FanoutCollector unit semantics: merge on last shard, min arrival,
-// max done, spread = last - first completion.
-TEST(FanoutCollector, GathersShardsIntoOneLogicalResponse)
-{
-    runtime::FanoutCollector gather;
-    runtime::Response logical;
-    Cycles spread = 0;
-
-    const auto shard = [](uint64_t id, uint32_t s, Cycles arrival,
-                          Cycles done, int worker) {
-        runtime::Response r;
-        r.id = id;
-        r.fanout = 3;
-        r.shard = s;
-        r.arrival_cycles = arrival;
-        r.done_cycles = done;
-        r.worker = worker;
-        r.result = 1ull << s;
-        return r;
-    };
-
-    EXPECT_FALSE(gather.feed(shard(7, 0, 100, 400, 0), &logical, &spread));
-    EXPECT_FALSE(gather.feed(shard(7, 2, 90, 900, 2), &logical, &spread));
-    EXPECT_EQ(gather.pending(), 1u);
-    ASSERT_TRUE(gather.feed(shard(7, 1, 110, 600, 1), &logical, &spread));
-    EXPECT_EQ(gather.pending(), 0u);
-    EXPECT_EQ(logical.id, 7u);
-    EXPECT_EQ(logical.arrival_cycles, 90u); // earliest shard arrival
-    EXPECT_EQ(logical.done_cycles, 900u);   // last shard completion
-    EXPECT_EQ(logical.worker, 2);           // the finishing shard's
-    EXPECT_EQ(logical.result, 0b111u);      // XOR of shard results
-    EXPECT_EQ(spread, 500u); // last (900) - first (400) completion
-
-    // fanout <= 1 passes straight through.
-    runtime::Response single;
-    single.id = 8;
-    single.fanout = 1;
-    single.done_cycles = 123;
-    ASSERT_TRUE(gather.feed(single, &logical, &spread));
-    EXPECT_EQ(logical.id, 8u);
-    EXPECT_EQ(spread, 0u);
 }
 
 } // namespace

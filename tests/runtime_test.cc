@@ -402,43 +402,6 @@ TEST(Lifecycle, NeverStartedRuntimeAbandonsQueuedJobs)
     EXPECT_EQ(idle.abandoned_jobs(), 0u);
 }
 
-// The dispatcher expands a fanout-k request into k shard dispatches,
-// each with its own policy pick; every (id, shard) pair must come back
-// exactly once.
-TEST(Runtime, DispatcherExpandsFanoutIntoShards)
-{
-    RuntimeConfig cfg;
-    cfg.num_workers = 4;
-    Runtime rt(cfg, spin_handler());
-    rt.start();
-    constexpr uint64_t kJobs = 32;
-    constexpr uint32_t kFanout = 3;
-    for (uint64_t i = 0; i < kJobs; ++i) {
-        Request req = make_spin_request(i, 1000);
-        req.fanout = kFanout;
-        while (!rt.submit(req))
-            std::this_thread::yield();
-    }
-    std::vector<Response> responses;
-    const Cycles deadline = rdcycles() + ns_to_cycles(60e9);
-    while (responses.size() < kJobs * kFanout && rdcycles() < deadline) {
-        rt.drain_responses(responses);
-        std::this_thread::yield();
-    }
-    ASSERT_EQ(responses.size(), kJobs * kFanout);
-    EXPECT_EQ(rt.dispatched(), kJobs * kFanout);
-    std::map<uint64_t, std::set<uint32_t>> shards;
-    for (const auto &r : responses) {
-        EXPECT_EQ(r.fanout, kFanout);
-        EXPECT_TRUE(shards[r.id].insert(r.shard).second)
-            << "duplicate shard " << r.shard << " of id " << r.id;
-    }
-    ASSERT_EQ(shards.size(), kJobs);
-    for (const auto &[id, s] : shards)
-        EXPECT_EQ(s.size(), kFanout);
-    rt.stop();
-}
-
 TEST(Lifecycle, DrainFinishesQueuedJobsBeforeJoining)
 {
     RuntimeConfig cfg;

@@ -18,7 +18,7 @@ per-worker-count Mrps bar chart plus the sharded-dispatcher scaling
 panel; event_queue_hold rows (BENCH_sim.json) become events/sec bars
 over queue size plus the per-bench figure-suite speedup chart;
 a scenarios document (BENCH_scenarios.json) becomes baseline-vs-bursty
-p999 bars plus the fan-out sojourn curves; a quanta document
+p999 bars; a quanta document
 (BENCH_quanta.json) becomes the fixed-quantum sweep with per-class and
 adaptive reference lines; a compiler document (BENCH_compiler.json)
 becomes TQ-vs-TQopt probe-count and proven-bound bar charts.
@@ -193,7 +193,7 @@ def plot_sim_json(path, output):
 
 
 def plot_scenarios_json(path, output):
-    """Render BENCH_scenarios.json: burst/zipf tail bars + fan-out."""
+    """Render BENCH_scenarios.json: burst/zipf tail bars."""
     with open(path) as f:
         data = json.load(f)
     sc = data["scenarios"]
@@ -203,9 +203,8 @@ def plot_scenarios_json(path, output):
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    fig, axes = plt.subplots(1, 2, figsize=(12, 4.5), squeeze=False)
+    fig, ax = plt.subplots(figsize=(6.5, 4.5))
 
-    ax = axes[0][0]
     pairs = [
         ("burst (sim)", sc["burst_sim"]["poisson_p999_us"],
          sc["burst_sim"]["mmpp_p999_us"]),
@@ -231,21 +230,6 @@ def plot_scenarios_json(path, output):
     ax.set_title("tail under MMPP bursts / Zipf hot keys", fontsize=9)
     ax.legend(fontsize=8)
     ax.grid(True, axis="y", alpha=0.3)
-
-    ax2 = axes[0][1]
-    for key, label in (("fanout_sim", "sim"),
-                       ("fanout_runtime", "runtime")):
-        rows = sc.get(key, [])
-        if rows:
-            ax2.plot([r["k"] for r in rows], [r["mean_us"] for r in rows],
-                     marker="o", label=f"mean sojourn ({label})")
-    ax2.set_xlabel("fan-out k (shards of demand/k)")
-    ax2.set_ylabel("mean logical sojourn (us)")
-    ax2.set_xscale("log", base=2)
-    ax2.set_yscale("log")
-    ax2.set_title("scatter-gather fan-out", fontsize=9)
-    ax2.legend(fontsize=8)
-    ax2.grid(True, alpha=0.3)
 
     fig.tight_layout()
     fig.savefig(output, dpi=130)
