@@ -13,6 +13,7 @@
 
 #include "bench_util.h"
 #include "cache/reuse.h"
+#include "common/histogram.h"
 #include "common/rng.h"
 #include "probe/probe.h"
 #include "workloads/minikv.h"
@@ -29,18 +30,21 @@ struct IntraOpReuse
     uint64_t accesses = 0;
     uint64_t reuses = 0;
     uint64_t above_8k = 0;
-    LogHistogram hist{64, 16};
+    Histogram hist; ///< reuse distances in bytes
 };
+
+/** Figure 15 rows: power-of-two byte buckets from 64 B up to 4 MB. */
+constexpr int kFirstRowBucket = 6; // 64 B: one line
+constexpr int kRows = 16;
 
 /**
  * The paper studies *intra-job* locality (section 5.5.1): reuse
  * distances within one operation, since those are what preemptions
  * disturb. Analyze each GET/SCAN in its own window and aggregate.
  */
-IntraOpReuse
-analyze(MiniKV &kv, bool scan, int ops, uint64_t seed)
+void
+analyze(MiniKV &kv, bool scan, int ops, uint64_t seed, IntraOpReuse &agg)
 {
-    IntraOpReuse agg;
     Rng rng(seed);
     uint64_t checksum = 0;
     for (int i = 0; i < ops; ++i) {
@@ -63,7 +67,6 @@ analyze(MiniKV &kv, bool scan, int ops, uint64_t seed)
             agg.above_8k += (d << 6) > 8 * 1024;
         }
     }
-    return agg;
 }
 
 /**
@@ -74,11 +77,10 @@ analyze(MiniKV &kv, bool scan, int ops, uint64_t seed)
  * histogram, while the paper's intra-op histograms above are
  * key-distribution-invariant by construction.
  */
-IntraOpReuse
+void
 analyze_cross_op(MiniKV &kv, const workloads::ZipfKeyGen &gen, int ops,
-                 uint64_t seed)
+                 uint64_t seed, IntraOpReuse &agg)
 {
-    IntraOpReuse agg;
     Rng rng(seed);
     ReuseAnalyzer analyzer;
     std::vector<uint64_t> trace;
@@ -96,7 +98,6 @@ analyze_cross_op(MiniKV &kv, const workloads::ZipfKeyGen &gen, int ops,
         agg.hist.add(d << 6);
         agg.above_8k += (d << 6) > 8 * 1024;
     }
-    return agg;
 }
 
 void
@@ -105,7 +106,31 @@ report(const char *name, const IntraOpReuse &a)
     std::printf("## %s: %llu accesses, %llu intra-op reuses\n", name,
                 static_cast<unsigned long long>(a.accesses),
                 static_cast<unsigned long long>(a.reuses));
-    std::printf("%s", a.hist.to_string().c_str());
+    // "lo - hi: count (pct)" per row, plus a 0 - 64 row for zero
+    // distances and an open-ended row past 4 MB when either is non-empty.
+    const uint64_t total = a.hist.count();
+    const auto row = [total](uint64_t lo, uint64_t hi, uint64_t count) {
+        const double pct = total ? 100.0 * static_cast<double>(count) /
+                                       static_cast<double>(total)
+                                 : 0.0;
+        std::printf("%12llu - %12llu: %10llu (%5.1f%%)\n",
+                    static_cast<unsigned long long>(lo),
+                    static_cast<unsigned long long>(hi),
+                    static_cast<unsigned long long>(count), pct);
+    };
+    const auto count_in = [&a](int from, int to) {
+        uint64_t n = 0;
+        for (int i = from; i < to; ++i)
+            n += a.hist.bucket_count(i);
+        return n;
+    };
+    constexpr int kEnd = kFirstRowBucket + kRows;
+    if (const uint64_t below = count_in(0, kFirstRowBucket))
+        row(0, uint64_t{1} << kFirstRowBucket, below);
+    for (int i = kFirstRowBucket; i < kEnd; ++i)
+        row(uint64_t{1} << i, uint64_t{1} << (i + 1), a.hist.bucket_count(i));
+    if (const uint64_t above = count_in(kEnd, Histogram::kBuckets))
+        row(uint64_t{1} << kEnd, ~0ULL, above);
     std::printf("accesses with intra-op reuse distance > 8KB: %.1f%% "
                 "(paper: GET 3.7%%, SCAN 4.5%%)\n",
                 100.0 * static_cast<double>(a.above_8k) /
@@ -124,17 +149,20 @@ main()
     MiniKV kv(1, 100);
     kv.load_sequential(100'000);
 
-    report("GET", analyze(kv, false, 400, 7));
-    report("SCAN", analyze(kv, true, 3, 8));
+    IntraOpReuse get, scan;
+    analyze(kv, false, 400, 7, get);
+    report("GET", get);
+    analyze(kv, true, 3, 8, scan);
+    report("SCAN", scan);
 
     // ROADMAP "Zipfian mix" leftover: the cross-op view, where hot-key
     // skew compresses reuse distances (uniform keys barely reuse across
     // GETs; Zipf hot keys re-walk the same skiplist path).
     const workloads::ZipfKeyGen uniform_keys(1 << 16, 0.0);
     const workloads::ZipfKeyGen zipf_keys(1 << 16, 0.99);
-    const IntraOpReuse cross_uniform =
-        analyze_cross_op(kv, uniform_keys, 400, 9);
-    const IntraOpReuse cross_zipf = analyze_cross_op(kv, zipf_keys, 400, 9);
+    IntraOpReuse cross_uniform, cross_zipf;
+    analyze_cross_op(kv, uniform_keys, 400, 9, cross_uniform);
+    analyze_cross_op(kv, zipf_keys, 400, 9, cross_zipf);
     report("GET cross-op, uniform keys", cross_uniform);
     report("GET cross-op, Zipf(0.99) keys", cross_zipf);
     return 0;

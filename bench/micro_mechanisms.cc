@@ -316,7 +316,7 @@ void
 BM_TelemetryHistogramAdd(benchmark::State &state)
 {
     // Bucket index (clz) + three owner-only adds.
-    telemetry::CycleHistogram hist;
+    Histogram hist;
     uint64_t v = 1;
     for (auto _ : state) {
         hist.add(v);

@@ -65,15 +65,6 @@ ReuseAnalyzer::access(uint64_t addr)
     return distance;
 }
 
-LogHistogram
-ReuseAnalyzer::byte_histogram(int num_buckets) const
-{
-    LogHistogram h(64, num_buckets);
-    for (uint64_t d : distances_)
-        h.add(d << kLineShift);
-    return h;
-}
-
 double
 ReuseAnalyzer::fraction_above_bytes(uint64_t threshold_bytes) const
 {

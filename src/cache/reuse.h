@@ -16,11 +16,10 @@
 #ifndef TQ_CACHE_REUSE_H
 #define TQ_CACHE_REUSE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
-
-#include "common/histogram.h"
 
 namespace tq::cache {
 
@@ -45,12 +44,6 @@ class ReuseAnalyzer
 
     /** Number of cold (first-touch) accesses. */
     uint64_t cold() const { return cold_; }
-
-    /**
-     * Histogram of finite reuse distances in *bytes* (distance x 64),
-     * with power-of-two buckets from 64B to @p max_pow2 B.
-     */
-    LogHistogram byte_histogram(int num_buckets = 16) const;
 
     /** Fraction of non-cold accesses with distance > threshold_bytes. */
     double fraction_above_bytes(uint64_t threshold_bytes) const;

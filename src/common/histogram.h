@@ -1,72 +1,81 @@
 /**
  * @file
- * Log-bucketed histogram.
+ * The one log2-bucketed histogram.
  *
- * Used for the reuse-distance histograms of paper Figure 15 (power-of-two
- * byte buckets) and for coarse latency summaries. Buckets are
- * [base * 2^i, base * 2^(i+1)) with an underflow bucket below base.
+ * Telemetry's stage, per-class and value histograms record into it, and
+ * so does the reuse-distance study of paper Figure 15. Bucket i counts
+ * values in [2^i, 2^(i+1)), with values 0 and 1 sharing bucket 0 and
+ * values >= 2^(kBuckets-1) clamped into the last bucket, so a bucket
+ * bounds a value to within a factor of two (a p99 read at a bucket's
+ * geometric midpoint is good to about ±41 %). An exact running sum and
+ * count sit beside the buckets, so means are exact.
  */
 #ifndef TQ_COMMON_HISTOGRAM_H
 #define TQ_COMMON_HISTOGRAM_H
 
+#include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
+
+#include "conc/cacheline.h"
 
 namespace tq {
 
-/** Histogram over uint64 values with power-of-two bucket widths. */
-class LogHistogram
+/**
+ * Lock-free log2 histogram over uint64 values.
+ *
+ * add() is wait-free: one clz and three owner-only adds (owner_add(), a
+ * plain load and store each) on lines of its one writing thread. Any
+ * thread may read concurrently; each read is one relaxed load, so
+ * bucket counts, sum and count are individually consistent but not a
+ * cut across each other. A histogram with two writers would lose
+ * samples.
+ */
+class Histogram
 {
   public:
-    /**
-     * @param base lower edge of the first regular bucket (values below it
-     *     land in the underflow bucket); must be >= 1.
-     * @param num_buckets number of regular power-of-two buckets; values at
-     *     or above base * 2^num_buckets land in the overflow bucket.
-     */
-    LogHistogram(uint64_t base, int num_buckets);
+    /** Buckets cover [1, 2^40) — beyond any per-event cycle latency.
+     *  Layout note: 42 uint64 atomics = 336 bytes (5.25 lines), not
+     *  padded per bucket — every field has the same single writer, so
+     *  internal sharing is free, and the enclosing telemetry objects
+     *  group histograms by writer (docs/cache_line_analysis.md). */
+    static constexpr int kBuckets = 40;
 
-    /** Record one value. */
-    void add(uint64_t value, uint64_t count = 1);
+    /** Record one sample. Wait-free. */
+    void
+    add(uint64_t value)
+    {
+        owner_add(buckets_[bucket_of(value)], 1);
+        owner_add(sum_, value);
+        owner_add(count_, 1);
+    }
 
-    /** Total number of recorded values. */
-    uint64_t total() const { return total_; }
+    /** Bucket index a value lands in. */
+    static int
+    bucket_of(uint64_t value)
+    {
+        if (value < 2)
+            return 0;
+        const int log2 = 63 - __builtin_clzll(value);
+        return log2 < kBuckets ? log2 : kBuckets - 1;
+    }
 
-    /** Count in the underflow bucket (values < base). */
-    uint64_t underflow() const { return underflow_; }
+    /** Samples in bucket @p i at the time of the load. */
+    uint64_t
+    bucket_count(int i) const
+    {
+        return buckets_[i].load(std::memory_order_relaxed);
+    }
 
-    /** Count in the overflow bucket. */
-    uint64_t overflow() const { return overflow_; }
+    /** Number of recorded samples at the time of the load. */
+    uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 
-    /** Count in regular bucket @p i. */
-    uint64_t bucket_count(int i) const { return buckets_[i]; }
-
-    /** Inclusive lower edge of regular bucket @p i. */
-    uint64_t bucket_lo(int i) const { return base_ << i; }
-
-    /** Exclusive upper edge of regular bucket @p i. */
-    uint64_t bucket_hi(int i) const { return base_ << (i + 1); }
-
-    /** Number of regular buckets. */
-    int num_buckets() const { return static_cast<int>(buckets_.size()); }
-
-    /**
-     * Fraction of recorded values strictly greater than @p threshold,
-     * resolved at bucket granularity (a bucket straddling the threshold
-     * counts as above it). Returns 0 when empty.
-     */
-    double fraction_above(uint64_t threshold) const;
-
-    /** Multi-line "lo-hi: count (pct)" rendering for reports. */
-    std::string to_string() const;
+    /** Exact sum of recorded values (wraps like any uint64 sum). */
+    uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
 
   private:
-    uint64_t base_;
-    std::vector<uint64_t> buckets_;
-    uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
-    uint64_t total_ = 0;
+    std::atomic<uint64_t> buckets_[kBuckets] = {};
+    std::atomic<uint64_t> sum_{0};
+    std::atomic<uint64_t> count_{0};
 };
 
 } // namespace tq

@@ -3,9 +3,9 @@
  * Bounded lock-free multi-producer / multi-consumer queue.
  *
  * Dmitry Vyukov's array-based MPMC queue. TQ uses it wherever more than
- * one thread can touch an end: the RX buffer pool is multi-producer
- * (workers release parsed buffers) single-consumer (the dispatcher
- * allocates), and the Caladan-style baseline uses it for work stealing.
+ * one thread can touch an end: each dispatcher shard's RX queue takes
+ * requests from many submitters and is drained by its dispatcher and
+ * by stealing sibling shards.
  */
 #ifndef TQ_CONC_MPMC_QUEUE_H
 #define TQ_CONC_MPMC_QUEUE_H

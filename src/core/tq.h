@@ -49,7 +49,6 @@
 #include "compiler/ir.h"
 #include "compiler/passes.h"
 #include "compiler/report.h"
-#include "conc/buffer_pool.h"
 #include "conc/mpmc_queue.h"
 #include "conc/spsc_ring.h"
 #include "coro/coroutine.h"

@@ -142,15 +142,6 @@ run_open_loop(Server &server, const ServiceDist &dist,
     }
     collect();
 
-#if defined(TQ_TELEMETRY_ENABLED)
-    if (ct != nullptr) {
-        ct->submitted.fetch_add(stats.submitted, std::memory_order_relaxed);
-        ct->send_failures.fetch_add(stats.send_failures,
-                                    std::memory_order_relaxed);
-        ct->completed.fetch_add(stats.completed, std::memory_order_relaxed);
-    }
-#endif
-
     const double gen_elapsed_ns = cycles_to_ns(gen_end - start);
     stats.gen_elapsed_sec = gen_elapsed_ns / 1e9;
     stats.timed_out = stats.submitted - stats.completed;

@@ -58,10 +58,10 @@ struct LoadGenConfig
 
     /**
      * Optional telemetry registry: when set (and the build has
-     * TQ_TELEMETRY on), the generator records client-side counters
-     * (submitted / send failures / completed) and the sojourn histogram
-     * into the registry's client slot, so server snapshots and
-     * client-side views come from one substrate. Typically
+     * TQ_TELEMETRY on), the generator records the sojourn and
+     * burst-in-flight histograms into the registry's client slot, so
+     * server snapshots and client-side views come from one substrate.
+     * The request counts live in ClientStats. Typically
      * `&runtime.metrics()`.
      */
     telemetry::MetricsRegistry *metrics = nullptr;

@@ -6,45 +6,31 @@
 
 namespace tq::telemetry {
 
-namespace {
-
-/**
- * Summarize the union of several concurrently-written histograms:
- * bucket counts, exact sums and counts are added bucket-wise / value-wise
- * under relaxed loads (each source has a single writer).
- */
 StageStats
-summarize_merged(const std::vector<const CycleHistogram *> &sources)
+summarize(const std::vector<const Histogram *> &sources)
 {
     StageStats s;
-    uint64_t buckets[CycleHistogram::kBuckets] = {};
-    uint64_t count = 0;
+    uint64_t buckets[Histogram::kBuckets] = {};
+    uint64_t total = 0;
     Cycles sum = 0;
-    for (const CycleHistogram *h : sources) {
-        const LogHistogram snap = h->snapshot();
-        for (int i = 0; i < snap.num_buckets(); ++i)
-            buckets[i] += snap.bucket_count(i);
-        count += h->count();
+    for (const Histogram *h : sources) {
+        for (int i = 0; i < Histogram::kBuckets; ++i) {
+            const uint64_t n = h->bucket_count(i);
+            buckets[i] += n;
+            total += n;
+        }
+        s.count += h->count();
         sum += h->sum();
     }
-    uint64_t total = 0;
-    for (int i = 0; i < CycleHistogram::kBuckets; ++i) {
-        if (buckets[i] > 0)
-            s.hist.add(uint64_t{1} << i, buckets[i]);
-        total += buckets[i];
-    }
-    s.count = count;
-    if (count > 0)
-        s.mean_ns = cycles_to_ns(sum) / static_cast<double>(count);
+    if (s.count > 0)
+        s.mean_ns = cycles_to_ns(sum) / static_cast<double>(s.count);
     if (total == 0)
         return s;
 
-    // Bucket-resolution p99: first bucket whose cumulative count covers
-    // 99% of the bucket total, reported at its geometric midpoint.
     const uint64_t target =
         static_cast<uint64_t>(std::ceil(0.99 * static_cast<double>(total)));
     uint64_t cumulative = 0;
-    for (int i = 0; i < CycleHistogram::kBuckets; ++i) {
+    for (int i = 0; i < Histogram::kBuckets; ++i) {
         cumulative += buckets[i];
         if (cumulative >= target) {
             const double mid =
@@ -56,43 +42,6 @@ summarize_merged(const std::vector<const CycleHistogram *> &sources)
         }
     }
     return s;
-}
-
-/** Bucket-wise union of several histograms as one LogHistogram. */
-LogHistogram
-merged_snapshot(const std::vector<const CycleHistogram *> &sources)
-{
-    uint64_t buckets[CycleHistogram::kBuckets] = {};
-    for (const CycleHistogram *h : sources) {
-        const LogHistogram snap = h->snapshot();
-        for (int i = 0; i < snap.num_buckets(); ++i)
-            buckets[i] += snap.bucket_count(i);
-    }
-    LogHistogram out(1, CycleHistogram::kBuckets);
-    for (int i = 0; i < CycleHistogram::kBuckets; ++i)
-        if (buckets[i] > 0)
-            out.add(uint64_t{1} << i, buckets[i]);
-    return out;
-}
-
-} // namespace
-
-LogHistogram
-CycleHistogram::snapshot() const
-{
-    LogHistogram out(1, kBuckets);
-    for (int i = 0; i < kBuckets; ++i) {
-        const uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-        if (n > 0)
-            out.add(uint64_t{1} << i, n);
-    }
-    return out;
-}
-
-StageStats
-summarize(const CycleHistogram &hist)
-{
-    return summarize_merged({&hist});
 }
 
 MetricsRegistry::MetricsRegistry(int num_workers, size_t trace_capacity,
@@ -114,8 +63,7 @@ MetricsRegistry::snapshot() const
     MetricsSnapshot s;
     // Dispatcher shards fold together; the per-shard dispatched counts
     // are kept alongside so skew across shards stays visible.
-    std::vector<const CycleHistogram *> dispatch_hists, batch_hists,
-        steal_hists;
+    std::vector<const Histogram *> dispatch_hists;
     uint64_t batch_sum = 0;
     uint64_t steal_sum = 0;
     s.per_shard_dispatched.reserve(dispatchers_.size());
@@ -130,8 +78,6 @@ MetricsRegistry::snapshot() const
         s.steal_count += d->steals.load(std::memory_order_relaxed);
         steal_sum += d->steal_batch.sum();
         dispatch_hists.push_back(&d->dispatch_cycles);
-        batch_hists.push_back(&d->batch_occupancy);
-        steal_hists.push_back(&d->steal_batch);
     }
     if (s.dispatch_batches > 0)
         s.mean_dispatch_batch = static_cast<double>(batch_sum) /
@@ -140,9 +86,7 @@ MetricsRegistry::snapshot() const
     if (s.steal_count > 0)
         s.mean_steal_batch = static_cast<double>(steal_sum) /
                              static_cast<double>(s.steal_count);
-    s.dispatch_batch_hist = merged_snapshot(batch_hists);
-    s.steal_batch_hist = merged_snapshot(steal_hists);
-    std::vector<const CycleHistogram *> queue, service, preempt;
+    std::vector<const Histogram *> queue, service, preempt;
     for (const auto &w : workers_) {
         const WorkerCounters &c = w->counters;
         s.admitted += c.admitted.load(std::memory_order_relaxed);
@@ -167,7 +111,7 @@ MetricsRegistry::snapshot() const
         size_t highest = 0;
         for (int c = 0; c < kMaxTrackedClasses; ++c) {
             ClassQuantaStats &cs = classes[static_cast<size_t>(c)];
-            std::vector<const CycleHistogram *> service_h, sojourn_h;
+            std::vector<const Histogram *> service_h, sojourn_h;
             for (const auto &w : workers_) {
                 cs.grants +=
                     w->class_grants[c].load(std::memory_order_relaxed);
@@ -185,25 +129,24 @@ MetricsRegistry::snapshot() const
                 cs.mean_granted_us =
                     cycles_to_ns(granted[static_cast<size_t>(c)]) /
                     static_cast<double>(cs.grants) / 1e3;
-                cs.service = summarize_merged(service_h);
-                cs.sojourn = summarize_merged(sojourn_h);
+                cs.service = summarize(service_h);
+                cs.sojourn = summarize(sojourn_h);
                 highest = static_cast<size_t>(c) + 1;
             }
         }
         classes.resize(highest);
         s.per_class = std::move(classes);
     }
-    s.dispatch = summarize_merged(dispatch_hists);
-    s.sojourn = summarize(client_.sojourn_cycles);
-    s.queueing = summarize_merged(queue);
-    s.service = summarize_merged(service);
-    s.preempt = summarize_merged(preempt);
+    s.dispatch = summarize(dispatch_hists);
+    s.sojourn = summarize({&client_.sojourn_cycles});
+    s.queueing = summarize(queue);
+    s.service = summarize(service);
+    s.preempt = summarize(preempt);
     s.burst_phases = client_.burst_inflight.count();
     if (s.burst_phases > 0)
         s.mean_burst_inflight =
             static_cast<double>(client_.burst_inflight.sum()) /
             static_cast<double>(s.burst_phases);
-    s.burst_inflight_hist = client_.burst_inflight.snapshot();
     return s;
 }
 

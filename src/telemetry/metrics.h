@@ -14,10 +14,9 @@
  * a cross-counter atomic cut — totals observed across counters may be
  * skewed by in-flight work. See OBSERVABILITY.md for the full contract.
  *
- * Histograms record raw cycle values into power-of-two buckets with an
- * exact running sum, so snapshots expose both exact means and the bucket
- * distribution (reusing common/histogram.h LogHistogram for rendering
- * and percentile queries).
+ * Every histogram is a common/histogram.h Histogram: raw cycle (or
+ * count) values in log2 buckets beside an exact running sum, so a
+ * snapshot's StageStats carry an exact mean and a bucket-resolution p99.
  */
 #ifndef TQ_TELEMETRY_METRICS_H
 #define TQ_TELEMETRY_METRICS_H
@@ -40,65 +39,6 @@ namespace tq::telemetry {
  *  asserted in worker.cc):
  *  job classes at or beyond the limit share the last slot. */
 inline constexpr int kMaxTrackedClasses = 8;
-
-/**
- * Lock-free log2-bucketed histogram of cycle counts.
- *
- * add() is wait-free: three owner-only adds (owner_add(), a plain load
- * and store each) on lines of its one writing thread. Any thread may
- * snapshot concurrently. A histogram with two writers would lose
- * samples. Bucket i counts values in [2^i, 2^(i+1)), with values 0
- * and 1 sharing bucket 0 and values >= 2^(kBuckets-1) clamped into the
- * last bucket.
- */
-class CycleHistogram
-{
-  public:
-    /** Buckets cover [1, 2^40) cycles — beyond any per-event latency.
-     *  Layout note: 42 uint64 atomics = 336 bytes (5.25 lines), not
-     *  padded per bucket — every field has the same single writer (the
-     *  owning thread), so internal sharing is free, and the enclosing
-     *  WorkerTelemetry/DispatcherTelemetry objects group histograms by
-     *  writer (docs/cache_line_analysis.md). */
-    static constexpr int kBuckets = 40;
-
-    /** Record one cycle-valued sample. Wait-free. */
-    void
-    add(Cycles value)
-    {
-        owner_add(buckets_[bucket_of(value)], 1);
-        owner_add(sum_, value);
-        owner_add(count_, 1);
-    }
-
-    /** Bucket index a value lands in (exposed for tests). */
-    static int
-    bucket_of(Cycles value)
-    {
-        if (value < 2)
-            return 0;
-        const int log2 = 63 - __builtin_clzll(value);
-        return log2 < kBuckets ? log2 : kBuckets - 1;
-    }
-
-    /** Number of recorded samples at the time of the load. */
-    uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-
-    /** Exact sum of recorded cycle values. */
-    Cycles sum() const { return sum_.load(std::memory_order_relaxed); }
-
-    /**
-     * Copy the bucket counts into a LogHistogram (base 1, kBuckets
-     * buckets) for rendering / fraction_above queries. Safe while
-     * writers are active; the copy is bucket-wise consistent.
-     */
-    LogHistogram snapshot() const;
-
-  private:
-    std::atomic<uint64_t> buckets_[kBuckets] = {};
-    std::atomic<uint64_t> sum_{0};
-    std::atomic<uint64_t> count_{0};
-};
 
 /**
  * One worker thread's event counters, alone on their cache line.
@@ -141,10 +81,10 @@ class WorkerTelemetry
     }
 
     WorkerCounters counters;      ///< event counters (writer: the worker)
-    CycleHistogram queue_cycles;  ///< dispatch -> first quantum start
-    CycleHistogram service_cycles;///< per-job sum of slice durations
-    CycleHistogram preempt_cycles;///< per-preemption overshoot past the
-                                  ///< armed deadline (incl. switch-out)
+    Histogram queue_cycles;   ///< dispatch -> first quantum start
+    Histogram service_cycles; ///< per-job sum of slice durations
+    Histogram preempt_cycles; ///< per-preemption overshoot past the
+                              ///< armed deadline (incl. switch-out)
 
     // Per-class quantum/deficit instruments (DESIGN.md §4i). Recorded
     // only while the per-class scheduler is active (non-empty
@@ -160,8 +100,8 @@ class WorkerTelemetry
     std::atomic<uint64_t> class_finished[kMaxTrackedClasses] = {};
     /** Last settled deficit per class (gauge, signed cycles). */
     std::atomic<int64_t> class_deficit[kMaxTrackedClasses] = {};
-    CycleHistogram class_service[kMaxTrackedClasses]; ///< per-job attained
-    CycleHistogram class_sojourn[kMaxTrackedClasses]; ///< arrival -> done
+    Histogram class_service[kMaxTrackedClasses]; ///< per-job attained
+    Histogram class_sojourn[kMaxTrackedClasses]; ///< arrival -> done
 
     TraceRing trace;              ///< typed event ring (producer: worker)
 };
@@ -187,19 +127,19 @@ class DispatcherTelemetry
      *  sibling's RX queue (writer: this shard's dispatcher). */
     std::atomic<uint64_t> steals{0};
 
-    CycleHistogram dispatch_cycles; ///< RX arrival -> handed to a worker
+    Histogram dispatch_cycles; ///< RX arrival -> handed to a worker
 
-    /** Requests per non-empty RX batch (CycleHistogram reused as a
-     *  generic log2 value histogram: count = batches, sum = requests,
+    /** Requests per non-empty RX batch (a value histogram, not cycles:
+     *  count = batches, sum = requests,
      *  so sum/count is the exact mean occupancy). Occupancy ~1 means
      *  the dispatcher is keeping up and batching is a no-op; rising
      *  occupancy is RX queue depth, i.e. dispatcher pressure. */
-    CycleHistogram batch_occupancy;
+    Histogram batch_occupancy;
 
-    /** Jobs per successful steal (another generic log2 value
-     *  histogram: count = steals, sum = jobs stolen, so sum/count is
-     *  the mean rebalanced batch). Empty when stealing never fired. */
-    CycleHistogram steal_batch;
+    /** Jobs per successful steal (a value histogram: count = steals,
+     *  sum = jobs stolen, so sum/count is the mean rebalanced batch).
+     *  Empty when stealing never fired. */
+    Histogram steal_batch;
 
     TraceRing trace;                ///< JobDispatched events
 };
@@ -208,18 +148,13 @@ class DispatcherTelemetry
 class ClientTelemetry
 {
   public:
-    std::atomic<uint64_t> submitted{0};     ///< requests accepted by RX
-    std::atomic<uint64_t> send_failures{0}; ///< RX-full rejections
-    std::atomic<uint64_t> completed{0};     ///< responses drained
-
-    CycleHistogram sojourn_cycles; ///< dispatcher arrival -> completion
+    Histogram sojourn_cycles; ///< dispatcher arrival -> completion
 
     /** In-flight requests sampled at each arrival-process phase
-     *  boundary (CycleHistogram reused as a generic log2 value
-     *  histogram, like batch_occupancy: count = phases begun, sum =
-     *  in-flight total, so sum/count is the mean per-phase burst
-     *  occupancy). Empty under plain Poisson arrivals. */
-    CycleHistogram burst_inflight;
+     *  boundary (a value histogram like batch_occupancy: count = phases
+     *  begun, sum = in-flight total, so sum/count is the mean per-phase
+     *  burst occupancy). Empty under plain Poisson arrivals. */
+    Histogram burst_inflight;
 };
 
 /** Summary of one histogram-backed pipeline stage, in nanoseconds. */
@@ -228,9 +163,6 @@ struct StageStats
     uint64_t count = 0;  ///< samples recorded
     double mean_ns = 0;  ///< exact mean (from the running sum)
     double p99_ns = 0;   ///< bucket-resolution 99th percentile
-
-    /** Bucket distribution (cycles; base 1, CycleHistogram::kBuckets). */
-    LogHistogram hist{1, CycleHistogram::kBuckets};
 };
 
 /** One job class's folded per-class quantum instruments (§4i). */
@@ -258,9 +190,6 @@ struct MetricsSnapshot
 
     uint64_t dispatch_batches = 0;      ///< non-empty dispatcher RX polls
     double mean_dispatch_batch = 0;     ///< mean requests per such batch
-    /** Batch-occupancy distribution (log2 buckets over request counts,
-     *  not cycles; see DispatcherTelemetry::batch_occupancy). */
-    LogHistogram dispatch_batch_hist{1, CycleHistogram::kBuckets};
 
     /** Jobs forwarded by each dispatcher shard, in shard order (one
      *  entry for the unsharded runtime; `dispatched` is its sum). */
@@ -269,9 +198,6 @@ struct MetricsSnapshot
     uint64_t steal_count = 0;  ///< successful cross-shard steal batches
     uint64_t stolen_jobs = 0;  ///< jobs rebalanced by those steals
     double mean_steal_batch = 0; ///< stolen_jobs / steal_count
-    /** Steal-batch-size distribution (log2 buckets over job counts,
-     *  not cycles; see DispatcherTelemetry::steal_batch). */
-    LogHistogram steal_batch_hist{1, CycleHistogram::kBuckets};
 
     /** Cumulative serviced quanta from the workers' WorkerStatsLine
      *  counters, read wrap-tolerantly (filled by
@@ -308,9 +234,6 @@ struct MetricsSnapshot
 
     uint64_t burst_phases = 0;      ///< arrival-process phases begun
     double mean_burst_inflight = 0; ///< mean in-flight at phase starts
-    /** In-flight-at-phase-boundary distribution (log2 buckets over
-     *  request counts, not cycles; ClientTelemetry::burst_inflight). */
-    LogHistogram burst_inflight_hist{1, CycleHistogram::kBuckets};
 
     /** Multi-line human-readable rendering (used by benches/tools). */
     std::string to_string() const;
@@ -388,8 +311,14 @@ class MetricsRegistry
     ClientTelemetry client_;
 };
 
-/** Summarize one histogram into StageStats (exact mean, bucket p99). */
-StageStats summarize(const CycleHistogram &hist);
+/**
+ * Summarize the union of @p sources (each read under relaxed loads while
+ * its one writer may still run). The mean is exact: the summed sums over
+ * the summed counts. The p99 is the geometric midpoint of the first
+ * bucket whose cumulative count covers 99 % of the summed bucket counts
+ * (1 cycle for bucket 0).
+ */
+StageStats summarize(const std::vector<const Histogram *> &sources);
 
 } // namespace tq::telemetry
 

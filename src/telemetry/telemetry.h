@@ -4,7 +4,7 @@
  *
  * The layer has two halves with different costs:
  *
- *  - The *data structures* (MetricsRegistry, CycleHistogram, TraceRing,
+ *  - The *data structures* (MetricsRegistry, Histogram, TraceRing,
  *    the Chrome exporter) always compile and work; they have no
  *    dependency on the runtime and are usable standalone.
  *  - The *hot-path recording sites* inside runtime/, probe/ and net/

@@ -144,15 +144,14 @@ TEST(ReuseAnalyzer, MatchesBruteForceOracleOnRandomTraces)
     }
 }
 
-TEST(ReuseAnalyzer, ByteHistogramBuckets)
+TEST(ReuseAnalyzer, ByteThresholdFractions)
 {
     ReuseAnalyzer a;
     for (uint64_t i = 0; i < 32; ++i)
         a.access(i * 64);
     for (uint64_t i = 0; i < 32; ++i)
         a.access(i * 64); // distance 31 lines = 1984 bytes
-    const LogHistogram h = a.byte_histogram();
-    EXPECT_EQ(h.total(), 32u);
+    EXPECT_EQ(a.distances(), std::vector<uint64_t>(32, 31));
     EXPECT_NEAR(a.fraction_above_bytes(1024), 1.0, 1e-9);
     EXPECT_NEAR(a.fraction_above_bytes(4096), 0.0, 1e-9);
 }

@@ -233,41 +233,67 @@ TEST(PercentileTracker, MatchesSortOracleOnRandomData)
     }
 }
 
-TEST(LogHistogram, BucketEdges)
+TEST(Histogram, BucketEdges)
 {
-    LogHistogram h(64, 8); // 64..16384 in 8 buckets
-    EXPECT_EQ(h.bucket_lo(0), 64u);
-    EXPECT_EQ(h.bucket_hi(0), 128u);
-    EXPECT_EQ(h.bucket_lo(7), 8192u);
-    EXPECT_EQ(h.bucket_hi(7), 16384u);
+    // Bucket i covers [2^i, 2^(i+1)); 0 and 1 share bucket 0; huge
+    // values clamp into the last bucket instead of being lost.
+    EXPECT_EQ(Histogram::bucket_of(0), 0);
+    EXPECT_EQ(Histogram::bucket_of(1), 0);
+    EXPECT_EQ(Histogram::bucket_of(2), 1);
+    EXPECT_EQ(Histogram::bucket_of(3), 1);
+    EXPECT_EQ(Histogram::bucket_of(4), 2);
+    EXPECT_EQ(Histogram::bucket_of(64), 6);
+    EXPECT_EQ(Histogram::bucket_of(127), 6);
+    EXPECT_EQ(Histogram::bucket_of(128), 7);
+    EXPECT_EQ(Histogram::bucket_of((uint64_t{1} << 39) - 1), 38);
+    EXPECT_EQ(Histogram::bucket_of(uint64_t{1} << 39),
+              Histogram::kBuckets - 1);
+    EXPECT_EQ(Histogram::bucket_of(~uint64_t{0}), Histogram::kBuckets - 1);
 }
 
-TEST(LogHistogram, CountsLandInRightBuckets)
+TEST(Histogram, CountsLandInRightBuckets)
 {
-    LogHistogram h(64, 8);
-    h.add(10);      // underflow
-    h.add(64);      // bucket 0
-    h.add(127);     // bucket 0
-    h.add(128);     // bucket 1
-    h.add(16383);   // bucket 7
-    h.add(16384);   // overflow
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.bucket_count(0), 2u);
-    EXPECT_EQ(h.bucket_count(1), 1u);
-    EXPECT_EQ(h.bucket_count(7), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
+    Histogram h;
+    const uint64_t values[] = {10, 64, 127, 128, 16383, 16384,
+                               uint64_t{1} << 50};
+    uint64_t sum = 0;
+    for (uint64_t v : values) {
+        h.add(v);
+        sum += v;
+    }
+    EXPECT_EQ(h.count(), 7u);
+    EXPECT_EQ(h.sum(), sum);
+    EXPECT_EQ(h.bucket_count(3), 1u);  // 10
+    EXPECT_EQ(h.bucket_count(6), 2u);  // 64, 127
+    EXPECT_EQ(h.bucket_count(7), 1u);  // 128
+    EXPECT_EQ(h.bucket_count(13), 1u); // 16383
+    EXPECT_EQ(h.bucket_count(14), 1u); // 16384
+    EXPECT_EQ(h.bucket_count(Histogram::kBuckets - 1), 1u); // clamped
+    uint64_t in_buckets = 0;
+    for (int i = 0; i < Histogram::kBuckets; ++i)
+        in_buckets += h.bucket_count(i);
+    EXPECT_EQ(in_buckets, h.count());
 }
 
-TEST(LogHistogram, FractionAbove)
+TEST(Histogram, TailCountAtBucketResolution)
 {
-    LogHistogram h(1, 20);
+    // The share of samples above a threshold, read off the buckets: a
+    // bucket straddling the threshold counts as above it.
+    Histogram h;
     for (int i = 0; i < 90; ++i)
         h.add(100); // bucket [64,128)
     for (int i = 0; i < 10; ++i)
         h.add(100000);
-    EXPECT_NEAR(h.fraction_above(8192), 0.10, 1e-9);
-    EXPECT_NEAR(h.fraction_above(64), 1.0, 1e-9); // bucket straddles
+    const auto above = [&h](uint64_t threshold) {
+        uint64_t n = 0;
+        for (int i = Histogram::bucket_of(threshold);
+             i < Histogram::kBuckets; ++i)
+            n += h.bucket_count(i);
+        return static_cast<double>(n) / static_cast<double>(h.count());
+    };
+    EXPECT_NEAR(above(8192), 0.10, 1e-9);
+    EXPECT_NEAR(above(64), 1.0, 1e-9);
+    EXPECT_NEAR(above(100), 1.0, 1e-9); // 100 straddles [64,128)
 }
 
 TEST(OnOffProcess, DeterministicForSameSeed)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit and stress tests for tq_conc: SPSC ring, MPMC queue, buffer pool,
- * spin mutex, cache-line padding, owner-only counters.
+ * Unit and stress tests for tq_conc: SPSC ring, MPMC queue, cache-line
+ * padding, owner-only counters.
  */
 #include <gtest/gtest.h>
 
@@ -9,14 +9,11 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <thread>
 #include <vector>
 
-#include "conc/buffer_pool.h"
 #include "conc/cacheline.h"
 #include "conc/mpmc_queue.h"
-#include "conc/spin_mutex.h"
 #include "conc/spsc_ring.h"
 
 namespace tq {
@@ -379,98 +376,6 @@ TEST(MpmcQueue, PopNUnderMultiProducerLosesNothing)
     for (auto &t : producers)
         t.join();
     EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BufferPool, AcquireReleaseRoundTrip)
-{
-    BufferPool<int> pool(4);
-    EXPECT_EQ(pool.capacity(), 4u);
-    std::set<int *> ptrs;
-    for (int i = 0; i < 4; ++i) {
-        int *p = pool.acquire();
-        ASSERT_NE(p, nullptr);
-        EXPECT_TRUE(pool.owns(p));
-        ptrs.insert(p);
-    }
-    EXPECT_EQ(ptrs.size(), 4u) << "buffers must be distinct";
-    EXPECT_EQ(pool.acquire(), nullptr) << "pool exhausted";
-    for (int *p : ptrs)
-        pool.release(p);
-    EXPECT_EQ(pool.free_count(), 4u);
-}
-
-TEST(BufferPool, MultiProducerReleaseSingleConsumerAcquire)
-{
-    // The paper's RX pool pattern: dispatcher acquires, workers release.
-    constexpr int kWorkers = 4;
-    constexpr int kIters = 20000;
-    BufferPool<uint64_t> pool(64);
-    MpmcQueue<uint64_t *> in_flight(64);
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> released{0};
-
-    std::vector<std::thread> workers;
-    for (int w = 0; w < kWorkers; ++w) {
-        workers.emplace_back([&] {
-            while (!stop.load(std::memory_order_relaxed)) {
-                auto p = in_flight.pop();
-                if (p) {
-                    pool.release(*p);
-                    released.fetch_add(1);
-                } else {
-                    std::this_thread::yield();
-                }
-            }
-        });
-    }
-    uint64_t acquired = 0;
-    while (acquired < kIters) {
-        uint64_t *p = pool.acquire();
-        if (!p) {
-            std::this_thread::yield();
-            continue;
-        }
-        ++acquired;
-        while (!in_flight.push(p))
-            std::this_thread::yield();
-    }
-    while (released.load() < kIters)
-        std::this_thread::yield();
-    stop.store(true);
-    for (auto &t : workers)
-        t.join();
-    EXPECT_EQ(pool.free_count(), 64u) << "no buffer may leak";
-}
-
-TEST(SpinMutex, MutualExclusionUnderContention)
-{
-    SpinMutex mu;
-    int counter = 0;
-    constexpr int kThreads = 4;
-    constexpr int kIters = 20000;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            for (int i = 0; i < kIters; ++i) {
-                mu.lock();
-                ++counter; // data race iff the lock is broken
-                mu.unlock();
-            }
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    EXPECT_EQ(counter, kThreads * kIters);
-}
-
-TEST(SpinMutex, TryLock)
-{
-    SpinMutex mu;
-    EXPECT_TRUE(mu.try_lock());
-    EXPECT_FALSE(mu.try_lock());
-    mu.unlock();
-    EXPECT_TRUE(mu.try_lock());
-    mu.unlock();
 }
 
 } // namespace

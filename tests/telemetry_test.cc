@@ -1,13 +1,16 @@
 /**
  * @file
- * Tests for the telemetry layer: histogram bucketing edge cases,
- * trace-ring overflow semantics, snapshot-while-running races, the
+ * Tests for the telemetry layer: stage summaries and their merge across
+ * writers, trace-ring overflow semantics, snapshot-while-running races, the
  * Chrome trace exporter (golden file), the wrap-tolerant total-quanta
  * reader, and end-to-end recording through the real runtime.
  */
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,55 +24,219 @@
 namespace tq::telemetry {
 namespace {
 
-TEST(CycleHistogram, BucketEdges)
+TEST(Summarize, CountsAndExactMean)
 {
-    // Bucket i covers [2^i, 2^(i+1)); 0 and 1 share bucket 0; huge
-    // values clamp into the last bucket instead of being lost.
-    EXPECT_EQ(CycleHistogram::bucket_of(0), 0);
-    EXPECT_EQ(CycleHistogram::bucket_of(1), 0);
-    EXPECT_EQ(CycleHistogram::bucket_of(2), 1);
-    EXPECT_EQ(CycleHistogram::bucket_of(3), 1);
-    EXPECT_EQ(CycleHistogram::bucket_of(4), 2);
-    EXPECT_EQ(CycleHistogram::bucket_of((uint64_t{1} << 39) - 1), 38);
-    EXPECT_EQ(CycleHistogram::bucket_of(uint64_t{1} << 39),
-              CycleHistogram::kBuckets - 1);
-    EXPECT_EQ(CycleHistogram::bucket_of(~uint64_t{0}),
-              CycleHistogram::kBuckets - 1);
-}
-
-TEST(CycleHistogram, SnapshotCountsAndExactMean)
-{
-    CycleHistogram h;
+    Histogram h;
     const uint64_t values[] = {0, 1, 2, 3, 4, 1024, ~uint64_t{0}};
     uint64_t sum = 0;
     for (uint64_t v : values) {
         h.add(v);
         sum += v;
     }
-    EXPECT_EQ(h.count(), 7u);
-    EXPECT_EQ(h.sum(), sum);
-
-    const LogHistogram snap = h.snapshot();
-    EXPECT_EQ(snap.total(), 7u);
-    EXPECT_EQ(snap.bucket_count(0), 2u); // 0 and 1
-    EXPECT_EQ(snap.bucket_count(1), 2u); // 2 and 3
-    EXPECT_EQ(snap.bucket_count(2), 1u); // 4
-    EXPECT_EQ(snap.bucket_count(10), 1u); // 1024
-    EXPECT_EQ(snap.bucket_count(CycleHistogram::kBuckets - 1), 1u);
-
-    const StageStats stats = summarize(h);
+    const StageStats stats = summarize({&h});
     EXPECT_EQ(stats.count, 7u);
     EXPECT_DOUBLE_EQ(stats.mean_ns, cycles_to_ns(sum) / 7.0);
-    EXPECT_GT(stats.p99_ns, 0.0);
+    // 99 % of 7 samples is all 7: the clamped top bucket's midpoint.
+    EXPECT_EQ(stats.p99_ns,
+              cycles_to_ns(static_cast<Cycles>(
+                  static_cast<double>(uint64_t{1} << 39) * std::sqrt(2.0))));
 }
 
-TEST(CycleHistogram, EmptySummarizesToZero)
+TEST(Summarize, EmptyIsZero)
 {
-    CycleHistogram h;
-    const StageStats stats = summarize(h);
-    EXPECT_EQ(stats.count, 0u);
-    EXPECT_EQ(stats.mean_ns, 0.0);
-    EXPECT_EQ(stats.p99_ns, 0.0);
+    Histogram h;
+    for (const StageStats &stats : {summarize({}), summarize({&h, &h})}) {
+        EXPECT_EQ(stats.count, 0u);
+        EXPECT_EQ(stats.mean_ns, 0.0);
+        EXPECT_EQ(stats.p99_ns, 0.0);
+    }
+}
+
+/** Sum of @p n copies of @p value added to @p h. */
+template <typename Hist>
+Cycles
+add_n(Hist &h, int n, Cycles value)
+{
+    for (int i = 0; i < n; ++i)
+        h.add(value);
+    return static_cast<Cycles>(n) * value;
+}
+
+/** The p99 a snapshot reports when log2 bucket @p i is the first whose
+ *  cumulative count covers 99 % of the samples: the bucket's geometric
+ *  midpoint (1 cycle for bucket 0), in ns. */
+double
+bucket_p99_ns(int i)
+{
+    const double mid =
+        i == 0 ? 1.0
+               : static_cast<double>(uint64_t{1} << i) * std::sqrt(2.0);
+    return cycles_to_ns(static_cast<Cycles>(mid));
+}
+
+/** Exact mean the snapshot derives from a summed cycle total. */
+double
+mean_ns(Cycles sum, uint64_t count)
+{
+    return cycles_to_ns(sum) / static_cast<double>(count);
+}
+
+std::string
+stage_row(const char *name, uint64_t count, double mean, double p99)
+{
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "%s\t%llu\t%.3f\t%.3f\n", name,
+                  static_cast<unsigned long long>(count), mean / 1e3,
+                  p99 / 1e3);
+    return buf;
+}
+
+TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
+{
+    // Fixed samples spread over two workers, two dispatcher shards and
+    // the client. Every stage's count, exact mean and bucket p99 — and
+    // the rendered table — must equal what the merge rules give: means
+    // from the summed sum/count, p99 at the geometric midpoint of the
+    // first bucket covering 99 % of the merged bucket total.
+    MetricsRegistry reg(2, 64, 2);
+    DispatcherTelemetry &d0 = reg.dispatcher(0);
+    DispatcherTelemetry &d1 = reg.dispatcher(1);
+    WorkerTelemetry &w0 = reg.worker(0);
+    WorkerTelemetry &w1 = reg.worker(1);
+
+    // dispatch: 150 x 300 (bucket 8) on shard 0; 50 x 3000 (bucket 11)
+    // and 2 x 2^20 on shard 1. 99 % of 202 is 200 -> bucket 11, which
+    // only the merged view reaches.
+    Cycles dispatch_sum = add_n(d0.dispatch_cycles, 150, 300);
+    dispatch_sum += add_n(d1.dispatch_cycles, 50, 3000);
+    dispatch_sum += add_n(d1.dispatch_cycles, 2, Cycles{1} << 20);
+    d0.dispatched.store(150);
+    d1.dispatched.store(52);
+    // Value histograms: batch occupancy, steal batches.
+    add_n(d0.batch_occupancy, 2, 1);
+    add_n(d0.batch_occupancy, 1, 3);
+    add_n(d1.batch_occupancy, 1, 2);
+    d1.steals.store(2);
+    add_n(d1.steal_batch, 1, 4);
+    add_n(d1.steal_batch, 1, 8);
+
+    // queueing: 0 and 1 share bucket 0, which covers 99 of 100.
+    Cycles queue_sum = add_n(w0.queue_cycles, 50, 0);
+    queue_sum += add_n(w0.queue_cycles, 49, 1);
+    queue_sum += add_n(w1.queue_cycles, 1, 70'000);
+    // service: 99 % of 20 is 20 -> bucket 10 (2000) on worker 1.
+    Cycles service_sum = add_n(w0.service_cycles, 10, 1000);
+    service_sum += add_n(w1.service_cycles, 10, 2000);
+    // preempt: worker 1 recorded nothing.
+    const Cycles preempt_sum = add_n(w0.preempt_cycles, 3, 40);
+    // sojourn: the client's one histogram, top sample decides.
+    Cycles sojourn_sum = add_n(reg.client().sojourn_cycles, 3, 7);
+    sojourn_sum += add_n(reg.client().sojourn_cycles, 1, 123'456);
+    add_n(reg.client().burst_inflight, 1, 3);
+    add_n(reg.client().burst_inflight, 1, 5);
+
+    // Per-class instruments: class 0 on both workers, class 1 on one;
+    // a sample past 2^39 clamps into the last bucket.
+    w0.class_grants[0].store(4);
+    w1.class_grants[0].store(2);
+    w0.class_granted_cycles[0].store(8000);
+    w1.class_granted_cycles[0].store(1000);
+    w0.class_finished[0].store(2);
+    w1.class_finished[0].store(1);
+    w0.class_deficit[0].store(-5);
+    w1.class_deficit[0].store(7);
+    Cycles c0_service = add_n(w0.class_service[0], 2, 500);
+    c0_service += add_n(w1.class_service[0], 1, 600);
+    add_n(w0.class_sojourn[0], 2, 900);
+    add_n(w1.class_sojourn[0], 1, Cycles{1} << 45);
+    w1.class_grants[1].store(3);
+    w1.class_granted_cycles[1].store(6000);
+    w1.class_finished[1].store(1);
+    const Cycles c1_service = add_n(w1.class_service[1], 1, 5000);
+    add_n(w1.class_sojourn[1], 1, 5000);
+
+    for (WorkerTelemetry *w : {&w0, &w1}) {
+        w->counters.admitted.store(10);
+        w->counters.quanta.store(12);
+        w->counters.yields.store(2);
+        w->counters.finished.store(10);
+    }
+
+    const MetricsSnapshot s = reg.snapshot();
+    EXPECT_EQ(s.dispatched, 202u);
+    EXPECT_EQ(s.per_shard_dispatched, (std::vector<uint64_t>{150, 52}));
+    EXPECT_EQ(s.dispatch_batches, 4u);
+    EXPECT_EQ(s.mean_dispatch_batch, 7.0 / 4.0);
+    EXPECT_EQ(s.steal_count, 2u);
+    EXPECT_EQ(s.stolen_jobs, 12u);
+    EXPECT_EQ(s.mean_steal_batch, 6.0);
+    EXPECT_EQ(s.burst_phases, 2u);
+    EXPECT_EQ(s.mean_burst_inflight, 4.0);
+
+    const struct
+    {
+        const char *name;
+        const StageStats &got;
+        uint64_t count;
+        Cycles sum;
+        int p99_bucket;
+    } stages[] = {
+        {"dispatch", s.dispatch, 202, dispatch_sum, 11},
+        {"queueing", s.queueing, 100, queue_sum, 0},
+        {"service", s.service, 20, service_sum, 10},
+        {"preempt", s.preempt, 3, preempt_sum, 5},
+        {"sojourn", s.sojourn, 4, sojourn_sum, 16},
+    };
+    std::string table = "stage\tcount\tmean_us\tp99_us\n";
+    for (const auto &st : stages) {
+        SCOPED_TRACE(st.name);
+        EXPECT_EQ(st.got.count, st.count);
+        EXPECT_EQ(st.got.mean_ns, mean_ns(st.sum, st.count));
+        EXPECT_EQ(st.got.p99_ns, bucket_p99_ns(st.p99_bucket));
+        table += stage_row(st.name, st.count, mean_ns(st.sum, st.count),
+                           bucket_p99_ns(st.p99_bucket));
+    }
+
+    ASSERT_EQ(s.per_class.size(), 2u);
+    EXPECT_EQ(s.per_class[0].grants, 6u);
+    EXPECT_EQ(s.per_class[0].finished, 3u);
+    EXPECT_EQ(s.per_class[0].deficit_cycles, 2);
+    EXPECT_EQ(s.per_class[0].mean_granted_us,
+              cycles_to_ns(9000) / 6.0 / 1e3);
+    EXPECT_EQ(s.per_class[0].service.count, 3u);
+    EXPECT_EQ(s.per_class[0].service.mean_ns, mean_ns(c0_service, 3));
+    EXPECT_EQ(s.per_class[0].service.p99_ns, bucket_p99_ns(9));
+    EXPECT_EQ(s.per_class[0].sojourn.count, 3u);
+    EXPECT_EQ(s.per_class[0].sojourn.p99_ns, bucket_p99_ns(39));
+    EXPECT_EQ(s.per_class[1].grants, 3u);
+    EXPECT_EQ(s.per_class[1].service.mean_ns, mean_ns(c1_service, 1));
+    EXPECT_EQ(s.per_class[1].sojourn.p99_ns, bucket_p99_ns(12));
+
+    char buf[256];
+    std::string classes = "starvation promotions: 0\n"
+                          "class\tgrants\tfinished\tgranted_us\t"
+                          "deficit_cyc\tservice_us\tsojourn_p99_us\n";
+    std::snprintf(buf, sizeof(buf), "0\t6\t3\t%.3f\t2\t%.3f\t%.3f\n",
+                  cycles_to_ns(9000) / 6.0 / 1e3,
+                  mean_ns(c0_service, 3) / 1e3, bucket_p99_ns(39) / 1e3);
+    classes += buf;
+    std::snprintf(buf, sizeof(buf), "1\t3\t1\t%.3f\t0\t%.3f\t%.3f\n",
+                  cycles_to_ns(6000) / 3.0 / 1e3,
+                  mean_ns(c1_service, 1) / 1e3, bucket_p99_ns(12) / 1e3);
+    classes += buf;
+
+    EXPECT_EQ(s.to_string(),
+              "jobs: dispatched 202, admitted 20, finished 20\n"
+              "quanta: 24 (probe yields 4, guard-deferred 0, "
+              "stats-line total 0)\n"
+              "trace events dropped: 0\n"
+              "dispatch batches: 4 (mean occupancy 1.75)\n"
+              "per-shard dispatched: 150 52\n"
+              "steals: 2 (12 jobs, mean batch 6.00)\n"
+              "burst phases: 2 (mean in-flight 4.00)\n"
+              "backpressure: tx-full spins 0, dispatch-full spins 0, "
+              "dropped responses 0, abandoned jobs 0\n" +
+                  table + classes);
 }
 
 TEST(TraceRing, OverflowDropsInsteadOfBlocking)
