@@ -6,11 +6,12 @@
  * runtime::Worker instantiates it on `Cycles` and task pointers, the
  * simulator on `SimNanos` and unit ids, so both engines select, budget,
  * settle and promote with the same code. RunQueue is the PS/FCFS ring
- * or the LAS min-heap; ClassLedger keeps the per-class deficit and
- * starvation accounts; SchedCore composes them into the calls an engine
- * makes. The fixed quantum is the degenerate shape — one slot, deficit
- * clamp 0, guard off — where every budget is the base quantum, every
- * deficit settles to 0 and nothing is promoted.
+ * or the LAS min-heap, either one in a contiguous vector; ClassLedger
+ * keeps the per-class deficit and starvation accounts; SchedCore
+ * composes them into the calls an engine makes. The fixed quantum is
+ * the degenerate shape — one slot, deficit clamp 0, guard off — where
+ * every budget is the base quantum, every deficit settles to 0 and
+ * nothing is promoted.
  */
 #ifndef TQ_COMMON_SCHED_CORE_H
 #define TQ_COMMON_SCHED_CORE_H
@@ -18,10 +19,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace tq::sched {
 
@@ -57,8 +58,13 @@ struct RunEntry
 /**
  * One core's run queue. PS and FCFS rotate a ring — pop the front, push
  * to the back; they differ only in whether the engine arms a quantum.
- * LAS keeps a binary min-heap on (quanta, seq) in the same deque: the
- * fewest serviced quanta win, the earliest admitted among equals.
+ * The ring is a contiguous vector read from a head index: pops advance
+ * the head, and the consumed prefix is erased once it is at least
+ * kCompactAt entries and half the vector, so a rotation allocates
+ * nothing and the amortized copy per pop is one entry. LAS keeps a
+ * binary min-heap on (quanta, seq) in the same vector with the head
+ * fixed at 0: the fewest serviced quanta win, the earliest admitted
+ * among equals.
  */
 template <typename Handle>
 class RunQueue
@@ -68,8 +74,8 @@ class RunQueue
 
     explicit RunQueue(bool las) : las_(las) {}
 
-    bool empty() const { return q_.empty(); }
-    size_t size() const { return q_.size(); }
+    bool empty() const { return head_ == q_.size(); }
+    size_t size() const { return q_.size() - head_; }
 
     /** Queue a fresh job: zero quanta, the next admission seq. */
     void
@@ -91,8 +97,9 @@ class RunQueue
     pop()
     {
         if (!las_) {
-            const Entry e = q_.front();
-            q_.pop_front();
+            const Entry e = q_[head_++];
+            if (head_ >= kCompactAt && 2 * head_ >= q_.size())
+                compact();
             return e;
         }
         std::pop_heap(q_.begin(), q_.end(), After{});
@@ -106,8 +113,9 @@ class RunQueue
     std::optional<Entry>
     extract(int slot)
     {
+        const auto first = q_.begin() + static_cast<ptrdiff_t>(head_);
         auto best = q_.end();
-        for (auto it = q_.begin(); it != q_.end(); ++it) {
+        for (auto it = first; it != q_.end(); ++it) {
             if (it->slot != slot)
                 continue;
             if (best == q_.end() || After{}(*best, *it))
@@ -129,12 +137,16 @@ class RunQueue
     void
     clear(F &&each)
     {
-        for (const Entry &e : q_)
-            each(e);
+        for (size_t i = head_; i < q_.size(); ++i)
+            each(q_[i]);
         q_.clear();
+        head_ = 0;
     }
 
   private:
+    /** Consumed ring entries kept before the prefix is erased. */
+    static constexpr size_t kCompactAt = 64;
+
     /** std heaps are max-heaps, so "after" is the reversed order. */
     struct After
     {
@@ -154,8 +166,17 @@ class RunQueue
             std::push_heap(q_.begin(), q_.end(), After{});
     }
 
+    /** Erase the ring's consumed prefix (kept out of pop()'s body). */
+    [[gnu::noinline]] void
+    compact()
+    {
+        q_.erase(q_.begin(), q_.begin() + static_cast<ptrdiff_t>(head_));
+        head_ = 0;
+    }
+
     bool las_;
-    std::deque<Entry> q_;
+    std::vector<Entry> q_;
+    size_t head_ = 0; ///< first live ring entry; always 0 under LAS
     uint64_t next_seq_ = 0;
 };
 
@@ -200,10 +221,6 @@ class ClassLedger
     }
 
     int slots() const { return slots_; }
-    /** Whether settlement can move a deficit (clamp > 0). With clamp 0
-     *  every deficit stays 0 and settle() ignores its arguments, so an
-     *  engine may skip timing the slice. */
-    bool settles() const { return clamp_ != 0; }
     void enter(int slot) { ++acct_[slot].runnable; }
     void leave(int slot) { --acct_[slot].runnable; }
 

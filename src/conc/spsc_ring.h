@@ -191,12 +191,15 @@ class SpscRing
      * Dequeue up to @p max_n elements into @p dst. Consumer-side only.
      *
      * Mirrors push_n(): one acquire of the producer index and one
-     * release of the consumer index per batch.
+     * release of the consumer index per batch. @p dst is a pointer into
+     * a buffer or any output iterator, e.g. std::back_inserter to append
+     * to a vector's reserved capacity without value-initializing it.
      *
      * @return number of elements dequeued (0 when empty), FIFO order.
      */
+    template <typename Out>
     size_t
-    pop_n(T *dst, size_t max_n)
+    pop_n(Out dst, size_t max_n)
     {
         const size_t tail = cons_.tail.load(std::memory_order_relaxed);
         size_t avail = cons_.cached_head - tail;
@@ -206,7 +209,7 @@ class SpscRing
         }
         const size_t count = max_n < avail ? max_n : avail;
         for (size_t i = 0; i < count; ++i)
-            dst[i] = std::move(slots_[(tail + i) & mask_]);
+            *dst++ = std::move(slots_[(tail + i) & mask_]);
         if (count > 0)
             cons_.tail.store(tail + count, std::memory_order_release);
         return count;

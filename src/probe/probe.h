@@ -99,13 +99,25 @@ bind_telemetry(telemetry::WorkerTelemetry *telem, uint64_t job)
 #endif
 
 /**
+ * Start a quantum of @p quantum_cycles counted from @p start, a cycle
+ * stamp the caller has already read (the worker's slice start), so
+ * arming costs no clock read of its own. A start far enough in the past
+ * expires at the first probe.
+ */
+inline void
+arm_quantum_from(Cycles start, Cycles quantum_cycles)
+{
+    probe_state().deadline = start + quantum_cycles;
+}
+
+/**
  * Start a quantum of @p quantum_cycles ending relative to now.
- * Called by the scheduler immediately before resuming a task coroutine.
+ * Called immediately before resuming a task coroutine.
  */
 inline void
 arm_quantum(Cycles quantum_cycles)
 {
-    probe_state().deadline = rdcycles() + quantum_cycles;
+    arm_quantum_from(rdcycles(), quantum_cycles);
 }
 
 /** Disarm the quantum (e.g. while the scheduler itself runs). */

@@ -44,7 +44,7 @@ struct Response
     uint64_t id = 0;
     Cycles gen_cycles = 0;
     Cycles arrival_cycles = 0;
-    Cycles done_cycles = 0;    ///< stamped at completion on the worker
+    Cycles done_cycles = 0;    ///< end of the job's last slice (worker)
     int job_class = 0;
     int worker = -1;           ///< core that executed the job
     uint64_t result = 0;       ///< handler's output (checksum etc.)

@@ -1,6 +1,7 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/check.h"
 #include "common/cycles.h"
@@ -214,7 +215,8 @@ Runtime::drain_responses(std::vector<Response> &out)
     // drain storm the collector used to reallocate log2(n) times while
     // popping one response at a time. The probe is racy-low (workers
     // keep pushing), so pop_n keeps collecting past it until a ring
-    // reads empty.
+    // reads empty. pop_n appends into the reserved capacity, so no
+    // response is value-initialized only to be overwritten.
     size_t expected = out.size();
     for (const auto &w : workers_)
         expected += w->tx_ring().size();
@@ -224,12 +226,8 @@ Runtime::drain_responses(std::vector<Response> &out)
     for (auto &w : workers_) {
         auto &ring = w->tx_ring();
         for (;;) {
-            const size_t old = out.size();
             const size_t want = std::max<size_t>(ring.size(), 1);
-            out.resize(old + want);
-            const size_t got = ring.pop_n(&out[old], want);
-            out.resize(old + got);
-            if (got < want)
+            if (ring.pop_n(std::back_inserter(out), want) < want)
                 break; // ring drained (or a partial final batch)
         }
     }

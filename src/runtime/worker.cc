@@ -1,6 +1,5 @@
 #include "runtime/worker.h"
 
-#include <algorithm>
 #include <thread>
 
 #include "common/check.h"
@@ -57,33 +56,27 @@ Worker::Worker(int id, const RuntimeConfig &cfg, Handler handler,
 void
 Worker::poll_admissions()
 {
-    // Batched admission: pop as many requests as there are idle task
-    // slots with one shared-index round trip, instead of one pop (and
-    // one acquire of the producer index) per request.
-    Request pending[kAdmitBatch];
+    // Pop each request straight into an idle task's slot, so admission
+    // clears and copies no per-job buffer (tools/check_hot_locks.py).
+    // pop_into re-reads the producer index only when its cached copy
+    // runs out, so a burst still costs one shared-index acquire.
     while (!idle_.empty()) {
-        const size_t want = std::min(idle_.size(), kAdmitBatch);
-        const size_t got = dispatch_ring_.pop_n(pending, want);
-        for (size_t i = 0; i < got; ++i) {
-            Task *task = idle_.back();
-            idle_.pop_back();
-            task->req = pending[i];
-            task->service_cycles = 0;
-            task->job_done = false;
-            task->has_job = true;
-            // Quantum resolution point (DESIGN.md §4i): one relaxed table
-            // load per job, here at admission. Every later probe/yield
-            // decision compares against the Task's precomputed cycle
-            // budget — a controller update never reaches a job
-            // mid-service.
-            const int slot = sched_.admit(task, pending[i].job_class);
-            task->budget_cycles = quanta_.load(slot);
-#if defined(TQ_TELEMETRY_ENABLED)
-            owner_add(telem_->counters.admitted, 1);
-#endif
-        }
-        if (got < want)
+        Task *task = idle_.back();
+        if (!dispatch_ring_.pop_into(task->req))
             return; // ring drained
+        idle_.pop_back();
+        task->service_cycles = 0;
+        task->job_done = false;
+        task->has_job = true;
+        // Quantum resolution point (DESIGN.md §4i): one relaxed table
+        // load per job, here at admission. Every later probe/yield
+        // decision compares against the Task's precomputed cycle
+        // budget — a controller update never reaches a job mid-service.
+        const int slot = sched_.admit(task, task->req.job_class);
+        task->budget_cycles = quanta_.load(slot);
+#if defined(TQ_TELEMETRY_ENABLED)
+        owner_add(telem_->counters.admitted, 1);
+#endif
     }
 }
 
@@ -105,10 +98,9 @@ Worker::run_one_slice()
     // Budget for this grant: the admission-resolved quantum plus the
     // class's deficit; on the fixed path exactly the quantum.
     const Cycles budget = sched_.grant(e, task->budget_cycles);
-    // The slice is timed when settlement can move a deficit or telemetry
-    // records it; the fixed quantum (clamp 0) reads no extra clock.
-    const bool timed = sched_.ledger().settles() || telemetry::kEnabled;
-    const Cycles slice_start = timed ? rdcycles() : 0;
+    // Two clock reads per slice: this one arms the deadline, and the one
+    // after the resume times the slice and stamps a completion.
+    const Cycles slice_start = rdcycles();
 #if defined(TQ_TELEMETRY_ENABLED)
     bind_telemetry(telem_, task->req.id);
     if (e.quanta == 0) // first slice: the job's queueing stage ends
@@ -124,10 +116,11 @@ Worker::run_one_slice()
     if (cfg_.work == WorkPolicy::Fcfs)
         disarm_quantum(); // FCFS: probes never fire
     else
-        arm_quantum(budget);
+        arm_quantum_from(slice_start, budget);
     task->coro->resume();
     disarm_quantum();
-    const Cycles slice = timed ? rdcycles() - slice_start : 0;
+    const Cycles slice_end = rdcycles();
+    const Cycles slice = slice_end - slice_start;
     // Deficit settlement (DRR): the deficit becomes granted-minus-used. A
     // class that completes inside its budget carries the leftover as
     // credit; one whose probe fired past the deadline carries that
@@ -147,7 +140,7 @@ Worker::run_one_slice()
 #endif
 
     if (task->job_done) {
-        complete(e);
+        complete(e, slice_end);
     } else {
         // Preempted: account the serviced quantum and requeue — tail of
         // the PS ring, or heap reinsert with the bumped quanta for LAS.
@@ -193,14 +186,14 @@ Worker::count_promotion()
 }
 
 void
-Worker::complete(const Sched::Entry &e)
+Worker::complete(const Sched::Entry &e, Cycles done)
 {
     Task *task = e.handle;
     Response resp;
     resp.id = task->req.id;
     resp.gen_cycles = task->req.gen_cycles;
     resp.arrival_cycles = task->req.arrival_cycles;
-    resp.done_cycles = rdcycles();
+    resp.done_cycles = done;
     resp.job_class = task->req.job_class;
     resp.worker = id_;
     resp.result = task->result;

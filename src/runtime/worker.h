@@ -11,8 +11,11 @@
  * quantum, so compiler-style probes inside the handler preempt the task
  * back to the scheduler.
  *
- * Admissions drain the dispatch ring in batches (SpscRing::pop_n — one
- * shared-index acquire/release pair per batch). Run-queue selection,
+ * Admission pops each request straight into an idle task's slot
+ * (SpscRing::pop_into; the consumer re-reads the producer index only
+ * when its cached copy runs out). Each slice reads the cycle counter
+ * twice: the start arms the deadline, the end times the slice and
+ * stamps a completion's done_cycles. Run-queue selection,
  * per-class budgets, deficit settlement and the starvation guard are
  * the shared scheduling core (common/sched_core.h) instantiated on
  * cycles and task pointers — the simulator runs the same code — so
@@ -159,13 +162,10 @@ class Worker
     /** The shared per-core scheduler on cycles and task pointers. */
     using Sched = sched::SchedCore<Cycles, Task *>;
 
-    /** Admission batch: enough to refill every default task slot in one
-     *  ring round trip without outgrowing the stack buffer. */
-    static constexpr size_t kAdmitBatch = 32;
-
     void poll_admissions();
     void run_one_slice();
-    void complete(const Sched::Entry &e);
+    /** Finish @p e's job; @p done is the slice-end cycle stamp. */
+    void complete(const Sched::Entry &e, Cycles done);
     bool push_response(const Response &resp);
     /** push_response()'s TX-full spin, kept out of the completion path
      *  (its counters are read-modify-writes; see check_hot_locks.py). */

@@ -649,6 +649,160 @@ TEST(SchedCore, RunQueueMatchesBruteForceOracle)
     }
 }
 
+/** Operation mix of the long-run trials below: the backlog grows until
+ *  it holds kHigh entries, then shrinks to kLow, and so on, so a run of
+ *  thousands of operations keeps the queue non-empty while the ring's
+ *  consumed prefix is compacted many times over. */
+struct BacklogSweep
+{
+    static constexpr size_t kLow = 4;
+    static constexpr size_t kHigh = 200;
+    bool growing = true;
+
+    /** 0 admit, 1 pop and requeue, 2 pop and finish, 3 extract. */
+    uint64_t
+    next(Rng &rng, size_t size)
+    {
+        if (size <= kLow)
+            growing = true;
+        else if (size >= kHigh)
+            growing = false;
+        const uint64_t r = rng.below(8);
+        if (growing)
+            return r < 4 ? 0 : r < 6 ? 1 : r < 7 ? 2 : 3;
+        return r < 1 ? 0 : r < 3 ? 1 : r < 6 ? 2 : 3;
+    }
+};
+
+TEST(SchedCore, RunQueueLongRunsMatchBruteForceOracle)
+{
+    // The short trials above stay far below the ring's compaction
+    // threshold (64 consumed entries). Here 6000 operations per trial
+    // hold a backlog of ~4-200 entries, so the ring compacts while
+    // entries remain, and every pop and extract is still checked
+    // against the scan oracle.
+    Rng rng(4242);
+    for (int trial = 0; trial < 8; ++trial) {
+        const bool las = trial % 2 == 1;
+        const int slots = 1 + trial / 2;
+        sched::RunQueue<int> rq(las);
+        std::vector<QEntry> oracle;
+        BacklogSweep sweep;
+        uint64_t seq = 0;
+        int next_handle = 0;
+        size_t peak = 0;
+        for (int op = 0; op < 6000; ++op) {
+            const uint64_t kind = sweep.next(rng, oracle.size());
+            if (kind == 0 || oracle.empty()) {
+                const int slot = static_cast<int>(rng.below(slots));
+                rq.admit(next_handle, slot);
+                oracle.push_back(
+                    {next_handle++, 0, seq++, static_cast<uint8_t>(slot)});
+            } else if (kind == 3) {
+                const int slot = static_cast<int>(rng.below(slots));
+                const std::optional<QEntry> got = rq.extract(slot);
+                const size_t want = oracle_best(oracle, las, slot);
+                ASSERT_EQ(got.has_value(), want < oracle.size())
+                    << "trial " << trial << " op " << op;
+                if (got) {
+                    ASSERT_TRUE(same_entry(*got, oracle[want]))
+                        << "trial " << trial << " op " << op;
+                    oracle.erase(oracle.begin() +
+                                 static_cast<ptrdiff_t>(want));
+                }
+            } else {
+                const QEntry got = rq.pop();
+                const size_t want = oracle_best(oracle, las, -1);
+                ASSERT_TRUE(same_entry(got, oracle[want]))
+                    << "trial " << trial << " op " << op;
+                oracle.erase(oracle.begin() + static_cast<ptrdiff_t>(want));
+                if (kind == 1) {
+                    rq.requeue(got);
+                    QEntry back = got;
+                    ++back.quanta;
+                    oracle.push_back(back);
+                }
+            }
+            ASSERT_EQ(rq.size(), oracle.size());
+            ASSERT_EQ(rq.empty(), oracle.empty());
+            peak = std::max(peak, oracle.size());
+        }
+        EXPECT_GE(peak, BacklogSweep::kHigh) << "trial " << trial;
+        EXPECT_GT(seq, 1000u) << "trial " << trial;
+    }
+}
+
+TEST(SchedCore, AbandonAfterCompactionEmptiesQueueAndLedger)
+{
+    // A SchedCore driven through thousands of admit/next/requeue/finish
+    // steps (the ring compacting many times on the way) must still pop
+    // in oracle order, keep each slot's runnable count equal to its
+    // queued entries, and on abandon() drop exactly what is queued. The
+    // queue then starts over cleanly.
+    Rng rng(9001);
+    for (const bool las : {false, true}) {
+        constexpr int kSlots = 3;
+        sched::SchedCore<Cycles, int> core(
+            sched::SchedShape<Cycles>{las, kSlots, 0, 0});
+        std::vector<QEntry> oracle;
+        BacklogSweep sweep;
+        uint64_t seq = 0;
+        int next_handle = 0;
+        const auto admit = [&] {
+            const int job_class = static_cast<int>(rng.below(kSlots));
+            ASSERT_EQ(core.admit(next_handle, job_class), job_class);
+            oracle.push_back({next_handle++, 0, seq++,
+                              static_cast<uint8_t>(job_class)});
+        };
+        for (int op = 0; op < 6000; ++op) {
+            const uint64_t kind = sweep.next(rng, oracle.size());
+            if (kind == 0 || oracle.empty()) {
+                admit();
+            } else {
+                const auto [got, promoted] = core.next();
+                ASSERT_FALSE(promoted);
+                const size_t want = oracle_best(oracle, las, -1);
+                ASSERT_TRUE(same_entry(got, oracle[want]))
+                    << "las " << las << " op " << op;
+                oracle.erase(oracle.begin() + static_cast<ptrdiff_t>(want));
+                if (kind == 1) {
+                    core.requeue(got);
+                    QEntry back = got;
+                    ++back.quanta;
+                    oracle.push_back(back);
+                } else {
+                    core.finish(got);
+                }
+            }
+            for (int s = 0; s < kSlots; ++s)
+                ASSERT_EQ(core.ledger().account(s).runnable,
+                          std::count_if(oracle.begin(), oracle.end(),
+                                        [s](const QEntry &e) {
+                                            return e.slot == s;
+                                        }))
+                    << "las " << las << " op " << op << " slot " << s;
+        }
+        ASSERT_FALSE(oracle.empty());
+        EXPECT_EQ(core.abandon(), oracle.size());
+        EXPECT_TRUE(core.empty());
+        for (int s = 0; s < kSlots; ++s)
+            EXPECT_EQ(core.ledger().account(s).runnable, 0u);
+        EXPECT_EQ(core.abandon(), 0u) << "a second sweep finds nothing";
+
+        oracle.clear();
+        for (int i = 0; i < 5; ++i)
+            admit();
+        while (!oracle.empty()) {
+            const QEntry got = core.next().first;
+            const size_t want = oracle_best(oracle, las, -1);
+            ASSERT_TRUE(same_entry(got, oracle[want])) << "las " << las;
+            oracle.erase(oracle.begin() + static_cast<ptrdiff_t>(want));
+            core.finish(got);
+        }
+        EXPECT_TRUE(core.empty());
+    }
+}
+
 TEST(SchedCore, LedgerAgreesAcrossCyclesAndSimNanos)
 {
     // The runtime instantiates the ledger on integral cycles, the sim
@@ -708,7 +862,6 @@ TEST(SchedCore, LedgerPinsClampFloorAndSettlementRule)
 {
     sched::ClassLedger<Cycles> l(/*slots=*/2, /*deficit_clamp=*/400,
                                  /*promote_after=*/0);
-    EXPECT_TRUE(l.settles());
     EXPECT_EQ(l.budget(0, 1000), 1000u) << "no deficit: the base";
     // Credit is clamped: 1000 granted, 100 used banks 900 -> 400.
     l.settle(0, 1000, 100);
@@ -851,7 +1004,6 @@ TEST(SchedCore, OneSlotShapeIsTheFixedQuantum)
     // any class books to slot 0, every budget is the base whatever the
     // slices used, and the guard never fires.
     sched::SchedCore<Cycles, int> core(sched::SchedShape<Cycles>{});
-    EXPECT_FALSE(core.ledger().settles()) << "clamp 0: nothing to time";
     EXPECT_EQ(core.admit(1, 0), 0);
     EXPECT_EQ(core.admit(2, 5), 0);
     EXPECT_EQ(core.admit(3, -1), 0);

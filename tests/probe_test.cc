@@ -55,6 +55,35 @@ TEST(Probe, YieldsOnceDeadlinePasses)
     EXPECT_EQ(probe_state().yields, 2u);
 }
 
+TEST(Probe, ArmFromCountsTheQuantumFromTheGivenStart)
+{
+    // The worker arms from the slice-start stamp it already read: the
+    // deadline is exactly start + quantum, with no clock read of its own.
+    reset_probe_state();
+    const Cycles start = rdcycles();
+    arm_quantum_from(start, 12345);
+    EXPECT_EQ(probe_state().deadline, start + 12345);
+    arm_quantum_from(7, 0);
+    EXPECT_EQ(probe_state().deadline, 7u);
+    disarm_quantum();
+}
+
+TEST(Probe, ArmFromAStartInThePastExpiresAtTheFirstProbe)
+{
+    reset_probe_state();
+    int yields = 0;
+    bind_yield([](void *arg) { ++*static_cast<int *>(arg); }, &yields);
+    // A 1 us quantum that began 1 ms ago has long expired.
+    arm_quantum_from(rdcycles() - ns_to_cycles(1e6), ns_to_cycles(1000));
+    tq_probe();
+    EXPECT_EQ(yields, 1);
+    // The same quantum counted from a start 1 s ahead has not.
+    arm_quantum_from(rdcycles() + ns_to_cycles(1e9), ns_to_cycles(1000));
+    tq_probe();
+    EXPECT_EQ(yields, 1);
+    disarm_quantum();
+}
+
 TEST(Probe, DisarmPreventsYield)
 {
     reset_probe_state();

@@ -241,6 +241,41 @@ TEST(Runtime, WorkerCountersConsistentAfterDrain)
     rt.stop();
 }
 
+TEST(Runtime, DoneStampFollowsHandlerExitAndArrival)
+{
+    // done_cycles is the slice-end clock read the worker takes after
+    // the task coroutine returns to it, so it can never precede the
+    // handler's own last instant, nor the dispatcher's arrival stamp.
+    // Payloads of 0-6 us at a 2 us quantum mix one-slice jobs with
+    // preempted ones whose last slice is not their first.
+    constexpr uint64_t kJobs = 240;
+    for (const WorkPolicy work :
+         {WorkPolicy::ProcessorSharing, WorkPolicy::Las, WorkPolicy::Fcfs}) {
+        std::vector<Cycles> exit_stamp(kJobs, 0);
+        RuntimeConfig cfg;
+        cfg.num_workers = 2;
+        cfg.work = work;
+        Runtime rt(cfg, [&exit_stamp](const Request &req) {
+            workloads::spin_for(static_cast<double>(req.payload));
+            exit_stamp[req.id] = rdcycles();
+            return req.id;
+        });
+        rt.start();
+        std::vector<Request> reqs;
+        for (uint64_t i = 0; i < kJobs; ++i)
+            reqs.push_back(make_spin_request(i, 1000.0 * (i % 7)));
+        const auto responses = run_requests(rt, reqs);
+        rt.stop();
+        ASSERT_EQ(responses.size(), reqs.size());
+        for (const Response &r : responses) {
+            ASSERT_LT(r.id, kJobs);
+            EXPECT_NE(exit_stamp[r.id], 0u) << "id " << r.id;
+            EXPECT_GE(r.done_cycles, exit_stamp[r.id]) << "id " << r.id;
+            EXPECT_GE(r.done_cycles, r.arrival_cycles) << "id " << r.id;
+        }
+    }
+}
+
 TEST(Runtime, PreemptionChargesQuantaCounters)
 {
     RuntimeConfig cfg;
