@@ -1,27 +1,25 @@
 /**
  * @file
- * Shard topology and the front-tier JSQ pick, shared by the real
- * runtime and the simulators (DESIGN.md §4g).
+ * Shard topology and the front-tier JSQ pick of the simulator's
+ * sharded-dispatcher model (DESIGN.md §4g). The runtime has one
+ * dispatcher and does not use this file.
  *
- * A cluster with `num_dispatchers` dispatcher shards divides its
- * workers into contiguous, disjoint subsets: shard s owns
- * `shard_span(num_workers, num_dispatchers, s)`, with the remainder of
- * an uneven split spread one-per-shard from shard 0 upward. Both
- * engines use these functions, so the sim's shard model and the
- * runtime's shard construction can never disagree (the shard-assignment
- * parity tests in tests/integration_test.cc assert exactly this).
+ * A simulated cluster with S dispatcher shards divides its workers
+ * into contiguous, disjoint subsets: shard s owns
+ * `shard_span(num_workers, S, s)`, with the remainder of an uneven
+ * split spread one-per-shard from shard 0 upward.
  *
- * The front tier steers each submitted request to a shard with
+ * The front tier steers each arriving request to a shard with
  * pick_min_rotated(): an approximate JSQ over the per-shard load
  * estimates. The scan starts at a caller-supplied rotation offset and
  * wraps; only a *strictly* smaller load displaces the incumbent, so
  * ties resolve to the earliest shard in rotated order. Rotating the
- * start (the runtime uses a submitter-local counter, the sim its
- * arrival count) spreads tied picks across shards without any shared
- * tie-break state — at idle, when every estimate reads zero, submitters
- * round-robin instead of piling onto shard 0. The pick is a pure
- * function of (loads, start); tests/common_test.cc holds it to a
- * scalar oracle under 20000 random trials.
+ * start (the sim uses its arrival count) spreads tied picks across
+ * shards without any shared tie-break state — at idle, when every
+ * estimate reads zero, arrivals round-robin instead of piling onto
+ * shard 0. The pick is a pure function of (loads, start);
+ * tests/common_test.cc holds it to a scalar oracle under 20000 random
+ * trials.
  */
 #ifndef TQ_COMMON_SHARD_H
 #define TQ_COMMON_SHARD_H
@@ -52,18 +50,6 @@ shard_span(int num_workers, int num_shards, int shard)
     const int first =
         shard * base + (shard < extra ? shard : extra);
     return ShardSpan{first, count};
-}
-
-/** Inverse of shard_span(): the shard owning @p worker. */
-constexpr int
-shard_of_worker(int num_workers, int num_shards, int worker)
-{
-    const int base = num_workers / num_shards;
-    const int extra = num_workers % num_shards;
-    const int boundary = extra * (base + 1);
-    if (worker < boundary)
-        return worker / (base + 1);
-    return extra + (worker - boundary) / base;
 }
 
 /**

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstddef>
 #include <new>
+#include <thread>
 #include <type_traits>
 
 namespace tq {
@@ -132,6 +133,27 @@ cpu_relax()
 #if defined(__x86_64__)
     __builtin_ia32_pause();
 #endif
+}
+
+/** Empty polls between two idle_backoff() yields. */
+inline constexpr int kIdlePollsPerYield = 8;
+
+/**
+ * One idle step of a polling loop that found no work: cpu_relax() on
+ * most empty polls, and a sched_yield on every kIdlePollsPerYield-th so
+ * threads that timeshare a core (dispatcher, workers, client) make
+ * progress; dedicated cores would busy-poll instead. @p empty_polls is
+ * the caller's count; reset it to 0 whenever a poll finds work.
+ */
+inline void
+idle_backoff(int &empty_polls)
+{
+    if (++empty_polls >= kIdlePollsPerYield) {
+        empty_polls = 0;
+        std::this_thread::yield();
+    } else {
+        cpu_relax();
+    }
 }
 
 } // namespace tq

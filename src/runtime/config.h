@@ -29,27 +29,6 @@ enum class WorkPolicy {
  *  four or more and uses eight (section 5.1). */
 inline constexpr int kTasksPerWorker = 8;
 
-/**
- * Sharded-mode dispatch backpressure (num_dispatchers > 1 only): a
- * shard stops forwarding RX -> worker rings once its outstanding
- * (assigned-but-unfinished) jobs reach this many per owned worker,
- * keeping the excess in its MPMC RX. Without the window a shard runs
- * arbitrarily far ahead of its workers and buries the backlog in
- * private SPSC rings where siblings cannot steal it — stealing only
- * rebalances work that is still in an RX queue. Not applied at
- * num_dispatchers == 1, which forwards as fast as the rings accept,
- * exactly as the pre-sharding dispatcher did.
- */
-inline constexpr uint64_t kShardWindow = 64;
-
-/**
- * Steal trigger: only shards advertising at least this much load (RX
- * backlog + worker queue sum, see runtime/shard_front.h) are eligible
- * victims. Keeps idle-pair shards from ping-ponging speculative pops
- * at each other.
- */
-inline constexpr uint32_t kStealMinLoad = 2;
-
 /** Per-thread trace-ring capacity in events (telemetry builds).
  *  Overflow drops events and counts them; it never blocks a worker
  *  (see OBSERVABILITY.md). */
@@ -110,38 +89,12 @@ struct RuntimeConfig
      */
     bool adaptive_quantum = false;
 
-    /**
-     * Dispatcher shards (DESIGN.md §4g). 1 — the default — is the
-     * paper's single-dispatcher runtime, byte-identical to the
-     * pre-sharding code path. N > 1 divides the workers into N
-     * contiguous disjoint subsets (common/shard.h shard_span), each
-     * owned by its own dispatcher thread with its own RX queue and
-     * packed DispatchView; submit() steers each request with the
-     * front-tier JSQ over the shards' advertised load lines. Must be
-     * in [1, num_workers].
-     */
-    int num_dispatchers = 1;
-
-    /**
-     * Bounded inter-shard work stealing (num_dispatchers > 1 only).
-     * A shard whose RX is empty and whose workers are idle steals up
-     * to this many queued requests from the most-loaded sibling's RX
-     * queue in one attempt (the RX queues are MPMC, so a cross-shard
-     * pop is exactly one atomic claim per request — a stolen job is
-     * popped once, by exactly one shard). 0 disables stealing: shards
-     * are then statically partitioned and a hot shard can strand
-     * capacity (cf. DESIGN.md §4g on why work conservation matters at
-     * microsecond scale). Only siblings advertising at least
-     * kStealMinLoad are victims.
-     */
-    size_t steal_max_batch = 8;
-
     size_t ring_capacity = 1 << 14; ///< per-ring request/response slots
     DispatchPolicy dispatch = DispatchPolicy::JsqMsq; ///< load balancer
     WorkPolicy work = WorkPolicy::ProcessorSharing;   ///< per-core policy
 
     /** Dispatch RNG seed: the JsqRandom, Random and PowerOfTwo picks
-     *  draw from it (shard i seeds with seed + i). */
+     *  draw from it. */
     uint64_t seed = 1;
 
     /**

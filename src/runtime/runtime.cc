@@ -14,8 +14,7 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
     : cfg_(cfg),
       metrics_(std::make_unique<telemetry::MetricsRegistry>(
           cfg.num_workers,
-          telemetry::kEnabled ? kTelemetryTraceCapacity : 1,
-          cfg.num_dispatchers)),
+          telemetry::kEnabled ? kTelemetryTraceCapacity : 1)),
       quantum_table_(ns_to_cycles(cfg.quantum_us * 1e3)),
       assigned_(std::make_unique<std::atomic<uint64_t>[]>(
           static_cast<size_t>(cfg.num_workers))),
@@ -24,9 +23,6 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
 {
     TQ_CHECK(cfg_.num_workers > 0);
     TQ_CHECK(cfg_.dispatch_batch >= 1);
-    TQ_CHECK(cfg_.num_dispatchers >= 1 &&
-             cfg_.num_dispatchers <= cfg_.num_workers &&
-             cfg_.num_dispatchers <= telemetry::kMaxDispatcherShards);
     // Scheduling shape (DESIGN.md §4i), resolved once for all workers.
     // Per-class mode — a populated table, or an adaptive controller that
     // needs one — gives every table slot a ledger slot, the deficit
@@ -58,15 +54,9 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
         workers_.push_back(std::make_unique<Worker>(
             w, cfg_, handler, &metrics_->worker(w), &lc_, quantum_table_,
             sched_shape_));
-    for (int d = 0; d < cfg_.num_dispatchers; ++d) {
-        shards_.push_back(std::make_unique<DispatcherShard>(cfg_, d));
-        DispatcherShard &sh = *shards_.back();
-        TQ_CHECK(sh.span.count >= 1);
-        for (int i = 0; i < sh.span.count; ++i)
-            sh.stat_lines.push_back(
-                &workers_[static_cast<size_t>(sh.span.first + i)]
-                     ->stats_line());
-    }
+    disp_ = std::make_unique<Dispatcher>(cfg_);
+    for (auto &w : workers_)
+        disp_->stat_lines.push_back(&w->stats_line());
 }
 
 Runtime::~Runtime()
@@ -81,16 +71,11 @@ Runtime::start()
     TQ_CHECK(!started_);
     started_ = true;
     TQ_CHECK(lc_.advance(Lifecycle::Created, Lifecycle::Running));
-    live_threads_.store(static_cast<int>(shards_.size()) +
-                            cfg_.num_workers,
-                        std::memory_order_relaxed);
-    dispatchers_live_.store(static_cast<int>(shards_.size()),
-                            std::memory_order_relaxed);
-    for (size_t d = 0; d < shards_.size(); ++d)
-        threads_.emplace_back([this, d] {
-            dispatcher_main(static_cast<int>(d));
-            live_threads_.fetch_sub(1, std::memory_order_acq_rel);
-        });
+    live_threads_.store(1 + cfg_.num_workers, std::memory_order_relaxed);
+    threads_.emplace_back([this] {
+        dispatcher_main();
+        live_threads_.fetch_sub(1, std::memory_order_acq_rel);
+    });
     for (auto &w : workers_)
         threads_.emplace_back([&w, this] {
             w->run();
@@ -117,17 +102,14 @@ Runtime::drain(double deadline_sec)
         // instead of letting them vanish from the accounting (the early
         // return here used to report a clean drain while losing them).
         lc_.escalate(Lifecycle::Stopped);
-        for (auto &sh : shards_)
-            while (sh->rx.pop())
-                sh->counters.abandoned.fetch_add(
-                    1, std::memory_order_relaxed);
+        disp_->abandon_queued();
         drained_clean_ =
             abandoned_jobs() == 0 && dropped_responses() == 0;
         return drained_clean_;
     }
 
-    // Running -> Draining: submit() starts rejecting, each dispatcher
-    // shard forwards what is queued and exits, workers finish and exit.
+    // Running -> Draining: submit() starts rejecting, the dispatcher
+    // forwards what is queued and exits, workers finish and exit.
     // (A no-op if a concurrent caller already moved the state forward.)
     lc_.advance(Lifecycle::Running, Lifecycle::Draining);
 
@@ -154,13 +136,10 @@ Runtime::drain(double deadline_sec)
     lc_.escalate(Lifecycle::Stopped);
 
     // Submissions that raced the Running -> Draining transition can land
-    // in an RX queue after its shard's final sweep; they were never
+    // in RX after the dispatcher's final sweep; they were never
     // forwarded, so count them abandoned. Every thread is joined, so
-    // the sweep races nothing (stealing stops at Draining).
-    for (auto &sh : shards_)
-        while (sh->rx.pop())
-            sh->counters.abandoned.fetch_add(1,
-                                             std::memory_order_relaxed);
+    // the sweep races nothing.
+    disp_->abandon_queued();
     // Likewise a dispatcher can push into a worker's ring after that
     // (force-stopped) worker's own final sweep; a second sweep is safe
     // now and closes the accounting.
@@ -171,41 +150,13 @@ Runtime::drain(double deadline_sec)
     return drained_clean_;
 }
 
-int
-Runtime::pick_shard()
-{
-    // Front-tier JSQ: snapshot the shards' advertised load lines (one
-    // relaxed load each; the lines are shard-written, submitter-read)
-    // and take the rotated minimum. The rotation counter is
-    // submitter-local, so concurrent clients spread tied picks without
-    // sharing any tie-break state (common/shard.h).
-    static thread_local uint64_t rotation = 0;
-    uint32_t loads[telemetry::kMaxDispatcherShards];
-    const size_t n = shards_.size();
-    for (size_t s = 0; s < n; ++s)
-        loads[s] =
-            shards_[s]->load_line.load.load(std::memory_order_relaxed);
-    return pick_min_rotated(loads, n, rotation++);
-}
-
 bool
 Runtime::submit(const Request &req)
 {
     // Created is accepted so clients may pre-queue before start().
     if (lc_.phase() > Lifecycle::Running)
         return false;
-    if (shards_.size() == 1)
-        return shards_[0]->rx.push(req);
-    return shards_[static_cast<size_t>(pick_shard())]->rx.push(req);
-}
-
-bool
-Runtime::submit_to_shard(const Request &req, int shard)
-{
-    TQ_CHECK(shard >= 0 && shard < static_cast<int>(shards_.size()));
-    if (lc_.phase() > Lifecycle::Running)
-        return false;
-    return shards_[static_cast<size_t>(shard)]->rx.push(req);
+    return disp_->rx.push(req);
 }
 
 size_t
@@ -237,9 +188,7 @@ Runtime::drain_responses(std::vector<Response> &out)
 uint64_t
 Runtime::abandoned_jobs() const
 {
-    uint64_t n = 0;
-    for (const auto &sh : shards_)
-        n += sh->counters.abandoned.load(std::memory_order_relaxed);
+    uint64_t n = disp_->counters.abandoned.load(std::memory_order_relaxed);
     for (const auto &w : workers_)
         n += w->abandoned_jobs();
     return n;
@@ -281,46 +230,25 @@ Runtime::queue_lengths()
 }
 
 void
-Runtime::refresh_dispatch_views(DispatcherShard &sh)
+Runtime::refresh_dispatch_views()
 {
-    // Refresh the shard's view from its workers' counter lines: queue
-    // length = assigned - finished (delta-tracked across wraps, clamped
-    // at 0 against the transient finished>assigned race noted in
-    // queue_lengths()). This is the only place a dispatcher touches
+    // Refresh the view from the workers' counter lines: queue length =
+    // assigned - finished (delta-tracked across wraps, clamped at 0
+    // against the transient finished>assigned race noted in
+    // queue_lengths()). This is the only place the dispatcher touches
     // shared cache lines for load balancing; every policy's pick works
     // on the packed view until the next batch boundary. stat_lines
-    // keeps the walk over the workers' lines pointer-chase-free. The
-    // length sum doubles as the shard's aggregate-load input
-    // (shard_front.h).
-    const size_t n = static_cast<size_t>(sh.span.count);
-    uint64_t sum = 0;
+    // keeps the walk over the workers' lines pointer-chase-free.
+    Dispatcher &d = *disp_;
+    const size_t n = d.stat_lines.size();
     for (size_t i = 0; i < n; ++i) {
-        const uint64_t fin = sh.readers[i].read_finished(*sh.stat_lines[i]);
-        const uint64_t asn =
-            assigned_[static_cast<size_t>(sh.span.first) + i].load(
-                std::memory_order_relaxed);
-        const uint64_t len = asn > fin ? asn - fin : 0;
-        sh.view.set_len(i, len);
-        sum += len;
+        const uint64_t fin = d.readers[i].read_finished(*d.stat_lines[i]);
+        const uint64_t asn = assigned_[i].load(std::memory_order_relaxed);
+        d.view.set_len(i, asn > fin ? asn - fin : 0);
         if (cfg_.dispatch == DispatchPolicy::JsqMsq)
-            sh.view.set_quanta(
-                i, WorkerStatsReader::read_current_quanta(*sh.stat_lines[i]));
+            d.view.set_quanta(
+                i, WorkerStatsReader::read_current_quanta(*d.stat_lines[i]));
     }
-    sh.queue_sum = sum;
-}
-
-void
-Runtime::publish_load(DispatcherShard &sh, uint64_t just_pushed)
-{
-    // Advertised load = owned-span queue sum as of the last refresh,
-    // plus what this batch just pushed (the refresh predates those
-    // assignments), plus the RX backlog. Saturate into the uint32 the
-    // front tier compares.
-    const uint64_t load = sh.queue_sum + just_pushed + sh.rx.size();
-    sh.load_line.load.store(load > UINT32_MAX
-                                ? UINT32_MAX
-                                : static_cast<uint32_t>(load),
-                            std::memory_order_relaxed);
 }
 
 telemetry::MetricsSnapshot
@@ -397,71 +325,20 @@ Runtime::drain_trace(std::vector<telemetry::TraceEvent> &out)
 }
 
 bool
-Runtime::push_request(DispatcherShard &sh, int target, const Request &req)
+Runtime::push_request(int target, const Request &req)
 {
     TQ_FAULT_SITE(DispatcherPush);
     auto &ring = workers_[static_cast<size_t>(target)]->dispatch_ring();
-    return ring.push(req) || push_request_spin(sh, ring, req);
-}
-
-bool
-Runtime::push_request_spin(DispatcherShard &sh, SpscRing<Request> &ring,
-                           const Request &req)
-{
-    // Worker ring full: bounded backpressure — spin with a stop check,
-    // then a counted drop — mirroring the worker's TX policy.
-    const size_t limit = cfg_.push_spin_limit;
-    size_t spins = 0;
-    do {
-        if (lc_.force_stop() || (limit != 0 && spins >= limit)) {
-            sh.counters.abandoned.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-        ++spins;
-        sh.counters.full_spins.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::yield();
-    } while (!ring.push(req));
-    return true;
-}
-
-size_t
-Runtime::steal_into(DispatcherShard &sh, Request *buf, size_t buf_len)
-{
-    // Victim selection off the advertised load lines: the most-loaded
-    // sibling at or above the steal trigger. The estimate can be stale
-    // — worst case the pop below comes home empty, which costs one
-    // failed CAS round on an idle path.
-    int victim = -1;
-    uint32_t best = 0;
-    for (const auto &other : shards_) {
-        if (other->index == sh.index)
-            continue;
-        const uint32_t load =
-            other->load_line.load.load(std::memory_order_relaxed);
-        if (load >= kStealMinLoad && load > best) {
-            best = load;
-            victim = other->index;
-        }
-    }
-    if (victim < 0)
-        return 0;
-    const size_t want = std::min(cfg_.steal_max_batch, buf_len);
-    const size_t got =
-        shards_[static_cast<size_t>(victim)]->rx.pop_n(buf, want);
-#if defined(TQ_TELEMETRY_ENABLED)
-    if (got > 0) {
-        telemetry::DispatcherTelemetry &dt =
-            metrics_->dispatcher(sh.index);
-        owner_add(dt.steals, 1);
-        dt.steal_batch.add(got);
-    }
-#endif
-    return got;
+    return ring.push(req) ||
+           push_bounded(ring, req, lc_, cfg_.push_spin_limit,
+                        disp_->counters.full_spins,
+                        disp_->counters.abandoned);
 }
 
 void
-Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
+Runtime::dispatch_batch(Request *reqs, size_t n)
 {
+    Dispatcher &d = *disp_;
     // One arrival stamp covers the batch: the requests were all in
     // RX when the batch was claimed, and per-request RDTSC is
     // exactly the kind of per-job cost batching amortizes away.
@@ -469,28 +346,27 @@ Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
     // One view refresh per batch, whatever the policy: with a batch
     // of 1 every pick sees fresh counters; inside a batch the picks
     // see the boundary snapshot plus this batch's own assignments.
-    refresh_dispatch_views(sh);
-    uint64_t pushed = 0;
+    refresh_dispatch_views();
+#if defined(TQ_TELEMETRY_ENABLED)
+    telemetry::DispatcherTelemetry &dt = metrics_->dispatcher();
+#endif
     for (size_t i = 0; i < n; ++i) {
         Request &req = reqs[i];
         req.arrival_cycles = arrived_at;
-        const int best = sh.view.pick(cfg_.dispatch, sh.rng);
-        sh.view.bump_len(static_cast<size_t>(best));
-        const int target = sh.span.first + best;
+        const int target = d.view.pick(cfg_.dispatch, d.rng);
+        d.view.bump_len(static_cast<size_t>(target));
 #if defined(TQ_TELEMETRY_ENABLED)
         // Stamp the handoff *before* the push: once the request is in
         // the ring the worker may already be reading it.
         const Cycles dispatched_at = rdcycles();
         req.dispatch_cycles = dispatched_at;
 #endif
-        if (!push_request(sh, target, req))
+        if (!push_request(target, req))
             continue; // dropped (counted); the outer loop re-checks
                       // the phase per batch
         owner_add(assigned_[static_cast<size_t>(target)], 1);
-        owner_add(sh.counters.dispatched_total, 1);
-        ++pushed;
+        owner_add(d.counters.dispatched_total, 1);
 #if defined(TQ_TELEMETRY_ENABLED)
-        telemetry::DispatcherTelemetry &dt = metrics_->dispatcher(sh.index);
         owner_add(dt.dispatched, 1);
         dt.dispatch_cycles.add(dispatched_at - req.arrival_cycles);
         dt.trace.record(telemetry::EventKind::JobDispatched, req.id,
@@ -498,91 +374,43 @@ Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
 #endif
     }
 #if defined(TQ_TELEMETRY_ENABLED)
-    metrics_->dispatcher(sh.index).batch_occupancy.add(n);
+    dt.batch_occupancy.add(n);
 #endif
-    if (shards_.size() > 1)
-        publish_load(sh, pushed);
 }
 
 void
-Runtime::dispatcher_main(int shard_index)
+Runtime::dispatcher_main()
 {
-    DispatcherShard &sh = *shards_[static_cast<size_t>(shard_index)];
+    Dispatcher &d = *disp_;
     // RX is popped in batches: one batch dequeue (one contended RMW on
     // the MPMC cursor), one JSQ view refresh (one pass over the shared
     // counter lines), then per-request work against local state only.
     // Under light load batches degenerate to size 1 and the path is the
     // classic per-request one; under pressure the shared-line traffic
     // is divided by the batch occupancy (DESIGN.md "Batched hot path").
-    const bool sharded = shards_.size() > 1;
-    std::vector<Request> batch(
-        std::max(cfg_.dispatch_batch, cfg_.steal_max_batch));
+    std::vector<Request> batch(cfg_.dispatch_batch);
     int empty_polls = 0;
     for (;;) {
         TQ_FAULT_SITE(DispatcherPoll);
         const Lifecycle phase = lc_.phase();
         if (phase >= Lifecycle::Stopping)
             break;
-        if (sharded) {
-            // Backpressure: past the window, hold the backlog in RX
-            // (where siblings can steal it) instead of burying it in
-            // the workers' private rings. queue_sum is the view from
-            // the last refresh, so the first test is free; only a full
-            // window pays for a re-read before deciding to wait.
-            const uint64_t window =
-                kShardWindow * static_cast<uint64_t>(sh.span.count);
-            if (sh.queue_sum >= window) {
-                refresh_dispatch_views(sh);
-                publish_load(sh, 0);
-                if (sh.queue_sum >= window) {
-                    std::this_thread::yield();
-                    continue;
-                }
-            }
-        }
-        const size_t n = sh.rx.pop_n(batch.data(), cfg_.dispatch_batch);
+        const size_t n = d.rx.pop_n(batch.data(), batch.size());
         if (n == 0) {
             if (phase == Lifecycle::Draining)
-                break; // everything queued here has been forwarded
-            if (++empty_polls >= 8) {
-                empty_polls = 0;
-                if (sharded) {
-                    // Idle housekeeping, off the hot path: re-advertise
-                    // the decaying load (workers keep finishing while
-                    // RX is empty) and, with nothing of our own left,
-                    // try one bounded steal from the most-loaded
-                    // sibling. Stealing only runs in Running, so a
-                    // draining shard's final sweep races nothing.
-                    refresh_dispatch_views(sh);
-                    publish_load(sh, 0);
-                    if (phase == Lifecycle::Running &&
-                        cfg_.steal_max_batch > 0 && sh.queue_sum == 0) {
-                        const size_t stolen =
-                            steal_into(sh, batch.data(), batch.size());
-                        if (stolen > 0) {
-                            dispatch_batch(sh, batch.data(), stolen);
-                            continue;
-                        }
-                    }
-                }
-                std::this_thread::yield();
-            } else {
-                cpu_relax();
-            }
+                break; // everything queued has been forwarded
+            idle_backoff(empty_polls);
             continue;
         }
         empty_polls = 0;
-        dispatch_batch(sh, batch.data(), n);
+        dispatch_batch(batch.data(), n);
     }
     // Force-stopped with requests still queued: they will never be
     // forwarded — count them abandoned before announcing completion.
-    while (sh.rx.pop())
-        sh.counters.abandoned.fetch_add(1, std::memory_order_relaxed);
-    // The workers key their drain exit on dispatcher_done; with a
-    // sharded tier it means *every* shard is finished, so the last one
-    // out sets it.
-    if (dispatchers_live_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        lc_.dispatcher_done.store(true, std::memory_order_release);
+    d.abandon_queued();
+    // The workers key their drain exit on this (acquire pairs with
+    // this release).
+    lc_.dispatcher_done.store(true, std::memory_order_release);
 }
 
 } // namespace tq::runtime

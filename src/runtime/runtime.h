@@ -1,6 +1,6 @@
 /**
  * @file
- * The TQ runtime: dispatcher tier + worker threads (paper Figure 3).
+ * The TQ runtime: one dispatcher thread + worker threads (paper Figure 3).
  *
  * Datapath, matching the paper:
  *   client -> submit() -> RX queue -> dispatcher (JSQ+MSQ over the
@@ -11,19 +11,10 @@
  * The dispatcher never touches job payloads beyond forwarding (blind
  * scheduling needs no parsing, section 3.2) and never sees responses.
  *
- * Sharded dispatch (DESIGN.md §4g): with `num_dispatchers = N > 1` the
- * datapath gains a front tier. The workers split into N contiguous
- * disjoint subsets (common/shard.h); each subset is owned by one
- * dispatcher shard with its own RX queue, packed JSQ view, RNG and
- * counters, so the per-job dispatch work scales with shard count
- * instead of serializing on one core. submit() steers each request
- * with a rotated approximate JSQ over the shards' advertised load
- * lines (shard_front.h), and an idle shard steals a bounded batch from
- * the most-loaded sibling's RX queue — the queues are MPMC, so a steal
- * is an ordinary atomic claim and every job is popped exactly once.
- * N = 1 (the default) is the paper's single-dispatcher runtime and
- * structurally bypasses all of the above: one shard owning every
- * worker, no load publishing, no front-tier pick, no stealing.
+ * One dispatcher thread does all load balancing, as in the paper
+ * (sections 3.2, 4). Scaling out to several dispatchers is paper
+ * section 6's future work; the simulator models it (DESIGN.md §4g),
+ * the runtime does not implement it.
  *
  * Lifecycle (runtime/lifecycle.h; DESIGN.md "Lifecycle & shutdown"):
  * the runtime moves Created -> Running -> Draining -> Stopping ->
@@ -31,9 +22,7 @@
  * deadline; stop() is drain() with the configured deadline, after which
  * leftovers are abandoned (counted) and blocked ring pushes drop
  * (counted). Both are idempotent and safe to call from any thread. The
- * last dispatcher shard to exit sets lifecycle dispatcher_done;
- * stealing happens only in Running, so a draining shard's final RX
- * sweep races nothing.
+ * dispatcher sets lifecycle dispatcher_done when it exits.
  *
  * On this reproduction's host the threads timeshare cores, so absolute
  * throughput is not meaningful — functional behaviour, preemption and
@@ -50,29 +39,27 @@
 
 #include "common/dispatch_view.h"
 #include "common/rng.h"
-#include "common/shard.h"
 #include "conc/cacheline.h"
 #include "conc/mpmc_queue.h"
 #include "runtime/config.h"
 #include "runtime/lifecycle.h"
 #include "runtime/quantum.h"
 #include "runtime/quantum_controller.h"
-#include "runtime/shard_front.h"
 #include "runtime/worker.h"
 #include "telemetry/telemetry.h"
 
 namespace tq::runtime {
 
 /**
- * One dispatcher shard's always-on counters, alone on one line.
+ * The dispatcher's always-on counters, alone on one line.
  *
  * `dispatched_total` is bumped per job; before this struct existed the
  * three atomics sat directly next to the LifecycleControl member, so
  * every dispatched job invalidated the lifecycle line all workers poll
  * at every loop boundary — real false sharing on the hottest read path
- * (docs/cache_line_analysis.md). Writer: the owning shard's dispatcher
- * thread (plus the drain()/stop() caller for `abandoned`, strictly
- * after the dispatchers have exited); readers: cold stats accessors.
+ * (docs/cache_line_analysis.md). Writer: the dispatcher thread (plus
+ * the drain()/stop() caller for `abandoned`, strictly after the
+ * dispatcher has exited); readers: cold stats accessors.
  * `dispatched_total` therefore moves by owner_add(); the two rare-path
  * counters keep their fetch_add.
  */
@@ -95,68 +82,60 @@ static_assert(sizeof(DispatcherCounters) == kCacheLineSize &&
               "dispatcher counters must own exactly one line");
 
 /**
- * One dispatcher shard: its RX queue, worker subset, dispatch-local
- * JSQ state, counters and advertised load line. Each shard is a
- * separate heap allocation (unique_ptr in the Runtime), so two shards'
- * members can never share a cache line regardless of allocator
- * behaviour; within a shard, the padded `counters` and `load_line`
- * members own their lines and everything above them is touched only by
- * the owning dispatcher thread (plus construction).
- *
- * The unsharded runtime is exactly one of these owning every worker.
+ * The dispatcher's state: its RX queue, dispatch-local JSQ state and
+ * counters. It is a heap allocation of its own (unique_ptr in the
+ * Runtime), so nothing the dispatcher writes can share a cache line
+ * with the Runtime's configuration or lifecycle lines, which every
+ * thread reads; inside it, the padded `counters` own their line and
+ * everything else is touched only by the dispatcher thread (plus
+ * construction and the post-join drain sweep).
  */
-struct DispatcherShard
+struct Dispatcher
 {
-    DispatcherShard(const RuntimeConfig &cfg, int shard_index)
-        : index(shard_index),
-          span(shard_span(cfg.num_workers, cfg.num_dispatchers,
-                          shard_index)),
-          rx(cfg.ring_capacity),
-          view(static_cast<size_t>(span.count > 0 ? span.count : 1)),
-          readers(static_cast<size_t>(span.count)),
-          rng(cfg.seed + static_cast<uint64_t>(shard_index))
+    explicit Dispatcher(const RuntimeConfig &cfg)
+        : rx(cfg.ring_capacity),
+          view(static_cast<size_t>(cfg.num_workers)),
+          readers(static_cast<size_t>(cfg.num_workers)),
+          rng(cfg.seed)
     {
     }
 
-    const int index;      ///< shard id in [0, num_dispatchers)
-    const ShardSpan span; ///< owned workers [first, first + count)
-
-    /** This shard's request queue. MPMC: many submitters; consumers
-     *  are the owning dispatcher, stealing siblings (Running only) and
-     *  the final drain sweep (after all threads joined). */
+    /** The request queue. MPMC: many submitters; the consumers are the
+     *  dispatcher and the final drain sweep (after every thread has
+     *  joined). */
     MpmcQueue<Request> rx;
 
-    /** Dispatcher-local packed view over the owned span
+    /** Dispatcher-local packed view over the workers
      *  (common/dispatch_view.h), read by every dispatch policy:
      *  refreshed from the workers' counter lines once per RX batch,
      *  then bumped incrementally as the batch's requests are assigned —
      *  per-request work inside a batch never touches a shared cache
-     *  line. Indices are span-local. */
+     *  line. */
     DispatchView view;
 
     /** Dispatcher-private JSQ wrap state; no other thread touches it. */
     std::vector<WorkerStatsReader> readers;
 
-    /** The owned workers' stats lines as one contiguous pointer array
-     *  so the per-batch refresh walks pointers, not unique_ptr<Worker>
-     *  double indirections. Filled once at construction. */
+    /** The workers' stats lines as one contiguous pointer array so the
+     *  per-batch refresh walks pointers, not unique_ptr<Worker> double
+     *  indirections. Filled once at construction. */
     std::vector<WorkerStatsLine *> stat_lines;
 
-    /** Randomized policies; seeded cfg.seed + index so shard 0 of an
-     *  unsharded runtime reproduces the historical stream exactly. */
+    /** Randomized policies, seeded with cfg.seed. */
     Rng rng;
 
-    /** Owned-span queue-length sum as of the last view refresh
-     *  (dispatcher-local; feeds the advertised load and the
-     *  am-I-idle steal trigger). */
-    uint64_t queue_sum = 0;
-
-    /** Padded per-shard hot counters (own line, see above). */
+    /** Padded hot counters (own line, see above). */
     DispatcherCounters counters;
 
-    /** Advertised aggregate load for the front tier and steal victim
-     *  selection (own line; writer: this shard's dispatcher). */
-    ShardLoadLine load_line;
+    /** Pop everything left in RX and count it abandoned: requests that
+     *  will never be forwarded (forced stop, or a drain that never
+     *  started the threads). */
+    void
+    abandon_queued()
+    {
+        while (rx.pop())
+            counters.abandoned.fetch_add(1, std::memory_order_relaxed);
+    }
 };
 
 /** A running TQ instance. */
@@ -203,24 +182,12 @@ class Runtime
     Lifecycle lifecycle() const { return lc_.phase(); }
 
     /**
-     * Submit one request (thread-safe; multiple clients allowed). With
-     * more than one dispatcher shard the request is steered by the
-     * front-tier JSQ over the shards' advertised load lines, rotated
-     * by a submitter-local counter so tied (e.g. idle) shards receive
-     * round-robin traffic (common/shard.h pick_min_rotated).
-     * @return false when the target RX queue is full or the runtime is
-     *     past Running (draining or stopped) — the client should back
-     *     off or give up.
+     * Submit one request (thread-safe; multiple clients allowed).
+     * @return false when the RX queue is full or the runtime is past
+     *     Running (draining or stopped) — the client should back off or
+     *     give up.
      */
     bool submit(const Request &req);
-
-    /**
-     * Submit one request directly to dispatcher shard @p shard,
-     * bypassing the front-tier pick (affinity override; also how the
-     * sharding tests construct deliberately skewed backlogs).
-     * Same lifecycle/full semantics as submit().
-     */
-    bool submit_to_shard(const Request &req, int shard);
 
     /**
      * Collect available responses from every worker's TX ring into
@@ -231,42 +198,16 @@ class Runtime
     /**
      * Dispatched-minus-finished per worker. Thread-safe: external
      * callers have their own wrap-tracking stats readers and never touch
-     * the dispatchers' JSQ views.
+     * the dispatcher's JSQ view.
      */
     std::vector<uint64_t> queue_lengths();
 
-    /** Total requests forwarded by the dispatcher tier. */
+    /** Total requests forwarded by the dispatcher. */
     uint64_t
     dispatched() const
     {
-        uint64_t n = 0;
-        for (const auto &sh : shards_)
-            n += sh->counters.dispatched_total.load(
-                std::memory_order_relaxed);
-        return n;
-    }
-
-    /** Requests forwarded by dispatcher shard @p shard (includes jobs
-     *  it stole from siblings — the forwarding shard counts the job). */
-    uint64_t
-    dispatched(int shard) const
-    {
-        return shards_[static_cast<size_t>(shard)]
-            ->counters.dispatched_total.load(std::memory_order_relaxed);
-    }
-
-    /** Dispatcher shards in this runtime (config().num_dispatchers). */
-    int
-    num_dispatcher_shards() const
-    {
-        return static_cast<int>(shards_.size());
-    }
-
-    /** Dispatcher shard @p shard owns workers [first, first+count). */
-    ShardSpan
-    shard_workers(int shard) const
-    {
-        return shards_[static_cast<size_t>(shard)]->span;
+        return disp_->counters.dispatched_total.load(
+            std::memory_order_relaxed);
     }
 
     /** Jobs accepted but never finished: dropped by the dispatcher's
@@ -284,10 +225,7 @@ class Runtime
     uint64_t
     dispatch_ring_full_spins() const
     {
-        uint64_t n = 0;
-        for (const auto &sh : shards_)
-            n += sh->counters.full_spins.load(std::memory_order_relaxed);
-        return n;
+        return disp_->counters.full_spins.load(std::memory_order_relaxed);
     }
 
     const RuntimeConfig &config() const { return cfg_; }
@@ -348,18 +286,10 @@ class Runtime
   private:
     friend struct ::tq::LayoutAudit;
 
-    void dispatcher_main(int shard_index);
-    void dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n);
-    int pick_shard();
-    void refresh_dispatch_views(DispatcherShard &sh);
-    bool push_request(DispatcherShard &sh, int target, const Request &req);
-    /** push_request()'s ring-full spin, kept out of the dispatch path
-     *  (its counters are read-modify-writes; see check_hot_locks.py). */
-    [[gnu::cold, gnu::noinline]] bool
-    push_request_spin(DispatcherShard &sh, SpscRing<Request> &ring,
-                      const Request &req);
-    void publish_load(DispatcherShard &sh, uint64_t just_pushed);
-    size_t steal_into(DispatcherShard &sh, Request *buf, size_t buf_len);
+    void dispatcher_main();
+    void dispatch_batch(Request *reqs, size_t n);
+    void refresh_dispatch_views();
+    bool push_request(int target, const Request &req);
 
     RuntimeConfig cfg_;
     std::unique_ptr<telemetry::MetricsRegistry> metrics_;
@@ -375,15 +305,13 @@ class Runtime
 
     std::vector<std::unique_ptr<Worker>> workers_;
 
-    /** The dispatcher tier; exactly one entry when unsharded. */
-    std::vector<std::unique_ptr<DispatcherShard>> shards_;
+    /** The dispatcher's state (separately allocated, see Dispatcher). */
+    std::unique_ptr<Dispatcher> disp_;
 
-    /** Per-worker assigned counts. Writer: the owning shard's
-     *  dispatcher; readers: queue_lengths() callers (relaxed — the JSQ
-     *  view is approximate by design, paper section 4). Workers are
-     *  owned by exactly one shard, so each slot has one writer (a
-     *  stolen job is counted by the thief, which owns the worker it
-     *  pushes to) and moves by owner_add(). */
+    /** Per-worker assigned counts. Writer: the dispatcher; readers:
+     *  queue_lengths() callers (relaxed — the JSQ view is approximate by
+     *  design, paper section 4). One writer, so each slot moves by
+     *  owner_add(). */
     std::unique_ptr<std::atomic<uint64_t>[]> assigned_;
 
     /** External readers' wrap state, guarded by stats_mu_. */
@@ -395,9 +323,6 @@ class Runtime
      *  (LifecycleControl is alignas(kCacheLineSize)). */
     LifecycleControl lc_;
     std::atomic<int> live_threads_{0};
-    /** Dispatcher shards still running; the last one out sets
-     *  lc_.dispatcher_done (workers key their drain exit on it). */
-    std::atomic<int> dispatchers_live_{0};
     std::vector<std::thread> threads_;
 
     /** Serializes start/drain/stop; protects started_, threads_,

@@ -1,7 +1,5 @@
 #include "runtime/worker.h"
 
-#include <thread>
-
 #include "common/check.h"
 #include "common/cycles.h"
 #include "common/sched_core.h"
@@ -155,28 +153,9 @@ Worker::push_response(const Response &resp)
 {
     // Response leaves directly from the worker (paper section 3.2).
     TQ_FAULT_SITE(WorkerComplete);
-    return tx_ring_.push(resp) || push_response_spin(resp);
-}
-
-bool
-Worker::push_response_spin(const Response &resp)
-{
-    // The TX ring is full, so the collector is behind: bounded
-    // backpressure — spin with a stop check, then a counted drop — so a
-    // collector that stopped draining can never wedge this thread (or
-    // shutdown) forever.
-    const size_t limit = cfg_.push_spin_limit;
-    size_t spins = 0;
-    do {
-        if (lc_->force_stop() || (limit != 0 && spins >= limit)) {
-            dropped_responses_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-        ++spins;
-        tx_full_spins_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::yield();
-    } while (!tx_ring_.push(resp));
-    return true;
+    return tx_ring_.push(resp) ||
+           push_bounded(tx_ring_, resp, *lc_, cfg_.push_spin_limit,
+                        tx_full_spins_, dropped_responses_);
 }
 
 void
@@ -256,14 +235,7 @@ Worker::run()
             lc_->dispatcher_done.load(std::memory_order_acquire) &&
             dispatch_ring_.empty())
             break;
-        // On dedicated cores this would busy-poll; on shared hosts
-        // let other threads (dispatcher, client) make progress.
-        if (++empty_polls >= 8) {
-            empty_polls = 0;
-            std::this_thread::yield();
-        } else {
-            cpu_relax();
-        }
+        idle_backoff(empty_polls);
     }
     abandon_remaining();
 }

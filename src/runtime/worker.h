@@ -167,11 +167,9 @@ class Worker
     /** Finish @p e's job; @p done is the slice-end cycle stamp. */
     void complete(const Sched::Entry &e, Cycles done);
     bool push_response(const Response &resp);
-    /** push_response()'s TX-full spin, kept out of the completion path
-     *  (its counters are read-modify-writes; see check_hot_locks.py). */
-    [[gnu::cold, gnu::noinline]] bool push_response_spin(const Response &resp);
     /** Counts one starvation-guard promotion, out of run_one_slice()
-     *  for the same reason. */
+     *  because the counter is a read-modify-write (see
+     *  check_hot_locks.py). */
     [[gnu::cold, gnu::noinline]] void count_promotion();
 
     /** Per-class telemetry instruments record only when classes have

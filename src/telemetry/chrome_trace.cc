@@ -74,11 +74,9 @@ write_chrome_trace(std::ostream &os, const std::vector<TraceEvent> &events,
     for (const TraceEvent &ev : events)
         tids.insert(ev.tid);
     for (uint8_t tid : tids) {
-        const std::string name =
-            tid == kDispatcherTid ? std::string("dispatcher")
-            : is_dispatcher_tid(tid)
-                ? fmt("dispatcher-%u", kDispatcherTid - tid)
-                : fmt("worker %u", tid);
+        const std::string name = tid == kDispatcherTid
+                                     ? std::string("dispatcher")
+                                     : fmt("worker %u", tid);
         emit(os, first,
              fmt("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
                  "\"tid\":%u,\"args\":{\"name\":\"%s\"}}",

@@ -39,26 +39,6 @@ const char *event_name(EventKind kind);
 /** Thread id used for events recorded by the dispatcher thread. */
 inline constexpr uint8_t kDispatcherTid = 0xff;
 
-/** Dispatcher-shard tids count down from kDispatcherTid, so shard 0 —
- *  the only shard of an unsharded runtime — keeps the historical 0xff
- *  and existing traces render unchanged. 16 reserved shard tids bound
- *  the worker-id range at 239, far above any configuration here. */
-inline constexpr int kMaxDispatcherShards = 16;
-
-/** Trace tid of dispatcher shard @p shard (see kMaxDispatcherShards). */
-constexpr uint8_t
-dispatcher_tid(int shard)
-{
-    return static_cast<uint8_t>(kDispatcherTid - shard);
-}
-
-/** True when @p tid belongs to a dispatcher shard. */
-constexpr bool
-is_dispatcher_tid(uint8_t tid)
-{
-    return tid > kDispatcherTid - kMaxDispatcherShards;
-}
-
 /** One trace record. POD, 24 bytes, trivially copyable. */
 struct TraceEvent
 {

@@ -44,48 +44,27 @@ summarize(const std::vector<const Histogram *> &sources)
     return s;
 }
 
-MetricsRegistry::MetricsRegistry(int num_workers, size_t trace_capacity,
-                                 int num_dispatchers)
+MetricsRegistry::MetricsRegistry(int num_workers, size_t trace_capacity)
+    : dispatcher_(std::make_unique<DispatcherTelemetry>(trace_capacity))
 {
     workers_.reserve(static_cast<size_t>(num_workers));
     for (int w = 0; w < num_workers; ++w)
         workers_.push_back(
             std::make_unique<WorkerTelemetry>(w, trace_capacity));
-    dispatchers_.reserve(static_cast<size_t>(num_dispatchers));
-    for (int d = 0; d < num_dispatchers; ++d)
-        dispatchers_.push_back(
-            std::make_unique<DispatcherTelemetry>(trace_capacity, d));
 }
 
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     MetricsSnapshot s;
-    // Dispatcher shards fold together; the per-shard dispatched counts
-    // are kept alongside so skew across shards stays visible.
-    std::vector<const Histogram *> dispatch_hists;
-    uint64_t batch_sum = 0;
-    uint64_t steal_sum = 0;
-    s.per_shard_dispatched.reserve(dispatchers_.size());
-    for (const auto &d : dispatchers_) {
-        const uint64_t n =
-            d->dispatched.load(std::memory_order_relaxed);
-        s.per_shard_dispatched.push_back(n);
-        s.dispatched += n;
-        s.trace_dropped += d->trace.dropped();
-        s.dispatch_batches += d->batch_occupancy.count();
-        batch_sum += d->batch_occupancy.sum();
-        s.steal_count += d->steals.load(std::memory_order_relaxed);
-        steal_sum += d->steal_batch.sum();
-        dispatch_hists.push_back(&d->dispatch_cycles);
-    }
+    const DispatcherTelemetry &d = *dispatcher_;
+    s.dispatched = d.dispatched.load(std::memory_order_relaxed);
+    s.trace_dropped = d.trace.dropped();
+    s.dispatch_batches = d.batch_occupancy.count();
     if (s.dispatch_batches > 0)
-        s.mean_dispatch_batch = static_cast<double>(batch_sum) /
-                                static_cast<double>(s.dispatch_batches);
-    s.stolen_jobs = steal_sum;
-    if (s.steal_count > 0)
-        s.mean_steal_batch = static_cast<double>(steal_sum) /
-                             static_cast<double>(s.steal_count);
+        s.mean_dispatch_batch =
+            static_cast<double>(d.batch_occupancy.sum()) /
+            static_cast<double>(s.dispatch_batches);
     std::vector<const Histogram *> queue, service, preempt;
     for (const auto &w : workers_) {
         const WorkerCounters &c = w->counters;
@@ -137,7 +116,7 @@ MetricsRegistry::snapshot() const
         classes.resize(highest);
         s.per_class = std::move(classes);
     }
-    s.dispatch = summarize(dispatch_hists);
+    s.dispatch = summarize({&d.dispatch_cycles});
     s.sojourn = summarize({&client_.sojourn_cycles});
     s.queueing = summarize(queue);
     s.service = summarize(service);
@@ -154,8 +133,7 @@ size_t
 MetricsRegistry::drain_trace(std::vector<TraceEvent> &out)
 {
     const size_t before = out.size();
-    for (auto &d : dispatchers_)
-        d->trace.drain(out);
+    dispatcher_->trace.drain(out);
     for (auto &w : workers_)
         w->trace.drain(out);
     std::sort(out.begin() + static_cast<ptrdiff_t>(before), out.end(),
@@ -193,21 +171,6 @@ MetricsSnapshot::to_string() const
                   static_cast<unsigned long long>(dispatch_batches),
                   mean_dispatch_batch);
     out += buf;
-    if (per_shard_dispatched.size() > 1) {
-        out += "per-shard dispatched:";
-        for (uint64_t n : per_shard_dispatched) {
-            std::snprintf(buf, sizeof(buf), " %llu",
-                          static_cast<unsigned long long>(n));
-            out += buf;
-        }
-        out += "\n";
-        std::snprintf(buf, sizeof(buf),
-                      "steals: %llu (%llu jobs, mean batch %.2f)\n",
-                      static_cast<unsigned long long>(steal_count),
-                      static_cast<unsigned long long>(stolen_jobs),
-                      mean_steal_batch);
-        out += buf;
-    }
     if (burst_phases > 0) {
         std::snprintf(buf, sizeof(buf),
                       "burst phases: %llu (mean in-flight %.2f)\n",

@@ -106,26 +106,19 @@ class WorkerTelemetry
     TraceRing trace;              ///< typed event ring (producer: worker)
 };
 
-/** One dispatcher shard's telemetry: per-job dispatch cost, steal
- *  accounting, and its trace ring. An unsharded runtime has exactly
- *  one instance (shard 0, the historical dispatcher). */
+/** The dispatcher's telemetry: per-job dispatch cost, RX batch
+ *  occupancy, and its trace ring. */
 class DispatcherTelemetry
 {
   public:
-    /** @param trace_capacity ring size in events.
-     *  @param shard dispatcher shard index (trace tid
-     *      dispatcher_tid(shard); 0 for the unsharded runtime). */
-    explicit DispatcherTelemetry(size_t trace_capacity, int shard = 0)
-        : trace(dispatcher_tid(shard), trace_capacity)
+    /** @param trace_capacity ring size in events. */
+    explicit DispatcherTelemetry(size_t trace_capacity)
+        : trace(kDispatcherTid, trace_capacity)
     {
     }
 
     /** Jobs forwarded to workers (writer: the dispatcher thread). */
     std::atomic<uint64_t> dispatched{0};
-
-    /** Successful steal attempts: batches this shard pulled from a
-     *  sibling's RX queue (writer: this shard's dispatcher). */
-    std::atomic<uint64_t> steals{0};
 
     Histogram dispatch_cycles; ///< RX arrival -> handed to a worker
 
@@ -135,11 +128,6 @@ class DispatcherTelemetry
      *  the dispatcher is keeping up and batching is a no-op; rising
      *  occupancy is RX queue depth, i.e. dispatcher pressure. */
     Histogram batch_occupancy;
-
-    /** Jobs per successful steal (a value histogram: count = steals,
-     *  sum = jobs stolen, so sum/count is the mean rebalanced batch).
-     *  Empty when stealing never fired. */
-    Histogram steal_batch;
 
     TraceRing trace;                ///< JobDispatched events
 };
@@ -190,14 +178,6 @@ struct MetricsSnapshot
 
     uint64_t dispatch_batches = 0;      ///< non-empty dispatcher RX polls
     double mean_dispatch_batch = 0;     ///< mean requests per such batch
-
-    /** Jobs forwarded by each dispatcher shard, in shard order (one
-     *  entry for the unsharded runtime; `dispatched` is its sum). */
-    std::vector<uint64_t> per_shard_dispatched;
-
-    uint64_t steal_count = 0;  ///< successful cross-shard steal batches
-    uint64_t stolen_jobs = 0;  ///< jobs rebalanced by those steals
-    double mean_steal_batch = 0; ///< stolen_jobs / steal_count
 
     /** Cumulative serviced quanta from the workers' WorkerStatsLine
      *  counters, read wrap-tolerantly (filled by
@@ -250,13 +230,10 @@ class MetricsRegistry
   public:
     /**
      * @param num_workers worker telemetry slots to create.
-     * @param trace_capacity per-ring event capacity (workers and
-     *     dispatcher shards each get their own ring of this size).
-     * @param num_dispatchers dispatcher-shard slots (1 for the
-     *     unsharded runtime).
+     * @param trace_capacity per-ring event capacity (every worker and
+     *     the dispatcher get their own ring of this size).
      */
-    MetricsRegistry(int num_workers, size_t trace_capacity,
-                    int num_dispatchers = 1);
+    MetricsRegistry(int num_workers, size_t trace_capacity);
 
     /** Telemetry slot of worker @p i. */
     WorkerTelemetry &worker(int i) { return *workers_[static_cast<size_t>(i)]; }
@@ -267,28 +244,14 @@ class MetricsRegistry
         return *workers_[static_cast<size_t>(i)];
     }
 
-    /** Dispatcher slot of shard 0 (the only one when unsharded). */
-    DispatcherTelemetry &dispatcher() { return *dispatchers_[0]; }
-
-    /** Dispatcher slot of shard @p shard. */
-    DispatcherTelemetry &
-    dispatcher(int shard)
-    {
-        return *dispatchers_[static_cast<size_t>(shard)];
-    }
+    /** The dispatcher's slot. */
+    DispatcherTelemetry &dispatcher() { return *dispatcher_; }
 
     /** Client/load-generator slot. */
     ClientTelemetry &client() { return client_; }
 
     /** Number of worker slots. */
     int num_workers() const { return static_cast<int>(workers_.size()); }
-
-    /** Number of dispatcher-shard slots. */
-    int
-    num_dispatchers() const
-    {
-        return static_cast<int>(dispatchers_.size());
-    }
 
     /**
      * Snapshot every counter and histogram without stopping writers.
@@ -307,7 +270,9 @@ class MetricsRegistry
 
   private:
     std::vector<std::unique_ptr<WorkerTelemetry>> workers_;
-    std::vector<std::unique_ptr<DispatcherTelemetry>> dispatchers_;
+    /** Heap-allocated like each worker's slot, so the dispatcher's
+     *  writes never share a line with another writer's. */
+    std::unique_ptr<DispatcherTelemetry> dispatcher_;
     ClientTelemetry client_;
 };
 

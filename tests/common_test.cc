@@ -497,13 +497,15 @@ TEST(Zipf, DegenerateCases)
 
 TEST(ShardSpan, PartitionIsContiguousDisjointAndEven)
 {
-    // Every (workers, shards) pair up to the runtime's limits: the
-    // spans must tile [0, W) exactly, differ by at most one worker, and
-    // shard_of_worker must invert the mapping.
+    // Every (workers, shards) pair up to 64 workers and 16 shards: the
+    // spans must tile [0, W) in order (contiguous), give every worker
+    // exactly one owner (disjoint and covering) and differ by at most
+    // one worker (even).
     for (int workers = 1; workers <= 64; ++workers) {
         for (int shards = 1; shards <= std::min(workers, 16); ++shards) {
             int next = 0;
             int min_count = workers, max_count = 0;
+            std::vector<int> owners(static_cast<size_t>(workers), 0);
             for (int s = 0; s < shards; ++s) {
                 const ShardSpan span = shard_span(workers, shards, s);
                 ASSERT_EQ(span.first, next)
@@ -512,11 +514,13 @@ TEST(ShardSpan, PartitionIsContiguousDisjointAndEven)
                 min_count = std::min(min_count, span.count);
                 max_count = std::max(max_count, span.count);
                 for (int w = span.first; w < span.first + span.count; ++w)
-                    ASSERT_EQ(shard_of_worker(workers, shards, w), s)
-                        << workers << "w/" << shards << "s worker " << w;
+                    ++owners[static_cast<size_t>(w)];
                 next = span.first + span.count;
             }
             ASSERT_EQ(next, workers);
+            for (int w = 0; w < workers; ++w)
+                ASSERT_EQ(owners[static_cast<size_t>(w)], 1)
+                    << workers << "w/" << shards << "s worker " << w;
             ASSERT_LE(max_count - min_count, 1);
         }
     }

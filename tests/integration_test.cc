@@ -251,64 +251,6 @@ TEST(Integration, MmppArrivalSequenceIdenticalAcrossRuntimeAndSim)
         ASSERT_DOUBLE_EQ(send_trace[i], sim_trace[i]);
 }
 
-// Shard-assignment parity: the runtime and the simulator both derive
-// dispatcher-shard ownership from tq::shard_span (common/shard.h), so
-// checking the runtime's advertised spans against that single source —
-// and that the degenerate num_dispatchers = 1 case really is one shard
-// owning every worker, serving every job — pins the two engines to the
-// same worker partition.
-TEST(Integration, ShardAssignmentMatchesSharedSpanFunction)
-{
-    auto handler = [](const Request &req) { return req.id; };
-    const struct { int workers, shards; } topologies[] = {
-        {1, 1}, {4, 1}, {4, 2}, {5, 2}, {8, 3}, {16, 4},
-    };
-    for (const auto &t : topologies) {
-        RuntimeConfig cfg;
-        cfg.num_workers = t.workers;
-        cfg.num_dispatchers = t.shards;
-        Runtime rt(cfg, handler);
-        ASSERT_EQ(rt.num_dispatcher_shards(), t.shards);
-        int covered = 0;
-        for (int s = 0; s < t.shards; ++s) {
-            const ShardSpan want =
-                shard_span(t.workers, t.shards, s);
-            const ShardSpan got = rt.shard_workers(s);
-            EXPECT_EQ(got.first, want.first)
-                << "W=" << t.workers << " S=" << t.shards << " s=" << s;
-            EXPECT_EQ(got.count, want.count)
-                << "W=" << t.workers << " S=" << t.shards << " s=" << s;
-            EXPECT_EQ(got.first, covered) << "spans must tile in order";
-            covered += got.count;
-        }
-        EXPECT_EQ(covered, t.workers) << "spans must cover every worker";
-    }
-
-    // num_dispatchers = 1 (the configuration every pre-sharding figure
-    // runs): one span covering all workers, and every dispatched job is
-    // accounted to shard 0 — the same degenerate model the simulator's
-    // byte-identical D = 1 bypass implements.
-    RuntimeConfig cfg;
-    cfg.num_workers = 3;
-    Runtime rt(cfg, handler);
-    ASSERT_EQ(rt.num_dispatcher_shards(), 1);
-    EXPECT_EQ(rt.shard_workers(0).first, 0);
-    EXPECT_EQ(rt.shard_workers(0).count, 3);
-    rt.start();
-    std::vector<Request> reqs;
-    for (uint64_t i = 0; i < 48; ++i) {
-        Request r;
-        r.id = i;
-        r.gen_cycles = rdcycles();
-        reqs.push_back(r);
-    }
-    const auto responses = run_requests(rt, reqs);
-    EXPECT_EQ(responses.size(), reqs.size());
-    EXPECT_EQ(rt.dispatched(0), reqs.size());
-    EXPECT_EQ(rt.dispatched(), reqs.size());
-    rt.stop();
-}
-
 TEST(Integration, PerClassEffectiveQuantumOrderingMatchesSim)
 {
     // The sim mirrors the runtime's per-class quanta (DESIGN.md §4i):

@@ -117,16 +117,10 @@ struct LayoutAudit
         return v.quanta_.get();
     }
 
-    static const runtime::DispatcherCounters &
-    runtime_counters(const runtime::Runtime &rt)
+    static const runtime::Dispatcher &
+    runtime_dispatcher(const runtime::Runtime &rt)
     {
-        return rt.shards_[0]->counters;
-    }
-
-    static const runtime::DispatcherShard &
-    runtime_shard(const runtime::Runtime &rt, int shard)
-    {
-        return *rt.shards_[static_cast<size_t>(shard)];
+        return *rt.disp_;
     }
 
     static const runtime::LifecycleControl &
@@ -153,8 +147,6 @@ static_assert(sizeof(runtime::LifecycleControl) == kCacheLineSize &&
               alignof(runtime::LifecycleControl) == kCacheLineSize);
 static_assert(sizeof(runtime::DispatcherCounters) == kCacheLineSize &&
               alignof(runtime::DispatcherCounters) == kCacheLineSize);
-static_assert(sizeof(runtime::ShardLoadLine) == kCacheLineSize &&
-              alignof(runtime::ShardLoadLine) == kCacheLineSize);
 static_assert(sizeof(telemetry::WorkerCounters) == kCacheLineSize &&
               alignof(telemetry::WorkerCounters) == kCacheLineSize);
 static_assert(sizeof(SpscRing<uint64_t>::ProducerSide) == kCacheLineSize &&
@@ -196,7 +188,7 @@ TEST(Layout, MpmcCursorsOwnDistinctLines)
 
 TEST(Layout, WorkerStatsNeighboursNeverShareALine)
 {
-    // Contiguous stats lines (as benches and future shards lay them out):
+    // Contiguous stats lines (as benches lay them out):
     // all three counters of one worker on one line, adjacent workers on
     // different lines.
     runtime::WorkerStatsLine lines[2];
@@ -211,16 +203,17 @@ TEST(Layout, WorkerStatsNeighboursNeverShareALine)
 
 TEST(Layout, DispatcherCountersNeverShareTheLifecycleLine)
 {
-    // The regression this PR fixed: the dispatcher's per-job counter
-    // increments must not invalidate the lifecycle line every worker
-    // polls. Checked on a real Runtime object. The counters now live
-    // inside the (heap-allocated) dispatcher shard, so the two can
-    // never even share an allocation; keep the line math on absolute
-    // addresses.
+    // The dispatcher's per-job counter increments must not invalidate
+    // the lifecycle line every worker polls. Checked on a real Runtime
+    // object. The counters live inside the dispatcher's own heap
+    // allocation, so the dispatcher's state can never even share an
+    // allocation with the Runtime's configuration and lifecycle lines;
+    // keep the line math on absolute addresses.
     runtime::RuntimeConfig cfg;
     cfg.num_workers = 2;
     runtime::Runtime rt(cfg, [](const runtime::Request &) { return 0ULL; });
-    const auto &counters = LayoutAudit::runtime_counters(rt);
+    const auto &disp = LayoutAudit::runtime_dispatcher(rt);
+    const auto &counters = disp.counters;
     const auto &lc = LayoutAudit::runtime_lifecycle(rt);
     const auto abs_line = [](const void *p) {
         return reinterpret_cast<uintptr_t>(p) / kCacheLineSize;
@@ -230,36 +223,16 @@ TEST(Layout, DispatcherCountersNeverShareTheLifecycleLine)
               abs_line(&lc.dispatcher_done));
     EXPECT_EQ(reinterpret_cast<uintptr_t>(&lc) % kCacheLineSize, 0u);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(&counters) % kCacheLineSize, 0u);
-}
-
-TEST(Layout, ShardLoadAndCounterLinesStayDisjointAcrossShards)
-{
-    // Sharding contract (DESIGN.md §4g): each shard's advertised load
-    // line and hot counters own their cache lines, within the shard and
-    // across shards — a submit storm reading load lines must never ride
-    // on a line any dispatcher writes for another purpose.
-    runtime::RuntimeConfig cfg;
-    cfg.num_workers = 4;
-    cfg.num_dispatchers = 2;
-    runtime::Runtime rt(cfg, [](const runtime::Request &) { return 0ULL; });
-    const auto abs_line = [](const void *p) {
-        return reinterpret_cast<uintptr_t>(p) / kCacheLineSize;
-    };
-    std::vector<uintptr_t> lines;
-    for (int s = 0; s < 2; ++s) {
-        const auto &sh = LayoutAudit::runtime_shard(rt, s);
-        EXPECT_EQ(reinterpret_cast<uintptr_t>(&sh.load_line) %
-                      kCacheLineSize,
-                  0u);
-        EXPECT_EQ(reinterpret_cast<uintptr_t>(&sh.counters) %
-                      kCacheLineSize,
-                  0u);
-        lines.push_back(abs_line(&sh.load_line));
-        lines.push_back(abs_line(&sh.counters));
-    }
-    for (size_t a = 0; a < lines.size(); ++a)
-        for (size_t b = a + 1; b < lines.size(); ++b)
-            EXPECT_NE(lines[a], lines[b]) << a << " vs " << b;
+    // No line of the dispatcher object is a line of the Runtime object
+    // (which holds cfg_ and lc_).
+    const uintptr_t disp_first = abs_line(&disp);
+    const uintptr_t disp_last =
+        abs_line(reinterpret_cast<const char *>(&disp) + sizeof(disp) - 1);
+    const uintptr_t rt_first = abs_line(&rt);
+    const uintptr_t rt_last =
+        abs_line(reinterpret_cast<const char *>(&rt) + sizeof(rt) - 1);
+    EXPECT_TRUE(disp_last < rt_first || rt_last < disp_first)
+        << "dispatcher state shares a line with the Runtime object";
 }
 
 TEST(Layout, WorkerCountersAreHeapSeparatedPerWorker)

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <set>
 #include <thread>
 
 #include "net/loadgen.h"
@@ -331,6 +330,13 @@ TEST_P(DispatchPolicies, AllPoliciesDeliverEverything)
         reqs.push_back(make_spin_request(i, 2000));
     const auto responses = run_requests(rt, reqs);
     EXPECT_EQ(responses.size(), reqs.size());
+    // The one dispatcher serves all three workers and forwards every
+    // job exactly once.
+    for (const auto &r : responses) {
+        EXPECT_GE(r.worker, 0);
+        EXPECT_LT(r.worker, cfg.num_workers);
+    }
+    EXPECT_EQ(rt.dispatched(), responses.size());
     rt.stop();
 }
 
@@ -537,6 +543,34 @@ TEST(Lifecycle, StopIsIdempotentAndThreadSafe)
     EXPECT_EQ(rt.lifecycle(), Lifecycle::Stopped);
 }
 
+TEST(Lifecycle, ForcedStopAccountsEveryJob)
+{
+    // A deep backlog against a deliberately missed deadline: delivered
+    // + dropped + abandoned must equal accepted, with the abandoned
+    // jobs counted wherever the forced stop found them (RX, a worker
+    // ring, or admitted to a task).
+    RuntimeConfig cfg;
+    cfg.num_workers = 4;
+    cfg.stop_deadline_sec = 0.005;
+    Runtime rt(cfg, spin_handler());
+    rt.start();
+    uint64_t accepted = 0;
+    for (uint64_t i = 0; i < 2000; ++i)
+        if (rt.submit(make_spin_request(i, 50000)))
+            ++accepted;
+    ASSERT_GT(accepted, 0u);
+    EXPECT_FALSE(rt.drain(/*deadline_sec=*/0.005));
+    EXPECT_EQ(rt.lifecycle(), Lifecycle::Stopped);
+    std::vector<Response> responses;
+    rt.drain_responses(responses);
+    EXPECT_EQ(responses.size() + rt.dropped_responses() +
+                  rt.abandoned_jobs(),
+              accepted)
+        << "every accepted job must be delivered, dropped, or abandoned";
+    EXPECT_GT(rt.abandoned_jobs(), 0u)
+        << "100ms of queued spin cannot drain in 5ms";
+}
+
 TEST(Lifecycle, PushSpinLimitDropsInsteadOfBlocking)
 {
     // Overflow policy: with a finite spin budget and a stalled collector,
@@ -633,191 +667,6 @@ TEST(Runtime, QueueLengthsAndSnapshotsSafeWhileDispatching)
     EXPECT_EQ(rt.dispatched(), reqs.size());
     for (uint64_t len : rt.queue_lengths())
         EXPECT_EQ(len, 0u);
-    rt.stop();
-}
-
-// ---------------------------------------------------------------------
-// Sharded dispatcher tier (DESIGN.md §4g): front-tier steering, shard
-// ownership, bounded stealing, and drain accounting per shard.
-// ---------------------------------------------------------------------
-
-TEST(Sharded, EndToEndAcrossShardsWithFrontTierSteering)
-{
-    RuntimeConfig cfg;
-    cfg.num_workers = 4;
-    cfg.num_dispatchers = 2;
-    Runtime rt(cfg, spin_handler());
-    EXPECT_EQ(rt.num_dispatcher_shards(), 2);
-    EXPECT_EQ(rt.shard_workers(0).first, 0);
-    EXPECT_EQ(rt.shard_workers(0).count, 2);
-    EXPECT_EQ(rt.shard_workers(1).first, 2);
-    EXPECT_EQ(rt.shard_workers(1).count, 2);
-    rt.start();
-
-    std::vector<Request> reqs;
-    for (uint64_t i = 0; i < 400; ++i)
-        reqs.push_back(make_spin_request(i, 1000 + (i % 5) * 500));
-    const auto responses = run_requests(rt, reqs);
-    ASSERT_EQ(responses.size(), reqs.size());
-    std::set<uint64_t> ids;
-    for (const auto &r : responses) {
-        EXPECT_TRUE(ids.insert(r.id).second) << "duplicate id " << r.id;
-        EXPECT_GE(r.worker, 0);
-        EXPECT_LT(r.worker, cfg.num_workers);
-    }
-    EXPECT_EQ(rt.dispatched(), reqs.size());
-    EXPECT_EQ(rt.dispatched(0) + rt.dispatched(1), reqs.size())
-        << "per-shard counters must partition the total";
-    // Front-tier rotation spreads idle ties, so over 400 requests both
-    // shards must have forwarded work.
-    EXPECT_GT(rt.dispatched(0), 0u);
-    EXPECT_GT(rt.dispatched(1), 0u);
-    EXPECT_TRUE(rt.drain(/*deadline_sec=*/60.0));
-    EXPECT_EQ(rt.abandoned_jobs(), 0u);
-}
-
-TEST(Sharded, OwnershipRespectedWithStealingDisabled)
-{
-    // steal_max_batch = 0 pins the static partition: a job submitted to
-    // shard s must complete on one of shard s's own workers.
-    RuntimeConfig cfg;
-    cfg.num_workers = 4;
-    cfg.num_dispatchers = 2;
-    cfg.steal_max_batch = 0;
-    Runtime rt(cfg, spin_handler());
-    rt.start();
-
-    constexpr uint64_t kJobs = 64;
-    for (uint64_t i = 0; i < kJobs; ++i) {
-        const int shard = static_cast<int>(i % 2);
-        while (!rt.submit_to_shard(make_spin_request(i, 1000), shard))
-            std::this_thread::yield();
-    }
-    std::vector<Response> responses;
-    const Cycles deadline = rdcycles() + ns_to_cycles(60e9);
-    while (responses.size() < kJobs && rdcycles() < deadline) {
-        rt.drain_responses(responses);
-        std::this_thread::yield();
-    }
-    ASSERT_EQ(responses.size(), kJobs);
-    for (const auto &r : responses) {
-        const int shard = static_cast<int>(r.id % 2);
-        const ShardSpan span = rt.shard_workers(shard);
-        EXPECT_GE(r.worker, span.first) << "id " << r.id;
-        EXPECT_LT(r.worker, span.first + span.count) << "id " << r.id;
-    }
-    EXPECT_EQ(rt.dispatched(0), kJobs / 2);
-    EXPECT_EQ(rt.dispatched(1), kJobs / 2);
-    rt.stop();
-}
-
-TEST(Sharded, StealRebalancesSkewedBacklog)
-{
-    // The whole backlog lands on shard 0 before start(); shard 1 comes
-    // up idle and must pull work across. Conservation: the RX queues
-    // are MPMC, so a stolen job is popped (and forwarded) exactly once
-    // — per-shard dispatched counts must still partition the total.
-    RuntimeConfig cfg;
-    cfg.num_workers = 2;
-    cfg.num_dispatchers = 2;
-    cfg.steal_max_batch = 8;
-    Runtime rt(cfg, spin_handler());
-    constexpr uint64_t kJobs = 3000;
-    for (uint64_t i = 0; i < kJobs; ++i)
-        ASSERT_TRUE(rt.submit_to_shard(make_spin_request(i, 2000), 0));
-    rt.start();
-
-    std::vector<Response> responses;
-    const Cycles deadline = rdcycles() + ns_to_cycles(120e9);
-    while (responses.size() < kJobs && rdcycles() < deadline) {
-        rt.drain_responses(responses);
-        std::this_thread::yield();
-    }
-    ASSERT_EQ(responses.size(), kJobs);
-    EXPECT_EQ(rt.dispatched(0) + rt.dispatched(1), kJobs)
-        << "stolen jobs must never be double-counted";
-    EXPECT_GT(rt.dispatched(1), 0u) << "the idle shard never stole";
-    if (telemetry::kEnabled) {
-        const auto snap = rt.telemetry_snapshot();
-        EXPECT_GT(snap.steal_count, 0u);
-        EXPECT_GE(snap.stolen_jobs, snap.steal_count);
-        ASSERT_EQ(snap.per_shard_dispatched.size(), 2u);
-        EXPECT_EQ(snap.per_shard_dispatched[0], rt.dispatched(0));
-        EXPECT_EQ(snap.per_shard_dispatched[1], rt.dispatched(1));
-        // Nothing was ever submitted to shard 1, so everything it
-        // forwarded it stole.
-        EXPECT_EQ(snap.stolen_jobs, rt.dispatched(1));
-    }
-    EXPECT_TRUE(rt.drain(/*deadline_sec=*/60.0));
-    EXPECT_EQ(rt.abandoned_jobs(), 0u);
-
-    // Every per-job counter has one writer, so none may lose an update:
-    // assigned-minus-finished drains to zero on each worker only if the
-    // shard that forwarded a job (the thief, for a stolen one) bumped
-    // the assigned count of the worker it pushed to.
-    for (uint64_t len : rt.queue_lengths())
-        EXPECT_EQ(len, 0u) << "a worker's assigned count went astray";
-    uint64_t finished = 0;
-    for (int w = 0; w < cfg.num_workers; ++w)
-        finished += rt.worker(w).stats_line().finished.load();
-    EXPECT_EQ(finished, kJobs);
-    if (telemetry::kEnabled) {
-        const auto snap = rt.telemetry_snapshot();
-        EXPECT_EQ(snap.dispatched, kJobs);
-        EXPECT_EQ(snap.admitted, snap.dispatched);
-        EXPECT_EQ(snap.finished, snap.admitted);
-    }
-}
-
-TEST(Sharded, ForcedStopAccountsEveryJobAcrossShards)
-{
-    // A deep two-shard backlog against a deliberately missed deadline:
-    // delivered + dropped + abandoned must equal accepted, with the
-    // abandoned split counted on whichever shard swept the job.
-    RuntimeConfig cfg;
-    cfg.num_workers = 4;
-    cfg.num_dispatchers = 2;
-    cfg.stop_deadline_sec = 0.005;
-    Runtime rt(cfg, spin_handler());
-    rt.start();
-    uint64_t accepted = 0;
-    for (uint64_t i = 0; i < 2000; ++i)
-        if (rt.submit(make_spin_request(i, 50000)))
-            ++accepted;
-    ASSERT_GT(accepted, 0u);
-    EXPECT_FALSE(rt.drain(/*deadline_sec=*/0.005));
-    EXPECT_EQ(rt.lifecycle(), Lifecycle::Stopped);
-    std::vector<Response> responses;
-    rt.drain_responses(responses);
-    EXPECT_EQ(responses.size() + rt.dropped_responses() +
-                  rt.abandoned_jobs(),
-              accepted)
-        << "every accepted job must be delivered, dropped, or abandoned";
-    EXPECT_GT(rt.abandoned_jobs(), 0u)
-        << "100ms of queued spin cannot drain in 5ms";
-}
-
-TEST(Sharded, SingleShardAcceptsShardZeroAffinity)
-{
-    // submit_to_shard degrades gracefully on the unsharded runtime:
-    // shard 0 is the only (historical) dispatcher.
-    RuntimeConfig cfg;
-    cfg.num_workers = 2;
-    Runtime rt(cfg, spin_handler());
-    EXPECT_EQ(rt.num_dispatcher_shards(), 1);
-    EXPECT_EQ(rt.shard_workers(0).count, 2);
-    rt.start();
-    for (uint64_t i = 0; i < 16; ++i)
-        while (!rt.submit_to_shard(make_spin_request(i, 500), 0))
-            std::this_thread::yield();
-    std::vector<Response> responses;
-    const Cycles deadline = rdcycles() + ns_to_cycles(60e9);
-    while (responses.size() < 16 && rdcycles() < deadline) {
-        rt.drain_responses(responses);
-        std::this_thread::yield();
-    }
-    EXPECT_EQ(responses.size(), 16u);
-    EXPECT_EQ(rt.dispatched(0), 16u);
     rt.stop();
 }
 

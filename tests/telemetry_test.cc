@@ -93,32 +93,26 @@ stage_row(const char *name, uint64_t count, double mean, double p99)
 
 TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
 {
-    // Fixed samples spread over two workers, two dispatcher shards and
-    // the client. Every stage's count, exact mean and bucket p99 — and
-    // the rendered table — must equal what the merge rules give: means
+    // Fixed samples spread over two workers, the dispatcher and the
+    // client. Every stage's count, exact mean and bucket p99 — and the
+    // rendered table — must equal what the merge rules give: means
     // from the summed sum/count, p99 at the geometric midpoint of the
     // first bucket covering 99 % of the merged bucket total.
-    MetricsRegistry reg(2, 64, 2);
-    DispatcherTelemetry &d0 = reg.dispatcher(0);
-    DispatcherTelemetry &d1 = reg.dispatcher(1);
+    MetricsRegistry reg(2, 64);
+    DispatcherTelemetry &d = reg.dispatcher();
     WorkerTelemetry &w0 = reg.worker(0);
     WorkerTelemetry &w1 = reg.worker(1);
 
-    // dispatch: 150 x 300 (bucket 8) on shard 0; 50 x 3000 (bucket 11)
-    // and 2 x 2^20 on shard 1. 99 % of 202 is 200 -> bucket 11, which
-    // only the merged view reaches.
-    Cycles dispatch_sum = add_n(d0.dispatch_cycles, 150, 300);
-    dispatch_sum += add_n(d1.dispatch_cycles, 50, 3000);
-    dispatch_sum += add_n(d1.dispatch_cycles, 2, Cycles{1} << 20);
-    d0.dispatched.store(150);
-    d1.dispatched.store(52);
-    // Value histograms: batch occupancy, steal batches.
-    add_n(d0.batch_occupancy, 2, 1);
-    add_n(d0.batch_occupancy, 1, 3);
-    add_n(d1.batch_occupancy, 1, 2);
-    d1.steals.store(2);
-    add_n(d1.steal_batch, 1, 4);
-    add_n(d1.steal_batch, 1, 8);
+    // dispatch: 150 x 300 (bucket 8), 50 x 3000 (bucket 11) and
+    // 2 x 2^20. 99 % of 202 is 200 -> bucket 11.
+    Cycles dispatch_sum = add_n(d.dispatch_cycles, 150, 300);
+    dispatch_sum += add_n(d.dispatch_cycles, 50, 3000);
+    dispatch_sum += add_n(d.dispatch_cycles, 2, Cycles{1} << 20);
+    d.dispatched.store(202);
+    // Value histogram: batch occupancy.
+    add_n(d.batch_occupancy, 2, 1);
+    add_n(d.batch_occupancy, 1, 3);
+    add_n(d.batch_occupancy, 1, 2);
 
     // queueing: 0 and 1 share bucket 0, which covers 99 of 100.
     Cycles queue_sum = add_n(w0.queue_cycles, 50, 0);
@@ -164,12 +158,8 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
 
     const MetricsSnapshot s = reg.snapshot();
     EXPECT_EQ(s.dispatched, 202u);
-    EXPECT_EQ(s.per_shard_dispatched, (std::vector<uint64_t>{150, 52}));
     EXPECT_EQ(s.dispatch_batches, 4u);
     EXPECT_EQ(s.mean_dispatch_batch, 7.0 / 4.0);
-    EXPECT_EQ(s.steal_count, 2u);
-    EXPECT_EQ(s.stolen_jobs, 12u);
-    EXPECT_EQ(s.mean_steal_batch, 6.0);
     EXPECT_EQ(s.burst_phases, 2u);
     EXPECT_EQ(s.mean_burst_inflight, 4.0);
 
@@ -231,8 +221,6 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
               "stats-line total 0)\n"
               "trace events dropped: 0\n"
               "dispatch batches: 4 (mean occupancy 1.75)\n"
-              "per-shard dispatched: 150 52\n"
-              "steals: 2 (12 jobs, mean batch 6.00)\n"
               "burst phases: 2 (mean in-flight 4.00)\n"
               "backpressure: tx-full spins 0, dispatch-full spins 0, "
               "dropped responses 0, abandoned jobs 0\n" +
