@@ -193,21 +193,20 @@ BM_DispatchBatchPacked(benchmark::State &state)
     const size_t k = static_cast<size_t>(state.range(0));
     constexpr int kWorkers = 16;
     runtime::WorkerStatsLine lines[kWorkers];
-    runtime::WorkerStatsReader readers[kWorkers];
     uint64_t assigned[kWorkers] = {};
     DispatchView view(kWorkers);
     for (int i = 0; i < kWorkers; ++i)
-        lines[i].finished.store(static_cast<uint32_t>(i * 3));
+        lines[i].finished.store(static_cast<uint64_t>(i * 3));
     for (auto _ : state) {
         // Batch boundary: one pass over the shared lines.
         for (int i = 0; i < kWorkers; ++i) {
             const size_t i_w = static_cast<size_t>(i);
-            const uint64_t fin = readers[i].read_finished(lines[i]);
+            const uint64_t fin =
+                lines[i].finished.load(std::memory_order_relaxed);
             view.set_len(i_w,
                          assigned[i] > fin ? assigned[i] - fin : 0);
-            view.set_quanta(
-                i_w,
-                runtime::WorkerStatsReader::read_current_quanta(lines[i]));
+            view.set_quanta(i_w, lines[i].current_quanta.load(
+                                     std::memory_order_relaxed));
         }
         // Per-request work: packed pick + saturating bump.
         for (size_t j = 0; j < k; ++j) {

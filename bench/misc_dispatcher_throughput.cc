@@ -29,6 +29,7 @@
 #include "common/dispatch_view.h"
 #include "conc/mpmc_queue.h"
 #include "conc/spsc_ring.h"
+#include "runtime/config.h"
 #include "runtime/request.h"
 #include "runtime/worker_stats.h"
 
@@ -38,13 +39,11 @@ namespace {
 
 constexpr int kIters = 2'000'000;
 constexpr int kRound = 8192;      // staged per untimed refill
-constexpr size_t kBatch = 32;     // RuntimeConfig::dispatch_batch default
 
 struct Cluster
 {
     explicit Cluster(int workers)
         : rx(kRound * 2), lines(static_cast<size_t>(workers)),
-          readers(static_cast<size_t>(workers)),
           assigned(static_cast<size_t>(workers), 0)
     {
         for (int w = 0; w < workers; ++w)
@@ -55,7 +54,6 @@ struct Cluster
     MpmcQueue<runtime::Request> rx;
     std::vector<std::unique_ptr<SpscRing<runtime::Request>>> rings;
     std::vector<runtime::WorkerStatsLine> lines;
-    std::vector<runtime::WorkerStatsReader> readers;
     std::vector<uint64_t> assigned;
 };
 
@@ -88,7 +86,7 @@ packed_ns_per_job(int workers)
 {
     Cluster c(workers);
     DispatchView view(static_cast<size_t>(workers));
-    runtime::Request batch[kBatch];
+    runtime::Request batch[runtime::kDispatchBatch];
     runtime::Request scratch;
     Cycles timed = 0;
     int done = 0;
@@ -98,20 +96,20 @@ packed_ns_per_job(int workers)
         const Cycles t0 = rdcycles();
         int off = 0;
         while (off < round) {
-            const size_t n = c.rx.pop_n(batch, kBatch);
+            const size_t n = c.rx.pop_n(batch, runtime::kDispatchBatch);
             const Cycles arrived = rdcycles();
             // Batch boundary: one pass over the shared counter lines
             // into the packed view.
             for (int w = 0; w < workers; ++w) {
                 const size_t i_w = static_cast<size_t>(w);
+                const runtime::WorkerStatsLine &line = c.lines[i_w];
                 const uint64_t fin =
-                    c.readers[i_w].read_finished(c.lines[i_w]);
+                    line.finished.load(std::memory_order_relaxed);
                 view.set_len(i_w, c.assigned[i_w] > fin
                                       ? c.assigned[i_w] - fin
                                       : 0);
-                view.set_quanta(
-                    i_w, runtime::WorkerStatsReader::read_current_quanta(
-                             c.lines[i_w]));
+                view.set_quanta(i_w, line.current_quanta.load(
+                                         std::memory_order_relaxed));
             }
             // Per-request work: packed pick + saturating bump, local only.
             for (size_t j = 0; j < n; ++j) {

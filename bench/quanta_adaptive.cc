@@ -12,10 +12,11 @@
  *  - Per-class static: hand-picked class quanta (shorts complete in one
  *    slice, longs are sliced fine) with the default deficit clamp and
  *    starvation guard.
- *  - Adaptive: the runtime's QuantumController iterated over simulation
- *    rounds — each round runs the cluster with the controller's current
- *    quanta and feeds back per-class completions / mean service / p99
- *    sojourn until the quanta stop moving.
+ *  - Adaptive: the QuantumController (sim/quantum_controller.h)
+ *    iterated over simulation rounds — each round runs the cluster with
+ *    the controller's current quanta and feeds back per-class
+ *    completions / mean service / p99 sojourn until the quanta stop
+ *    moving.
  *
  * The acceptance gate (ISSUE 10): per-class and adaptive improve the
  * short class's p999 slowdown versus the best fixed quantum while
@@ -34,7 +35,7 @@
 #include "bench_util.h"
 #include "common/dist.h"
 #include "common/sched_core.h"
-#include "runtime/quantum_controller.h"
+#include "sim/quantum_controller.h"
 #include "sim/sweep.h"
 #include "sim/two_level.h"
 
@@ -92,7 +93,7 @@ measure(const Workload &w, const sim::SimResult &r)
 }
 
 /**
- * Adaptive arm: iterate the runtime's controller against fresh
+ * Adaptive arm: iterate the controller against fresh
  * simulation windows. Each round is an independent deterministic run
  * (same seed) under the controller's current quanta, so successive
  * rounds isolate the effect of the quanta alone; convergence is "the
@@ -102,13 +103,13 @@ Arm
 adaptive_arm(const Workload &w, int max_rounds)
 {
     const size_t n = w.dist->class_names().size();
-    runtime::QuantumControllerConfig qc;
+    sim::QuantumControllerConfig qc;
     // Tight SLO: keep shrinking the other classes' quanta while the
     // short class's p99 slowdown is above 1.5x (dead band [1.2, 1.5]) —
     // the default 5x is a production guard-rail, far too lax to steer
     // these non-saturated sweeps anywhere interesting.
     qc.target_slowdown = 1.5;
-    runtime::QuantumController ctrl(qc, std::vector<double>(n, 2.0));
+    sim::QuantumController ctrl(qc, std::vector<double>(n, 2.0));
     Arm a;
     sim::SimResult last;
     for (int round = 0; round < max_rounds; ++round) {
@@ -117,7 +118,7 @@ adaptive_arm(const Workload &w, int max_rounds)
             q[c] = us(ctrl.quanta_us()[c]);
         last = run_arm(w, q, 2.0);
         a.rounds = round + 1;
-        std::vector<runtime::ClassObservation> obs(n);
+        std::vector<sim::ClassObservation> obs(n);
         for (size_t c = 0; c < n; ++c) {
             obs[c].completed = last.classes.at(c).completed;
             obs[c].mean_service_us = w.mean_service_us[c];

@@ -8,10 +8,12 @@
  * settle and promote with the same code. RunQueue is the PS/FCFS ring
  * or the LAS min-heap, either one in a contiguous vector; ClassLedger
  * keeps the per-class deficit and starvation accounts; SchedCore
- * composes them into the calls an engine makes. The fixed quantum is
- * the degenerate shape — one slot, deficit clamp 0, guard off — where
- * every budget is the base quantum, every deficit settles to 0 and
- * nothing is promoted.
+ * composes them into the calls an engine makes and holds the shape's
+ * per-slot base quanta, so a grant's base is resolved here for both
+ * engines. The fixed quantum is the degenerate shape — one slot holding
+ * the scalar quantum, deficit clamp 0, guard off — where every budget
+ * is the base quantum, every deficit settles to 0 and nothing is
+ * promoted.
  */
 #ifndef TQ_COMMON_SCHED_CORE_H
 #define TQ_COMMON_SCHED_CORE_H
@@ -19,6 +21,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -294,7 +297,11 @@ class ClassLedger
     Account acct_[kMaxClasses] = {};
 };
 
-/** How a core schedules, resolved once per engine instance. */
+/** How a core schedules, resolved once per engine instance. Both
+ *  engines fill `quantum` by one rule: per-class mode gives slot c its
+ *  class's quantum (slots past the class table keep the scalar one);
+ *  the fixed quantum and FCFS read slot 0 only, which holds the scalar
+ *  quantum. */
 template <typename Time>
 struct SchedShape
 {
@@ -302,6 +309,7 @@ struct SchedShape
     int slots = 1;              ///< ledger slots; 1 = the fixed quantum
     Time deficit_clamp = 0;     ///< 0 = no deficit carried
     uint64_t promote_after = 0; ///< 0 = starvation guard off
+    Time quantum[kMaxClasses] = {}; ///< base quantum of each slot
 };
 
 /**
@@ -320,6 +328,8 @@ class SchedCore
         : runq_(shape.las),
           ledger_(shape.slots, shape.deficit_clamp, shape.promote_after)
     {
+        std::copy(std::begin(shape.quantum), std::end(shape.quantum),
+                  quantum_);
     }
 
     bool empty() const { return runq_.empty(); }
@@ -348,10 +358,12 @@ class SchedCore
         return {runq_.pop(), false};
     }
 
+    /** Grant @p e a slice on its slot's base quantum. @return the
+     *  effective budget to arm. */
     Time
-    grant(const Entry &e, Time base)
+    grant(const Entry &e)
     {
-        return ledger_.grant(e.slot, base);
+        return ledger_.grant(e.slot, quantum_[e.slot]);
     }
 
     void
@@ -375,6 +387,7 @@ class SchedCore
   private:
     RunQueue<Handle> runq_;
     ClassLedger<Time> ledger_;
+    Time quantum_[kMaxClasses]; ///< the shape's per-slot base quanta
 };
 
 } // namespace tq::sched

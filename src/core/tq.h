@@ -6,8 +6,7 @@
  *
  *  - tq::runtime — the TQ system itself: Runtime (dispatcher + workers),
  *    forced-multitasking workers, JSQ+MSQ dispatch (paper sections 3, 4),
- *    per-class quanta with deficit accounting and an optional adaptive
- *    quantum controller (runtime/quantum.h, runtime/quantum_controller.h).
+ *    per-class quanta with deficit accounting (common/sched_core.h).
  *  - tq::probe / tq::coro — the forced-multitasking mechanism: probe
  *    runtime (tq_probe, PreemptGuard) and stackful coroutines.
  *  - tq::compiler / tq::progs — the probe-placement compiler pass on the

@@ -29,6 +29,18 @@ enum class WorkPolicy {
  *  four or more and uses eight (section 5.1). */
 inline constexpr int kTasksPerWorker = 8;
 
+/**
+ * Dispatcher RX batch size: the dispatcher pops up to this many
+ * requests per poll and refreshes its JSQ view of the workers' counter
+ * lines once per batch instead of once per request, so the per-request
+ * dispatch work inside a batch touches only dispatcher-local state
+ * (DESIGN.md "Batched hot path"). Under light load batches are mostly
+ * size 1 and behaviour is identical to a per-request refresh; the
+ * amortization engages precisely when the dispatcher is the bottleneck
+ * and the RX queue has depth.
+ */
+inline constexpr size_t kDispatchBatch = 32;
+
 /** Per-thread trace-ring capacity in events (telemetry builds).
  *  Overflow drops events and counts them; it never blocks a worker
  *  (see OBSERVABILITY.md). */
@@ -44,7 +56,7 @@ struct RuntimeConfig
      * Per-class quanta keyed by Request::job_class (DESIGN.md §4i).
      * Empty — the default — is the fixed quantum: one scheduler ledger
      * slot with deficit and guard off, so every grant arms quantum_us.
-     * When non-empty, class c is admitted with class_quantum_us[c]
+     * When non-empty, class c is granted class_quantum_us[c]
      * (classes beyond the table, or beyond sched::kMaxClasses = 8, fall
      * back to quantum_us / the last slot) and gets its own ledger slot
      * with the deficit clamp and starvation guard below. Ignored under
@@ -76,19 +88,6 @@ struct RuntimeConfig
     uint32_t starvation_promote_after =
         sched::kDefaultStarvationPromoteAfter;
 
-    /**
-     * Adaptive quantum controller (DESIGN.md §4i): when true — and the
-     * build has telemetry — Runtime::adapt_quanta() digests a telemetry
-     * snapshot through runtime/quantum_controller.h, run with the
-     * QuantumControllerConfig defaults, and republishes the per-class
-     * quantum table; workers pick the new budgets up at their next
-     * admission. Enables per-class mode even with an empty
-     * class_quantum_us (all classes start at quantum_us). Under
-     * -DTQ_TELEMETRY=OFF the controller is compiled out and the table
-     * statically keeps its configured values (adapt_quanta() == false).
-     */
-    bool adaptive_quantum = false;
-
     size_t ring_capacity = 1 << 14; ///< per-ring request/response slots
     DispatchPolicy dispatch = DispatchPolicy::JsqMsq; ///< load balancer
     WorkPolicy work = WorkPolicy::ProcessorSharing;   ///< per-core policy
@@ -113,19 +112,6 @@ struct RuntimeConfig
      * dropped and counted (abandoned_jobs / dropped_responses).
      */
     size_t push_spin_limit = 0;
-
-    /**
-     * Dispatcher RX batch size: the dispatcher pops up to this many
-     * requests per poll and refreshes its JSQ view of the workers'
-     * counter lines once per batch instead of once per request, so the
-     * per-request dispatch work inside a batch touches only
-     * dispatcher-local state (DESIGN.md "Batched hot path"). 1 restores
-     * per-request refresh exactly. Under light load batches are mostly
-     * size 1 and behaviour is identical to the unbatched path; the
-     * amortization engages precisely when the dispatcher is the
-     * bottleneck and the RX queue has depth.
-     */
-    size_t dispatch_batch = 32;
 };
 
 } // namespace tq::runtime

@@ -27,9 +27,9 @@ struct Request
     int job_class = 0;         ///< workload class (short/long, GET/SCAN...).
                                ///< Also the per-class quantum key: when
                                ///< RuntimeConfig::class_quantum_us is set
-                               ///< the worker resolves this job's slice
-                               ///< budget from it once, at admission
-                               ///< (runtime/quantum.h; classes >= 7
+                               ///< it picks the job's scheduler slot,
+                               ///< whose quantum every grant starts from
+                               ///< (common/sched_core.h; classes >= 7
                                ///< share slot 7)
     uint64_t payload = 0;      ///< class-specific argument (key, ns, ...)
 };

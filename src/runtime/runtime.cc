@@ -15,45 +15,36 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
       metrics_(std::make_unique<telemetry::MetricsRegistry>(
           cfg.num_workers,
           telemetry::kEnabled ? kTelemetryTraceCapacity : 1)),
-      quantum_table_(ns_to_cycles(cfg.quantum_us * 1e3)),
       assigned_(std::make_unique<std::atomic<uint64_t>[]>(
-          static_cast<size_t>(cfg.num_workers))),
-      query_readers_(static_cast<size_t>(cfg.num_workers)),
-      snapshot_readers_(static_cast<size_t>(cfg.num_workers))
+          static_cast<size_t>(cfg.num_workers)))
 {
     TQ_CHECK(cfg_.num_workers > 0);
-    TQ_CHECK(cfg_.dispatch_batch >= 1);
     // Scheduling shape (DESIGN.md §4i), resolved once for all workers.
-    // Per-class mode — a populated table, or an adaptive controller that
-    // needs one — gives every table slot a ledger slot, the deficit
-    // clamp and the guard. Otherwise, and always under FCFS (probes
-    // never fire), it is the fixed quantum: one slot, neither knob.
+    // Per-class mode — a populated table — gives every slot a ledger
+    // slot holding its class's quantum (quantum_us past the table), the
+    // deficit clamp and the guard. Otherwise, and always under FCFS
+    // (probes never fire), it is the fixed quantum: one slot holding
+    // quantum_us, neither knob.
     sched_shape_.las = cfg_.work == WorkPolicy::Las;
-    if ((!cfg_.class_quantum_us.empty() || cfg_.adaptive_quantum) &&
-        cfg_.work != WorkPolicy::Fcfs) {
+    std::fill(std::begin(sched_shape_.quantum),
+              std::end(sched_shape_.quantum),
+              ns_to_cycles(cfg_.quantum_us * 1e3));
+    if (!cfg_.class_quantum_us.empty() && cfg_.work != WorkPolicy::Fcfs) {
         sched_shape_.slots = sched::kMaxClasses;
         sched_shape_.deficit_clamp =
             ns_to_cycles(cfg_.deficit_clamp_us * 1e3);
         sched_shape_.promote_after = cfg_.starvation_promote_after;
-        std::vector<double> initial(
-            static_cast<size_t>(sched::kMaxClasses), cfg_.quantum_us);
         for (size_t c = 0; c < cfg_.class_quantum_us.size() &&
                            c < static_cast<size_t>(sched::kMaxClasses);
              ++c) {
             TQ_CHECK(cfg_.class_quantum_us[c] > 0);
-            initial[c] = cfg_.class_quantum_us[c];
-            quantum_table_.store(
-                static_cast<int>(c),
-                ns_to_cycles(cfg_.class_quantum_us[c] * 1e3));
+            sched_shape_.quantum[c] =
+                ns_to_cycles(cfg_.class_quantum_us[c] * 1e3);
         }
-        if (cfg_.adaptive_quantum && telemetry::kEnabled)
-            controller_ = std::make_unique<QuantumController>(
-                QuantumControllerConfig{}, std::move(initial));
     }
     for (int w = 0; w < cfg_.num_workers; ++w)
         workers_.push_back(std::make_unique<Worker>(
-            w, cfg_, handler, &metrics_->worker(w), &lc_, quantum_table_,
-            sched_shape_));
+            w, cfg_, handler, &metrics_->worker(w), &lc_, sched_shape_));
     disp_ = std::make_unique<Dispatcher>(cfg_);
     for (auto &w : workers_)
         disp_->stat_lines.push_back(&w->stats_line());
@@ -213,17 +204,16 @@ Runtime::tx_ring_full_spins() const
 }
 
 std::vector<uint64_t>
-Runtime::queue_lengths()
+Runtime::queue_lengths() const
 {
-    std::lock_guard<std::mutex> lock(stats_mu_);
     std::vector<uint64_t> lens(workers_.size());
     for (size_t w = 0; w < workers_.size(); ++w) {
-        const uint64_t fin =
-            query_readers_[w].read_finished(workers_[w]->stats_line());
+        const uint64_t fin = workers_[w]->stats_line().finished.load(
+            std::memory_order_relaxed);
         const uint64_t asn = assigned_[w].load(std::memory_order_relaxed);
         // assigned_ is bumped *after* the ring push, so a fast worker can
         // transiently put finished ahead of assigned; clamp instead of
-        // wrapping to 2^64.
+        // underflowing to 2^64.
         lens[w] = asn > fin ? asn - fin : 0;
     }
     return lens;
@@ -233,37 +223,34 @@ void
 Runtime::refresh_dispatch_views()
 {
     // Refresh the view from the workers' counter lines: queue length =
-    // assigned - finished (delta-tracked across wraps, clamped at 0
-    // against the transient finished>assigned race noted in
-    // queue_lengths()). This is the only place the dispatcher touches
-    // shared cache lines for load balancing; every policy's pick works
-    // on the packed view until the next batch boundary. stat_lines
-    // keeps the walk over the workers' lines pointer-chase-free.
+    // assigned - finished (clamped at 0 against the transient
+    // finished>assigned race noted in queue_lengths()). This is the
+    // only place the dispatcher touches shared cache lines for load
+    // balancing; every policy's pick works on the packed view until the
+    // next batch boundary. stat_lines keeps the walk over the workers'
+    // lines pointer-chase-free.
     Dispatcher &d = *disp_;
     const size_t n = d.stat_lines.size();
     for (size_t i = 0; i < n; ++i) {
-        const uint64_t fin = d.readers[i].read_finished(*d.stat_lines[i]);
+        const WorkerStatsLine &line = *d.stat_lines[i];
+        const uint64_t fin = line.finished.load(std::memory_order_relaxed);
         const uint64_t asn = assigned_[i].load(std::memory_order_relaxed);
         d.view.set_len(i, asn > fin ? asn - fin : 0);
         if (cfg_.dispatch == DispatchPolicy::JsqMsq)
             d.view.set_quanta(
-                i, WorkerStatsReader::read_current_quanta(*d.stat_lines[i]));
+                i, line.current_quanta.load(std::memory_order_relaxed));
     }
 }
 
 telemetry::MetricsSnapshot
-Runtime::telemetry_snapshot()
+Runtime::telemetry_snapshot() const
 {
     telemetry::MetricsSnapshot snap = metrics_->snapshot();
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        // Cross-check against the dispatcher/worker stats contract: the
-        // shared 32-bit total_quanta counters, read wrap-tolerantly.
-        for (size_t w = 0; w < workers_.size(); ++w)
-            snap.stats_total_quanta +=
-                snapshot_readers_[w].read_total_quanta(
-                    workers_[w]->stats_line());
-    }
+    // Cross-check against the dispatcher/worker stats contract: the
+    // shared 64-bit total_quanta counters.
+    for (const auto &w : workers_)
+        snap.stats_total_quanta +=
+            w->stats_line().total_quanta.load(std::memory_order_relaxed);
     // Backpressure/lifecycle counters record in every build (cold paths
     // only), so fold them in even when TQ_TELEMETRY is off.
     snap.tx_ring_full_spins = tx_ring_full_spins();
@@ -275,46 +262,13 @@ Runtime::telemetry_snapshot()
     return snap;
 }
 
-bool
-Runtime::adapt_quanta()
-{
-    if (!controller_)
-        return false; // static fallback: fixed path, adaptation off, or
-                      // a -DTQ_TELEMETRY=OFF build (no controller made)
-    const telemetry::MetricsSnapshot snap = telemetry_snapshot();
-    std::vector<ClassObservation> obs(snap.per_class.size());
-    for (size_t c = 0; c < snap.per_class.size(); ++c) {
-        const telemetry::ClassQuantaStats &pc = snap.per_class[c];
-        obs[c].completed = pc.finished;
-        obs[c].mean_service_us = pc.service.mean_ns / 1e3;
-        obs[c].p99_sojourn_us = pc.sojourn.p99_ns / 1e3;
-    }
-    bool changed;
-    {
-        // Same mutex as the snapshot's wrap-state: controller updates
-        // serialize with each other at snapshot rate.
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        changed = controller_->update(obs);
-        if (changed) {
-            const std::vector<double> &q = controller_->quanta_us();
-            for (size_t c = 0;
-                 c < q.size() &&
-                 c < static_cast<size_t>(sched::kMaxClasses);
-                 ++c)
-                quantum_table_.store(static_cast<int>(c),
-                                      ns_to_cycles(q[c] * 1e3));
-        }
-    }
-    return changed;
-}
-
 double
 Runtime::class_quantum_us(int job_class) const
 {
     if (sched_shape_.slots == 1)
         return cfg_.quantum_us; // fixed path: the configured scalar
-    return cycles_to_ns(quantum_table_.load(
-               sched::clamp_slot(job_class, sched::kMaxClasses))) /
+    return cycles_to_ns(sched_shape_.quantum[sched::clamp_slot(
+               job_class, sched::kMaxClasses)]) /
            1e3;
 }
 
@@ -388,7 +342,7 @@ Runtime::dispatcher_main()
     // Under light load batches degenerate to size 1 and the path is the
     // classic per-request one; under pressure the shared-line traffic
     // is divided by the batch occupancy (DESIGN.md "Batched hot path").
-    std::vector<Request> batch(cfg_.dispatch_batch);
+    std::vector<Request> batch(kDispatchBatch);
     int empty_polls = 0;
     for (;;) {
         TQ_FAULT_SITE(DispatcherPoll);

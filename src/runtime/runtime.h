@@ -43,8 +43,6 @@
 #include "conc/mpmc_queue.h"
 #include "runtime/config.h"
 #include "runtime/lifecycle.h"
-#include "runtime/quantum.h"
-#include "runtime/quantum_controller.h"
 #include "runtime/worker.h"
 #include "telemetry/telemetry.h"
 
@@ -95,7 +93,6 @@ struct Dispatcher
     explicit Dispatcher(const RuntimeConfig &cfg)
         : rx(cfg.ring_capacity),
           view(static_cast<size_t>(cfg.num_workers)),
-          readers(static_cast<size_t>(cfg.num_workers)),
           rng(cfg.seed)
     {
     }
@@ -112,9 +109,6 @@ struct Dispatcher
      *  per-request work inside a batch never touches a shared cache
      *  line. */
     DispatchView view;
-
-    /** Dispatcher-private JSQ wrap state; no other thread touches it. */
-    std::vector<WorkerStatsReader> readers;
 
     /** The workers' stats lines as one contiguous pointer array so the
      *  per-batch refresh walks pointers, not unique_ptr<Worker> double
@@ -196,11 +190,11 @@ class Runtime
     size_t drain_responses(std::vector<Response> &out);
 
     /**
-     * Dispatched-minus-finished per worker. Thread-safe: external
-     * callers have their own wrap-tracking stats readers and never touch
-     * the dispatcher's JSQ view.
+     * Dispatched-minus-finished per worker. Thread-safe: relaxed loads
+     * of the workers' stats lines and the assigned counts; the
+     * dispatcher's JSQ view is never touched.
      */
-    std::vector<uint64_t> queue_lengths();
+    std::vector<uint64_t> queue_lengths() const;
 
     /** Total requests forwarded by the dispatcher. */
     uint64_t
@@ -242,36 +236,18 @@ class Runtime
 
     /**
      * Snapshot all metrics without stopping the runtime, folding in the
-     * wrap-tolerant cumulative quanta read from each worker's stats
-     * cache line (WorkerStatsReader::read_total_quanta()) and the
+     * total quanta loaded from each worker's stats cache line and the
      * backpressure counters (which record in every build).
      *
-     * Thread-safe: concurrent snapshots serialize on an internal mutex,
-     * and running workers/dispatchers are never disturbed.
+     * Thread-safe: every cross-thread read is a relaxed load, so
+     * concurrent snapshots need no lock and running workers and the
+     * dispatcher are never disturbed.
      */
-    telemetry::MetricsSnapshot telemetry_snapshot();
+    telemetry::MetricsSnapshot telemetry_snapshot() const;
 
     /**
-     * One tick of the adaptive quantum controller (DESIGN.md §4i),
-     * piggybacked on the telemetry snapshot path: digest a snapshot's
-     * per-class observations through the blind control law
-     * (runtime/quantum_controller.h) and republish the per-class
-     * quantum table. Workers resolve budgets at admission, so new
-     * quanta reach jobs admitted after this call, never a job
-     * mid-service. Call it at snapshot rate (hertz) — it is a low-rate
-     * loop by design, never on a data path.
-     *
-     * @return true when any class budget changed. Always false — the
-     *     static fallback — when adaptive_quantum is off, the runtime
-     *     is on the fixed-quantum path, or the build is
-     *     -DTQ_TELEMETRY=OFF (no observations exist; the table keeps
-     *     its configured values).
-     */
-    bool adapt_quanta();
-
-    /**
-     * The quantum currently published for @p job_class, in
-     * microseconds: the adapted table value in per-class mode, or
+     * The base quantum the workers grant @p job_class, in microseconds:
+     * its slot of the resolved scheduling shape in per-class mode, or
      * config().quantum_us on the fixed path.
      */
     double class_quantum_us(int job_class) const;
@@ -294,14 +270,9 @@ class Runtime
     RuntimeConfig cfg_;
     std::unique_ptr<telemetry::MetricsRegistry> metrics_;
 
-    /** Per-class quantum table (DESIGN.md §4i) and the workers'
-     *  scheduling shape (one ledger slot = the fixed quantum). Declared
-     *  before workers_, which reference the table. */
-    ClassQuantumTable quantum_table_;
+    /** The workers' scheduling shape with its per-slot quanta
+     *  (DESIGN.md §4i; one ledger slot = the fixed quantum). */
     sched::SchedShape<Cycles> sched_shape_;
-    /** Adaptive control law; constructed only in telemetry builds with
-     *  adaptive_quantum set. Guarded by stats_mu_ (snapshot-rate). */
-    std::unique_ptr<QuantumController> controller_;
 
     std::vector<std::unique_ptr<Worker>> workers_;
 
@@ -313,11 +284,6 @@ class Runtime
      *  design, paper section 4). One writer, so each slot moves by
      *  owner_add(). */
     std::unique_ptr<std::atomic<uint64_t>[]> assigned_;
-
-    /** External readers' wrap state, guarded by stats_mu_. */
-    std::vector<WorkerStatsReader> query_readers_;
-    std::vector<WorkerStatsReader> snapshot_readers_;
-    std::mutex stats_mu_;
 
     /** Read-hot by every thread, written almost never; owns its line
      *  (LifecycleControl is alignas(kCacheLineSize)). */

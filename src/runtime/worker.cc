@@ -9,19 +9,17 @@
 namespace tq::runtime {
 
 static_assert(sched::kMaxClasses == telemetry::kMaxTrackedClasses,
-              "quantum-table slots and per-class telemetry slots must "
+              "scheduler ledger slots and per-class telemetry slots must "
               "stay in one-to-one correspondence");
 
 Worker::Worker(int id, const RuntimeConfig &cfg, Handler handler,
                telemetry::WorkerTelemetry *telem, const LifecycleControl *lc,
-               const ClassQuantumTable &quanta,
                const sched::SchedShape<Cycles> &shape)
     : id_(id),
       cfg_(cfg),
       handler_(std::move(handler)),
       telem_(telem),
       lc_(lc),
-      quanta_(quanta),
       sched_(shape),
       dispatch_ring_(cfg.ring_capacity),
       tx_ring_(cfg.ring_capacity)
@@ -66,12 +64,7 @@ Worker::poll_admissions()
         task->service_cycles = 0;
         task->job_done = false;
         task->has_job = true;
-        // Quantum resolution point (DESIGN.md §4i): one relaxed table
-        // load per job, here at admission. Every later probe/yield
-        // decision compares against the Task's precomputed cycle
-        // budget — a controller update never reaches a job mid-service.
-        const int slot = sched_.admit(task, task->req.job_class);
-        task->budget_cycles = quanta_.load(slot);
+        sched_.admit(task, task->req.job_class);
 #if defined(TQ_TELEMETRY_ENABLED)
         owner_add(telem_->counters.admitted, 1);
 #endif
@@ -93,9 +86,10 @@ Worker::run_one_slice()
     bind_yield(
         [](void *coro) { static_cast<Coroutine *>(coro)->yield(); },
         task->coro.get());
-    // Budget for this grant: the admission-resolved quantum plus the
-    // class's deficit; on the fixed path exactly the quantum.
-    const Cycles budget = sched_.grant(e, task->budget_cycles);
+    // Budget for this grant: the slot's quantum from the scheduling
+    // shape plus the class's deficit; on the fixed path exactly the
+    // quantum.
+    const Cycles budget = sched_.grant(e);
     // Two clock reads per slice: this one arms the deadline, and the one
     // after the resume times the slice and stamps a completion.
     const Cycles slice_start = rdcycles();
@@ -189,8 +183,8 @@ Worker::complete(const Sched::Entry &e, Cycles done)
     telem_->service_cycles.add(task->service_cycles);
     telem_->trace.record(telemetry::EventKind::JobFinished, task->req.id);
     if (classes_tracked()) {
-        // Per-class controller feed (DESIGN.md §4i): attained service
-        // and sojourn keyed by the quantum-table slot.
+        // Per-class service and sojourn (DESIGN.md §4i), keyed by the
+        // scheduler ledger slot.
         owner_add(telem_->class_finished[e.slot], 1);
         telem_->class_service[e.slot].add(task->service_cycles);
         telem_->class_sojourn[e.slot].add(resp.done_cycles -

@@ -40,7 +40,6 @@
 #include "coro/coroutine.h"
 #include "runtime/config.h"
 #include "runtime/lifecycle.h"
-#include "runtime/quantum.h"
 #include "runtime/request.h"
 #include "runtime/worker_stats.h"
 #include "telemetry/telemetry.h"
@@ -63,14 +62,12 @@ class Worker
      *     snapshots work in every configuration.
      * @param lc the runtime's shared lifecycle control block; read at
      *     loop boundaries and inside every backpressure loop.
-     * @param quanta the runtime's per-class quantum table, loaded once
-     *     per admission.
-     * @param shape the scheduling shape the runtime resolved (one
-     *     ledger slot = the fixed quantum; DESIGN.md §4i).
+     * @param shape the scheduling shape the runtime resolved, per-slot
+     *     quanta included (one ledger slot = the fixed quantum;
+     *     DESIGN.md §4i).
      */
     Worker(int id, const RuntimeConfig &cfg, Handler handler,
            telemetry::WorkerTelemetry *telem, const LifecycleControl *lc,
-           const ClassQuantumTable &quanta,
            const sched::SchedShape<Cycles> &shape);
 
     /** Dispatcher-side input ring (single producer: the dispatcher). */
@@ -151,8 +148,6 @@ class Worker
     {
         Request req;               ///< job currently bound to the slot
         uint64_t result = 0;       ///< handler return value
-        Cycles budget_cycles = 0;  ///< quantum resolved at admission
-                                   ///< (one table load, DESIGN.md §4i)
         Cycles service_cycles = 0; ///< accumulated slice time (telemetry)
         bool has_job = false;      ///< a job is admitted to this slot
         bool job_done = false;     ///< handler returned; response pending
@@ -182,7 +177,6 @@ class Worker
     Handler handler_;
     telemetry::WorkerTelemetry *telem_;
     const LifecycleControl *lc_;
-    const ClassQuantumTable &quanta_;
     Sched sched_;
 
     SpscRing<Request> dispatch_ring_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <vector>
 
 #include "common/check.h"
@@ -76,11 +77,13 @@ class TwoLevelSim
         front_loads_.resize(static_cast<size_t>(cfg.num_dispatchers), 0);
         // Scheduling shape (DESIGN.md §4i), resolved as the runtime
         // resolves it: per-class quanta give each class a ledger slot
-        // with the deficit clamp and the starvation guard; the fixed
-        // quantum — and FCFS, whose cores never slice — is one slot
-        // with both off.
+        // holding its quantum, with the deficit clamp and the
+        // starvation guard; the fixed quantum — and FCFS, whose cores
+        // never slice — is one slot holding `quantum`, with both off.
         sched::SchedShape<SimNanos> shape;
         shape.las = cfg.core_policy == CorePolicy::Las;
+        std::fill(std::begin(shape.quantum), std::end(shape.quantum),
+                  cfg.quantum);
         if (!cfg.class_quantum.empty()) {
             TQ_CHECK(cfg.class_quantum.size() == dist.class_names().size());
             TQ_CHECK(cfg.class_quantum.size() <=
@@ -89,6 +92,8 @@ class TwoLevelSim
                 shape.slots = static_cast<int>(cfg.class_quantum.size());
                 shape.deficit_clamp = cfg.deficit_clamp;
                 shape.promote_after = cfg.starvation_promote_after;
+                std::copy(cfg.class_quantum.begin(),
+                          cfg.class_quantum.end(), shape.quantum);
             }
         }
         cores_.assign(static_cast<size_t>(cfg.num_cores), Core(shape));
@@ -304,10 +309,7 @@ class TwoLevelSim
         core.running = e;
         const Job &j = job(e.handle);
         const SimNanos remaining = j.remaining;
-        const SimNanos budget = core.sched.grant(
-            e, cfg_.class_quantum.empty()
-                   ? cfg_.quantum
-                   : cfg_.class_quantum[static_cast<size_t>(j.job_class)]);
+        const SimNanos budget = core.sched.grant(e);
         const SimNanos slice = cfg_.core_policy == CorePolicy::Fcfs
                                    ? remaining
                                    : std::min(budget, remaining);

@@ -34,9 +34,8 @@
 
 namespace tq::telemetry {
 
-/** Per-class instrument slots. Must match the runtime's quantum-table
- *  scheduler's slot bound (common/sched_core.h sched::kMaxClasses;
- *  asserted in worker.cc):
+/** Per-class instrument slots. Must match the scheduler's slot bound
+ *  (common/sched_core.h sched::kMaxClasses; asserted in worker.cc):
  *  job classes at or beyond the limit share the last slot. */
 inline constexpr int kMaxTrackedClasses = 8;
 
@@ -88,7 +87,7 @@ class WorkerTelemetry
 
     // Per-class quantum/deficit instruments (DESIGN.md §4i). Recorded
     // only while the per-class scheduler is active (non-empty
-    // class_quantum_us or adaptive_quantum); all-zero otherwise, so the
+    // class_quantum_us, cores not FCFS); all-zero otherwise, so the
     // snapshot's per_class block stays empty on the fixed-quantum path.
     // Same single-writer layout as everything above: only the owning
     // worker stores, snapshot readers only load.
@@ -179,8 +178,8 @@ struct MetricsSnapshot
     uint64_t dispatch_batches = 0;      ///< non-empty dispatcher RX polls
     double mean_dispatch_batch = 0;     ///< mean requests per such batch
 
-    /** Cumulative serviced quanta from the workers' WorkerStatsLine
-     *  counters, read wrap-tolerantly (filled by
+    /** Cumulative serviced quanta from the workers' 64-bit
+     *  WorkerStatsLine counters (filled by
      *  Runtime::telemetry_snapshot(); 0 when taken registry-only). */
     uint64_t stats_total_quanta = 0;
 
@@ -204,7 +203,7 @@ struct MetricsSnapshot
     /** Per-class quantum instruments, trimmed to the highest class with
      *  any grants — empty on the fixed-quantum path, so consumers of
      *  the default snapshot see no new fields light up. Classes index
-     *  by quantum-table slot (kMaxTrackedClasses bound). */
+     *  by scheduler ledger slot (kMaxTrackedClasses bound). */
     std::vector<ClassQuantaStats> per_class;
 
     /** Starvation-guard force-promotions across all workers (filled by

@@ -1005,9 +1005,11 @@ TEST(SchedCore, StarvationGuardPicksTheLongestSkippedRunnableSlot)
 TEST(SchedCore, OneSlotShapeIsTheFixedQuantum)
 {
     // The degenerate shape every engine runs without per-class quanta:
-    // any class books to slot 0, every budget is the base whatever the
-    // slices used, and the guard never fires.
-    sched::SchedCore<Cycles, int> core(sched::SchedShape<Cycles>{});
+    // any class books to slot 0, every budget is slot 0's quantum
+    // whatever the slices used, and the guard never fires.
+    sched::SchedShape<Cycles> one_slot;
+    one_slot.quantum[0] = 2000;
+    sched::SchedCore<Cycles, int> core(one_slot);
     EXPECT_EQ(core.admit(1, 0), 0);
     EXPECT_EQ(core.admit(2, 5), 0);
     EXPECT_EQ(core.admit(3, -1), 0);
@@ -1015,7 +1017,7 @@ TEST(SchedCore, OneSlotShapeIsTheFixedQuantum)
         const auto [e, promoted] = core.next();
         EXPECT_FALSE(promoted);
         EXPECT_EQ(e.handle, 1 + i % 3) << "ring rotation";
-        const Cycles budget = core.grant(e, 2000);
+        const Cycles budget = core.grant(e);
         EXPECT_EQ(budget, 2000u);
         core.settle(e, budget, i % 2 ? 10 : 9000);
         core.requeue(e);
@@ -1025,6 +1027,44 @@ TEST(SchedCore, OneSlotShapeIsTheFixedQuantum)
     EXPECT_EQ(core.abandon(), 3u);
     EXPECT_TRUE(core.empty());
     EXPECT_EQ(core.ledger().account(0).runnable, 0u);
+
+    // Per-class shapes: each slot's grant starts from its own quantum.
+    // Under clamp 0 the budget is exactly that base; under a clamp the
+    // deficit moves the budget from that base, slot by slot.
+    for (const Cycles clamp : {Cycles{0}, Cycles{500}}) {
+        sched::SchedShape<Cycles> shape;
+        shape.slots = 3;
+        shape.deficit_clamp = clamp;
+        shape.quantum[0] = 1000;
+        shape.quantum[1] = 2000;
+        shape.quantum[2] = 4000;
+        sched::SchedCore<Cycles, int> multi(shape);
+        for (int c = 0; c < 3; ++c)
+            EXPECT_EQ(multi.admit(c, c), c);
+        // One round: every slot's first grant is its base.
+        for (int c = 0; c < 3; ++c) {
+            const auto [e, promoted] = multi.next();
+            EXPECT_FALSE(promoted);
+            const Cycles budget = multi.grant(e);
+            EXPECT_EQ(budget, shape.quantum[e.slot]) << "slot " << e.slot;
+            // Slot 0 finishes 200 early, slot 1 overruns by 300, slot 2
+            // uses its budget exactly.
+            const Cycles used = e.slot == 0   ? budget - 200
+                                : e.slot == 1 ? budget + 300
+                                              : budget;
+            multi.settle(e, budget, used);
+            multi.requeue(e);
+        }
+        // Second round: the base plus the banked deficit (none at
+        // clamp 0).
+        const Cycles want[3] = {clamp ? 1200u : 1000u,
+                                clamp ? 1700u : 2000u, 4000u};
+        for (int c = 0; c < 3; ++c) {
+            const auto [e, promoted] = multi.next();
+            EXPECT_EQ(multi.grant(e), want[e.slot])
+                << "clamp " << clamp << " slot " << e.slot;
+        }
+    }
 }
 
 TEST(Cycles, MonotonicAndCalibrated)

@@ -5,7 +5,9 @@
  * orderings the paper's figures rest on — PS beats FCFS for short jobs
  * under bimodal load, JSQ beats random, small quanta help when overhead
  * is low and hurt when it is high, and centralized dispatchers stop
- * scaling as quanta shrink.
+ * scaling as quanta shrink. The adaptive quantum controller's control
+ * law, which bench/quanta_adaptive drives against the two-level
+ * simulator, is pinned rule by rule at the end.
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "sim/caladan.h"
 #include "sim/central.h"
 #include "sim/event_core.h"
+#include "sim/quantum_controller.h"
 #include "sim/sweep.h"
 #include "sim/two_level.h"
 
@@ -991,6 +994,126 @@ TEST(EventQueue, PopsInTimeThenPushOrderLikeAPriorityQueue)
         }
         EXPECT_TRUE(q.empty());
     }
+}
+
+// ------------------------------------------ adaptive quantum control --
+
+/** One class's observation window: @p p99_us over @p mean_us is the
+ *  slowdown the law compares against its target. */
+ClassObservation
+obs(uint64_t completed, double mean_us, double p99_us)
+{
+    ClassObservation o;
+    o.completed = completed;
+    o.mean_service_us = mean_us;
+    o.p99_sojourn_us = p99_us;
+    return o;
+}
+
+TEST(QuantumController, SloClassIsTheShortestMeanServiceWithCompletions)
+{
+    // Defaults: target 5, dead band [4, 5]. Every window below sits at
+    // slowdown 4.5, inside the band, so only the SLO class can move.
+    QuantumController ctrl(QuantumControllerConfig{}, {2, 2, 2});
+    EXPECT_EQ(ctrl.slo_class(), -1);
+    // Class 0 has the smallest mean but no completions: it is never
+    // the SLO class. Among the rest, class 2's mean is the smallest.
+    ctrl.update({obs(0, 0.1, 0.45), obs(10, 8, 36), obs(10, 3, 13.5)});
+    EXPECT_EQ(ctrl.slo_class(), 2);
+    EXPECT_DOUBLE_EQ(ctrl.last_slowdown(), 4.5);
+    // A class with no measured service is skipped just the same.
+    ctrl.update({obs(10, 0, 0), obs(10, 4, 18), obs(10, 6, 27)});
+    EXPECT_EQ(ctrl.slo_class(), 1);
+    // Observations past the tracked classes are ignored.
+    QuantumController two(QuantumControllerConfig{}, {2, 2});
+    two.update({obs(10, 3, 13.5), obs(10, 6, 27), obs(10, 0.5, 2.25)});
+    EXPECT_EQ(two.slo_class(), 0);
+}
+
+TEST(QuantumController, SloQuantumRisesTowardHeadroomTimesMean)
+{
+    // Headroom 2: a 3us SLO class wants a 6us quantum, so it completes
+    // in one slice. The slowdown (4.5) is in the dead band.
+    QuantumController ctrl(QuantumControllerConfig{}, {2, 2});
+    EXPECT_TRUE(ctrl.update({obs(10, 3, 13.5), obs(10, 50, 225)}));
+    EXPECT_DOUBLE_EQ(ctrl.quanta_us()[0], 6.0);
+    EXPECT_DOUBLE_EQ(ctrl.quanta_us()[1], 2.0);
+    // Only ever raised: a shorter SLO class keeps the larger quantum.
+    EXPECT_FALSE(ctrl.update({obs(10, 1, 4.5), obs(10, 50, 225)}));
+    EXPECT_DOUBLE_EQ(ctrl.quanta_us()[0], 6.0);
+}
+
+TEST(QuantumController, OtherClassesShrinkByGainAboveTargetAndRelaxBelow)
+{
+    QuantumControllerConfig cfg;
+    cfg.gain = 0.25;
+    QuantumController ctrl(cfg, {1, 4, 8});
+    // Slowdown 10 > target 5: every other class shrinks by 1 - gain;
+    // the SLO class (want 2 x 0.5 = 1us) holds at 1us.
+    EXPECT_TRUE(ctrl.update({obs(10, 0.5, 5), obs(10, 20, 1), obs(10, 40, 1)}));
+    EXPECT_DOUBLE_EQ(ctrl.quanta_us()[0], 1.0);
+    EXPECT_DOUBLE_EQ(ctrl.quanta_us()[1], 3.0);
+    EXPECT_DOUBLE_EQ(ctrl.quanta_us()[2], 6.0);
+    // Slowdown 2 < target x hysteresis = 4: they relax by 1 + gain.
+    EXPECT_TRUE(ctrl.update({obs(10, 0.5, 1), obs(10, 20, 1), obs(10, 40, 1)}));
+    EXPECT_DOUBLE_EQ(ctrl.quanta_us()[0], 1.0);
+    EXPECT_DOUBLE_EQ(ctrl.quanta_us()[1], 3.75);
+    EXPECT_DOUBLE_EQ(ctrl.quanta_us()[2], 7.5);
+}
+
+TEST(QuantumController, DeadBandMovesNothing)
+{
+    // Inside [target x hysteresis, target] = [4, 5], with the SLO class
+    // already above headroom x mean, update() reports no change and
+    // every quantum stays put. The target itself is inside the band.
+    QuantumController ctrl(QuantumControllerConfig{}, {2, 3, 7});
+    for (const double slowdown : {4.2, 4.5, 5.0}) {
+        EXPECT_FALSE(ctrl.update(
+            {obs(10, 0.5, 0.5 * slowdown), obs(10, 30, 1), obs(10, 60, 1)}))
+            << "slowdown " << slowdown;
+        EXPECT_EQ(ctrl.quanta_us(), (std::vector<double>{2, 3, 7}));
+    }
+}
+
+TEST(QuantumController, QuantaStayClampedToTheirBounds)
+{
+    QuantumControllerConfig cfg;
+    cfg.min_quantum_us = 0.5;
+    cfg.max_quantum_us = 16;
+    // The initial quanta are clamped on construction.
+    QuantumController ctrl(cfg, {0.1, 100, 0.6});
+    EXPECT_EQ(ctrl.quanta_us(), (std::vector<double>{0.5, 16, 0.6}));
+    // An SLO class whose headroom target exceeds the ceiling gets the
+    // ceiling; a shrinking class stops at the floor.
+    ctrl.update({obs(10, 10, 100), obs(10, 50, 1), obs(10, 60, 1)});
+    EXPECT_EQ(ctrl.quanta_us(), (std::vector<double>{16, 12, 0.5}));
+    // A relaxing class stops at the ceiling.
+    ctrl.update({obs(10, 10, 10), obs(10, 50, 1), obs(10, 60, 1)});
+    EXPECT_EQ(ctrl.quanta_us(), (std::vector<double>{16, 15, 0.625}));
+    ctrl.update({obs(10, 10, 10), obs(10, 50, 1), obs(10, 60, 1)});
+    EXPECT_EQ(ctrl.quanta_us()[1], 16);
+    for (const double q : ctrl.quanta_us()) {
+        EXPECT_GE(q, cfg.min_quantum_us);
+        EXPECT_LE(q, cfg.max_quantum_us);
+    }
+}
+
+TEST(QuantumController, WindowWithoutCompletionsMovesNothing)
+{
+    // No class completed anything: there is no SLO class, update()
+    // reports no change, and every quantum — and the last slowdown —
+    // is left alone, whatever the other fields say.
+    QuantumController ctrl(QuantumControllerConfig{}, {2, 4});
+    EXPECT_FALSE(ctrl.update({obs(0, 1, 100), obs(0, 0.5, 50)}));
+    EXPECT_FALSE(ctrl.update({}));
+    EXPECT_EQ(ctrl.slo_class(), -1);
+    EXPECT_EQ(ctrl.last_slowdown(), 0);
+    EXPECT_EQ(ctrl.quanta_us(), (std::vector<double>{2, 4}));
+    // After a real window, an empty one keeps the earlier SLO verdict.
+    ctrl.update({obs(10, 1, 4.5), obs(10, 8, 1)});
+    ctrl.update({obs(0, 1, 100), obs(0, 0.5, 50)});
+    EXPECT_EQ(ctrl.slo_class(), 0);
+    EXPECT_DOUBLE_EQ(ctrl.last_slowdown(), 4.5);
 }
 
 } // namespace

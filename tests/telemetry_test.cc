@@ -2,8 +2,8 @@
  * @file
  * Tests for the telemetry layer: stage summaries and their merge across
  * writers, trace-ring overflow semantics, snapshot-while-running races, the
- * Chrome trace exporter (golden file), the wrap-tolerant total-quanta
- * reader, and end-to-end recording through the real runtime.
+ * Chrome trace exporter (golden file), and end-to-end recording through
+ * the real runtime.
  */
 #include <atomic>
 #include <cmath>
@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "runtime/runtime.h"
-#include "runtime/worker_stats.h"
 #include "telemetry/telemetry.h"
 #include "workloads/spin.h"
 
@@ -363,23 +362,6 @@ TEST(ChromeTrace, EmptyTraceIsValidJson)
     write_chrome_trace(os, {}, ChromeTraceOptions{1.0});
     EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
     EXPECT_EQ(os.str().back(), '\n');
-}
-
-TEST(WorkerStatsReader, TotalQuantaSurvivesWrap)
-{
-    // The shared counter is 32-bit and free to wrap (paper section 4);
-    // the reader must keep a 64-bit cumulative total across the wrap.
-    runtime::WorkerStatsLine line;
-    runtime::WorkerStatsReader reader;
-
-    line.total_quanta.store(0xffff'fffau);
-    EXPECT_EQ(reader.read_total_quanta(line), 0xffff'fffaull);
-
-    line.total_quanta.store(4u); // +10 with a 32-bit wrap in between
-    EXPECT_EQ(reader.read_total_quanta(line), 0xffff'fffaull + 10);
-
-    line.total_quanta.store(5u);
-    EXPECT_EQ(reader.read_total_quanta(line), 0xffff'fffaull + 11);
 }
 
 TEST(RuntimeTelemetry, EndToEndSnapshotAndTrace)
