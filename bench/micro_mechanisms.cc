@@ -29,7 +29,6 @@
 #include "conc/spsc_ring.h"
 #include "coro/coroutine.h"
 #include "probe/probe.h"
-#include "runtime/worker_stats.h"
 #include "telemetry/telemetry.h"
 
 namespace {
@@ -169,9 +168,10 @@ BM_JsqPickPacked(benchmark::State &state)
     // bump. Arg is the worker count: at 16 the lengths are exactly one
     // line, at 64 (fig17's widest sim view) they span four.
     const size_t n = static_cast<size_t>(state.range(0));
-    DispatchView view(n);
+    DispatchView view(n); // lanes start at 0
     for (size_t i = 0; i < n; ++i) {
-        view.set_len(i, i % 4);
+        for (size_t len = 0; len < i % 4; ++len)
+            view.bump_len(i);
         view.set_quanta(i, static_cast<uint32_t>(i));
     }
     for (auto _ : state) {
@@ -182,45 +182,6 @@ BM_JsqPickPacked(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_JsqPickPacked)->Arg(16)->Arg(64);
-
-void
-BM_DispatchBatchPacked(benchmark::State &state)
-{
-    // The batched dispatcher's per-request decision (runtime.cc): the
-    // 16 shared counter lines are read once per batch into the packed
-    // DispatchView; each request then picks and bumps only that view.
-    // Arg is the batch size; Arg 1 is the per-request refresh cost.
-    const size_t k = static_cast<size_t>(state.range(0));
-    constexpr int kWorkers = 16;
-    runtime::WorkerStatsLine lines[kWorkers];
-    uint64_t assigned[kWorkers] = {};
-    DispatchView view(kWorkers);
-    for (int i = 0; i < kWorkers; ++i)
-        lines[i].finished.store(static_cast<uint64_t>(i * 3));
-    for (auto _ : state) {
-        // Batch boundary: one pass over the shared lines.
-        for (int i = 0; i < kWorkers; ++i) {
-            const size_t i_w = static_cast<size_t>(i);
-            const uint64_t fin =
-                lines[i].finished.load(std::memory_order_relaxed);
-            view.set_len(i_w,
-                         assigned[i] > fin ? assigned[i] - fin : 0);
-            view.set_quanta(i_w, lines[i].current_quanta.load(
-                                     std::memory_order_relaxed));
-        }
-        // Per-request work: packed pick + saturating bump.
-        for (size_t j = 0; j < k; ++j) {
-            const int best = view.pick_jsq_msq();
-            benchmark::DoNotOptimize(best);
-            view.bump_len(static_cast<size_t>(best));
-            ++assigned[best];
-            owner_add(lines[best].finished, 1);
-        }
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(k));
-}
-BENCHMARK(BM_DispatchBatchPacked)->Arg(1)->Arg(8)->Arg(32);
 
 void
 BM_PreemptGuard(benchmark::State &state)

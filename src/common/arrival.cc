@@ -1,7 +1,5 @@
 #include "common/arrival.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace tq {
@@ -29,25 +27,6 @@ OnOffProcess::OnOffProcess(double base_rate_per_ns, const OnOffConfig &cfg)
     TQ_CHECK(cfg_.on_mult > 0); // the ON phase must emit, or the
                                 // process could stay silent forever
     TQ_CHECK(cfg_.off_mult >= 0);
-    TQ_CHECK(cfg_.ramp_amplitude >= 0 && cfg_.ramp_amplitude <= 1);
-    if (cfg_.ramp_amplitude > 0)
-        TQ_CHECK(cfg_.ramp_period_ns > 0);
-}
-
-double
-OnOffProcess::phase_rate(bool on, double phase_start) const
-{
-    double r = base_rate_ * (on ? cfg_.on_mult : cfg_.off_mult);
-    if (cfg_.ramp_amplitude > 0) {
-        const double ramp =
-            1.0 + cfg_.ramp_amplitude *
-                      std::sin(2.0 * M_PI * phase_start /
-                               cfg_.ramp_period_ns);
-        // sin() can land a hair below -1 in the last ulp; never let a
-        // rounding error produce a negative rate.
-        r *= ramp < 0 ? 0.0 : ramp;
-    }
-    return r;
 }
 
 void
@@ -61,7 +40,7 @@ OnOffProcess::advance_phase(Rng &rng)
                             ? rng.exponential(mean_span)
                             : mean_span;
     phase_end_ = phase_start_ + span;
-    rate_now_ = phase_rate(on_, phase_start_);
+    rate_now_ = base_rate_ * (on_ ? cfg_.on_mult : cfg_.off_mult);
 }
 
 double
@@ -91,8 +70,7 @@ OnOffProcess::next(double from_ns, Rng &rng)
 double
 OnOffProcess::mean_rate() const
 {
-    // Duty-cycle average; the sinusoidal ramp integrates to 1 over a
-    // full period so it does not move the long-run mean.
+    // Duty-cycle average.
     const double cycle = cfg_.on_ns + cfg_.off_ns;
     return base_rate_ *
            (cfg_.on_mult * cfg_.on_ns + cfg_.off_mult * cfg_.off_ns) /

@@ -18,8 +18,7 @@
  *  - On-off / MMPP: a two-phase modulated Poisson process. Phase
  *    lengths are either deterministic (classic on-off) or exponential
  *    (a 2-state Markov-modulated Poisson process); each phase scales
- *    the base rate by a multiplier, optionally shaped further by a
- *    slow sinusoidal "diurnal" ramp. Sampling inverts the cumulative
+ *    the base rate by a multiplier. Sampling inverts the cumulative
  *    intensity with a unit-exponential budget, so zero-rate phases are
  *    skipped without ever dividing by the rate — a zero or near-zero
  *    off rate can neither divide-by-zero nor spin (see
@@ -90,20 +89,10 @@ struct OnOffConfig
      * 2-state MMPP. false: fixed lengths — deterministic on-off.
      */
     bool exponential_phases = true;
-    /**
-     * Diurnal ramp period; 0 disables the ramp. When enabled, each
-     * phase's rate is further scaled by
-     * 1 + ramp_amplitude * sin(2*pi * phase_start / ramp_period_ns),
-     * evaluated once at the phase start (piecewise-constant
-     * approximation of the slow ramp — see DESIGN.md).
-     */
-    double ramp_period_ns = 0;
-    /** Ramp amplitude in [0, 1]; 1 lets the trough rate reach zero. */
-    double ramp_amplitude = 0;
 };
 
 /**
- * Two-phase modulated Poisson arrivals (MMPP / on-off / diurnal).
+ * Two-phase modulated Poisson arrivals (MMPP / on-off).
  *
  * Implementation: thinning-free inversion of the piecewise-constant
  * cumulative intensity. Each call draws one unit-exponential "budget"
@@ -130,7 +119,6 @@ class OnOffProcess final : public ArrivalProcess
 
   private:
     void advance_phase(Rng &rng);
-    double phase_rate(bool on, double phase_start) const;
 
     double base_rate_;
     OnOffConfig cfg_;
@@ -152,7 +140,7 @@ struct ArrivalSpec
 {
     enum class Kind {
         Poisson, ///< default; byte-identical to the historical path
-        OnOff,   ///< MMPP / on-off / diurnal per `onoff`
+        OnOff,   ///< MMPP / on-off per `onoff`
     };
     Kind kind = Kind::Poisson;
     OnOffConfig onoff;

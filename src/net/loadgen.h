@@ -41,7 +41,7 @@ struct LoadGenConfig
 
     /**
      * Arrival-process shape at rate_mrps: Poisson by default, or the
-     * MMPP/on-off/diurnal process of common/arrival.h. The send schedule
+     * MMPP/on-off process of common/arrival.h. The send schedule
      * is drawn in the nanosecond domain with the same draw interleave as
      * the simulators (initial gap, then sample/next per request), so a
      * seeded run emits the identical arrival sequence through the

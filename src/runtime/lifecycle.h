@@ -66,8 +66,8 @@ lifecycle_name(Lifecycle s)
  * (state transitions, dispatcher completion). It is padded onto its own
  * line so that per-job counters elsewhere in the Runtime can never
  * invalidate the copy every worker holds in its L1 — exactly the false
- * sharing the PR 3-era Runtime had, where the dispatcher's per-job
- * `dispatched_total_` increment sat adjacent to this block (see
+ * sharing an earlier Runtime had, where the dispatcher's per-job
+ * dispatched-total increment sat adjacent to this block (see
  * docs/cache_line_analysis.md). The two writers here (controller writes
  * `state`, dispatcher writes `dispatcher_done`) sharing one line is
  * deliberate: both fields are cold, and readers want them together.

@@ -88,12 +88,15 @@ Runtime::drain(double deadline_sec)
         return drained_clean_; // idempotent: repeat the first outcome
     if (!started_) {
         // Never started: there are no threads to quiesce, but submit()
-        // accepts in Created so clients may have pre-queued into RX.
-        // Those requests will never be forwarded — count them abandoned
-        // instead of letting them vanish from the accounting (the early
-        // return here used to report a clean drain while losing them).
+        // accepts in Created so clients may have pre-queued into RX,
+        // and a stepped runtime (dispatch_step(), Worker::step()) can
+        // hold requests in the dispatch rings and in admitted tasks.
+        // None of them will finish now — count them abandoned instead
+        // of letting them vanish from the accounting.
         lc_.escalate(Lifecycle::Stopped);
         disp_->abandon_queued();
+        for (auto &w : workers_)
+            w->abandon_remaining();
         drained_clean_ =
             abandoned_jobs() == 0 && dropped_responses() == 0;
         return drained_clean_;
@@ -203,6 +206,15 @@ Runtime::tx_ring_full_spins() const
     return n;
 }
 
+uint64_t
+Runtime::dispatched() const
+{
+    uint64_t n = 0;
+    for (size_t w = 0; w < workers_.size(); ++w)
+        n += assigned_[w].load(std::memory_order_relaxed);
+    return n;
+}
+
 std::vector<uint64_t>
 Runtime::queue_lengths() const
 {
@@ -246,11 +258,16 @@ telemetry::MetricsSnapshot
 Runtime::telemetry_snapshot() const
 {
     telemetry::MetricsSnapshot snap = metrics_->snapshot();
-    // Cross-check against the dispatcher/worker stats contract: the
-    // shared 64-bit total_quanta counters.
-    for (const auto &w : workers_)
+    // The per-job counts every build keeps: dispatched from the assigned
+    // counts, finished and the stats-contract cross-check from the
+    // workers' 64-bit stats lines.
+    snap.dispatched = dispatched();
+    for (const auto &w : workers_) {
+        const WorkerStatsLine &line = w->stats_line();
+        snap.finished += line.finished.load(std::memory_order_relaxed);
         snap.stats_total_quanta +=
-            w->stats_line().total_quanta.load(std::memory_order_relaxed);
+            line.total_quanta.load(std::memory_order_relaxed);
+    }
     // Backpressure/lifecycle counters record in every build (cold paths
     // only), so fold them in even when TQ_TELEMETRY is off.
     snap.tx_ring_full_spins = tx_ring_full_spins();
@@ -319,9 +336,7 @@ Runtime::dispatch_batch(Request *reqs, size_t n)
             continue; // dropped (counted); the outer loop re-checks
                       // the phase per batch
         owner_add(assigned_[static_cast<size_t>(target)], 1);
-        owner_add(d.counters.dispatched_total, 1);
 #if defined(TQ_TELEMETRY_ENABLED)
-        owner_add(dt.dispatched, 1);
         dt.dispatch_cycles.add(dispatched_at - req.arrival_cycles);
         dt.trace.record(telemetry::EventKind::JobDispatched, req.id,
                         static_cast<uint32_t>(target));
@@ -332,36 +347,42 @@ Runtime::dispatch_batch(Request *reqs, size_t n)
 #endif
 }
 
-void
-Runtime::dispatcher_main()
+size_t
+Runtime::dispatch_step()
 {
-    Dispatcher &d = *disp_;
     // RX is popped in batches: one batch dequeue (one contended RMW on
     // the MPMC cursor), one JSQ view refresh (one pass over the shared
     // counter lines), then per-request work against local state only.
     // Under light load batches degenerate to size 1 and the path is the
     // classic per-request one; under pressure the shared-line traffic
     // is divided by the batch occupancy (DESIGN.md "Batched hot path").
-    std::vector<Request> batch(kDispatchBatch);
+    Dispatcher &d = *disp_;
+    const size_t n = d.rx.pop_n(d.batch, kDispatchBatch);
+    if (n > 0)
+        dispatch_batch(d.batch, n);
+    return n;
+}
+
+void
+Runtime::dispatcher_main()
+{
     int empty_polls = 0;
     for (;;) {
         TQ_FAULT_SITE(DispatcherPoll);
         const Lifecycle phase = lc_.phase();
         if (phase >= Lifecycle::Stopping)
             break;
-        const size_t n = d.rx.pop_n(batch.data(), batch.size());
-        if (n == 0) {
-            if (phase == Lifecycle::Draining)
-                break; // everything queued has been forwarded
-            idle_backoff(empty_polls);
+        if (dispatch_step() > 0) {
+            empty_polls = 0;
             continue;
         }
-        empty_polls = 0;
-        dispatch_batch(batch.data(), n);
+        if (phase == Lifecycle::Draining)
+            break; // everything queued has been forwarded
+        idle_backoff(empty_polls);
     }
     // Force-stopped with requests still queued: they will never be
     // forwarded — count them abandoned before announcing completion.
-    d.abandon_queued();
+    disp_->abandon_queued();
     // The workers key their drain exit on this (acquire pairs with
     // this release).
     lc_.dispatcher_done.store(true, std::memory_order_release);

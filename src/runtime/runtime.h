@@ -49,30 +49,22 @@
 namespace tq::runtime {
 
 /**
- * The dispatcher's always-on counters, alone on one line.
- *
- * `dispatched_total` is bumped per job; before this struct existed the
- * three atomics sat directly next to the LifecycleControl member, so
- * every dispatched job invalidated the lifecycle line all workers poll
- * at every loop boundary — real false sharing on the hottest read path
- * (docs/cache_line_analysis.md). Writer: the dispatcher thread (plus
- * the drain()/stop() caller for `abandoned`, strictly after the
- * dispatcher has exited); readers: cold stats accessors.
- * `dispatched_total` therefore moves by owner_add(); the two rare-path
- * counters keep their fetch_add.
+ * The dispatcher's always-on rare-path counters, alone on one line so
+ * their writes never invalidate the LifecycleControl line every thread
+ * polls (docs/cache_line_analysis.md); both keep their fetch_add.
+ * Writers: the dispatcher (plus the drain()/stop() caller for
+ * `abandoned`, strictly after the dispatcher has exited); readers: cold
+ * stats accessors. The per-job count is the Runtime's `assigned_`.
  */
 struct alignas(kCacheLineSize) DispatcherCounters
 {
-    /** Requests forwarded to workers (per-job increment). */
-    std::atomic<uint64_t> dispatched_total{0};
-
     /** Worker-ring-full spin iterations (backpressure gauge). */
     std::atomic<uint64_t> full_spins{0};
 
     /** Jobs dropped by overflow policy or left queued at a forced stop. */
     std::atomic<uint64_t> abandoned{0};
 
-    char pad[kCacheLineSize - 3 * sizeof(std::atomic<uint64_t>)];
+    char pad[kCacheLineSize - 2 * sizeof(std::atomic<uint64_t>)];
 };
 
 static_assert(sizeof(DispatcherCounters) == kCacheLineSize &&
@@ -118,7 +110,11 @@ struct Dispatcher
     /** Randomized policies, seeded with cfg.seed. */
     Rng rng;
 
-    /** Padded hot counters (own line, see above). */
+    /** The RX batch dispatch_step() pops into: built once with the
+     *  Dispatcher, so a step clears and allocates nothing. */
+    Request batch[kDispatchBatch];
+
+    /** Padded counters (own line, see above). */
     DispatcherCounters counters;
 
     /** Pop everything left in RX and count it abandoned: requests that
@@ -196,13 +192,9 @@ class Runtime
      */
     std::vector<uint64_t> queue_lengths() const;
 
-    /** Total requests forwarded by the dispatcher. */
-    uint64_t
-    dispatched() const
-    {
-        return disp_->counters.dispatched_total.load(
-            std::memory_order_relaxed);
-    }
+    /** Total requests forwarded by the dispatcher: the sum of the
+     *  per-worker assigned counts (relaxed loads). */
+    uint64_t dispatched() const;
 
     /** Jobs accepted but never finished: dropped by the dispatcher's
      *  overflow policy, still queued at a forced stop, or admitted to a
@@ -226,6 +218,21 @@ class Runtime
 
     /** Direct access for tests and examples. */
     Worker &worker(int i) { return *workers_[static_cast<size_t>(i)]; }
+
+    /**
+     * One dispatcher iteration: pop up to kDispatchBatch requests from
+     * RX and, when there are any, forward them (dispatch_batch()).
+     * There is no lifecycle check; dispatcher_main() makes those.
+     *
+     * Caller contract: the dispatcher thread, or a single thread on a
+     * runtime that was never started (which then also steps the workers
+     * with Worker::step() and collects with drain_responses()). drain()
+     * on such a runtime counts whatever the steps left in RX, in the
+     * dispatch rings and in admitted tasks as abandoned.
+     *
+     * @return requests popped from RX (0 when it was empty).
+     */
+    size_t dispatch_step();
 
     /**
      * This runtime's telemetry registry (counters, stage histograms,

@@ -179,7 +179,6 @@ Worker::complete(const Sched::Entry &e, Cycles done)
     owner_add(stats_.current_quanta, 0u - e.quanta);
     sched_.finish(e);
 #if defined(TQ_TELEMETRY_ENABLED)
-    owner_add(telem_->counters.finished, 1);
     telem_->service_cycles.add(task->service_cycles);
     telem_->trace.record(telemetry::EventKind::JobFinished, task->req.id);
     if (classes_tracked()) {
@@ -207,6 +206,16 @@ Worker::abandon_remaining()
         abandoned_jobs_.fetch_add(abandoned, std::memory_order_relaxed);
 }
 
+bool
+Worker::step()
+{
+    poll_admissions();
+    if (sched_.empty())
+        return false;
+    run_one_slice();
+    return true;
+}
+
 void
 Worker::run()
 {
@@ -216,10 +225,8 @@ Worker::run()
         const Lifecycle phase = lc_->phase();
         if (phase >= Lifecycle::Stopping)
             break;
-        poll_admissions();
-        if (!sched_.empty()) {
+        if (step()) {
             empty_polls = 0;
-            run_one_slice();
             continue;
         }
         // Idle. Fully drained once the dispatcher has forwarded its last

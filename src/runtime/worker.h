@@ -103,7 +103,7 @@ class Worker
     }
 
     /**
-     * Thread body: schedule until the lifecycle either drains this
+     * Thread body: step() until the lifecycle either drains this
      * worker dry (Draining + dispatcher done + empty ring + no busy
      * tasks) or force-stops it (Stopping; leftovers are counted
      * abandoned).
@@ -111,12 +111,26 @@ class Worker
     void run();
 
     /**
+     * One scheduler iteration: admit what the dispatch ring holds into
+     * idle tasks, then run one slice if any task is runnable. There is
+     * no lifecycle check; run() makes those.
+     *
+     * Caller contract: this worker's thread, or a single thread that
+     * also steps the dispatcher of a runtime that was never started
+     * (Runtime::dispatch_step()).
+     *
+     * @return true when a slice ran.
+     */
+    bool step();
+
+    /**
      * Count still-admitted tasks and dispatch-ring leftovers as
      * abandoned. Idempotent. run() calls it on exit, and the runtime
      * calls it once more after joining every thread: the dispatcher can
      * push into this ring after a force-stopped worker's own final
      * sweep, and that request must not vanish from the accounting.
-     * Safe only from the worker thread or after it has been joined.
+     * Safe only from the worker thread, after it has been joined, or on
+     * a runtime that was never started.
      */
     void abandon_remaining();
 

@@ -152,9 +152,7 @@ class CentralSim
             core.slice = slice;
             const bool preempted = j.remaining > slice + 1e-9;
             const SimNanos overhead =
-                (!cfg_.overhead_on_preemption_only || preempted)
-                    ? cfg_.overheads.switch_overhead
-                    : 0;
+                preempted ? cfg_.overheads.switch_overhead : 0;
             const SimNanos now = core_.now();
             if (core.last_grant >= 0) {
                 // Effective-quantum metric (Figure 16): grant spacing net

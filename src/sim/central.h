@@ -30,14 +30,10 @@ struct CentralConfig
 {
     int num_cores = 16;
     SimNanos quantum = us(5);
+    /** switch_overhead is charged only when a slice is actually
+     *  preempted (the job outlives its quantum), as in interrupt-driven
+     *  systems: completions do not need an interrupt. */
     Overheads overheads = Overheads::ideal();
-
-    /**
-     * Charge switch_overhead only when a slice is actually preempted
-     * (job outlives its quantum). Matches interrupt-driven systems:
-     * completions do not need an interrupt.
-     */
-    bool overhead_on_preemption_only = true;
 
     /**
      * Arrival process (default Poisson, byte-identical to the

@@ -28,11 +28,13 @@ struct Overheads
     /**
      * Dispatcher work per *job* (poll packet, pick core, push to ring).
      * The paper quotes ~14 Mrps (section 6) => ~70 ns/job for the
-     * per-request path; this repo's batched hot path with the packed
-     * DispatchView pick (pop_n + one counter-line refresh per batch into
-     * cache-line-aligned uint32 lanes, see DESIGN.md §4c and
-     * docs/cache_line_analysis.md) measures ~28 ns/job at 16 workers on
-     * bench/misc_dispatcher_throughput, recorded in BENCH_dispatch.json.
+     * per-request path. 28 is the 16-worker figure (27.7 ns/job) of the
+     * 2026-08-07 run of bench/misc_dispatcher_throughput, when that
+     * bench timed a hand-copied version of the batched packed-view loop
+     * (DESIGN.md §4c). The bench now times Runtime::dispatch_step()
+     * itself; BENCH_dispatch.json records both runs. Re-pinning this
+     * constant from the shipped path is a separate change (it moves
+     * every sim output).
      */
     SimNanos dispatch_cost = 28;
 

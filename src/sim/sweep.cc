@@ -36,40 +36,6 @@ parallel_run(size_t n, int threads, const std::function<void(size_t)> &job)
         th.join();
 }
 
-std::vector<SweepPoint>
-sweep(const RunFn &fn, const std::vector<double> &rates,
-      const SweepOptions &opts)
-{
-    std::vector<SweepPoint> points(rates.size());
-    parallel_run(rates.size(), opts.threads, [&](size_t i) {
-        points[i].rate = rates[i];
-        points[i].result = fn(rates[i]);
-    });
-    return points;
-}
-
-std::vector<SweepPoint>
-sweep_seeded(const SeededRunFn &fn, const std::vector<double> &rates,
-             uint64_t base_seed, const SweepOptions &opts)
-{
-    std::vector<SweepPoint> points(rates.size());
-#ifndef NDEBUG
-    // The practical "streams do not overlap" check: every point must get
-    // its own seed (splitmix64 is bijective, so this cannot fire unless
-    // derive_seed regresses).
-    for (size_t i = 0; i < rates.size(); ++i)
-        for (size_t j = i + 1; j < rates.size(); ++j)
-            TQ_DCHECK(derive_seed(base_seed, i) !=
-                      derive_seed(base_seed, j));
-#endif
-    parallel_run(rates.size(), opts.threads, [&](size_t i) {
-        points[i].rate = rates[i];
-        points[i].seed = derive_seed(base_seed, i);
-        points[i].result = fn(rates[i], points[i].seed);
-    });
-    return points;
-}
-
 uint64_t
 derive_seed(uint64_t base, uint64_t index)
 {

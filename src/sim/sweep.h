@@ -1,17 +1,15 @@
 /**
  * @file
- * Load-sweep drivers for the figure benchmarks.
+ * Load-sweep helpers for the figure benchmarks.
  *
  * The paper's figures plot 99.9% latency/slowdown against offered load
  * and report "maximum load under an SLO" capacities (Figures 2, 5-12).
- * These helpers run a user-supplied simulation functor across a rate
- * grid and binary-search the highest rate that still meets an SLO.
+ * These helpers build rate grids, fan independent simulations out over
+ * a thread pool (`parallel_run`) and binary-search the highest rate
+ * that still meets an SLO.
  *
- * Sweep points are independent simulations, so `sweep()` (and the
- * benches built on it) can fan the grid out over a thread pool via
- * SweepOptions::threads. Parallel execution is deterministic: point i
- * always runs fn(rates[i]) with the same inputs as the serial loop and
- * lands in slot i of the returned vector, so serial and parallel sweeps
+ * Sweep points are independent simulations. A bench writes point i's
+ * result into slot i of a pre-sized vector, so serial and parallel runs
  * produce bitwise-identical results (see DESIGN.md section 4e for the
  * determinism contract and per-point seed derivation).
  */
@@ -29,10 +27,6 @@ namespace tq::sim {
 /** Simulation functor: offered rate (req/ns) -> result. */
 using RunFn = std::function<SimResult(double rate)>;
 
-/** Seeded simulation functor for `sweep_seeded`. */
-using SeededRunFn =
-    std::function<SimResult(double rate, uint64_t seed)>;
-
 /** SLO predicate: true when the result meets the objective. */
 using SloFn = std::function<bool(const SimResult &)>;
 
@@ -40,28 +34,16 @@ using SloFn = std::function<bool(const SimResult &)>;
 struct SweepPoint
 {
     double rate = 0; ///< offered load, req/ns
-    uint64_t seed = 0; ///< per-point RNG seed (sweep_seeded only)
     SimResult result;
-};
-
-/** Execution options for the sweep drivers. */
-struct SweepOptions
-{
-    /**
-     * Worker threads to spread points over; 1 (the default) runs the
-     * classic serial loop on the calling thread. Each point is one
-     * independent simulation, so the only requirement on the functor is
-     * that concurrent calls do not share mutable state (build the
-     * config/dist per call or treat them as read-only, as every bench
-     * here does).
-     */
-    int threads = 1;
 };
 
 /**
  * Run @p job(i) for every i in [0, n), spread over @p threads workers.
  *
- * Work is claimed dynamically (atomic counter), so uneven point costs —
+ * Each point is one independent simulation, so the only requirement on
+ * @p job is that concurrent calls do not share mutable state (build the
+ * config/dist per call or treat them as read-only, as every bench here
+ * does). Work is claimed dynamically (atomic counter), so uneven point costs —
  * saturated runs take longer than stable ones — still balance. With
  * threads <= 1 this is a plain loop on the calling thread. Joining the
  * pool orders every job's writes before the return (happens-before), so
@@ -73,37 +55,16 @@ struct SweepOptions
 void parallel_run(size_t n, int threads,
                   const std::function<void(size_t)> &job);
 
-/**
- * Run @p fn at each rate of @p rates: every point, in grid order, no
- * dedup. With opts.threads > 1 the points run concurrently; the result
- * vector is identical to the serial sweep's, point for point.
- */
-std::vector<SweepPoint> sweep(const RunFn &fn,
-                              const std::vector<double> &rates,
-                              const SweepOptions &opts = {});
-
 /** Evenly spaced rate grid [lo, hi] with @p points entries, ascending. */
 std::vector<double> rate_grid(double lo, double hi, int points);
-
-/**
- * As `sweep()`, but derives an independent RNG seed for each point from
- * @p base_seed (splitmix64 stream, see derive_seed) and passes it to
- * @p fn; the seed used is recorded in SweepPoint::seed. Use this when a
- * bench wants replicated points to differ in randomness while staying
- * reproducible from one base seed.
- */
-std::vector<SweepPoint> sweep_seeded(const SeededRunFn &fn,
-                                     const std::vector<double> &rates,
-                                     uint64_t base_seed,
-                                     const SweepOptions &opts = {});
 
 /**
  * The @p index-th output of the splitmix64 stream seeded with @p base:
  * statistically independent 64-bit seeds for per-point generators.
  * splitmix64 is a bijection per step, so distinct indexes give distinct
- * seeds and the xoshiro256** states expanded from them do not collide;
- * `sweep_seeded` additionally asserts pairwise distinctness in debug
- * builds as the practical no-stream-overlap check.
+ * seeds and the xoshiro256** states expanded from them do not collide
+ * (sim_test checks pairwise distinctness as the practical
+ * no-stream-overlap check).
  */
 uint64_t derive_seed(uint64_t base, uint64_t index);
 

@@ -58,7 +58,6 @@ MetricsRegistry::snapshot() const
 {
     MetricsSnapshot s;
     const DispatcherTelemetry &d = *dispatcher_;
-    s.dispatched = d.dispatched.load(std::memory_order_relaxed);
     s.trace_dropped = d.trace.dropped();
     s.dispatch_batches = d.batch_occupancy.count();
     if (s.dispatch_batches > 0)
@@ -73,7 +72,6 @@ MetricsRegistry::snapshot() const
         s.yields += c.yields.load(std::memory_order_relaxed);
         s.guard_deferrals +=
             c.guard_deferrals.load(std::memory_order_relaxed);
-        s.finished += c.finished.load(std::memory_order_relaxed);
         s.trace_dropped += w->trace.dropped();
         queue.push_back(&w->queue_cycles);
         service.push_back(&w->service_cycles);

@@ -42,10 +42,11 @@ inline constexpr int kMaxTrackedClasses = 8;
 /**
  * One worker thread's event counters, alone on their cache line.
  *
- * Single writer (the owning worker); snapshot readers only load. Five
- * counters fit one line with 24 bytes of stated pad — room for two more
+ * Single writer (the owning worker); snapshot readers only load. Four
+ * counters fit one line with 32 bytes of stated pad — room for four more
  * before the static_assert below forces a second (still worker-owned)
- * line. Each worker's WorkerTelemetry is a separate heap allocation, so
+ * line. Completions are not counted here: the worker's stats line
+ * (runtime/worker_stats.h) already counts them in every build. Each worker's WorkerTelemetry is a separate heap allocation, so
  * distinct workers' counters can never share a line regardless of
  * allocator behaviour (checked in tests/layout_test.cc).
  */
@@ -57,10 +58,9 @@ struct alignas(kCacheLineSize) WorkerCounters
     std::atomic<uint64_t> yields{0};          ///< probe-forced preemptions
     std::atomic<uint64_t> guard_deferrals{0}; ///< expiries deferred by a
                                               ///< PreemptGuard
-    std::atomic<uint64_t> finished{0};        ///< jobs completed
 
     /** Pad out the line so neighbouring workers never false-share. */
-    char pad[kCacheLineSize - 5 * sizeof(std::atomic<uint64_t>)];
+    char pad[kCacheLineSize - 4 * sizeof(std::atomic<uint64_t>)];
 };
 
 static_assert(sizeof(WorkerCounters) == kCacheLineSize &&
@@ -116,9 +116,6 @@ class DispatcherTelemetry
     {
     }
 
-    /** Jobs forwarded to workers (writer: the dispatcher thread). */
-    std::atomic<uint64_t> dispatched{0};
-
     Histogram dispatch_cycles; ///< RX arrival -> handed to a worker
 
     /** Requests per non-empty RX batch (a value histogram, not cycles:
@@ -167,6 +164,10 @@ struct ClassQuantaStats
 /** Point-in-time copy of every registry metric (values in ns). */
 struct MetricsSnapshot
 {
+    // dispatched and finished are the runtime's per-job counts (its
+    // assigned counts and the workers' stats lines), filled by
+    // Runtime::telemetry_snapshot() in every build, -DTQ_TELEMETRY=OFF
+    // included; 0 when taken registry-only.
     uint64_t dispatched = 0;       ///< jobs forwarded by the dispatcher
     uint64_t admitted = 0;         ///< jobs admitted by workers
     uint64_t finished = 0;         ///< jobs completed

@@ -359,30 +359,6 @@ TEST(OnOffProcess, NearZeroOffRateStaysFiniteAndOrdered)
     }
 }
 
-// Full-amplitude diurnal ramp: the trough multiplier touches zero
-// (phase rate 0) — the sampler must step over trough phases exactly
-// like silent OFF phases.
-TEST(OnOffProcess, FullAmplitudeRampTroughDoesNotStall)
-{
-    OnOffConfig cfg;
-    cfg.on_mult = 1.0;
-    cfg.off_mult = 1.0; // pure diurnal modulation
-    cfg.on_ns = 1e3;
-    cfg.off_ns = 1e3;
-    cfg.exponential_phases = false;
-    cfg.ramp_period_ns = 100e3;
-    cfg.ramp_amplitude = 1.0;
-    OnOffProcess p(1e-2, cfg);
-    Rng rng(5);
-    double t = 0;
-    for (int i = 0; i < 10000; ++i) {
-        const double prev = t;
-        t = p.next(t, rng);
-        ASSERT_TRUE(std::isfinite(t));
-        ASSERT_GT(t, prev);
-    }
-}
-
 TEST(OnOffProcess, LongRunRateMatchesDutyCycleMean)
 {
     OnOffConfig cfg;

@@ -203,8 +203,8 @@ TEST(Layout, WorkerStatsNeighboursNeverShareALine)
 
 TEST(Layout, DispatcherCountersNeverShareTheLifecycleLine)
 {
-    // The dispatcher's per-job counter increments must not invalidate
-    // the lifecycle line every worker polls. Checked on a real Runtime
+    // The dispatcher's counter increments must not invalidate the
+    // lifecycle line every worker polls. Checked on a real Runtime
     // object. The counters live inside the dispatcher's own heap
     // allocation, so the dispatcher's state can never even share an
     // allocation with the Runtime's configuration and lifecycle lines;
@@ -218,7 +218,7 @@ TEST(Layout, DispatcherCountersNeverShareTheLifecycleLine)
     const auto abs_line = [](const void *p) {
         return reinterpret_cast<uintptr_t>(p) / kCacheLineSize;
     };
-    EXPECT_NE(abs_line(&counters.dispatched_total), abs_line(&lc.state));
+    EXPECT_NE(abs_line(&counters.full_spins), abs_line(&lc.state));
     EXPECT_NE(abs_line(&counters.abandoned),
               abs_line(&lc.dispatcher_done));
     EXPECT_EQ(reinterpret_cast<uintptr_t>(&lc) % kCacheLineSize, 0u);
@@ -355,7 +355,7 @@ TEST(DispatchPick, SaturationClampsAtLenMaxAndStillPicksConsistently)
 
 TEST(DispatchPick, BumpLenMatchesIncrementalScalarUse)
 {
-    // Drive the view exactly as dispatcher_main() does within a batch:
+    // Drive the view exactly as dispatch_batch() does within a batch:
     // pick, bump, repeat — and mirror the sequence against the two-pass
     // reference on a second identical view.
     Rng rng(7);

@@ -782,11 +782,12 @@ TEST(Sweep, GridAndSweepRunAllPoints)
     ASSERT_EQ(rates.size(), 4u);
     EXPECT_DOUBLE_EQ(rates.front(), mrps(1));
     EXPECT_DOUBLE_EQ(rates.back(), mrps(4));
-    const auto points = sweep(
-        [&](double r) { return run_two_level(cfg, dist, r); }, rates);
-    ASSERT_EQ(points.size(), 4u);
-    for (const auto &p : points)
-        EXPECT_GT(p.result.completed, 0u);
+    std::vector<SimResult> results(rates.size());
+    parallel_run(rates.size(), 1, [&](size_t i) {
+        results[i] = run_two_level(cfg, dist, rates[i]);
+    });
+    for (const auto &r : results)
+        EXPECT_GT(r.completed, 0u);
 }
 
 TEST(Sweep, MaxRateUnderSloFindsCapacityBoundary)
@@ -841,11 +842,20 @@ expect_same_result(const SimResult &a, const SimResult &b)
     }
 }
 
+/** Runs @p fn at every rate on @p threads threads, point i into slot i. */
+std::vector<SimResult>
+run_points(const RunFn &fn, const std::vector<double> &rates, int threads)
+{
+    std::vector<SimResult> results(rates.size());
+    parallel_run(rates.size(), threads,
+                 [&](size_t i) { results[i] = fn(rates[i]); });
+    return results;
+}
+
 TEST(Sweep, ParallelMatchesSerialForAllEngines)
 {
     auto dist = workload_table::extreme_bimodal();
     const auto rates = rate_grid(mrps(0.5), mrps(2.5), 5);
-    const SweepOptions par{8};
 
     const RunFn engines[] = {
         [&](double r) {
@@ -865,37 +875,40 @@ TEST(Sweep, ParallelMatchesSerialForAllEngines)
         },
     };
     for (const RunFn &fn : engines) {
-        const auto serial = sweep(fn, rates);
-        const auto parallel = sweep(fn, rates, par);
+        const auto serial = run_points(fn, rates, 1);
+        const auto parallel = run_points(fn, rates, 8);
         ASSERT_EQ(serial.size(), parallel.size());
-        for (size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i].rate, parallel[i].rate);
-            expect_same_result(serial[i].result, parallel[i].result);
-        }
+        for (size_t i = 0; i < serial.size(); ++i)
+            expect_same_result(serial[i], parallel[i]);
     }
 }
 
 TEST(Sweep, SeededSweepDerivesDistinctReproducibleSeeds)
 {
     FixedDist dist(us(1));
-    // Replicated points at one rate: seeds must differ per point but be
-    // reproducible from the base seed, serial or parallel.
-    const std::vector<double> rates(6, mrps(2));
-    const SeededRunFn fn = [&](double r, uint64_t seed) {
-        TwoLevelConfig cfg;
-        cfg.duration = ms(5);
-        cfg.seed = seed;
-        return run_two_level(cfg, dist, r);
+    // Replicated points at one rate, seeded with derive_seed(99, i) as
+    // benchmark/sim_grid.cc seeds its points: seeds must differ per
+    // point but be reproducible from the base seed, serial or parallel.
+    constexpr size_t kPoints = 6;
+    const auto run_seeded = [&](int threads) {
+        std::vector<uint64_t> seeds(kPoints);
+        std::vector<SimResult> results(kPoints);
+        parallel_run(kPoints, threads, [&](size_t i) {
+            TwoLevelConfig cfg;
+            cfg.duration = ms(5);
+            cfg.seed = seeds[i] = derive_seed(99, i);
+            results[i] = run_two_level(cfg, dist, mrps(2));
+        });
+        return std::make_pair(seeds, results);
     };
-    const auto serial = sweep_seeded(fn, rates, 99);
-    const auto parallel = sweep_seeded(fn, rates, 99, SweepOptions{8});
-    ASSERT_EQ(serial.size(), rates.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].seed, derive_seed(99, i));
-        EXPECT_EQ(serial[i].seed, parallel[i].seed);
-        expect_same_result(serial[i].result, parallel[i].result);
-        for (size_t j = i + 1; j < serial.size(); ++j)
-            EXPECT_NE(serial[i].seed, serial[j].seed);
+    const auto [serial_seeds, serial] = run_seeded(1);
+    const auto [parallel_seeds, parallel] = run_seeded(8);
+    for (size_t i = 0; i < kPoints; ++i) {
+        EXPECT_EQ(serial_seeds[i], derive_seed(99, i));
+        EXPECT_EQ(serial_seeds[i], parallel_seeds[i]);
+        expect_same_result(serial[i], parallel[i]);
+        for (size_t j = i + 1; j < kPoints; ++j)
+            EXPECT_NE(serial_seeds[i], serial_seeds[j]);
     }
 }
 
