@@ -1,5 +1,7 @@
 #include "sim/event_core.h"
 
+#include <algorithm>
+
 namespace tq::sim {
 
 EngineCore::EngineCore(const ServiceDist &dist, double rate, uint64_t seed,

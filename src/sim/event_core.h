@@ -1,19 +1,19 @@
 /**
  * @file
- * Shared high-performance event core for the cluster simulators.
+ * Shared event core for the cluster simulators.
  *
  * The three discrete-event engines (two_level, central, caladan) used to
  * own private copies of the same machinery: a `std::priority_queue` of
  * 24-byte events, a lazily grown job slab with a free list, and the same
  * run loop (hard stop, backlog check, finalize). This header extracts
- * that machinery once, tuned for the engines' near-FIFO event pattern:
+ * that machinery once:
  *
- *  - EventQueue: an implicit 4-ary min-heap over 16-byte packed events
- *    (time + a single word carrying seq/core/kind). Half the levels of a
- *    binary heap and four children per cache line make it ~2-4x faster
- *    than `std::priority_queue<Event>` once the queue is large (see
- *    bench/micro_sim_core), while popping in exactly the same
- *    (time, seq) order, so refactored engines replay event-for-event.
+ *  - EventQueue: the pending events in a vector kept sorted
+ *    latest-first. Every event source keeps at most a few events
+ *    pending, so a run never holds more than 1 + dispatchers + cores +
+ *    in-flight front-tier picks (78 in the largest figure), and an
+ *    insertion-sorted vector pops in exactly the old (time, push order)
+ *    order, so the engines replay event for event.
  *  - JobArena: index-addressed job slab with a free list. Jobs are drawn
  *    lazily as arrivals stream out of the RNG; the slab's high-water
  *    mark is the peak concurrency, not the total arrival count, and it
@@ -27,9 +27,8 @@
 #ifndef TQ_SIM_EVENT_CORE_H
 #define TQ_SIM_EVENT_CORE_H
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/arrival.h"
@@ -43,25 +42,29 @@
 namespace tq::sim {
 
 /**
- * Indexed 4-ary min-heap of simulation events, ordered by (time, seq).
+ * The simulator's pending events, ordered by (time, push order).
  *
- * Events are packed to 16 bytes: the timestamp plus one word holding the
- * insertion sequence number in the high bits (the FIFO tie-breaker) and
- * the payload (core index, event kind) in the low bits. Comparing the
- * packed word compares seq, so ordering is identical to the engines'
- * old `(time, seq)` comparator, event for event.
+ * A vector kept sorted latest-first, so the earliest event is at the
+ * back: pop() is back() + pop_back(), and push() walks back from the
+ * end past every event due at or before its time and inserts there, so
+ * ties pop in push order by position alone. That is the order the
+ * engines' original `(time, seq)` priority queue popped in, event for
+ * event.
  *
- * The backing store is 64-byte aligned with the root offset so that
- * every sibling group {4i+1..4i+4} occupies exactly one cache line
- * (group byte offset 64(i+1)): a sift-down touches one line per level
- * over half the levels of a binary heap, which is where the speedup
- * over `std::priority_queue` at large queue sizes comes from (see
- * bench/micro_sim_core).
+ * The population is small by construction: each event source keeps at
+ * most one event pending — the arrival stream, each dispatcher (or
+ * Central's scheduler, or Caladan's I/O kernel) while it is busy, and
+ * each core while it runs a slice — except the sharded front tier,
+ * which holds one `kFrontDone` per pick still inside its constant
+ * `front_tier_cost`. So a run holds at most 1 + dispatchers + cores +
+ * in-flight front picks events: 18 in the 16-core figures and 78 in
+ * fig17's 64-core sharded model. At that size a linear insert touches
+ * a few cache lines, and no sequence counter or heap is needed.
  */
 class EventQueue
 {
   public:
-    /** Decoded head-of-queue event. */
+    /** One pending event. */
     struct Popped
     {
         SimNanos time;
@@ -69,184 +72,40 @@ class EventQueue
         int core;
     };
 
-    static constexpr int kKindBits = 4;
-    static constexpr int kCoreBits = 24;
+    bool empty() const { return events_.empty(); }
+    size_t size() const { return events_.size(); }
 
-    EventQueue() = default;
-    EventQueue(const EventQueue &) = delete;
-    EventQueue &operator=(const EventQueue &) = delete;
-    ~EventQueue() { free_store(); }
+    /** Pre-size the store (events, not bytes). */
+    void reserve(size_t n) { events_.reserve(n); }
 
-    bool empty() const { return size_ == 0; }
-    size_t size() const { return size_; }
+    /** Drop all pending events. */
+    void clear() { events_.clear(); }
 
-    /** Pre-size the backing store (events, not bytes). */
-    void
-    reserve(size_t n)
-    {
-        if (n > cap_)
-            grow(n);
-    }
-
-    /** Drop all pending events and reset the tie-break sequence. */
-    void
-    clear()
-    {
-        size_ = 0;
-        seq_ = 0;
-    }
-
-    /**
-     * Schedule an event. @p kind must fit kKindBits; @p core must be in
-     * [-1, 2^kCoreBits - 2]. Ties at equal @p time pop in push order.
-     */
+    /** Schedule an event. Ties at equal @p time pop in push order. */
     void
     push(SimNanos time, uint32_t kind, int core)
     {
-        TQ_DCHECK(time >= 0); // keeps the bit-pattern key order-preserving
-        TQ_DCHECK(kind < (1u << kKindBits));
-        TQ_DCHECK(core >= -1 &&
-                  core < static_cast<int>(1u << kCoreBits) - 1);
-        TQ_DCHECK(seq_ < (1ULL << (64 - kKindBits - kCoreBits)));
-        const Item item{time,
-                        (seq_++ << (kKindBits + kCoreBits)) |
-                            (static_cast<uint64_t>(core + 1) << kKindBits) |
-                            kind};
-        if (size_ == cap_)
-            grow(cap_ ? cap_ * 2 : 1024);
-        // Sift the hole up: move parents down until `item` fits.
-        size_t i = size_++;
-        while (i > 0) {
-            const size_t parent = (i - 1) / kArity;
-            if (!less(item, heap_[parent]))
-                break;
-            heap_[i] = heap_[parent];
-            i = parent;
+        events_.push_back(Popped{time, kind, core});
+        size_t i = events_.size() - 1;
+        while (i > 0 && events_[i - 1].time <= time) {
+            events_[i] = events_[i - 1];
+            --i;
         }
-        heap_[i] = item;
+        events_[i] = Popped{time, kind, core};
     }
 
     /** Remove and return the earliest event (fatal when empty in debug). */
     Popped
     pop()
     {
-        TQ_DCHECK(size_ > 0);
-        const Item top = heap_[0];
-        const Item last = heap_[--size_];
-        const size_t n = size_;
-        if (n > 0) {
-            // Sift the root hole down along min-children, then drop
-            // `last` into place. Full sibling groups (the common case)
-            // use a branchless pairwise tournament on the 128-bit keys
-            // so the min-of-4 is two independent compares plus one.
-            const Key last_key = key(last);
-            size_t i = 0;
-            for (;;) {
-                const size_t first = i * kArity + 1;
-                if (first >= n)
-                    break;
-                size_t best;
-                Key best_key;
-                if (first + kArity <= n) {
-                    const Key k0 = key(heap_[first]);
-                    const Key k1 = key(heap_[first + 1]);
-                    const Key k2 = key(heap_[first + 2]);
-                    const Key k3 = key(heap_[first + 3]);
-                    const size_t a = k1 < k0 ? first + 1 : first;
-                    const Key ka = k1 < k0 ? k1 : k0;
-                    const size_t b = k3 < k2 ? first + 3 : first + 2;
-                    const Key kb = k3 < k2 ? k3 : k2;
-                    best = kb < ka ? b : a;
-                    best_key = kb < ka ? kb : ka;
-                } else {
-                    best = first;
-                    best_key = key(heap_[first]);
-                    for (size_t c = first + 1; c < n; ++c) {
-                        const Key kc = key(heap_[c]);
-                        if (kc < best_key) {
-                            best = c;
-                            best_key = kc;
-                        }
-                    }
-                }
-                if (last_key <= best_key)
-                    break;
-                heap_[i] = heap_[best];
-                i = best;
-            }
-            heap_[i] = last;
-        }
-        return Popped{top.time,
-                      static_cast<uint32_t>(top.meta &
-                                            ((1u << kKindBits) - 1)),
-                      static_cast<int>((top.meta >> kKindBits) &
-                                       ((1u << kCoreBits) - 1)) -
-                          1};
+        TQ_DCHECK(!events_.empty());
+        const Popped ev = events_.back();
+        events_.pop_back();
+        return ev;
     }
 
   private:
-    struct Item
-    {
-        SimNanos time;
-        uint64_t meta; ///< seq << 28 | (core + 1) << 4 | kind
-    };
-
-    static constexpr size_t kArity = 4;
-    static constexpr size_t kLine = 64;
-    /** Root byte offset within the aligned block: puts sibling group
-     *  {4i+1..4i+4} at byte 64(i+1), i.e. one full line per group. */
-    static constexpr size_t kRootOffset = kLine - sizeof(Item);
-
-    /**
-     * Order-preserving 128-bit sort key: simulation times are
-     * non-negative doubles, whose IEEE-754 bit patterns compare in value
-     * order as unsigned integers, and `meta` carries seq in its high
-     * bits, so one unsigned compare reproduces the old (time, seq)
-     * comparator branchlessly.
-     */
-    using Key = unsigned __int128;
-
-    static Key
-    key(const Item &a)
-    {
-        return static_cast<Key>(std::bit_cast<uint64_t>(a.time)) << 64 |
-               a.meta;
-    }
-
-    static bool
-    less(const Item &a, const Item &b)
-    {
-        return key(a) < key(b);
-    }
-
-    void
-    grow(size_t new_cap)
-    {
-        void *raw = ::operator new(kRootOffset + new_cap * sizeof(Item),
-                                   std::align_val_t(kLine));
-        Item *items = reinterpret_cast<Item *>(
-            static_cast<char *>(raw) + kRootOffset);
-        for (size_t i = 0; i < size_; ++i)
-            items[i] = heap_[i];
-        free_store();
-        raw_ = raw;
-        heap_ = items;
-        cap_ = new_cap;
-    }
-
-    void
-    free_store()
-    {
-        if (raw_)
-            ::operator delete(raw_, std::align_val_t(kLine));
-        raw_ = nullptr;
-    }
-
-    void *raw_ = nullptr; ///< 64B-aligned block owning the storage
-    Item *heap_ = nullptr; ///< raw_ + kRootOffset
-    size_t size_ = 0;
-    size_t cap_ = 0;
-    uint64_t seq_ = 0;
+    std::vector<Popped> events_; ///< latest first; the next pop is last
 };
 
 /** Index-addressed job slab with a free list, reused across a run. */

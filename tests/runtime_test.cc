@@ -750,6 +750,21 @@ TEST(PerClassQuanta, SingleClassDegeneratesToPlainScheduling)
         EXPECT_EQ(rt.worker(wi).starvation_promotions(), 0u);
 }
 
+/**
+ * One factor for the quanta, deficit clamp and job sizes of the
+ * PerClassQuanta cases that depend on sub-microsecond slices. TSan
+ * stretches every probe-to-probe iteration of the spin loop, so a 0.5 us
+ * slice can expire before the loop books any progress (the class-1 jobs
+ * below then never finish) and a 1 us short overruns a 2 us budget.
+ * Scaling every duration by the same factor keeps the ratios the tests
+ * check; the uninstrumented build runs the sizes as written.
+ */
+#ifdef __SANITIZE_THREAD__
+constexpr double kSliceScale = 20;
+#else
+constexpr double kSliceScale = 1;
+#endif
+
 TEST(PerClassQuanta, DeficitStaysWithinConfiguredClamp)
 {
     // DESIGN.md §4i invariant: |deficit| <= deficit_clamp at every
@@ -758,18 +773,18 @@ TEST(PerClassQuanta, DeficitStaysWithinConfiguredClamp)
     // accounts of every slot on every worker.
     RuntimeConfig cfg;
     cfg.num_workers = 2;
-    cfg.class_quantum_us = {4.0, 0.5};
-    cfg.deficit_clamp_us = 3.0;
+    cfg.class_quantum_us = {4.0 * kSliceScale, 0.5 * kSliceScale};
+    cfg.deficit_clamp_us = 3.0 * kSliceScale;
     Runtime rt(cfg, spin_handler());
     rt.start();
 
     std::vector<Request> reqs;
     // Kept small: every 0.5us slice of a class-1 job pays the full
     // switch overhead, which sanitizer builds inflate ~100x.
-    for (uint64_t i = 0; i < 60; ++i)
-        reqs.push_back(make_spin_request(i, 1e3, 0)); // 1us < 4us budget
-    for (uint64_t i = 60; i < 64; ++i)
-        reqs.push_back(make_spin_request(i, 60e3, 1)); // 120 x 0.5us
+    for (uint64_t i = 0; i < 60; ++i) // 1us < 4us budget
+        reqs.push_back(make_spin_request(i, 1e3 * kSliceScale, 0));
+    for (uint64_t i = 60; i < 64; ++i) // 120 x 0.5us
+        reqs.push_back(make_spin_request(i, 60e3 * kSliceScale, 1));
     const auto responses = run_requests(rt, reqs);
     rt.stop();
     ASSERT_EQ(responses.size(), reqs.size());
@@ -798,22 +813,23 @@ TEST(PerClassQuanta, PreemptedLongJobsLeaveNoDebtTrapForShorts)
     RuntimeConfig cfg;
     cfg.num_workers = 1;
     cfg.work = WorkPolicy::Las;
-    cfg.class_quantum_us = {2.0, 5.0};
+    cfg.class_quantum_us = {2.0 * kSliceScale, 5.0 * kSliceScale};
+    cfg.deficit_clamp_us *= kSliceScale;
     Runtime rt(cfg, spin_handler());
     rt.start();
 
     constexpr uint64_t kLongs = 2, kShorts = 4000;
     std::vector<Request> longs;
     for (uint64_t i = 0; i < kLongs; ++i)
-        longs.push_back(make_spin_request(i, 100e3, 0));
+        longs.push_back(make_spin_request(i, 100e3 * kSliceScale, 0));
     ASSERT_EQ(run_requests(rt, longs).size(), kLongs);
     std::vector<Request> shorts;
     uint64_t class1 = 0;
     for (uint64_t i = kLongs; i < kLongs + kShorts; ++i) {
         const bool scan = i % 200 == 0; // a few class-1 jobs ride along
         class1 += scan ? 1 : 0;
-        shorts.push_back(
-            make_spin_request(i, scan ? 20e3 : 1e3, scan ? 1 : 0));
+        shorts.push_back(make_spin_request(
+            i, (scan ? 20e3 : 1e3) * kSliceScale, scan ? 1 : 0));
     }
     ASSERT_EQ(run_requests(rt, shorts).size(), kShorts);
     rt.stop();

@@ -958,9 +958,9 @@ TEST(Sweep, StopWhenSaturatedKeepsTheVerdict)
 TEST(EventQueue, PopsInTimeThenPushOrderLikeAPriorityQueue)
 {
     // Oracle: the (time, seq) min-heap every engine owned before the
-    // packed 4-ary queue. Timestamps come from a small grid so most pops
-    // break a tie on push order; sequences long enough to grow the store
-    // and mix full and partial sibling groups.
+    // shared queue. Timestamps come from a small grid so most pops
+    // break a tie on push order; sequences run to thousands of pending
+    // events, far past the few dozen any engine holds.
     struct Ref
     {
         SimNanos time;
@@ -983,8 +983,8 @@ TEST(EventQueue, PopsInTimeThenPushOrderLikeAPriorityQueue)
         for (size_t step = 0; step < steps; ++step) {
             if (ref.empty() || rng.below(3) != 0) {
                 const SimNanos t = static_cast<SimNanos>(rng.below(grid));
-                const uint32_t kind = static_cast<uint32_t>(
-                    rng.below(1u << EventQueue::kKindBits));
+                const uint32_t kind =
+                    static_cast<uint32_t>(rng.below(16));
                 const int core = static_cast<int>(rng.below(1000)) - 1;
                 q.push(t, kind, core);
                 ref.push(Ref{t, seq++, kind, core});

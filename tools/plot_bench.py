@@ -14,9 +14,10 @@ dependency; the benches themselves never need it.
 
 A .json input is treated as a recorded calibration run and dispatched
 on its keys: dispatcher_throughput rows (BENCH_dispatch.json) become a
-per-worker-count Mrps bar chart plus the sharded-dispatcher scaling
-panel; event_queue_hold rows (BENCH_sim.json) become events/sec bars
-over queue size plus the per-bench figure-suite speedup chart;
+per-worker-count Mrps bar chart plus the simulated sharded-dispatcher
+capacity panel; a simulator document (BENCH_sim.json) becomes the
+figure-grid wall clock, serial vs threaded, plus the per-bench
+figure-suite speedup chart;
 a scenarios document (BENCH_scenarios.json) becomes baseline-vs-bursty
 p999 bars; a quanta document
 (BENCH_quanta.json) becomes the fixed-quantum sweep with per-class and
@@ -85,8 +86,8 @@ def parse_tables(lines):
 
 
 def plot_dispatch_json(path, output):
-    """Render BENCH_dispatch.json: hot-path Mrps bars and the
-    sharded-dispatcher scaling panel when the run recorded one."""
+    """Render BENCH_dispatch.json: hot-path Mrps bars and the simulated
+    sharded-dispatcher capacity panel when the run recorded one."""
     with open(path) as f:
         data = json.load(f)
     rows = data["dispatcher_throughput"]
@@ -117,20 +118,14 @@ def plot_dispatch_json(path, output):
 
     if sharded:
         ax2 = axes[0][1]
-        rt = sharded["runtime_isolated"]
         sim = sharded["sim_capacity_64c_0p5us_slo10"]
-        shard_counts = [r["shards"] for r in rt]
+        shard_counts = [r["dispatchers"] for r in sim]
         xs2 = range(len(shard_counts))
-        ax2.bar([x - width / 2 for x in xs2],
-                [r["scaling_x"] for r in rt], width,
-                label="runtime (isolated per-shard)")
-        ax2.bar([x + width / 2 for x in xs2],
-                [r["scaling_x"] for r in sim], width,
+        ax2.bar(list(xs2), [r["scaling_x"] for r in sim], width,
                 label="sim cluster capacity")
         for x, r in zip(xs2, sim):
-            ax2.annotate(f'{r["max_mrps"]:.0f} Mrps',
-                         (x + width / 2, r["scaling_x"]), ha="center",
-                         va="bottom", fontsize=7)
+            ax2.annotate(f'{r["max_mrps"]:.0f} Mrps', (x, r["scaling_x"]),
+                         ha="center", va="bottom", fontsize=7)
         ax2.plot([x - 0.5 for x in xs2] + [len(shard_counts) - 0.5],
                  [s for s in shard_counts] + [shard_counts[-1]],
                  drawstyle="steps-post", linestyle=":", alpha=0.6,
@@ -138,7 +133,7 @@ def plot_dispatch_json(path, output):
         ax2.set_xticks(list(xs2))
         ax2.set_xticklabels([str(s) for s in shard_counts])
         ax2.set_xlabel("dispatcher shards")
-        ax2.set_ylabel("aggregate scaling vs 1 shard (x)")
+        ax2.set_ylabel("capacity scaling vs 1 shard (x)")
         ax2.set_title("sharded tier scaling (fig17)", fontsize=9)
         ax2.legend(fontsize=8)
         ax2.grid(True, axis="y", alpha=0.3)
@@ -149,10 +144,11 @@ def plot_dispatch_json(path, output):
 
 
 def plot_sim_json(path, output):
-    """Render BENCH_sim.json: event-queue hold bars + suite speedups."""
+    """Render BENCH_sim.json: figure-grid wall clock + suite speedups."""
     with open(path) as f:
         data = json.load(f)
-    hold = data["event_queue_hold"]
+    grid = data["fig_grid_wall_clock"]
+    threads = data["config"]["sweep_threads"]
     suite = data.get("figure_suite", {}).get("rows", [])
 
     import matplotlib
@@ -164,13 +160,11 @@ def plot_sim_json(path, output):
     fig, axes = plt.subplots(1, ncols, figsize=(6 * ncols, 4.5),
                              squeeze=False)
     ax = axes[0][0]
-    xs = range(len(hold))
-    ax.bar(list(xs), [r["meps"] for r in hold], 0.5)
-    ax.set_xticks(list(xs))
-    ax.set_xticklabels([f'{r["queue_size"]:,}' for r in hold])
-    ax.set_xlabel("steady queue size (events)")
-    ax.set_ylabel("hold-model Mevents/s")
-    ax.set_title("EventQueue hold model", fontsize=9)
+    ax.bar([0, 1], [grid["serial_sec"], grid["threads_sec"]], 0.5)
+    ax.set_xticks([0, 1])
+    ax.set_xticklabels(["serial", f"--sweep-threads={threads}"])
+    ax.set_ylabel("seconds")
+    ax.set_title("Figure 5/6 grid wall clock", fontsize=9)
     ax.grid(True, axis="y", alpha=0.3)
 
     if suite:
@@ -338,7 +332,7 @@ def main():
             plot_quanta_json(args.input, args.output)
         elif "per_workload" in keys:
             plot_compiler_json(args.input, args.output)
-        elif "event_queue_hold" in keys:
+        elif "fig_grid_wall_clock" in keys:
             plot_sim_json(args.input, args.output)
         else:
             plot_dispatch_json(args.input, args.output)
