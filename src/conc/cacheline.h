@@ -20,9 +20,15 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <thread>
 #include <type_traits>
+#include <vector>
+
+#include <sys/mman.h>
+
+#include "common/cycles.h"
 
 namespace tq {
 
@@ -135,25 +141,157 @@ cpu_relax()
 #endif
 }
 
-/** Empty polls between two idle_backoff() yields. */
-inline constexpr int kIdlePollsPerYield = 8;
+/** A ring slot stored at sizeof(T), with no padding. */
+template <typename T>
+struct PackedSlot
+{
+    T value{};
+};
 
 /**
- * One idle step of a polling loop that found no work: cpu_relax() on
- * most empty polls, and a sched_yield on every kIdlePollsPerYield-th so
- * threads that timeshare a core (dispatcher, workers, client) make
- * progress; dedicated cores would busy-poll instead. @p empty_polls is
- * the caller's count; reset it to 0 whenever a poll finds work.
+ * Storage for one slot of a ring of T. A slot of more than half a line
+ * gets a line of its own (CacheAligned), so the producer filling slot
+ * k+1 never writes the line the consumer is reading out of slot k; a
+ * smaller slot stays packed at sizeof(T), where padding would multiply
+ * the footprint for little gain (docs/cache_line_analysis.md). The rule
+ * depends only on sizeof(T).
+ */
+template <typename T>
+using RingSlot = std::conditional_t<(sizeof(T) > kCacheLineSize / 2),
+                                    CacheAligned<T>, PackedSlot<T>>;
+
+static_assert(sizeof(RingSlot<char[kCacheLineSize / 2 + 1]>) ==
+                  kCacheLineSize,
+              "a slot of more than half a line owns its line");
+static_assert(sizeof(RingSlot<char[kCacheLineSize / 2]>) ==
+                  kCacheLineSize / 2,
+              "a slot of half a line or less stays packed");
+
+/**
+ * Allocator of ring storage: whole pages straight from the OS, returned
+ * to it on free. A ring's slot array is large (2^14 line-sized slots is
+ * 1 MiB), long-lived and freed at teardown. Through malloc, that free
+ * raises glibc's dynamic mmap threshold to the array's size, so the
+ * host process's later allocations below it land on the heap and stay
+ * resident; page-backed storage leaves the host's allocator alone.
+ */
+template <typename T>
+struct PageAllocator
+{
+    using value_type = T;
+
+    static_assert(alignof(T) <= 4096, "pages are 4 KiB aligned");
+
+    PageAllocator() = default;
+
+    template <typename U>
+    PageAllocator(const PageAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        void *p = mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        return static_cast<T *>(p);
+    }
+
+    void deallocate(T *p, size_t n) { munmap(p, n * sizeof(T)); }
+
+    template <typename U>
+    bool
+    operator==(const PageAllocator<U> &) const
+    {
+        return true;
+    }
+};
+
+/** The slot array of a ring of T. */
+template <typename T>
+using RingStorage = std::vector<RingSlot<T>, PageAllocator<RingSlot<T>>>;
+
+/** Idle spin budget of idle_backoff() before it starts to yield. */
+inline constexpr double kIdleSpinNs = 50'000;
+
+/** Empty polls between two clock reads while spinning: a TSC read
+ *  (`BM_Rdcycles`, 16 ns on a 4-vCPU Xeon VM) is dearer than a poll. */
+inline constexpr uint32_t kIdlePollsPerClockRead = 64;
+
+/** Empty polls between two yields once the spin budget is spent. */
+inline constexpr uint32_t kIdlePollsPerYield = 8;
+
+/**
+ * The idle policy of a polling loop, kept free of clocks and syscalls so
+ * a test can drive it with a synthetic one. A run of empty polls first
+ * spins for a cycle budget, then yields on every kIdlePollsPerYield-th
+ * poll until reset(): the spin keeps a busy thread's wake-up free of
+ * syscalls, and the yield lets threads that timeshare a core (a loaded
+ * host, `ctest -j`) make progress.
+ *
+ * The budget starts at the run's first clock read, kIdlePollsPerClockRead
+ * polls in, and the clock is read at most once per that many polls.
+ */
+class IdleBackoff
+{
+  public:
+    explicit IdleBackoff(Cycles spin_budget) : budget_(spin_budget) {}
+
+    /** The default budget, kIdleSpinNs. */
+    IdleBackoff() : IdleBackoff(ns_to_cycles(kIdleSpinNs)) {}
+
+    /** A poll found work: the next empty poll starts a new run. */
+    void
+    reset()
+    {
+        polls_ = 0;
+        yielding_ = false;
+    }
+
+    /**
+     * Account one empty poll. @p now returns the current cycle count.
+     * @return true when this poll should yield the CPU.
+     */
+    template <typename Now>
+    bool
+    should_yield(Now &&now)
+    {
+        ++polls_;
+        if (yielding_)
+            return polls_ % kIdlePollsPerYield == 0;
+        if (polls_ % kIdlePollsPerClockRead != 0)
+            return false;
+        const Cycles t = now();
+        if (polls_ == kIdlePollsPerClockRead)
+            start_ = t;
+        else if (t - start_ >= budget_) {
+            yielding_ = true;
+            polls_ = 0;
+        }
+        return false;
+    }
+
+  private:
+    Cycles budget_;
+    Cycles start_ = 0;   ///< clock at the run's first read
+    uint64_t polls_ = 0; ///< empty polls in the run (since yielding_)
+    bool yielding_ = false;
+};
+
+/**
+ * One idle step of a polling loop that found no work: cpu_relax(), or a
+ * sched_yield when @p idle says so. Call idle.reset() whenever a poll
+ * finds work.
  */
 inline void
-idle_backoff(int &empty_polls)
+idle_backoff(IdleBackoff &idle)
 {
-    if (++empty_polls >= kIdlePollsPerYield) {
-        empty_polls = 0;
+    if (idle.should_yield(rdcycles))
         std::this_thread::yield();
-    } else {
+    else
         cpu_relax();
-    }
 }
 
 } // namespace tq

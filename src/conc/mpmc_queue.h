@@ -3,9 +3,8 @@
  * Bounded lock-free multi-producer / multi-consumer queue.
  *
  * Dmitry Vyukov's array-based MPMC queue. TQ uses it wherever more than
- * one thread can touch an end: each dispatcher shard's RX queue takes
- * requests from many submitters and is drained by its dispatcher and
- * by stealing sibling shards.
+ * one thread can touch an end: the RX queue takes requests from many
+ * submitters and is drained by the dispatcher.
  */
 #ifndef TQ_CONC_MPMC_QUEUE_H
 #define TQ_CONC_MPMC_QUEUE_H
@@ -32,9 +31,9 @@ class MpmcQueue
         while (cap < min_capacity)
             cap <<= 1;
         mask_ = cap - 1;
-        cells_ = std::vector<Cell>(cap);
+        cells_ = RingStorage<Cell>(cap);
         for (size_t i = 0; i < cap; ++i)
-            cells_[i].sequence.store(i, std::memory_order_relaxed);
+            cell(i).sequence.store(i, std::memory_order_relaxed);
     }
 
     MpmcQueue(const MpmcQueue &) = delete;
@@ -49,15 +48,15 @@ class MpmcQueue
     {
         size_t pos = enqueue_pos_.value.load(std::memory_order_relaxed);
         for (;;) {
-            Cell &cell = cells_[pos & mask_];
-            const size_t seq = cell.sequence.load(std::memory_order_acquire);
+            Cell &c = cell(pos);
+            const size_t seq = c.sequence.load(std::memory_order_acquire);
             const intptr_t diff = static_cast<intptr_t>(seq) -
                                   static_cast<intptr_t>(pos);
             if (diff == 0) {
                 if (enqueue_pos_.value.compare_exchange_weak(
                         pos, pos + 1, std::memory_order_relaxed)) {
-                    cell.value = std::move(value);
-                    cell.sequence.store(pos + 1, std::memory_order_release);
+                    c.value = std::move(value);
+                    c.sequence.store(pos + 1, std::memory_order_release);
                     return true;
                 }
             } else if (diff < 0) {
@@ -74,16 +73,16 @@ class MpmcQueue
     {
         size_t pos = dequeue_pos_.value.load(std::memory_order_relaxed);
         for (;;) {
-            Cell &cell = cells_[pos & mask_];
-            const size_t seq = cell.sequence.load(std::memory_order_acquire);
+            Cell &c = cell(pos);
+            const size_t seq = c.sequence.load(std::memory_order_acquire);
             const intptr_t diff = static_cast<intptr_t>(seq) -
                                   static_cast<intptr_t>(pos + 1);
             if (diff == 0) {
                 if (dequeue_pos_.value.compare_exchange_weak(
                         pos, pos + 1, std::memory_order_relaxed)) {
-                    T value = std::move(cell.value);
-                    cell.sequence.store(pos + mask_ + 1,
-                                        std::memory_order_release);
+                    T value = std::move(c.value);
+                    c.sequence.store(pos + mask_ + 1,
+                                     std::memory_order_release);
                     return value;
                 }
             } else if (diff < 0) {
@@ -114,9 +113,8 @@ class MpmcQueue
             size_t pos = dequeue_pos_.value.load(std::memory_order_relaxed);
             size_t ready = 0;
             while (ready < max_n) {
-                const Cell &cell = cells_[(pos + ready) & mask_];
                 const size_t seq =
-                    cell.sequence.load(std::memory_order_acquire);
+                    cell(pos + ready).sequence.load(std::memory_order_acquire);
                 if (static_cast<intptr_t>(seq) !=
                     static_cast<intptr_t>(pos + ready + 1))
                     break;
@@ -133,10 +131,10 @@ class MpmcQueue
             // Cells [pos, pos+ready) are exclusively ours: consume and
             // recycle each one for the producer a lap ahead.
             for (size_t i = 0; i < ready; ++i) {
-                Cell &cell = cells_[(pos + i) & mask_];
-                dst[i] = std::move(cell.value);
-                cell.sequence.store(pos + i + mask_ + 1,
-                                    std::memory_order_release);
+                Cell &c = cell(pos + i);
+                dst[i] = std::move(c.value);
+                c.sequence.store(pos + i + mask_ + 1,
+                                 std::memory_order_release);
             }
             return ready;
         }
@@ -155,14 +153,11 @@ class MpmcQueue
     friend struct ::tq::LayoutAudit;
 
     /**
-     * One slot: the publication sequence and the payload it guards.
-     * Cells are deliberately *not* padded to a line (Vyukov's layout):
-     * any thread may write any cell, so there is no per-thread line to
-     * protect, and padding would multiply the footprint of a 2^14-deep
-     * RX queue by ~4 for requests. Adjacent-cell sharing is bounded by
-     * the queue discipline — concurrent producers claim consecutive
-     * positions, so the cells they publish are consecutive by design
-     * and the traffic is the cost of the algorithm, not accidental.
+     * One slot: the publication sequence and the payload it guards. A
+     * cell of more than half a line (a Request's 56 bytes) owns its line
+     * (RingSlot): a producer publishing cell k+1 then never writes the
+     * line a consumer is reading and re-sequencing for cell k. Smaller
+     * cells stay packed as in Vyukov's layout.
      */
     struct Cell
     {
@@ -170,8 +165,11 @@ class MpmcQueue
         T value{};
     };
 
-    /** Read-mostly after construction. */
-    std::vector<Cell> cells_;
+    /** The cell that position @p pos maps to. */
+    Cell &cell(size_t pos) { return cells_[pos & mask_].value; }
+
+    /** The vector header is read-mostly after construction. */
+    RingStorage<Cell> cells_;
     size_t mask_;
 
     /** The two contended RMW cursors, each alone on its line so

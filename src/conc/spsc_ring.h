@@ -17,6 +17,11 @@
  * the previous four dedicated lines. The other end only ever loads the
  * published index; the slot storage and mask sit on separate read-mostly
  * lines ahead of the index block.
+ *
+ * Slot layout: a slot of more than half a line (Request, Response) owns
+ * its line, so the producer filling slot k+1 never writes the line the
+ * consumer is draining out of slot k; smaller slots (trace events,
+ * integers) stay packed (RingSlot in conc/cacheline.h).
  */
 #ifndef TQ_CONC_SPSC_RING_H
 #define TQ_CONC_SPSC_RING_H
@@ -117,7 +122,7 @@ class SpscRing
             if (head - prod_.cached_tail > mask_)
                 return false;
         }
-        fill(slots_[head & mask_]);
+        fill(slots_[head & mask_].value);
         prod_.head.store(head + 1, std::memory_order_release);
         return true;
     }
@@ -143,7 +148,7 @@ class SpscRing
         }
         const size_t count = n < free ? n : free;
         for (size_t i = 0; i < count; ++i)
-            slots_[(head + i) & mask_] = std::move(src[i]);
+            slots_[(head + i) & mask_].value = std::move(src[i]);
         if (count > 0)
             prod_.head.store(head + count, std::memory_order_release);
         return count;
@@ -162,7 +167,7 @@ class SpscRing
             if (tail == cons_.cached_head)
                 return std::nullopt;
         }
-        T value = std::move(slots_[tail & mask_]);
+        T value = std::move(slots_[tail & mask_].value);
         cons_.tail.store(tail + 1, std::memory_order_release);
         return value;
     }
@@ -182,7 +187,7 @@ class SpscRing
             if (tail == cons_.cached_head)
                 return false;
         }
-        out = std::move(slots_[tail & mask_]);
+        out = std::move(slots_[tail & mask_].value);
         cons_.tail.store(tail + 1, std::memory_order_release);
         return true;
     }
@@ -209,7 +214,7 @@ class SpscRing
         }
         const size_t count = max_n < avail ? max_n : avail;
         for (size_t i = 0; i < count; ++i)
-            *dst++ = std::move(slots_[(tail + i) & mask_]);
+            *dst++ = std::move(slots_[(tail + i) & mask_].value);
         if (count > 0)
             cons_.tail.store(tail + count, std::memory_order_release);
         return count;
@@ -229,8 +234,10 @@ class SpscRing
   private:
     friend struct ::tq::LayoutAudit;
 
-    /** Read-mostly after construction (both ends load, nobody stores). */
-    std::vector<T> slots_;
+    /** The slot array; a slot of more than half a line owns its line
+     *  (RingSlot). The vector header is read-mostly after construction
+     *  (both ends load, nobody stores). */
+    RingStorage<T> slots_;
     size_t mask_;
 
     ProducerSide prod_; ///< writer: producer thread only

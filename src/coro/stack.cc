@@ -7,6 +7,10 @@
 
 #include "common/check.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace tq {
 
 namespace {
@@ -70,6 +74,12 @@ void
 Stack::release() noexcept
 {
     if (map_) {
+#if defined(__SANITIZE_ADDRESS__)
+        // ASan does not know this region is a stack: the redzones of
+        // the frames that ran on it stay in the shadow after munmap and
+        // would poison the next mapping the kernel places here.
+        __asan_unpoison_memory_region(map_, map_size_);
+#endif
         munmap(map_, map_size_);
         map_ = nullptr;
     }

@@ -366,19 +366,19 @@ Runtime::dispatch_step()
 void
 Runtime::dispatcher_main()
 {
-    int empty_polls = 0;
+    IdleBackoff idle;
     for (;;) {
         TQ_FAULT_SITE(DispatcherPoll);
         const Lifecycle phase = lc_.phase();
         if (phase >= Lifecycle::Stopping)
             break;
         if (dispatch_step() > 0) {
-            empty_polls = 0;
+            idle.reset();
             continue;
         }
         if (phase == Lifecycle::Draining)
             break; // everything queued has been forwarded
-        idle_backoff(empty_polls);
+        idle_backoff(idle);
     }
     // Force-stopped with requests still queued: they will never be
     // forwarded — count them abandoned before announcing completion.

@@ -219,14 +219,14 @@ Worker::step()
 void
 Worker::run()
 {
-    int empty_polls = 0;
+    IdleBackoff idle;
     for (;;) {
         TQ_FAULT_SITE(WorkerPoll);
         const Lifecycle phase = lc_->phase();
         if (phase >= Lifecycle::Stopping)
             break;
         if (step()) {
-            empty_polls = 0;
+            idle.reset();
             continue;
         }
         // Idle. Fully drained once the dispatcher has forwarded its last
@@ -236,7 +236,7 @@ Worker::run()
             lc_->dispatcher_done.load(std::memory_order_acquire) &&
             dispatch_ring_.empty())
             break;
-        idle_backoff(empty_polls);
+        idle_backoff(idle);
     }
     abandon_remaining();
 }

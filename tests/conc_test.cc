@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and stress tests for tq_conc: SPSC ring, MPMC queue, cache-line
- * padding, owner-only counters.
+ * padding, owner-only counters, the idle back-off policy.
  */
 #include <gtest/gtest.h>
 
@@ -376,6 +376,92 @@ TEST(MpmcQueue, PopNUnderMultiProducerLosesNothing)
     for (auto &t : producers)
         t.join();
     EXPECT_EQ(q.size(), 0u);
+}
+
+/**
+ * Drives an IdleBackoff with a synthetic clock that advances @p step
+ * cycles per empty poll, and counts the polls that yield and the clock
+ * reads the policy makes.
+ */
+struct IdleDriver
+{
+    IdleBackoff idle;
+    Cycles now = 0;
+    uint64_t polls = 0;
+    uint64_t clock_reads = 0;
+
+    explicit IdleDriver(Cycles budget) : idle(budget) {}
+
+    bool
+    poll(Cycles step = 1)
+    {
+        now += step;
+        ++polls;
+        return idle.should_yield([this] {
+            ++clock_reads;
+            return now;
+        });
+    }
+};
+
+TEST(IdleBackoff, NeverYieldsInsideTheBudget)
+{
+    constexpr Cycles kBudget = 100000;
+    IdleDriver d(kBudget);
+    while (d.now < kBudget)
+        ASSERT_FALSE(d.poll()) << "yielded at cycle " << d.now;
+    // The clock is read at most once per kIdlePollsPerClockRead polls.
+    EXPECT_LE(d.clock_reads, d.polls / kIdlePollsPerClockRead);
+    EXPECT_GT(d.clock_reads, 0u);
+}
+
+TEST(IdleBackoff, YieldsEveryEighthPollAfterTheBudget)
+{
+    constexpr Cycles kBudget = 10000;
+    IdleDriver d(kBudget);
+    while (!d.poll()) {
+        // The budget runs from the first clock read; the switch to
+        // yielding waits at most one read interval past it, plus the
+        // first kIdlePollsPerYield polls of the yielding phase.
+        ASSERT_LT(d.now, kIdlePollsPerClockRead + kBudget +
+                             kIdlePollsPerClockRead + kIdlePollsPerYield);
+    }
+    EXPECT_GE(d.now, kIdlePollsPerClockRead + kBudget);
+    const uint64_t reads = d.clock_reads;
+    for (int round = 0; round < 100; ++round) {
+        for (uint32_t i = 1; i < kIdlePollsPerYield; ++i)
+            ASSERT_FALSE(d.poll()) << "round " << round << " poll " << i;
+        ASSERT_TRUE(d.poll()) << "round " << round;
+    }
+    EXPECT_EQ(d.clock_reads, reads) << "the yielding phase reads no clock";
+}
+
+TEST(IdleBackoff, FindingWorkResetsTheBudget)
+{
+    constexpr Cycles kBudget = 10000;
+    IdleDriver d(kBudget);
+    while (!d.poll()) {
+    }
+    // A poll finds work; a new run of empty polls spins again for the
+    // whole budget, however long the previous run went on.
+    d.idle.reset();
+    d.now += 1000 * kBudget;
+    const Cycles run_start = d.now;
+    while (d.now - run_start < kIdlePollsPerClockRead + kBudget)
+        ASSERT_FALSE(d.poll()) << "yielded " << d.now - run_start
+                               << " cycles into the new run";
+    // A clock that jumps (the thread was descheduled) ends the spin at
+    // the next read.
+    d.idle.reset();
+    for (uint32_t i = 1; i < kIdlePollsPerClockRead; ++i)
+        ASSERT_FALSE(d.poll());
+    ASSERT_FALSE(d.poll()); // first read: the budget starts here
+    for (uint32_t i = 1; i < kIdlePollsPerClockRead; ++i)
+        ASSERT_FALSE(d.poll());
+    ASSERT_FALSE(d.poll(kBudget)); // second read sees the budget spent
+    for (uint32_t i = 1; i < kIdlePollsPerYield; ++i)
+        ASSERT_FALSE(d.poll());
+    EXPECT_TRUE(d.poll());
 }
 
 } // namespace

@@ -12,6 +12,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <set>
 #include <string>
@@ -288,10 +289,12 @@ TEST_F(FaultTest, RingFullBurstChargesDropsNotAbandons)
     });
     rt.start();
 
-    // Pace submissions so the dispatch ring never overflows (the worker
-    // clears a job per ~100us stall): the ONLY full ring is TX, which
-    // nobody collects.
+    // Pace each submission on the runtime's progress: the next job goes
+    // in only once the worker has finished the previous one, so RX and
+    // the 4-slot dispatch ring never hold more than one job however slow
+    // the host is. The ONLY full ring is TX, which nobody collects.
     constexpr uint64_t kJobs = 32;
+    const std::atomic<uint64_t> &finished = rt.worker(0).stats_line().finished;
     uint64_t accepted = 0;
     for (uint64_t i = 0; i < kJobs; ++i) {
         for (int attempt = 0; attempt < 1000; ++attempt) {
@@ -301,7 +304,11 @@ TEST_F(FaultTest, RingFullBurstChargesDropsNotAbandons)
             }
             std::this_thread::yield();
         }
-        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (finished.load(std::memory_order_relaxed) < accepted &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
     }
     ASSERT_EQ(accepted, kJobs);
 

@@ -30,6 +30,7 @@
 #include "conc/mpmc_queue.h"
 #include "conc/spsc_ring.h"
 #include "runtime/lifecycle.h"
+#include "runtime/request.h"
 #include "runtime/runtime.h"
 #include "runtime/worker_stats.h"
 #include "telemetry/metrics.h"
@@ -91,6 +92,29 @@ struct LayoutAudit
     mpmc_dequeue_pos(const MpmcQueue<T> &q)
     {
         return &q.dequeue_pos_;
+    }
+
+    /** Start of the storage of slot @p i (CacheAligned or packed). */
+    template <typename T>
+    static const void *
+    spsc_slot(const SpscRing<T> &r, size_t i)
+    {
+        return &r.slots_[i];
+    }
+
+    template <typename T>
+    static const void *
+    mpmc_cell(const MpmcQueue<T> &q, size_t i)
+    {
+        return &q.cells_[i];
+    }
+
+    /** Bytes a cell holds: the sequence plus the payload. */
+    template <typename T>
+    static constexpr size_t
+    mpmc_cell_bytes()
+    {
+        return sizeof(typename MpmcQueue<T>::Cell);
     }
 
     static const void *
@@ -184,6 +208,72 @@ TEST(Layout, MpmcCursorsOwnDistinctLines)
     MpmcQueue<uint64_t> q(64);
     EXPECT_NE(LayoutAudit::line_of(q, LayoutAudit::mpmc_enqueue_pos(q)),
               LayoutAudit::line_of(q, LayoutAudit::mpmc_dequeue_pos(q)));
+}
+
+/** The stride between the first @p n slots that @p slot_at(i) locates,
+ *  and whether any two consecutive ones, each @p bytes long, share a
+ *  line. */
+struct SlotLayout
+{
+    ptrdiff_t stride;
+    bool neighbours_share_a_line;
+};
+
+template <typename SlotAt>
+SlotLayout
+slot_layout(SlotAt slot_at, size_t n, size_t bytes)
+{
+    const auto addr = [&](size_t i) {
+        return reinterpret_cast<uintptr_t>(slot_at(i));
+    };
+    SlotLayout out{static_cast<ptrdiff_t>(addr(1) - addr(0)), false};
+    for (size_t i = 0; i + 1 < n; ++i) {
+        EXPECT_EQ(static_cast<ptrdiff_t>(addr(i + 1) - addr(i)), out.stride);
+        const uintptr_t last_line = (addr(i) + bytes - 1) / kCacheLineSize;
+        out.neighbours_share_a_line |=
+            last_line == addr(i + 1) / kCacheLineSize;
+    }
+    return out;
+}
+
+TEST(Layout, RingSlotsOwnTheirLines)
+{
+    // A slot of more than half a line owns its line: the producer
+    // publishing slot k+1 must not write the line the consumer drains
+    // slot k from. Requests cross the RX MPMC queue and the dispatch
+    // rings, responses the TX rings.
+    constexpr size_t kSlots = 16;
+    MpmcQueue<runtime::Request> rx(kSlots);
+    SpscRing<runtime::Request> dispatch(kSlots);
+    SpscRing<runtime::Response> tx(kSlots);
+    const SlotLayout cells = slot_layout(
+        [&](size_t i) { return LayoutAudit::mpmc_cell(rx, i); }, kSlots,
+        LayoutAudit::mpmc_cell_bytes<runtime::Request>());
+    const SlotLayout requests = slot_layout(
+        [&](size_t i) { return LayoutAudit::spsc_slot(dispatch, i); },
+        kSlots, sizeof(runtime::Request));
+    const SlotLayout responses = slot_layout(
+        [&](size_t i) { return LayoutAudit::spsc_slot(tx, i); }, kSlots,
+        sizeof(runtime::Response));
+    for (const SlotLayout &l : {cells, requests, responses}) {
+        EXPECT_EQ(l.stride, static_cast<ptrdiff_t>(kCacheLineSize));
+        EXPECT_FALSE(l.neighbours_share_a_line);
+    }
+
+    // Slots of half a line or less stay packed at sizeof(T): padding
+    // the per-thread trace rings would cost megabytes for no hand-off.
+    SpscRing<telemetry::TraceEvent> trace(kSlots);
+    SpscRing<uint64_t> words(kSlots);
+    EXPECT_EQ(slot_layout(
+                  [&](size_t i) { return LayoutAudit::spsc_slot(trace, i); },
+                  kSlots, sizeof(telemetry::TraceEvent))
+                  .stride,
+              static_cast<ptrdiff_t>(sizeof(telemetry::TraceEvent)));
+    EXPECT_EQ(slot_layout(
+                  [&](size_t i) { return LayoutAudit::spsc_slot(words, i); },
+                  kSlots, sizeof(uint64_t))
+                  .stride,
+              static_cast<ptrdiff_t>(sizeof(uint64_t)));
 }
 
 TEST(Layout, WorkerStatsNeighboursNeverShareALine)
