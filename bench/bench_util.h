@@ -15,7 +15,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/arrival.h"
 #include "common/units.h"
 
 namespace tq::bench {
@@ -56,36 +55,6 @@ sweep_threads(int argc, char **argv)
             return v;
     }
     return 1;
-}
-
-/**
- * Arrival process for the sim benches: `--arrival=onoff` selects the
- * default MMPP burst profile (4x base rate ON / 0.25x OFF, exponential
- * 50us phases — the scenario_burst_skew profile), anything else (or no
- * flag) keeps the byte-identical Poisson stream. The chosen process is
- * printed by banner-style benches so recorded tables are
- * self-describing.
- */
-inline ArrivalSpec
-arrival_spec(int argc, char **argv)
-{
-    ArrivalSpec spec;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--arrival=onoff") == 0) {
-            spec.kind = ArrivalSpec::Kind::OnOff;
-            spec.onoff.on_mult = 4.0;
-            spec.onoff.off_mult = 0.25;
-        }
-    }
-    return spec;
-}
-
-/** Human-readable name of an arrival spec for bench banners. */
-inline const char *
-arrival_name(const ArrivalSpec &spec)
-{
-    return spec.kind == ArrivalSpec::Kind::OnOff ? "onoff (MMPP 4x/0.25x)"
-                                                 : "poisson";
 }
 
 /** Print the standard bench banner. */

@@ -26,8 +26,6 @@ main(int argc, char **argv)
     bench::banner("Figures 5-6",
                   "TQ 99.9% sojourn (us) vs rate, quantum sweep, Extreme "
                   "Bimodal (short | long)");
-    const ArrivalSpec arrival = bench::arrival_spec(argc, argv);
-    std::printf("# arrival: %s\n", bench::arrival_name(arrival));
     auto dist = workload_table::extreme_bimodal();
     const std::vector<double> quanta_us = {0.5, 1, 2, 5, 10};
     const auto rates = rate_grid(mrps(0.5), mrps(4.75), 9);
@@ -44,7 +42,6 @@ main(int argc, char **argv)
         for (double q : quanta_us) {
             Cell c;
             c.cfg.quantum = us(q);
-            c.cfg.arrival = arrival;
             c.cfg.overheads = Overheads::tq_default();
             c.cfg.duration = bench::sim_duration();
             c.cfg.stop_when_saturated = true; // cells only print "sat"

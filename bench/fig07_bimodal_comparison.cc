@@ -22,7 +22,6 @@ main(int argc, char **argv)
 {
     const int threads = bench::sweep_threads(argc, argv);
     bench::SystemOptions opts;
-    opts.arrival = bench::arrival_spec(argc, argv);
     // Per-class TQ column (TQPC, DESIGN.md §4i): shorts get a quantum
     // covering their whole demand (one slice, no processor-sharing
     // requeues), longs are sliced finer than the 2us fixed quantum so
@@ -31,8 +30,7 @@ main(int argc, char **argv)
     bench::banner("Figure 7",
                   "TQ vs Shinjuku vs Caladan, bimodal workloads, 99.9% "
                   "sojourn (us)");
-    std::printf("# arrival: %s; TQPC class quanta Short 2us, Long 0.5us\n",
-                bench::arrival_name(opts.arrival));
+    std::printf("# TQPC class quanta Short 2us, Long 0.5us\n");
     {
         std::printf("## Extreme Bimodal (99.5%% x 0.5us, 0.5%% x 500us); "
                     "Shinjuku quantum 5us\n");

@@ -21,7 +21,6 @@ int
 main(int argc, char **argv)
 {
     bench::SystemOptions opts;
-    opts.arrival = bench::arrival_spec(argc, argv);
     // Per-class TQ column (TQPC, DESIGN.md §4i): one slice for the two
     // short transaction types, a mid quantum for NewOrder, fine slicing
     // for the two long types so Payment sees less in-service blocking.
@@ -29,10 +28,8 @@ main(int argc, char **argv)
     bench::banner("Figure 8",
                   "TPC-C: per-type 99.9% sojourn (us) and overall 99.9% "
                   "slowdown; Shinjuku quantum 10us");
-    std::printf("# arrival: %s; TQPC class quanta Payment 6us, "
-                "OrderStatus 6us, NewOrder 5us, Delivery 1us, "
-                "StockLevel 1us\n",
-                bench::arrival_name(opts.arrival));
+    std::printf("# TQPC class quanta Payment 6us, OrderStatus 6us, "
+                "NewOrder 5us, Delivery 1us, StockLevel 1us\n");
     auto dist = workload_table::tpcc();
     const auto rates = rate_grid(mrps(0.1), mrps(0.8), 8);
     // The slowdown table below reuses the same rows (this bench used to

@@ -90,7 +90,7 @@ real_runtime_decomposition()
     net::RuntimeServer server(rt);
     const auto dist = workload_table::rocksdb(0.005);
     net::LoadGenConfig lg;
-    lg.rate_mrps = 0.01; // modest: threads timeshare one host core
+    lg.rate_mrps = 0.01; // modest: threads timeshare the host's cores
     lg.duration_sec = 0.2;
     lg.metrics = &rt.metrics();
     const net::ClientStats client = net::run_open_loop(

@@ -24,10 +24,6 @@ using namespace tq::sim;
 
 namespace {
 
-// Both systems run the same arrival process (default Poisson;
-// `--arrival=onoff` switches to the MMPP burst profile on each).
-ArrivalSpec g_arrival;
-
 bool
 shinjuku_sustains(int cores, double quantum_us)
 {
@@ -37,7 +33,6 @@ shinjuku_sustains(int cores, double quantum_us)
     cfg.quantum = us(quantum_us);
     cfg.overheads = Overheads::shinjuku_default();
     cfg.duration = bench::sim_duration();
-    cfg.arrival = g_arrival;
     // Keep all cores busy: offer 2x the service capacity.
     const double rate = 2.0 * cores / ms(1);
     const SimResult r = run_central(cfg, dist, rate);
@@ -53,7 +48,6 @@ tq_sustains(int cores, double quantum_us)
     cfg.quantum = us(quantum_us);
     cfg.overheads = Overheads::tq_default();
     cfg.duration = bench::sim_duration();
-    cfg.arrival = g_arrival;
     const double rate = 2.0 * cores / ms(1);
     const SimResult r = run_two_level(cfg, dist, rate);
     return r.avg_effective_quantum <= 1.1 * cfg.quantum;
@@ -81,8 +75,6 @@ main(int argc, char **argv)
     bench::banner("Figure 16",
                   "max cores sustaining the target quantum (avg effective "
                   "quantum <= 110% of target), 1ms jobs");
-    g_arrival = bench::arrival_spec(argc, argv);
-    std::printf("# arrival: %s\n", bench::arrival_name(g_arrival));
     // Each (system, quantum) search walks core counts sequentially with
     // an early break, but the ten searches are independent. These runs
     // are deliberately overloaded and must complete fully — the metric

@@ -19,9 +19,6 @@
  *     sharded path: front_tier_cost + per-shard serial dispatchers);
  *  3. tail parity at low load — far from the dispatch ceiling,
  *     sharding must not cost the tail.
- *
- * `--arrival=onoff` switches the sim sections to the MMPP burst
- * profile.
  */
 #include <cstdio>
 #include <vector>
@@ -82,12 +79,9 @@ int
 main(int argc, char **argv)
 {
     using namespace tq::sim;
-    const ArrivalSpec arrival = bench::arrival_spec(argc, argv);
     bench::banner("Figure 17",
                   "sharded dispatchers behind a front-tier JSQ: "
                   "aggregate dispatch scaling (DESIGN.md §4g)");
-    std::printf("# arrival (sim sections): %s\n",
-                bench::arrival_name(arrival));
     cycles_per_ns(); // warm the clock calibration
 
     // -- 1: the submit-side steering pick ------------------------------
@@ -113,7 +107,6 @@ main(int argc, char **argv)
                      cfg.num_dispatchers = shard_counts[i];
                      cfg.quantum = us(2);
                      cfg.duration = bench::sim_duration();
-                     cfg.arrival = arrival;
                      cfg.stop_when_saturated = true; // SLO probes only
                      caps[i] = max_rate_under_slo(
                          [&](double rate) {
@@ -140,7 +133,6 @@ main(int argc, char **argv)
         cfg.num_cores = 16;
         cfg.num_dispatchers = s;
         cfg.duration = bench::sim_duration();
-        cfg.arrival = arrival;
         const SimResult r = run_two_level(cfg, exp_dist, mrps(2));
         std::printf("%d\t%.3f\t%.2f\n", s, r.overall_mean_slowdown,
                     r.overall_p999_slowdown);

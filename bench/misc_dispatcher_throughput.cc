@@ -18,11 +18,15 @@
  * After each step the worker dispatch rings are drained in place and
  * each popped job is published as finished on its worker's stats line,
  * the consumer work a worker core does in deployment, which keeps the
- * JSQ view bounded. The output is a TSV table plot_bench.py can render;
- * BENCH_dispatch.json records a run, and the ns/job at 16 workers is the
- * calibration input for sim::Overheads::dispatch_cost.
+ * JSQ view bounded. Each width is timed kReps times on a fresh runtime
+ * and the row gives the median ns/job (and its implied Mrps) with the
+ * min and max, since one pass spreads widely on a shared host. The
+ * output is a TSV table plot_bench.py can render; BENCH_dispatch.json
+ * records a run, and the ns/job at 16 workers is the calibration input
+ * for sim::Overheads::dispatch_cost.
  */
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -35,6 +39,7 @@ namespace {
 
 constexpr int kIters = 2'000'000;
 constexpr int kRound = 8192; // staged per untimed refill
+constexpr int kReps = 5;     // timed passes per width
 
 double
 packed_ns_per_job(int workers)
@@ -83,10 +88,17 @@ main()
     // Warm the clock calibration before timing.
     cycles_per_ns();
 
-    std::printf("workers\tpacked_ns\tpacked_mrps\n");
+    std::printf("# %d passes of %d jobs per width: median, min, max\n",
+                kReps, kIters);
+    std::printf("workers\tpacked_ns\tpacked_mrps\tmin_ns\tmax_ns\n");
     for (int workers : {4, 8, 16}) {
-        const double p = packed_ns_per_job(workers);
-        std::printf("%d\t%.1f\t%.2f\n", workers, p, 1e3 / p);
+        std::array<double, kReps> ns;
+        for (double &p : ns)
+            p = packed_ns_per_job(workers);
+        std::sort(ns.begin(), ns.end());
+        const double median = ns[kReps / 2];
+        std::printf("%d\t%.1f\t%.2f\t%.1f\t%.1f\n", workers, median,
+                    1e3 / median, ns.front(), ns.back());
         std::fflush(stdout);
     }
     std::printf("# paper reports ~14 Mrps for TQ's dispatcher, >> the\n"

@@ -25,14 +25,10 @@ namespace tq::bench {
 
 /**
  * Optional axes of the three-system comparison. Defaults reproduce the
- * historical harness byte for byte: Poisson arrivals, no per-class TQ
- * variant.
+ * historical harness byte for byte: no per-class TQ variant.
  */
 struct SystemOptions
 {
-    /** Arrival process shared by all systems (`--arrival=onoff`). */
-    ArrivalSpec arrival;
-
     /**
      * When non-empty, an extra TQ variant with per-class quanta
      * (TwoLevelConfig::class_quantum, one entry per workload class, ns)
@@ -95,7 +91,6 @@ run_systems(const ServiceDist &dist, const std::vector<double> &rates,
             cfg.overheads = Overheads::tq_default();
             cfg.duration = sim_duration();
             cfg.stop_when_saturated = true;
-            cfg.arrival = opts.arrival;
             row.tq = run_two_level(cfg, dist, rate);
             break;
           }
@@ -107,7 +102,6 @@ run_systems(const ServiceDist &dist, const std::vector<double> &rates,
             cfg.overheads = Overheads::tq_default();
             cfg.duration = sim_duration();
             cfg.stop_when_saturated = true;
-            cfg.arrival = opts.arrival;
             cfg.class_quantum = opts.tq_class_quantum;
             cfg.deficit_clamp = us(sched::kDefaultDeficitClampUs);
             cfg.starvation_promote_after =
@@ -121,7 +115,6 @@ run_systems(const ServiceDist &dist, const std::vector<double> &rates,
             cfg.overheads = Overheads::shinjuku_default();
             cfg.duration = sim_duration();
             cfg.stop_when_saturated = true;
-            cfg.arrival = opts.arrival;
             row.shinjuku = run_central(cfg, dist, rate);
             break;
           }
@@ -131,7 +124,6 @@ run_systems(const ServiceDist &dist, const std::vector<double> &rates,
             cfg.duration = sim_duration();
             cfg.directpath = i % 5 == 4;
             cfg.stop_when_saturated = true;
-            cfg.arrival = opts.arrival;
             (cfg.directpath ? row.caladan_dp : row.caladan_io) =
                 run_caladan(cfg, dist, rate);
             break;

@@ -1,7 +1,7 @@
 /**
  * @file
  * The dispatcher's load-balancing pick (paper s. 3.2, 4, 5.4), shared by
- * the runtime's dispatcher shards and the simulator's dispatchers.
+ * the runtime's dispatcher and the simulator's dispatchers.
  *
  * A DispatchView is one dispatcher's packed view of the queue lengths
  * and current-jobs quanta of the workers it owns: two contiguous,
@@ -34,8 +34,9 @@
  *  - the randomized policies draw from the caller's RNG in a fixed
  *    order (see pick()), so seeded runs reproduce.
  *
- * Plain struct, no globals: one view per dispatcher shard, as in
- * RackSched's per-shard JSQ (PAPERS.md). Single-threaded by design —
+ * Plain struct, no globals: one view per dispatcher (the runtime has
+ * one; the simulator's sharded model has one per shard, as in
+ * RackSched's per-shard JSQ, PAPERS.md). Single-threaded by design —
  * the owning dispatcher both writes and reads it; nothing here is
  * shared.
  */
@@ -61,7 +62,7 @@ enum class DispatchPolicy {
     PowerOfTwo,  ///< least-loaded of two random workers
 };
 
-/** Packed per-shard JSQ/MSQ state for one dispatcher. */
+/** Packed JSQ/MSQ state for one dispatcher. */
 class DispatchView
 {
   public:

@@ -1,8 +1,8 @@
 #include "net/loadgen.h"
 
-#include <memory>
 #include <thread>
 
+#include "common/arrival.h"
 #include "common/check.h"
 #include "common/cycles.h"
 #include "common/rng.h"
@@ -43,19 +43,16 @@ run_open_loop(Server &server, const ServiceDist &dist,
     responses.reserve(4096);
 
     // The send schedule lives in the nanosecond domain (1 Mrps =
-    // 1e-3 req/ns) and is drawn from the same ArrivalProcess machinery
-    // as the simulators, with the same draw interleave — initial gap,
-    // then (service sample, next gap) per request — so a seeded run
-    // produces the identical arrival sequence through both stacks.
-    const double rate_per_ns = cfg.rate_mrps * 1e-3;
-    const std::unique_ptr<ArrivalProcess> arrival =
-        make_arrival_process(cfg.arrival, rate_per_ns);
+    // 1e-3 req/ns) and is drawn from the same Poisson process as the
+    // simulators, with the same draw interleave — initial gap, then
+    // (service sample, next gap) per request — so a seeded run produces
+    // the identical arrival sequence through both stacks.
+    const PoissonProcess arrival(cfg.rate_mrps * 1e-3);
     const double duration_ns = cfg.duration_sec * 1e9;
 
 #if defined(TQ_TELEMETRY_ENABLED)
     telemetry::ClientTelemetry *const ct =
         cfg.metrics != nullptr ? &cfg.metrics->client() : nullptr;
-    uint64_t phases_seen = 0;
 #endif
     auto collect = [&] {
         TQ_FAULT_SITE(LoadgenCollect);
@@ -78,7 +75,7 @@ run_open_loop(Server &server, const ServiceDist &dist,
     };
 
     const Cycles start = rdcycles();
-    double next_send_ns = arrival->next(0.0, rng);
+    double next_send_ns = arrival.next(0.0, rng);
     if (cfg.send_trace != nullptr)
         cfg.send_trace->push_back(next_send_ns);
     uint64_t next_id = 0;
@@ -102,20 +99,9 @@ run_open_loop(Server &server, const ServiceDist &dist,
             ++stats.submitted;
         else
             ++stats.send_failures;
-        next_send_ns = arrival->next(next_send_ns, rng);
+        next_send_ns = arrival.next(next_send_ns, rng);
         if (cfg.send_trace != nullptr)
             cfg.send_trace->push_back(next_send_ns);
-#if defined(TQ_TELEMETRY_ENABLED)
-        if (ct != nullptr) {
-            const uint64_t phases = arrival->phases_begun();
-            if (phases != phases_seen) {
-                // Phase boundary: sample the in-flight backlog — the
-                // per-phase burst-occupancy series of the scenario bench.
-                phases_seen = phases;
-                ct->burst_inflight.add(stats.submitted - stats.completed);
-            }
-        }
-#endif
     }
     // The schedule ran dry (the overshoot draw above is past the
     // window) but the window itself runs to the configured duration:

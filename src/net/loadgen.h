@@ -8,9 +8,10 @@
  * per-class tail latency with the first 10% of samples discarded.
  *
  * The transport is the runtime's lock-free rings instead of UDP/DPDK
- * (DESIGN.md substitution table). On this host, client, dispatcher and
- * workers timeshare one core, so the configured rate is an upper bound
- * on the achieved rate; the achieved rate is reported.
+ * (DESIGN.md substitution table). The client thread shares the host's
+ * cores with the dispatcher and workers (the reference host is a
+ * 4-vCPU VM), so the configured rate is an upper bound on the achieved
+ * rate; the achieved rate is reported.
  */
 #ifndef TQ_NET_LOADGEN_H
 #define TQ_NET_LOADGEN_H
@@ -19,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arrival.h"
 #include "common/dist.h"
 #include "common/percentile.h"
 #include "runtime/request.h"
@@ -40,16 +40,6 @@ struct LoadGenConfig
     uint64_t seed = 1;          ///< arrival-process RNG seed
 
     /**
-     * Arrival-process shape at rate_mrps: Poisson by default, or the
-     * MMPP/on-off process of common/arrival.h. The send schedule
-     * is drawn in the nanosecond domain with the same draw interleave as
-     * the simulators (initial gap, then sample/next per request), so a
-     * seeded run emits the identical arrival sequence through the
-     * runtime and through the sim (tests/integration_test.cc parity).
-     */
-    ArrivalSpec arrival;
-
-    /**
      * Optional sink for every arrival draw (absolute ns, including the
      * final past-window overshoot draw) — the client-side twin of
      * EngineCore::set_arrival_trace, compared by the parity tests.
@@ -58,9 +48,9 @@ struct LoadGenConfig
 
     /**
      * Optional telemetry registry: when set (and the build has
-     * TQ_TELEMETRY on), the generator records the sojourn and
-     * burst-in-flight histograms into the registry's client slot, so
-     * server snapshots and client-side views come from one substrate.
+     * TQ_TELEMETRY on), the generator records the sojourn histogram
+     * into the registry's client slot, so server snapshots and
+     * client-side views come from one substrate.
      * The request counts live in ClientStats. Typically
      * `&runtime.metrics()`.
      */

@@ -24,7 +24,8 @@
  * (counted). Both are idempotent and safe to call from any thread. The
  * dispatcher sets lifecycle dispatcher_done when it exits.
  *
- * On this reproduction's host the threads timeshare cores, so absolute
+ * The reference host is a 4-vCPU VM: a client, the dispatcher and more
+ * than two workers outnumber its cores and timeshare them, so absolute
  * throughput is not meaningful — functional behaviour, preemption and
  * counter semantics are; capacity curves come from tq::sim (DESIGN.md).
  */

@@ -27,8 +27,7 @@ class CaladanSim
     CaladanSim(const CaladanConfig &cfg, const ServiceDist &dist,
                double rate)
         : cfg_(cfg),
-          core_(dist, rate, cfg.seed, cfg.duration, cfg.stop_when_saturated,
-                cfg.arrival),
+          core_(dist, rate, cfg.seed, cfg.duration, cfg.stop_when_saturated),
           cores_(static_cast<size_t>(cfg.num_cores))
     {
         TQ_CHECK(cfg.num_cores > 0);

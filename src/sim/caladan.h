@@ -12,7 +12,6 @@
 #ifndef TQ_SIM_CALADAN_H
 #define TQ_SIM_CALADAN_H
 
-#include "common/arrival.h"
 #include "common/dist.h"
 #include "sim/metrics.h"
 #include "sim/overheads.h"
@@ -28,12 +27,6 @@ struct CaladanConfig
 
     /** Number of random victims an idle core probes before parking. */
     int steal_attempts = 2;
-
-    /** Arrival process (default Poisson, byte-identical to the
-     *  historical stream) — same contract as TwoLevelConfig::arrival,
-     *  so bursty (`--arrival=onoff`) comparisons keep all three systems
-     *  on the same arrival sequence. */
-    ArrivalSpec arrival;
 
     SimNanos duration = ms(200);
     uint64_t seed = 1;

@@ -18,7 +18,6 @@
 #ifndef TQ_SIM_CENTRAL_H
 #define TQ_SIM_CENTRAL_H
 
-#include "common/arrival.h"
 #include "common/dist.h"
 #include "sim/metrics.h"
 #include "sim/overheads.h"
@@ -34,14 +33,6 @@ struct CentralConfig
      *  preempted (the job outlives its quantum), as in interrupt-driven
      *  systems: completions do not need an interrupt. */
     Overheads overheads = Overheads::ideal();
-
-    /**
-     * Arrival process (default Poisson, byte-identical to the
-     * historical stream) — same contract as TwoLevelConfig::arrival,
-     * so bursty (`--arrival=onoff`) comparisons against the two-level
-     * system drive both simulators with the same modulation.
-     */
-    ArrivalSpec arrival;
 
     SimNanos duration = ms(200);
     uint64_t seed = 1;

@@ -5,13 +5,12 @@
 namespace tq::sim {
 
 EngineCore::EngineCore(const ServiceDist &dist, double rate, uint64_t seed,
-                       SimNanos duration, bool stop_when_saturated,
-                       const ArrivalSpec &arrival)
+                       SimNanos duration, bool stop_when_saturated)
     : dist_(dist),
       rate_(rate),
       duration_(duration),
       stop_when_saturated_(stop_when_saturated),
-      arrival_(make_arrival_process(arrival, rate)),
+      arrival_(rate),
       rng_(seed),
       metrics_(dist.class_names(), kWarmup)
 {

@@ -18,17 +18,15 @@
  *    lazily as arrivals stream out of the RNG; the slab's high-water
  *    mark is the peak concurrency, not the total arrival count, and it
  *    is reused across quanta within a run.
- *  - EngineCore: the common run loop — streaming arrivals from the
- *    configured process, admission with the in-flight saturation guard,
- *    the event loop with hard-stop/backlog checks, metrics collection,
- *    and SimResult finalization. Engines keep only their scheduling
- *    logic.
+ *  - EngineCore: the common run loop — streaming Poisson arrivals,
+ *    admission with the in-flight saturation guard, the event loop with
+ *    hard-stop/backlog checks, metrics collection, and SimResult
+ *    finalization. Engines keep only their scheduling logic.
  */
 #ifndef TQ_SIM_EVENT_CORE_H
 #define TQ_SIM_EVENT_CORE_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/arrival.h"
@@ -165,12 +163,9 @@ class EngineCore
      * @param stop_when_saturated end the run as soon as saturation is
      * detected instead of draining; see the config structs for the
      * contract (the `saturated` flag is unaffected).
-     * @param arrival the arrival process every next_arrival_after() draw
-     * comes from (Poisson by default).
      */
     EngineCore(const ServiceDist &dist, double rate, uint64_t seed,
-               SimNanos duration, bool stop_when_saturated,
-               const ArrivalSpec &arrival);
+               SimNanos duration, bool stop_when_saturated);
 
     Rng &rng() { return rng_; }
     SimNanos now() const { return now_; }
@@ -185,16 +180,14 @@ class EngineCore
     }
 
     /**
-     * Next arrival instant after @p from, drawn from the arrival
+     * Next arrival instant after @p from, drawn from the Poisson
      * process with the engine RNG, so the service/arrival draw
-     * interleave stays a pure function of the seed. The Poisson process
-     * draws one exponential at the mean gap, value-identical to the
-     * historical inline code, so every figure bench replays unchanged.
+     * interleave stays a pure function of the seed.
      */
     SimNanos
     next_arrival_after(SimNanos from)
     {
-        const SimNanos t = arrival_->next(from, rng_);
+        const SimNanos t = arrival_.next(from, rng_);
         if (arrival_trace_ != nullptr)
             arrival_trace_->push_back(t);
         return t;
@@ -268,7 +261,7 @@ class EngineCore
     SimNanos duration_;
     bool stop_when_saturated_;
 
-    std::unique_ptr<ArrivalProcess> arrival_;
+    PoissonProcess arrival_;
     std::vector<double> *arrival_trace_ = nullptr;
 
     Rng rng_;

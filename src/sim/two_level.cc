@@ -41,7 +41,7 @@ struct Core
 };
 
 /** One dispatcher shard: its serial queue and its view of the cores it
- *  owns, the same DispatchView and pick the runtime's shards run. */
+ *  owns, the same DispatchView and pick the runtime's dispatcher runs. */
 struct Dispatcher
 {
     explicit Dispatcher(ShardSpan s)
@@ -62,8 +62,7 @@ class TwoLevelSim
     TwoLevelSim(const TwoLevelConfig &cfg, const ServiceDist &dist,
                 double rate)
         : cfg_(cfg),
-          core_(dist, rate, cfg.seed, cfg.duration, cfg.stop_when_saturated,
-                cfg.arrival)
+          core_(dist, rate, cfg.seed, cfg.duration, cfg.stop_when_saturated)
     {
         TQ_CHECK(cfg.num_cores > 0);
         TQ_CHECK(cfg.num_dispatchers > 0);
@@ -197,9 +196,8 @@ class TwoLevelSim
      * smallest aggregate load — dispatch backlog (queued + in hand +
      * still crossing the front latency) plus the owned cores' queue
      * lengths in the shard's view, which carries the dispatchers'
-     * periodically refreshed staleness, mirroring the runtime's
-     * advertised load lines. Rotation by arrival count spreads tied
-     * picks like the runtime's submitter-local counter.
+     * periodically refreshed staleness. Rotation by arrival count
+     * spreads tied picks round-robin.
      */
     int
     pick_shard()

@@ -24,7 +24,6 @@
 #ifndef TQ_SIM_TWO_LEVEL_H
 #define TQ_SIM_TWO_LEVEL_H
 
-#include "common/arrival.h"
 #include "common/dispatch_view.h"
 #include "common/dist.h"
 #include "sim/metrics.h"
@@ -49,9 +48,10 @@ struct TwoLevelConfig
     /**
      * Dispatcher shards. The paper's TQ uses one (~14 Mrps); section 6
      * suggests scaling out with multiple load-balancing dispatchers.
-     * With N > 1 the model matches the runtime's sharded tier
-     * (DESIGN.md §4g): the cores split into N contiguous disjoint
-     * subsets (common/shard.h shard_span) and each arrival is steered
+     * With N > 1 the simulator models that scale-out (DESIGN.md §4g;
+     * the runtime runs one dispatcher): the cores split into N
+     * contiguous disjoint subsets (common/shard.h shard_span) and each
+     * arrival is steered
      * by a front-tier rotated JSQ over per-shard load estimates
      * (front_tier_cost, charged as pure latency — submitters are
      * parallel), then crosses its shard's serial dispatcher
@@ -110,13 +110,6 @@ struct TwoLevelConfig
      * always knows its own assignments. 0 = refresh on every decision.
      */
     SimNanos stats_refresh_period = 0;
-
-    /**
-     * Arrival process (default Poisson, byte-identical to the
-     * historical stream). Value-typed so sweep configs stay copyable
-     * across threads; each run builds its own process instance.
-     */
-    ArrivalSpec arrival;
 
     /**
      * When non-null, every arrival draw (including the final

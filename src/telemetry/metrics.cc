@@ -119,11 +119,6 @@ MetricsRegistry::snapshot() const
     s.queueing = summarize(queue);
     s.service = summarize(service);
     s.preempt = summarize(preempt);
-    s.burst_phases = client_.burst_inflight.count();
-    if (s.burst_phases > 0)
-        s.mean_burst_inflight =
-            static_cast<double>(client_.burst_inflight.sum()) /
-            static_cast<double>(s.burst_phases);
     return s;
 }
 
@@ -169,13 +164,6 @@ MetricsSnapshot::to_string() const
                   static_cast<unsigned long long>(dispatch_batches),
                   mean_dispatch_batch);
     out += buf;
-    if (burst_phases > 0) {
-        std::snprintf(buf, sizeof(buf),
-                      "burst phases: %llu (mean in-flight %.2f)\n",
-                      static_cast<unsigned long long>(burst_phases),
-                      mean_burst_inflight);
-        out += buf;
-    }
     std::snprintf(
         buf, sizeof(buf),
         "backpressure: tx-full spins %llu, dispatch-full spins %llu, "

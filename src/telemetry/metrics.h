@@ -133,12 +133,6 @@ class ClientTelemetry
 {
   public:
     Histogram sojourn_cycles; ///< dispatcher arrival -> completion
-
-    /** In-flight requests sampled at each arrival-process phase
-     *  boundary (a value histogram like batch_occupancy: count = phases
-     *  begun, sum = in-flight total, so sum/count is the mean per-phase
-     *  burst occupancy). Empty under plain Poisson arrivals. */
-    Histogram burst_inflight;
 };
 
 /** Summary of one histogram-backed pipeline stage, in nanoseconds. */
@@ -211,9 +205,6 @@ struct MetricsSnapshot
      *  Runtime::telemetry_snapshot(); records in every build — the
      *  guard is scheduler state, not telemetry). */
     uint64_t starvation_promotions = 0;
-
-    uint64_t burst_phases = 0;      ///< arrival-process phases begun
-    double mean_burst_inflight = 0; ///< mean in-flight at phase starts
 
     /** Multi-line human-readable rendering (used by benches/tools). */
     std::string to_string() const;

@@ -296,108 +296,20 @@ TEST(Histogram, TailCountAtBucketResolution)
     EXPECT_NEAR(above(100), 1.0, 1e-9); // 100 straddles [64,128)
 }
 
-TEST(OnOffProcess, DeterministicForSameSeed)
+TEST(PoissonProcess, DrawsMatchTheInlineExponential)
 {
-    OnOffConfig cfg; // defaults: exponential phases (2-state MMPP)
-    OnOffProcess a(1e-3, cfg), b(1e-3, cfg);
-    Rng ra(7), rb(7);
-    double ta = 0, tb = 0;
-    for (int i = 0; i < 5000; ++i) {
-        ta = a.next(ta, ra);
-        tb = b.next(tb, rb);
-        ASSERT_DOUBLE_EQ(ta, tb);
-        ASSERT_GT(ta, 0.0);
-    }
-    EXPECT_EQ(a.phases_begun(), b.phases_begun());
-    EXPECT_GT(a.phases_begun(), 0u);
-}
-
-// Regression (zero-rate phases): a fully silent OFF phase used to be a
-// division hazard for gap-based samplers (gap = exp / rate with
-// rate = 0). The inversion sampler steps over zero-capacity phases
-// without dividing: every draw must come back finite, strictly
-// increasing, and inside an ON window.
-TEST(OnOffProcess, ZeroRateOffPhasesAreSkippedWithoutDivision)
-{
-    OnOffConfig cfg;
-    cfg.on_mult = 1.0;
-    cfg.off_mult = 0.0; // fully silent
-    cfg.on_ns = 100.0;
-    cfg.off_ns = 900.0;
-    cfg.exponential_phases = false; // deterministic windows
-    OnOffProcess p(1.0, cfg);       // ~100 arrivals per ON window
-    Rng rng(3);
-    double t = 0;
-    for (int i = 0; i < 20000; ++i) {
-        const double prev = t;
-        t = p.next(t, rng);
-        ASSERT_TRUE(std::isfinite(t));
-        ASSERT_GT(t, prev);
-        // ON windows are [1000k, 1000k + 100).
-        const double in_cycle = std::fmod(t, 1000.0);
-        ASSERT_LT(in_cycle, 100.0) << "arrival in a silent phase at " << t;
-    }
-}
-
-// Near-zero (subnormal-adjacent) OFF rates must neither spin for an
-// unbounded number of phases nor emit bursts inside the OFF windows.
-TEST(OnOffProcess, NearZeroOffRateStaysFiniteAndOrdered)
-{
-    OnOffConfig cfg;
-    cfg.on_mult = 2.0;
-    cfg.off_mult = 1e-300;
-    cfg.on_ns = 50e3;
-    cfg.off_ns = 50e3;
-    OnOffProcess p(1e-3, cfg);
-    Rng rng(11);
-    double t = 0;
-    for (int i = 0; i < 5000; ++i) {
-        const double prev = t;
-        t = p.next(t, rng);
-        ASSERT_TRUE(std::isfinite(t));
-        ASSERT_GT(t, prev);
-    }
-}
-
-TEST(OnOffProcess, LongRunRateMatchesDutyCycleMean)
-{
-    OnOffConfig cfg;
-    cfg.on_mult = 3.0;
-    cfg.off_mult = 0.5;
-    cfg.on_ns = 20e3;
-    cfg.off_ns = 60e3;
-    OnOffProcess p(1e-3, cfg);
-    // mean = 1e-3 * (3 * 20 + 0.5 * 60) / 80 = 1.125e-3
-    EXPECT_NEAR(p.mean_rate(), 1.125e-3, 1e-12);
-    Rng rng(17);
-    double t = 0;
-    const int n = 200000;
-    for (int i = 0; i < n; ++i)
-        t = p.next(t, rng);
-    const double empirical = n / t;
-    EXPECT_NEAR(empirical, p.mean_rate(), 0.05 * p.mean_rate());
-}
-
-TEST(ArrivalSpec, FactoryBuildsTheRequestedProcess)
-{
-    ArrivalSpec spec; // default Poisson
-    const auto poisson = make_arrival_process(spec, 2e-3);
-    EXPECT_DOUBLE_EQ(poisson->mean_rate(), 2e-3);
-    EXPECT_EQ(poisson->phases_begun(), 0u);
-    // Poisson draws are value-for-value the historical inline code:
-    // one exponential at the mean gap (500ns at 2e-3/ns).
+    // Every draw is one exponential at the mean gap 1 / rate added to
+    // the previous arrival: the stream the sim's bit-for-bit pins and
+    // the runtime/sim arrival-parity tests rely on.
+    const double rate = 2e-3;
+    const PoissonProcess poisson(rate);
     Rng a(9), b(9);
     double t = 0, u = 0;
     for (int i = 0; i < 100; ++i) {
-        t = poisson->next(t, a);
-        u += b.exponential(500.0);
-        ASSERT_DOUBLE_EQ(t, u);
+        t = poisson.next(t, a);
+        u += b.exponential(1.0 / rate);
+        ASSERT_EQ(t, u);
     }
-    spec.kind = ArrivalSpec::Kind::OnOff;
-    const auto onoff = make_arrival_process(spec, 2e-3);
-    Rng c(1);
-    onoff->next(0.0, c);
-    EXPECT_GT(onoff->phases_begun(), 0u);
 }
 
 TEST(Zipf, FrequenciesMatchPmf)

@@ -329,11 +329,11 @@ TEST_F(FaultTest, RingFullBurstChargesDropsNotAbandons)
               cfg.push_spin_limit * rt.dropped_responses());
 }
 
-// Chaos under burst (CI composition scenario): seeded yields at every
-// fault site while an MMPP/on-off arrival schedule drives the runtime
-// through alternating silence and 4x bursts. Accounting must stay
+// Chaos under open-loop load: seeded yields at every fault site,
+// including the load generator's send and collect sites, while a
+// Poisson schedule drives the runtime. Accounting must stay
 // conservation-exact end to end.
-TEST_F(FaultTest, ChaosUnderMmppBurstRoundTrips)
+TEST_F(FaultTest, ChaosUnderPoissonLoadRoundTrips)
 {
     if (!fault::kEnabled)
         GTEST_SKIP() << "hook sites compiled out (TQ_FAULT_INJECTION=OFF)";
@@ -353,12 +353,9 @@ TEST_F(FaultTest, ChaosUnderMmppBurstRoundTrips)
 
     FixedDist dist(us(1), "spin");
     net::LoadGenConfig lg;
-    lg.rate_mrps = 0.01;
+    lg.rate_mrps = 0.02;
     lg.duration_sec = 0.1;
     lg.seed = 5;
-    lg.arrival.kind = ArrivalSpec::Kind::OnOff;
-    lg.arrival.onoff.on_mult = 4.0;
-    lg.arrival.onoff.off_mult = 0.0; // fully silent troughs
     const net::ClientStats stats = net::run_open_loop(
         server, dist, net::spin_request_factory(), lg);
 

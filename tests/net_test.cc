@@ -200,11 +200,6 @@ TEST(LoadGen, SendTraceIsDeterministicAndCoversTheWindow)
     cfg.rate_mrps = 0.05;
     cfg.duration_sec = 0.02;
     cfg.seed = 99;
-    cfg.arrival.kind = ArrivalSpec::Kind::OnOff;
-    cfg.arrival.onoff.on_mult = 4.0;
-    cfg.arrival.onoff.off_mult = 0.1;
-    cfg.arrival.onoff.on_ns = 100e3;
-    cfg.arrival.onoff.off_ns = 300e3;
 
     std::vector<double> trace_a, trace_b;
     {

@@ -6,8 +6,8 @@
  * variant does not; counters and JSQ views stay consistent; the open-
  * loop load generator round-trips everything.
  *
- * These run on real threads. The host timeshares one core, so tests
- * assert ordering and conservation, never absolute throughput.
+ * These run on real threads that may outnumber the host's cores, so
+ * tests assert ordering and conservation, never absolute throughput.
  */
 #include <gtest/gtest.h>
 

@@ -16,6 +16,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/arrival.h"
 #include "common/dist.h"
 #include "common/rng.h"
 #include "sim/caladan.h"
@@ -287,14 +288,11 @@ TEST(TwoLevel, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.overall_p999_slowdown, b.overall_p999_slowdown);
 }
 
-TEST(TwoLevel, MmppArrivalsAreDeterministicAndTraced)
+TEST(TwoLevel, PoissonArrivalsAreDeterministicAndTraced)
 {
     FixedDist dist(us(1));
     TwoLevelConfig cfg = tl_config();
     cfg.duration = ms(5);
-    cfg.arrival.kind = ArrivalSpec::Kind::OnOff;
-    cfg.arrival.onoff.on_mult = 4.0;
-    cfg.arrival.onoff.off_mult = 0.25;
 
     std::vector<double> trace_a, trace_b;
     cfg.arrival_trace = &trace_a;
@@ -315,16 +313,15 @@ TEST(TwoLevel, MmppArrivalsAreDeterministicAndTraced)
 }
 
 // Arrival-parity oracle: the engine's recorded arrival sequence must be
-// reproducible by hand from a standalone OnOffProcess and the service
+// reproducible by hand from a standalone PoissonProcess and the service
 // distribution with the engine's draw interleave — initial gap, then
 // (service sample, next gap) per in-window arrival. This pins the RNG
 // contract the runtime loadgen relies on for cross-stack parity.
-TEST(TwoLevel, MmppTraceMatchesStandaloneReplay)
+TEST(TwoLevel, PoissonTraceMatchesStandaloneReplay)
 {
     FixedDist dist(us(1));
     TwoLevelConfig cfg = tl_config();
     cfg.duration = ms(5);
-    cfg.arrival.kind = ArrivalSpec::Kind::OnOff; // default MMPP shape
 
     std::vector<double> trace;
     cfg.arrival_trace = &trace;
@@ -333,7 +330,7 @@ TEST(TwoLevel, MmppTraceMatchesStandaloneReplay)
     ASSERT_GT(trace.size(), 10u);
 
     Rng rng(cfg.seed);
-    OnOffProcess proc(mrps(0.3), cfg.arrival.onoff);
+    const PoissonProcess proc(mrps(0.3));
     std::vector<double> replay;
     double t = proc.next(0.0, rng);
     replay.push_back(t);

@@ -124,8 +124,6 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
     // sojourn: the client's one histogram, top sample decides.
     Cycles sojourn_sum = add_n(reg.client().sojourn_cycles, 3, 7);
     sojourn_sum += add_n(reg.client().sojourn_cycles, 1, 123'456);
-    add_n(reg.client().burst_inflight, 1, 3);
-    add_n(reg.client().burst_inflight, 1, 5);
 
     // Per-class instruments: class 0 on both workers, class 1 on one;
     // a sample past 2^39 clamps into the last bucket.
@@ -162,8 +160,6 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
     s.finished = 20;
     EXPECT_EQ(s.dispatch_batches, 4u);
     EXPECT_EQ(s.mean_dispatch_batch, 7.0 / 4.0);
-    EXPECT_EQ(s.burst_phases, 2u);
-    EXPECT_EQ(s.mean_burst_inflight, 4.0);
 
     const struct
     {
@@ -223,7 +219,6 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
               "stats-line total 0)\n"
               "trace events dropped: 0\n"
               "dispatch batches: 4 (mean occupancy 1.75)\n"
-              "burst phases: 2 (mean in-flight 4.00)\n"
               "backpressure: tx-full spins 0, dispatch-full spins 0, "
               "dropped responses 0, abandoned jobs 0\n" +
                   table + classes);

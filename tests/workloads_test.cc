@@ -253,7 +253,7 @@ TEST(Spin, DurationApproximatelyHonored)
     cycles_per_ns(); // warm the one-time clock calibration
     for (double target_us : {1.0, 5.0, 20.0}) {
         // Median of several runs: wall time can exceed consumed time when
-        // the OS preempts the test (this box timeshares one core).
+        // the OS preempts the test (the host's cores are shared).
         std::vector<double> runs;
         for (int i = 0; i < 9; ++i) {
             const Cycles t0 = rdcycles();

@@ -17,9 +17,7 @@ on its keys: dispatcher_throughput rows (BENCH_dispatch.json) become a
 per-worker-count Mrps bar chart plus the simulated sharded-dispatcher
 capacity panel; a simulator document (BENCH_sim.json) becomes the
 figure-grid wall clock, serial vs threaded, plus the per-bench
-figure-suite speedup chart;
-a scenarios document (BENCH_scenarios.json) becomes baseline-vs-bursty
-p999 bars; a quanta document
+figure-suite speedup chart; a quanta document
 (BENCH_quanta.json) becomes the fixed-quantum sweep with per-class and
 adaptive reference lines; a compiler document (BENCH_compiler.json)
 becomes TQ-vs-TQopt probe-count and proven-bound bar charts.
@@ -186,50 +184,6 @@ def plot_sim_json(path, output):
     print(f"wrote {output}")
 
 
-def plot_scenarios_json(path, output):
-    """Render BENCH_scenarios.json: burst/zipf tail bars."""
-    with open(path) as f:
-        data = json.load(f)
-    sc = data["scenarios"]
-
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    fig, ax = plt.subplots(figsize=(6.5, 4.5))
-
-    pairs = [
-        ("burst (sim)", sc["burst_sim"]["poisson_p999_us"],
-         sc["burst_sim"]["mmpp_p999_us"]),
-        ("burst (runtime)", sc["burst_runtime"]["poisson_p999_us"],
-         sc["burst_runtime"]["mmpp_p999_us"]),
-        ("minikv (runtime)", sc["zipf_minikv"]["uniform_p999_us"],
-         sc["zipf_minikv"]["zipf_p999_us"]),
-    ]
-    xs = range(len(pairs))
-    width = 0.38
-    ax.bar([x - width / 2 for x in xs], [p[1] for p in pairs], width,
-           label="smooth baseline")
-    ax.bar([x + width / 2 for x in xs], [p[2] for p in pairs], width,
-           label="bursty / skewed")
-    for x, p in zip(xs, pairs):
-        if p[1] > 0:
-            ax.annotate(f"{p[2] / p[1]:.2f}x", (x + width / 2, p[2]),
-                        ha="center", va="bottom", fontsize=8)
-    ax.set_xticks(list(xs))
-    ax.set_xticklabels([p[0] for p in pairs], fontsize=8)
-    ax.set_ylabel("p999 sojourn (us)")
-    ax.set_yscale("log")
-    ax.set_title("tail under MMPP bursts / Zipf hot keys", fontsize=9)
-    ax.legend(fontsize=8)
-    ax.grid(True, axis="y", alpha=0.3)
-
-    fig.tight_layout()
-    fig.savefig(output, dpi=130)
-    print(f"wrote {output}")
-
-
 def plot_quanta_json(path, output):
     """Render BENCH_quanta.json: per workload, the fixed-quantum sweep
     of short-class p999 slowdown with the per-class and adaptive arms
@@ -326,9 +280,7 @@ def main():
     if args.input and args.input.endswith(".json"):
         with open(args.input) as f:
             keys = json.load(f)
-        if "scenarios" in keys:
-            plot_scenarios_json(args.input, args.output)
-        elif "workloads" in keys:
+        if "workloads" in keys:
             plot_quanta_json(args.input, args.output)
         elif "per_workload" in keys:
             plot_compiler_json(args.input, args.output)
