@@ -3,12 +3,30 @@
 #include <numeric>
 #include <vector>
 
+#include "cache/cache_sim.h"
 #include "common/check.h"
 #include "common/rng.h"
 
 namespace tq::cache {
 
 namespace {
+
+/** Concurrent jobs per core (J of paper Table 2). */
+constexpr int kJobsPerCore = 4;
+
+/** Cluster size, the CT rotation width (C of paper Table 2). */
+constexpr int kCores = 16;
+
+/** Assumed per-access time used to size X = quantum / kEstAccessNs,
+ *  matching the paper's "X is set to match the target quantum". */
+constexpr double kEstAccessNs = 10.0;
+
+/** Accesses that warm the caches, then accesses measured, per run. */
+constexpr uint64_t kWarmupAccesses = 100'000;
+constexpr uint64_t kMeasuredAccesses = 400'000;
+
+/** Seed of the visit-order shuffles and of line_sampler's draws. */
+constexpr uint64_t kSeed = 1;
 
 /**
  * Generates the interleaved pointer-chase access stream one address at a
@@ -18,11 +36,12 @@ namespace {
 class ChaseStream
 {
   public:
-    explicit ChaseStream(const ChaseConfig &cfg) : cfg_(cfg), rng_(cfg.seed)
+    explicit ChaseStream(const ChaseConfig &cfg) : cfg_(cfg), rng_(kSeed)
     {
         TQ_CHECK(cfg.array_bytes >= 64);
         const size_t lines = cfg.array_bytes / 64;
-        const int n = cfg.arrays();
+        // Arrays this core rotates over.
+        const int n = cfg.centralized ? kCores * kJobsPerCore : kJobsPerCore;
         orders_.resize(static_cast<size_t>(n));
         positions_.assign(static_cast<size_t>(n), 0);
         for (int a = 0; a < n; ++a) {
@@ -37,7 +56,8 @@ class ChaseStream
                 std::swap(order[i], order[j]);
             }
         }
-        per_quantum_ = cfg.accesses_per_quantum();
+        const double x = cfg.quantum / kEstAccessNs;
+        per_quantum_ = x < 1 ? 1 : static_cast<uint64_t>(x);
     }
 
     /** Next address of the stream. */
@@ -82,26 +102,26 @@ ChaseResult
 run_chase(const ChaseConfig &cfg)
 {
     ChaseStream stream(cfg);
-    CacheHierarchy caches(cfg.latencies);
+    CacheHierarchy caches;
 
-    for (uint64_t i = 0; i < cfg.warmup_accesses; ++i)
+    for (uint64_t i = 0; i < kWarmupAccesses; ++i)
         caches.access(stream.next());
 
     const uint64_t l1_miss0 = caches.l1().misses();
     const uint64_t l2_miss0 = caches.l2().misses();
     double total_ns = 0;
-    for (uint64_t i = 0; i < cfg.measured_accesses; ++i)
+    for (uint64_t i = 0; i < kMeasuredAccesses; ++i)
         total_ns += caches.access(stream.next());
 
     ChaseResult r;
-    r.accesses = cfg.measured_accesses;
-    r.avg_latency_ns = total_ns / static_cast<double>(cfg.measured_accesses);
+    r.accesses = kMeasuredAccesses;
+    r.avg_latency_ns = total_ns / static_cast<double>(kMeasuredAccesses);
     r.l1_miss_rate =
         static_cast<double>(caches.l1().misses() - l1_miss0) /
-        static_cast<double>(cfg.measured_accesses);
+        static_cast<double>(kMeasuredAccesses);
     r.l2_miss_rate =
         static_cast<double>(caches.l2().misses() - l2_miss0) /
-        static_cast<double>(cfg.measured_accesses);
+        static_cast<double>(kMeasuredAccesses);
     return r;
 }
 

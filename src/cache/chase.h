@@ -7,11 +7,11 @@
  * Methodology mirrors section 5.5.1: each core runs X pointer-chase
  * accesses of an array per quantum (X sized to the target quantum), then
  * switches to the next array, resuming each array's saved progress. TLS
- * cores cycle over their own jobs_per_core arrays; CT cores cycle over
- * all num_cores x jobs_per_core arrays (a job's quanta visit every
- * core). Because the cores are symmetric, one core's private cache
- * hierarchy is simulated and its average access latency reported —
- * Figures 13 and 14 plot exactly this quantity.
+ * cores cycle over their own J = 4 arrays; CT cores cycle over all
+ * C x J = 16 x 4 arrays (a job's quanta visit every core). Because the
+ * cores are symmetric, one core's private cache hierarchy is simulated
+ * and its average access latency reported — Figures 13 and 14 plot
+ * exactly this quantity.
  */
 #ifndef TQ_CACHE_CHASE_H
 #define TQ_CACHE_CHASE_H
@@ -19,31 +19,19 @@
 #include <cstdint>
 #include <functional>
 
-#include "cache/cache_sim.h"
 #include "cache/reuse.h"
 #include "common/rng.h"
 #include "common/units.h"
 
 namespace tq::cache {
 
-/** Configuration of one pointer-chase run. */
+/** Configuration of one pointer-chase run, against the default
+ *  CacheLatencies. */
 struct ChaseConfig
 {
     size_t array_bytes = 64 * 1024; ///< per-job array size (1KB..1MB)
-    int jobs_per_core = 4;          ///< concurrent jobs per core
-    int num_cores = 16;             ///< cluster size (CT rotation width)
     bool centralized = false;       ///< CT (true) vs TLS (false)
     SimNanos quantum = us(2);
-
-    /** Assumed per-access time used to size X = quantum / est_access_ns,
-     *  matching the paper's "X is set to match the target quantum". */
-    double est_access_ns = 10.0;
-
-    uint64_t warmup_accesses = 100'000;
-    uint64_t measured_accesses = 400'000;
-    uint64_t seed = 1;
-
-    CacheLatencies latencies;
 
     /**
      * Optional skewed-access hook: when set, each access to the current
@@ -55,21 +43,6 @@ struct ChaseConfig
      * cache layer itself stays independent of workloads/.
      */
     std::function<uint64_t(Rng &)> line_sampler;
-
-    /** Arrays this core rotates over. */
-    int
-    arrays() const
-    {
-        return centralized ? num_cores * jobs_per_core : jobs_per_core;
-    }
-
-    /** Pointer-chase accesses per quantum. */
-    uint64_t
-    accesses_per_quantum() const
-    {
-        const double x = quantum / est_access_ns;
-        return x < 1 ? 1 : static_cast<uint64_t>(x);
-    }
 };
 
 /** Measurements of one pointer-chase run. */

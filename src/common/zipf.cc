@@ -96,35 +96,4 @@ Zipf::pmf(uint64_t rank) const
     return h(static_cast<double>(rank + 1)) / norm;
 }
 
-ZipfKeyDist::ZipfKeyDist(uint64_t num_keys, double s, uint64_t hot_keys,
-                         SimNanos hot_demand, SimNanos cold_demand)
-    : zipf_(num_keys, s), hot_keys_(hot_keys), hot_demand_(hot_demand),
-      cold_demand_(cold_demand), names_({"HOT", "COLD"})
-{
-    TQ_CHECK(hot_keys_ >= 1 && hot_keys_ <= num_keys);
-    TQ_CHECK(hot_demand_ > 0 && cold_demand_ > 0);
-    // One smallest-first pass builds both the normalization and the
-    // hot-prefix mass (pmf() per rank would rescan the tail each time).
-    double norm = 0;
-    double hot = 0;
-    for (uint64_t k = num_keys; k >= 1; --k) {
-        const double w = std::exp(-s * std::log(static_cast<double>(k)));
-        norm += w;
-        if (k <= hot_keys_)
-            hot += w;
-    }
-    hot_fraction_ = hot / norm;
-    mean_ = hot_fraction_ * hot_demand_ +
-            (1.0 - hot_fraction_) * cold_demand_;
-}
-
-ServiceSample
-ZipfKeyDist::sample(Rng &rng) const
-{
-    const uint64_t rank = zipf_.sample(rng);
-    if (rank < hot_keys_)
-        return {hot_demand_, 0};
-    return {cold_demand_, 1};
-}
-
 } // namespace tq

@@ -15,10 +15,7 @@
 #define TQ_COMMON_ZIPF_H
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "common/dist.h"
 #include "common/rng.h"
 
 namespace tq {
@@ -60,39 +57,6 @@ class Zipf
     double h_integral_x1_;
     double h_integral_n_;
     double threshold_;
-};
-
-/**
- * The simulator-side analogue of Zipf hot-key skew: a two-class
- * ServiceDist where requests hitting one of the `hot_keys` hottest
- * ranks are cheap (cache-resident) and the rest are expensive
- * (cache-miss / disk path). Lets `tq::sim` sweeps cover skewed MiniKV
- * traffic with the same knobs the real-runtime scenario uses.
- */
-class ZipfKeyDist final : public ServiceDist
-{
-  public:
-    ZipfKeyDist(uint64_t num_keys, double s, uint64_t hot_keys,
-                SimNanos hot_demand, SimNanos cold_demand);
-
-    ServiceSample sample(Rng &rng) const override;
-    SimNanos mean() const override { return mean_; }
-    const std::vector<std::string> &class_names() const override
-    {
-        return names_;
-    }
-
-    /** Probability mass on the hot ranks (exact, from the pmf). */
-    double hot_fraction() const { return hot_fraction_; }
-
-  private:
-    Zipf zipf_;
-    uint64_t hot_keys_;
-    SimNanos hot_demand_;
-    SimNanos cold_demand_;
-    double hot_fraction_;
-    SimNanos mean_;
-    std::vector<std::string> names_;
 };
 
 } // namespace tq

@@ -8,6 +8,16 @@ namespace tq::compiler {
 
 namespace {
 
+/**
+ * Cycles-per-instruction ratio CI uses to translate the quantum into an
+ * instruction budget (profiled or assumed; the translation is the
+ * fundamental inaccuracy of counter-based probing).
+ */
+constexpr double kCiAssumedCpi = 1.2;
+
+/** Abort runaway programs after this many real instructions. */
+constexpr uint64_t kMaxInstrs = 200'000'000;
+
 /** One activation record of the interpreter. */
 struct Frame
 {
@@ -30,7 +40,7 @@ execute(const Module &m, const ExecConfig &cfg)
     Rng rng(cfg.seed);
     const CostModel &cm = cfg.cost;
 
-    const double target_icount = cfg.quantum_cycles / cfg.ci_assumed_cpi;
+    const double target_icount = cfg.quantum_cycles / kCiAssumedCpi;
 
     double last_yield = 0;       // total_cycles at the previous yield
     double ci_counter = 0;       // CI instruction counter
@@ -70,7 +80,7 @@ execute(const Module &m, const ExecConfig &cfg)
         const Function &fn = m.functions[static_cast<size_t>(f.fn)];
         const Block &blk = fn.blocks[static_cast<size_t>(f.block)];
 
-        if (r.real_instrs > cfg.max_instrs)
+        if (r.real_instrs > kMaxInstrs)
             tq::fatal("execute: instruction budget exceeded (runaway IR?)");
 
         if (f.instr < blk.instrs.size()) {

@@ -38,17 +38,7 @@ struct ExecConfig
     /** Target quantum in cycles (e.g. 2us * 2.1 GHz = 4200). */
     double quantum_cycles = 4200;
 
-    /**
-     * Cycles-per-instruction ratio CI uses to translate the quantum into
-     * an instruction budget (profiled or assumed; the translation is the
-     * fundamental inaccuracy of counter-based probing).
-     */
-    double ci_assumed_cpi = 1.2;
-
     uint64_t seed = 1;
-
-    /** Abort runaway programs after this many real instructions. */
-    uint64_t max_instrs = 200'000'000;
 };
 
 /** Measurements from one execution. */

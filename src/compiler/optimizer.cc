@@ -6,10 +6,14 @@
 #include <tuple>
 
 #include "compiler/cfg.h"
+#include "compiler/verifier.h"
 
 namespace tq::compiler {
 
 namespace {
+
+/** Max delete+hoist rounds (each round re-ranks candidates). */
+constexpr int kMaxRounds = 8;
 
 /** The proven stretch this function contributes to the module bound:
  *  its internal window, plus — for the entry function — the leading /
@@ -63,7 +67,6 @@ hoist_order(const Candidate &x, const Candidate &y)
 struct Optimizer
 {
     Module &m;
-    const OptimizerConfig &cfg;
     OptimizerResult &res;
     ModuleVerifier mv;
     std::vector<Cfg> cfgs;
@@ -71,8 +74,7 @@ struct Optimizer
     /** Tightest bound proven so far; gates descent-mode acceptance. */
     uint64_t best = 0;
 
-    Optimizer(Module &mod, const OptimizerConfig &c, OptimizerResult &r)
-        : m(mod), cfg(c), res(r), mv(mod, c.verify)
+    Optimizer(Module &mod, OptimizerResult &r) : m(mod), res(r), mv(mod)
     {
         cfgs.reserve(m.functions.size());
         for (const auto &fn : m.functions)
@@ -338,7 +340,7 @@ optimize_placement(Module &m, const OptimizerConfig &cfg)
     res.initial_probes = m.probe_count();
     res.final_probes = res.initial_probes;
 
-    Optimizer opt(m, cfg, res);
+    Optimizer opt(m, res);
     const VerifyResult &vr0 = opt.mv.result();
     res.initial_bound = vr0.max_stretch;
     res.final_bound = vr0.max_stretch;
@@ -359,12 +361,11 @@ optimize_placement(Module &m, const OptimizerConfig &cfg)
     if (descending)
         saved = m;
 
-    for (int round = 0; round < cfg.max_rounds; ++round) {
+    for (int round = 0; round < kMaxRounds; ++round) {
         bool progress = false;
         if (cfg.enable_delete)
             progress |= opt.delete_pass();
-        if (cfg.enable_hoist)
-            progress |= opt.hoist_pass();
+        progress |= opt.hoist_pass();
         ++res.rounds;
         if (!progress)
             break;

@@ -36,7 +36,8 @@
  * O(moves x touched-SCCs), not O(moves x whole-module).
  *
  * Both move kinds strictly reduce (probe count, total loop depth of
- * probe sites), so rounds terminate; max_rounds is a safety valve.
+ * probe sites), so rounds terminate; a cap of 8 delete+hoist rounds
+ * (each re-ranks candidates) is a safety valve.
  */
 #ifndef TQ_COMPILER_OPTIMIZER_H
 #define TQ_COMPILER_OPTIMIZER_H
@@ -45,7 +46,6 @@
 #include <vector>
 
 #include "compiler/ir.h"
-#include "compiler/verifier.h"
 
 namespace tq::compiler {
 
@@ -79,15 +79,9 @@ struct OptimizerConfig
      *  reports ok = false. */
     uint64_t target_bound = 0;
 
+    /** Run the delete pass (hoisting always runs); off isolates the
+     *  hoist move. */
     bool enable_delete = true;
-    bool enable_hoist = true;
-
-    /** Max delete+hoist rounds (each round re-ranks candidates). */
-    int max_rounds = 8;
-
-    /** Verifier configuration (ialu_cycles must match the executor's
-     *  cost model for external-call weights to line up). */
-    VerifyConfig verify;
 };
 
 struct OptimizerResult

@@ -6,6 +6,7 @@
 #include <deque>
 
 #include "compiler/cfg.h"
+#include "compiler/cost_model.h"
 
 namespace tq::compiler {
 
@@ -172,12 +173,12 @@ summary_equal(const FunctionStretch &x, const FunctionStretch &y)
            x.through == y.through && x.internal == y.internal;
 }
 
-/** Executor stretch charge for an external call, in instructions. */
+/** Executor stretch charge for an external call, in instructions:
+ *  ext_cost converted at the default CostModel's cycles per IAlu. */
 uint64_t
-ext_call_weight(const Instr &ins, const VerifyConfig &cfg)
+ext_call_weight(const Instr &ins)
 {
-    const double instrs =
-        cfg.ialu_cycles > 0 ? ins.ext_cost / cfg.ialu_cycles : 0;
+    const double instrs = ins.ext_cost / CostModel{}.ialu;
     return sat_add(1, instrs <= 0 ? 0 : static_cast<uint64_t>(instrs));
 }
 
@@ -211,11 +212,10 @@ class FnAnalyzer
 {
   public:
     FnAnalyzer(const Module &m, int fn_idx, const Cfg &cfg,
-               const VerifyConfig &vcfg,
                const std::vector<FunctionStretch> &summaries,
                bool report_unbounded, std::vector<Diag> &diags)
         : fn_(m.functions[static_cast<size_t>(fn_idx)]), fn_idx_(fn_idx),
-          cfg_(cfg), vcfg_(vcfg), sums_(summaries),
+          cfg_(cfg), sums_(summaries),
           report_unbounded_(report_unbounded), diags_(diags)
     {
     }
@@ -247,7 +247,6 @@ class FnAnalyzer
     const Function &fn_;
     int fn_idx_;
     const Cfg &cfg_;
-    const VerifyConfig &vcfg_;
     const std::vector<FunctionStretch> &sums_;
     bool report_unbounded_;
     std::vector<Diag> &diags_;
@@ -340,7 +339,7 @@ FnAnalyzer::walk_block(int bidx, Flow f)
             }
             f = nf;
         } else if (ins.op == Op::Call) {
-            const uint64_t w = ext_call_weight(ins, vcfg_);
+            const uint64_t w = ext_call_weight(ins);
             f.a = eadd(f.a, w);
             f.b = eadd(f.b, w);
         } else {
@@ -1015,7 +1014,7 @@ struct ModuleVerifier::Impl
         const size_t f = static_cast<size_t>(fi);
         if (bad[f])
             return top_summary();
-        return FnAnalyzer(m, fi, cfgs[f], cfg, res.functions,
+        return FnAnalyzer(m, fi, cfgs[f], res.functions,
                           reach[f] && instrumented, diags)
             .run();
     }

@@ -51,7 +51,6 @@
 #include <string>
 #include <vector>
 
-#include "compiler/cost_model.h"
 #include "compiler/ir.h"
 
 namespace tq::compiler {
@@ -138,10 +137,6 @@ struct FunctionStretch
 
 struct VerifyConfig
 {
-    /** Cycles per IAlu instruction: converts Instr::ext_cost into the
-     *  executor's instruction-equivalent stretch charge. */
-    double ialu_cycles = CostModel{}.ialu;
-
     /** When nonzero: fail verification (ok = false, with a diagnostic)
      *  if the proven bound exceeds this many instructions. */
     uint64_t fail_above = 0;

@@ -29,6 +29,12 @@ enum class WorkPolicy {
  *  four or more and uses eight (section 5.1). */
 inline constexpr int kTasksPerWorker = 8;
 
+/** stop()'s graceful-drain budget in seconds: how long queued and
+ *  in-flight jobs may finish before stop() escalates to a forced stop
+ *  that abandons leftovers (counted; DESIGN.md "Lifecycle & shutdown").
+ *  A caller that wants another deadline calls drain(deadline_sec). */
+inline constexpr double kStopDeadlineSec = 1.0;
+
 /**
  * Dispatcher RX batch size: the dispatcher pops up to this many
  * requests per poll and refreshes its JSQ view of the workers' counter
@@ -95,23 +101,6 @@ struct RuntimeConfig
     /** Dispatch RNG seed: the JsqRandom, Random and PowerOfTwo picks
      *  draw from it. */
     uint64_t seed = 1;
-
-    /**
-     * stop()'s graceful-drain budget in seconds: how long stop() lets
-     * queued and in-flight jobs finish before escalating to a forced
-     * stop that abandons leftovers (counted; see DESIGN.md "Lifecycle &
-     * shutdown"). drain() takes its own deadline and ignores this.
-     */
-    double stop_deadline_sec = 1.0;
-
-    /**
-     * Bounded-backpressure overflow policy for the dispatcher->worker
-     * and worker->TX ring pushes. 0 (default): spin until the ring
-     * drains or a forced stop begins — never drop while running. N > 0:
-     * after N yield-spins the push gives up and the job/response is
-     * dropped and counted (abandoned_jobs / dropped_responses).
-     */
-    size_t push_spin_limit = 0;
 };
 
 } // namespace tq::runtime

@@ -26,7 +26,6 @@
 #define TQ_RUNTIME_LIFECYCLE_H
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <thread>
 
@@ -122,29 +121,26 @@ static_assert(sizeof(LifecycleControl) == kCacheLineSize &&
               "the polled lifecycle block must own exactly one line");
 
 /**
- * Bounded backpressure for a push that found @p ring full: yield and
- * retry, counting each spin in @p spins, until the push succeeds
- * (true), or until a forced stop begins or @p spin_limit spins
- * (0 = no limit) have passed, when @p item is dropped and counted in
- * @p drops (false). So a consumer that stops draining can never wedge
- * the producer, or shutdown, forever. The dispatcher's worker-ring push
- * and the worker's TX push share it. Out of line and cold: its counters
- * are read-modify-writes, which must stay off the per-job functions
- * (tools/check_hot_locks.py).
+ * Backpressure for a push that found @p ring full: yield and retry,
+ * counting each spin in @p spins, until the push succeeds (true) or a
+ * forced stop begins, when @p item is dropped and counted in @p drops
+ * (false). A full ring only ever waits while the runtime runs, as on
+ * the paper's busy-polled cores; the forced-stop exit means a consumer
+ * that stops draining can never wedge the producer, or shutdown,
+ * forever. The dispatcher's worker-ring push and the worker's TX push
+ * share it. Out of line and cold: its counters are read-modify-writes,
+ * which must stay off the per-job functions (tools/check_hot_locks.py).
  */
 template <typename Ring, typename T>
 [[gnu::cold, gnu::noinline]] bool
 push_bounded(Ring &ring, const T &item, const LifecycleControl &lc,
-             size_t spin_limit, std::atomic<uint64_t> &spins,
-             std::atomic<uint64_t> &drops)
+             std::atomic<uint64_t> &spins, std::atomic<uint64_t> &drops)
 {
-    size_t n = 0;
     do {
-        if (lc.force_stop() || (spin_limit != 0 && n >= spin_limit)) {
+        if (lc.force_stop()) {
             drops.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
-        ++n;
         spins.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::yield();
     } while (!ring.push(item));

@@ -77,7 +77,7 @@ Runtime::start()
 void
 Runtime::stop()
 {
-    (void)drain(cfg_.stop_deadline_sec);
+    (void)drain(kStopDeadlineSec);
 }
 
 bool
@@ -301,8 +301,7 @@ Runtime::push_request(int target, const Request &req)
     TQ_FAULT_SITE(DispatcherPush);
     auto &ring = workers_[static_cast<size_t>(target)]->dispatch_ring();
     return ring.push(req) ||
-           push_bounded(ring, req, lc_, cfg_.push_spin_limit,
-                        disp_->counters.full_spins,
+           push_bounded(ring, req, lc_, disp_->counters.full_spins,
                         disp_->counters.abandoned);
 }
 

@@ -19,10 +19,11 @@
  * Lifecycle (runtime/lifecycle.h; DESIGN.md "Lifecycle & shutdown"):
  * the runtime moves Created -> Running -> Draining -> Stopping ->
  * Stopped. drain() finishes queued and in-flight work within a
- * deadline; stop() is drain() with the configured deadline, after which
- * leftovers are abandoned (counted) and blocked ring pushes drop
- * (counted). Both are idempotent and safe to call from any thread. The
- * dispatcher sets lifecycle dispatcher_done when it exits.
+ * deadline; stop() is drain(kStopDeadlineSec). Past the deadline the
+ * stop is forced: leftovers are abandoned (counted) and blocked ring
+ * pushes drop (counted); while running, a full ring only waits. Both
+ * are idempotent and safe to call from any thread. The dispatcher sets
+ * lifecycle dispatcher_done when it exits.
  *
  * The reference host is a 4-vCPU VM: a client, the dispatcher and more
  * than two workers outnumber its cores and timeshare them, so absolute
@@ -62,7 +63,7 @@ struct alignas(kCacheLineSize) DispatcherCounters
     /** Worker-ring-full spin iterations (backpressure gauge). */
     std::atomic<uint64_t> full_spins{0};
 
-    /** Jobs dropped by overflow policy or left queued at a forced stop. */
+    /** Jobs dropped or left queued when a drain gave up on them. */
     std::atomic<uint64_t> abandoned{0};
 
     char pad[kCacheLineSize - 2 * sizeof(std::atomic<uint64_t>)];
@@ -150,9 +151,8 @@ class Runtime
     void start();
 
     /**
-     * Quiesce then join with the configured deadline: equivalent to
-     * drain(config().stop_deadline_sec) with the result ignored.
-     * Idempotent and thread-safe.
+     * Quiesce then join: drain(kStopDeadlineSec) with the result
+     * ignored. Idempotent and thread-safe.
      */
     void stop();
 
@@ -197,12 +197,15 @@ class Runtime
      *  per-worker assigned counts (relaxed loads). */
     uint64_t dispatched() const;
 
-    /** Jobs accepted but never finished: dropped by the dispatcher's
-     *  overflow policy, still queued at a forced stop, or admitted to a
-     *  worker and abandoned there. */
+    /** Jobs accepted but never finished, counted only when a drain
+     *  gives up on them (a forced stop, or a drain of a runtime never
+     *  started): dropped by a dispatcher push blocked on a full worker
+     *  ring, still queued, or admitted to a worker and abandoned
+     *  there. */
     uint64_t abandoned_jobs() const;
 
-    /** Responses dropped by the workers' TX overflow policy. */
+    /** Responses dropped by a worker's TX push that was still blocked
+     *  on a full TX ring when a forced stop began. */
     uint64_t dropped_responses() const;
 
     /** Worker TX-ring-full spin iterations (backpressure gauge). */

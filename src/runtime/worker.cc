@@ -148,8 +148,8 @@ Worker::push_response(const Response &resp)
     // Response leaves directly from the worker (paper section 3.2).
     TQ_FAULT_SITE(WorkerComplete);
     return tx_ring_.push(resp) ||
-           push_bounded(tx_ring_, resp, *lc_, cfg_.push_spin_limit,
-                        tx_full_spins_, dropped_responses_);
+           push_bounded(tx_ring_, resp, *lc_, tx_full_spins_,
+                        dropped_responses_);
 }
 
 void

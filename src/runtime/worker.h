@@ -86,8 +86,9 @@ class Worker
         return tx_full_spins_.load(std::memory_order_relaxed);
     }
 
-    /** Responses dropped by the overflow policy (force-stop with a full
-     *  TX ring, or a push that exceeded cfg.push_spin_limit). */
+    /** Responses dropped because a forced stop began while their TX
+     *  push was blocked on a full TX ring (the only drop: while running,
+     *  a full ring only waits). */
     uint64_t
     dropped_responses() const
     {

@@ -3,10 +3,12 @@
  * Per-operation cost constants for the cluster simulators.
  *
  * The simulators reproduce queueing behaviour; these constants inject the
- * mechanism costs. The TQ-side values are measured from the *real*
- * mechanisms in this repository (bench/micro_mechanisms); the
- * Shinjuku/Caladan-side values come from the paper's characterization of
- * those systems (sections 1, 5.1, 5.6, 6, 7).
+ * mechanism costs. Of the TQ-side values, switch_overhead = 40 and
+ * response_cost = 20 are set by hand, and dispatch_cost = 28 comes from
+ * the 2026-08-07 run of bench/misc_dispatcher_throughput (ROADMAP
+ * "Sim constants from measurements"). The Shinjuku/Caladan-side values
+ * come from the paper's characterization of those systems (sections 1,
+ * 5.1, 5.6, 6, 7).
  */
 #ifndef TQ_SIM_OVERHEADS_H
 #define TQ_SIM_OVERHEADS_H

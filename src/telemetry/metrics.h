@@ -185,9 +185,10 @@ struct MetricsSnapshot
     // OBSERVABILITY.md section 1.4.
     uint64_t tx_ring_full_spins = 0;       ///< worker TX push spin waits
     uint64_t dispatch_ring_full_spins = 0; ///< dispatcher push spin waits
-    uint64_t dropped_responses = 0;        ///< TX overflow-policy drops
-    uint64_t abandoned_jobs = 0;           ///< jobs never finished (forced
-                                           ///< stop or dispatch overflow)
+    uint64_t dropped_responses = 0;        ///< TX pushes dropped at a
+                                           ///< forced stop
+    uint64_t abandoned_jobs = 0;           ///< jobs a drain gave up on
+                                           ///< (never finished)
 
     StageStats dispatch; ///< RX arrival -> handed to a worker
     StageStats queueing; ///< handed to a worker -> first quantum

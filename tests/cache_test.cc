@@ -190,7 +190,7 @@ TEST(Chase, SmallArraysFitL1RegardlessOfQuantum)
     for (double q_us : {0.5, 2.0, 16.0}) {
         cfg.quantum = us(q_us);
         const ChaseResult r = run_chase(cfg);
-        EXPECT_LT(r.avg_latency_ns, cfg.latencies.l1_hit * 1.2)
+        EXPECT_LT(r.avg_latency_ns, CacheLatencies{}.l1_hit * 1.2)
             << "quantum " << q_us << "us";
     }
 }

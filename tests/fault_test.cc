@@ -1,7 +1,7 @@
 /**
  * @file
  * Fault-injection tests: stop()/drain() must terminate — within the
- * configured deadline, with honest accounting — under every fault the
+ * drain deadline, with honest accounting — under every fault the
  * injector can arm (stalled collector, frozen stages, ring-full bursts,
  * randomized yields).
  *
@@ -87,7 +87,7 @@ TEST(FaultInjectorLogic, SiteNamesAreDistinct)
 }
 
 // A collector that never drains the TX rings must not wedge shutdown:
-// stop() returns within its deadline and every accepted job is either
+// drain() returns at its deadline and every accepted job is either
 // delivered, dropped (counted), or abandoned (counted). Runs in every
 // build — the fault here is the test simply not collecting.
 TEST_F(FaultTest, StalledCollectorStopTerminates)
@@ -96,7 +96,6 @@ TEST_F(FaultTest, StalledCollectorStopTerminates)
     cfg.num_workers = 2;
     cfg.ring_capacity = 8;
     cfg.work = runtime::WorkPolicy::Fcfs;
-    cfg.stop_deadline_sec = 0.3;
     runtime::Runtime rt(cfg, [](const runtime::Request &req) {
         return req.payload;
     });
@@ -115,7 +114,7 @@ TEST_F(FaultTest, StalledCollectorStopTerminates)
     ASSERT_GT(accepted, 8u);
 
     const auto t0 = std::chrono::steady_clock::now();
-    rt.stop();
+    rt.drain(/*deadline_sec=*/0.3);
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -141,7 +140,6 @@ TEST_F(FaultTest, FrozenWorkerStopWithinDeadline)
     runtime::RuntimeConfig cfg;
     cfg.num_workers = 1;
     cfg.work = runtime::WorkPolicy::Fcfs;
-    cfg.stop_deadline_sec = 0.3;
     runtime::Runtime rt(cfg, [](const runtime::Request &req) {
         return req.payload;
     });
@@ -224,8 +222,9 @@ TEST_F(FaultTest, StalledWorkerDrainStillCompletes)
 }
 
 // Ring-full burst: a heavy per-completion stall backs up the tiny TX
-// ring while the dispatcher keeps pushing. With a spin limit armed the
-// overflow becomes counted drops, never an unbounded block.
+// ring while the dispatcher keeps pushing. The blocked pushes wait
+// until the forced stop, then become counted drops: never an unbounded
+// block.
 TEST_F(FaultTest, RingFullBurstDropsAreBoundedAndCounted)
 {
     if (!fault::kEnabled)
@@ -236,9 +235,7 @@ TEST_F(FaultTest, RingFullBurstDropsAreBoundedAndCounted)
     runtime::RuntimeConfig cfg;
     cfg.num_workers = 1;
     cfg.ring_capacity = 4;
-    cfg.push_spin_limit = 64;
     cfg.work = runtime::WorkPolicy::Fcfs;
-    cfg.stop_deadline_sec = 0.5;
     runtime::Runtime rt(cfg, [](const runtime::Request &req) {
         return req.payload;
     });
@@ -255,7 +252,7 @@ TEST_F(FaultTest, RingFullBurstDropsAreBoundedAndCounted)
         }
     }
     ASSERT_GT(accepted, 4u);
-    rt.stop();
+    rt.drain(/*deadline_sec=*/0.5);
     EXPECT_EQ(rt.lifecycle(), runtime::Lifecycle::Stopped);
 
     std::vector<runtime::Response> leftovers;
@@ -265,13 +262,11 @@ TEST_F(FaultTest, RingFullBurstDropsAreBoundedAndCounted)
               accepted);
 }
 
-// Regression (backpressure attribution): under a ring-full burst with a
-// live worker, every accepted job FINISHES — so the overflow must be
-// charged to dropped_responses (with the spin budget paid in
-// tx_ring_full_spins first), and abandoned_jobs must stay exactly zero.
-// The two counters partition distinct fates: a job is dropped only
-// after it ran, abandoned only if it never did; one job can never be
-// both.
+// Regression (backpressure attribution): a forced stop that finds the
+// worker blocked on its full TX ring charges each job to exactly one
+// fate. A job that ran is delivered or, when its push was still
+// blocked, dropped (dropped_responses); a job that never finished is
+// abandoned (abandoned_jobs). One job can never be both.
 TEST_F(FaultTest, RingFullBurstChargesDropsNotAbandons)
 {
     if (!fault::kEnabled)
@@ -282,19 +277,16 @@ TEST_F(FaultTest, RingFullBurstChargesDropsNotAbandons)
     runtime::RuntimeConfig cfg;
     cfg.num_workers = 1;
     cfg.ring_capacity = 4;
-    cfg.push_spin_limit = 64;
     cfg.work = runtime::WorkPolicy::Fcfs;
     runtime::Runtime rt(cfg, [](const runtime::Request &req) {
         return req.payload;
     });
     rt.start();
 
-    // Pace each submission on the runtime's progress: the next job goes
-    // in only once the worker has finished the previous one, so RX and
-    // the 4-slot dispatch ring never hold more than one job however slow
-    // the host is. The ONLY full ring is TX, which nobody collects.
+    // Nobody collects, so the worker fills the 4-slot TX ring and then
+    // waits on it; the jobs behind it back up in its tasks, its
+    // dispatch ring and RX.
     constexpr uint64_t kJobs = 32;
-    const std::atomic<uint64_t> &finished = rt.worker(0).stats_line().finished;
     uint64_t accepted = 0;
     for (uint64_t i = 0; i < kJobs; ++i) {
         for (int attempt = 0; attempt < 1000; ++attempt) {
@@ -304,29 +296,37 @@ TEST_F(FaultTest, RingFullBurstChargesDropsNotAbandons)
             }
             std::this_thread::yield();
         }
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(30);
-        while (finished.load(std::memory_order_relaxed) < accepted &&
-               std::chrono::steady_clock::now() < deadline)
-            std::this_thread::yield();
     }
-    ASSERT_EQ(accepted, kJobs);
+    // While running, a full ring only waits: however long the worker
+    // spins on it, nothing is dropped or abandoned before a forced stop.
+    constexpr uint64_t kSpins = 1000;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (rt.tx_ring_full_spins() < kSpins &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    ASSERT_GE(rt.tx_ring_full_spins(), kSpins) << "the worker never blocked";
+    EXPECT_EQ(rt.dropped_responses(), 0u);
+    EXPECT_EQ(rt.abandoned_jobs(), 0u);
+    // Blocked, the worker finishes nothing more until the forced stop,
+    // which adds the one job whose push it drops.
+    const std::atomic<uint64_t> &finished = rt.worker(0).stats_line().finished;
+    ASSERT_GT(accepted, finished.load() + 1)
+        << "some accepted jobs must be left unfinished";
 
-    // Clean drain (no forced stop): the worker finishes every job.
-    rt.drain(/*deadline_sec=*/30.0);
+    // Nothing drains the TX ring, so the deadline expires and the stop
+    // is forced.
+    EXPECT_FALSE(rt.drain(/*deadline_sec=*/0.2));
     EXPECT_EQ(rt.lifecycle(), runtime::Lifecycle::Stopped);
 
-    std::vector<runtime::Response> leftovers;
-    rt.drain_responses(leftovers);
-    // Disjoint attribution: finished jobs are delivered or dropped;
-    // nothing was abandoned, and the partition is exact.
-    EXPECT_EQ(rt.abandoned_jobs(), 0u);
-    EXPECT_EQ(leftovers.size() + rt.dropped_responses(), accepted);
-    // The 4-slot ring forces most completions into the drop path.
-    EXPECT_GE(rt.dropped_responses(), accepted - cfg.ring_capacity);
-    // Every running-phase drop paid its full spin budget first.
-    EXPECT_GE(rt.tx_ring_full_spins(),
-              cfg.push_spin_limit * rt.dropped_responses());
+    std::vector<runtime::Response> delivered;
+    rt.drain_responses(delivered);
+    // Disjoint attribution: finished jobs are delivered or dropped, the
+    // rest are abandoned, and the partition is exact.
+    EXPECT_EQ(finished.load(), delivered.size() + rt.dropped_responses());
+    EXPECT_EQ(rt.abandoned_jobs(), accepted - finished.load());
+    EXPECT_GT(rt.dropped_responses(), 0u);
+    EXPECT_GT(rt.abandoned_jobs(), 0u);
 }
 
 // Chaos under open-loop load: seeded yields at every fault site,

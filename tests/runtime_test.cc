@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <thread>
@@ -378,12 +379,11 @@ TEST(Lifecycle, StatesProgressAcrossStartAndStop)
 TEST(Lifecycle, StopWithUndrainedTxRingReturns)
 {
     // Regression: a client that stops draining responses must not wedge
-    // stop(). Small TX rings fill after a handful of jobs; the worker's
+    // shutdown. Small TX rings fill after a handful of jobs; the worker's
     // push loop must notice the forced stop and drop instead of spinning.
     RuntimeConfig cfg;
     cfg.num_workers = 1;
     cfg.ring_capacity = 4;
-    cfg.stop_deadline_sec = 0.2;
     Runtime rt(cfg, spin_handler());
     rt.start();
     // With 4-slot rings and no collector the whole pipeline backs up
@@ -402,9 +402,10 @@ TEST(Lifecycle, StopWithUndrainedTxRingReturns)
     ASSERT_GT(accepted, 4u) << "need enough jobs to fill the TX ring";
 
     const Cycles t0 = rdcycles();
-    rt.stop(); // nobody ever drains: must still return
+    // Nobody ever drains: must still return.
+    EXPECT_FALSE(rt.drain(/*deadline_sec=*/0.2));
     const double stop_sec = cycles_to_ns(rdcycles() - t0) / 1e9;
-    EXPECT_LT(stop_sec, 30.0) << "stop() must be bounded by its deadline";
+    EXPECT_LT(stop_sec, 30.0) << "drain() must be bounded by its deadline";
     EXPECT_EQ(rt.lifecycle(), Lifecycle::Stopped);
     // Every accepted job is accounted: response still in the TX ring,
     // response dropped at the full ring, or job abandoned by the forced
@@ -468,15 +469,14 @@ TEST(Lifecycle, DrainFinishesQueuedJobsBeforeJoining)
 
 TEST(Lifecycle, BatchedDispatchAccountsForEveryAcceptedJob)
 {
-    // The dispatcher now consumes RX in pop_n batches; a drain must
-    // still account for every accepted request exactly once:
-    // delivered + dropped + abandoned == accepted. Small rings and a
-    // finite push budget make all three outcomes reachable.
+    // The dispatcher consumes RX in pop_n batches; a drain must still
+    // account for every accepted request exactly once. Small rings make
+    // every push wait on a full ring at some point; while running a
+    // full ring only waits, so with a collector that keeps going
+    // through the drain every accepted job is delivered.
     RuntimeConfig cfg;
     cfg.num_workers = 2;
     cfg.ring_capacity = 8;
-    cfg.push_spin_limit = 200;
-    cfg.stop_deadline_sec = 5.0;
     Runtime rt(cfg, spin_handler());
     rt.start();
     uint64_t accepted = 0;
@@ -488,20 +488,31 @@ TEST(Lifecycle, BatchedDispatchAccountsForEveryAcceptedJob)
             rt.drain_responses(responses); // keep TX mostly drained
     }
     ASSERT_GT(accepted, 0u);
-    // Drops are a legitimate outcome here (a descheduled collector or
-    // worker exhausts the push budget), so drain()'s verdict is not
-    // asserted. A drain that stalls until its deadline still fails: it
-    // must finish well inside it.
+    // The workers block on the 8-slot TX rings until someone collects,
+    // so this thread keeps collecting while another runs the drain. A
+    // drain that stalls until its deadline still fails: it must finish
+    // well inside it.
     const auto drain_start = std::chrono::steady_clock::now();
-    rt.drain(/*deadline_sec=*/60.0);
+    std::atomic<bool> drained{false};
+    bool clean = false;
+    std::thread drainer([&] {
+        clean = rt.drain(/*deadline_sec=*/60.0);
+        drained.store(true, std::memory_order_release);
+    });
+    while (!drained.load(std::memory_order_acquire)) {
+        rt.drain_responses(responses);
+        std::this_thread::yield();
+    }
+    drainer.join();
     EXPECT_LT(std::chrono::steady_clock::now() - drain_start,
               std::chrono::seconds(30))
         << "drain ran into its deadline";
     rt.drain_responses(responses);
-    EXPECT_EQ(responses.size() + rt.dropped_responses() +
-                  rt.abandoned_jobs(),
-              accepted)
-        << "every accepted job must be delivered, dropped, or abandoned";
+    EXPECT_TRUE(clean);
+    EXPECT_EQ(rt.dropped_responses(), 0u);
+    EXPECT_EQ(rt.abandoned_jobs(), 0u);
+    EXPECT_EQ(responses.size(), accepted)
+        << "every accepted job must be delivered";
     EXPECT_EQ(rt.lifecycle(), Lifecycle::Stopped);
 }
 
@@ -532,7 +543,6 @@ TEST(Lifecycle, ForcedStopAccountsEveryJob)
     // ring, or admitted to a task).
     RuntimeConfig cfg;
     cfg.num_workers = 4;
-    cfg.stop_deadline_sec = 0.005;
     Runtime rt(cfg, spin_handler());
     rt.start();
     uint64_t accepted = 0;
@@ -550,43 +560,6 @@ TEST(Lifecycle, ForcedStopAccountsEveryJob)
         << "every accepted job must be delivered, dropped, or abandoned";
     EXPECT_GT(rt.abandoned_jobs(), 0u)
         << "100ms of queued spin cannot drain in 5ms";
-}
-
-TEST(Lifecycle, PushSpinLimitDropsInsteadOfBlocking)
-{
-    // Overflow policy: with a finite spin budget and a stalled collector,
-    // a full TX ring must produce counted drops while the runtime is
-    // still Running — not only at shutdown.
-    RuntimeConfig cfg;
-    cfg.num_workers = 1;
-    cfg.ring_capacity = 4;
-    cfg.push_spin_limit = 50;
-    cfg.stop_deadline_sec = 0.2;
-    Runtime rt(cfg, spin_handler());
-    rt.start();
-    constexpr uint64_t kJobs = 64;
-    for (uint64_t i = 0; i < kJobs; ++i)
-        while (!rt.submit(make_spin_request(i, 500)))
-            std::this_thread::yield();
-    // The bounded policy guarantees progress: every accepted job either
-    // finishes (response delivered or dropped at the full TX ring) or is
-    // dropped by the dispatcher once its push budget runs out. Nothing
-    // blocks forever.
-    const Cycles deadline = rdcycles() + ns_to_cycles(60e9);
-    const auto settled = [&] {
-        return rt.worker(0).stats_line().finished.load() +
-                   rt.abandoned_jobs() >=
-               kJobs;
-    };
-    while (!settled() && rdcycles() < deadline)
-        std::this_thread::yield();
-    EXPECT_EQ(rt.worker(0).stats_line().finished.load() +
-                  rt.abandoned_jobs(),
-              kJobs);
-    EXPECT_GT(rt.dropped_responses(), 0u);
-    EXPECT_GT(rt.tx_ring_full_spins(), 0u);
-    rt.stop();
-    EXPECT_EQ(rt.lifecycle(), Lifecycle::Stopped);
 }
 
 TEST(Runtime, PowerOfTwoWithSingleWorkerDegrades)

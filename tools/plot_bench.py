@@ -46,7 +46,11 @@ def cell_value(cell):
 
 
 def parse_tables(lines):
-    """Split bench output into (title, header, rows) tables."""
+    """Split bench output into (title, header, rows) tables.
+
+    A '##' line starts a new table and titles it; a single-'#' line
+    (a bench's banner, or a note) sets the title only while none is
+    set, so notes printed after a table never rename it."""
     tables = []
     title = ""
     header = None
@@ -65,7 +69,8 @@ def parse_tables(lines):
         if line.startswith("#"):
             if line.startswith("##"):
                 flush()
-            if not tables or line.startswith("##"):
+                title = ""
+            if not title:
                 title = line.lstrip("# ").strip()
             continue
         cells = line.split("\t")
