@@ -29,6 +29,7 @@
 #include "conc/spsc_ring.h"
 #include "coro/coroutine.h"
 #include "probe/probe.h"
+#include "runtime/request.h"
 #include "telemetry/telemetry.h"
 
 namespace {
@@ -108,9 +109,9 @@ BENCHMARK(BM_MpmcQueuePushPop);
 void
 BM_RingBatchPushPop(benchmark::State &state)
 {
-    // Batched SPSC transfer: push_n/pop_n move the whole batch with one
-    // index acquire/release pair each. Per-item cost vs the scalar
-    // BM_SpscRingPushPop is the batching win; Arg is the batch size
+    // Batched SPSC transfer: push_n moves the whole batch after one room
+    // check, pop_n with one consumer-index release. Per-item cost vs the
+    // scalar BM_SpscRingPushPop is the batching win; Arg is the batch size
     // (Arg 1 prices the batch-API overhead itself).
     const size_t k = static_cast<size_t>(state.range(0));
     SpscRing<uint64_t> ring(1024);
@@ -220,6 +221,20 @@ pin_to(int cpu)
     pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 }
 
+/** Reads the calling thread's CPU set into @p allowed and returns its
+ *  first two CPUs (fewer when it has fewer). */
+std::vector<int>
+first_two_cpus(cpu_set_t &allowed)
+{
+    CPU_ZERO(&allowed);
+    sched_getaffinity(0, sizeof(allowed), &allowed);
+    std::vector<int> cpus;
+    for (int c = 0; c < CPU_SETSIZE && cpus.size() < 2; ++c)
+        if (CPU_ISSET(c, &allowed))
+            cpus.push_back(c);
+    return cpus;
+}
+
 void
 BM_IncAfterPolledStore(benchmark::State &state)
 {
@@ -232,12 +247,7 @@ BM_IncAfterPolledStore(benchmark::State &state)
     // threads are pinned to distinct CPUs; the poller spins with the
     // runtime's pause.
     cpu_set_t allowed;
-    CPU_ZERO(&allowed);
-    sched_getaffinity(0, sizeof(allowed), &allowed);
-    std::vector<int> cpus;
-    for (int c = 0; c < CPU_SETSIZE && cpus.size() < 2; ++c)
-        if (CPU_ISSET(c, &allowed))
-            cpus.push_back(c);
+    const std::vector<int> cpus = first_two_cpus(allowed);
     if (cpus.size() < 2) {
         state.SkipWithError("needs two CPUs");
         return;
@@ -271,6 +281,61 @@ BM_IncAfterPolledStore(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IncAfterPolledStore)->ArgName("owner")->Arg(0)->Arg(1);
+
+void
+BM_SpscHandoff(benchmark::State &state)
+{
+    // One request/response round trip between two pinned threads over
+    // the runtime's two SPSC ring types: this thread pushes a Request
+    // (the dispatcher's hop), the echo thread pops it and pushes a
+    // Response (the worker's TX hop), and this thread pops that. Each
+    // hop is a cross-core hand-off on the ring's polled path, which the
+    // same-thread BM_SpscRingPushPop cannot see. Both poll with the
+    // runtime's pause. Time per iteration is one round trip.
+    cpu_set_t allowed;
+    const std::vector<int> cpus = first_two_cpus(allowed);
+    if (cpus.size() < 2) {
+        state.SkipWithError("needs two CPUs");
+        return;
+    }
+    SpscRing<runtime::Request> requests(64);
+    SpscRing<runtime::Response> responses(64);
+    std::atomic<bool> stop{false};
+    std::thread echo([&] {
+        pin_to(cpus[1]);
+        runtime::Request req;
+        while (!stop.load(std::memory_order_relaxed)) {
+            if (!requests.pop_into(req)) {
+                cpu_relax();
+                continue;
+            }
+            runtime::Response resp;
+            resp.id = req.id;
+            resp.gen_cycles = req.gen_cycles;
+            while (!responses.push(resp))
+                cpu_relax();
+        }
+    });
+    pin_to(cpus[0]);
+    runtime::Request req;
+    runtime::Response resp;
+    bool in_order = true;
+    for (auto _ : state) {
+        ++req.id;
+        while (!requests.push(req))
+            cpu_relax();
+        while (!responses.pop_into(resp))
+            cpu_relax();
+        in_order &= resp.id == req.id;
+    }
+    stop.store(true, std::memory_order_relaxed);
+    echo.join();
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+    if (!in_order)
+        state.SkipWithError("a response came back out of order");
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpscHandoff)->UseRealTime();
 
 void
 BM_TelemetryHistogramAdd(benchmark::State &state)

@@ -4,24 +4,38 @@
  *
  * This is the "lockless ring buffer" the TQ dispatcher uses to forward a
  * request to the least-loaded worker, and that each worker uses for its
- * private TX queue (paper section 4). It is a classic Lamport queue with
- * cached remote indices so the hot path touches only one shared cache
- * line per operation amortized. The batch APIs (push_n/pop_n) move up to
- * k items per index acquire/release pair, dividing that remaining shared
- * traffic by the batch size (DESIGN.md "Batched hot path").
+ * private TX queue (paper section 4). Each slot carries its own
+ * publication stamp, as in FastForward (Giacomoni et al., PPoPP 2008)
+ * and the MPMC queue's per-cell sequence, so the consumer polls the
+ * slot it will read instead of the producer's index: a hand-off costs
+ * one cross-core line transfer, not an index miss followed by a slot
+ * miss.
+ *
+ * Stamp protocol. Position p maps to slot p & mask. The producer fills
+ * the slot at `head` and then release-stores `stamp = head + 1`; the
+ * consumer acquire-loads the stamp of the slot at `tail` and takes the
+ * value only when it reads `tail + 1`. That pair orders the fill before
+ * the read. A slot still holding the previous lap's stamp
+ * (`tail + 1 - capacity`), or the initial 0, reads as empty. The
+ * consumer then release-stores `tail` once it has moved the value out;
+ * the producer acquire-loads `tail` only when its cached copy says the
+ * ring is full, which orders that move before the slot's refill.
+ * `head` is producer-private and never published, and the consumer
+ * never writes a slot. The batch APIs (push_n/pop_n) move up to k items
+ * per `tail` acquire/release, dividing the index traffic by the batch
+ * size (DESIGN.md "Batched hot path").
  *
  * Index layout (docs/cache_line_analysis.md): two lines, one per end.
- * Each end's published index shares its line with that same end's cached
- * snapshot of the *other* index — both fields have a single writer (the
- * owning end), so packing them costs nothing and halves the header from
- * the previous four dedicated lines. The other end only ever loads the
- * published index; the slot storage and mask sit on separate read-mostly
- * lines ahead of the index block.
+ * The producer's line holds `head` and its snapshot of `tail`, both
+ * producer-private; the consumer's line holds only the published
+ * `tail`. The slot storage and mask sit on separate read-mostly lines
+ * ahead of the index block.
  *
- * Slot layout: a slot of more than half a line (Request, Response) owns
- * its line, so the producer filling slot k+1 never writes the line the
- * consumer is draining out of slot k; smaller slots (trace events,
- * integers) stay packed (RingSlot in conc/cacheline.h).
+ * Slot layout: a slot (value plus stamp) of more than half a line
+ * (Request, Response: 56 bytes) owns its line, so the payload and its
+ * stamp arrive in one transfer and the producer filling slot k+1 never
+ * writes the line the consumer is draining out of slot k; smaller slots
+ * (trace events, integers) stay packed (RingSlot in conc/cacheline.h).
  */
 #ifndef TQ_CONC_SPSC_RING_H
 #define TQ_CONC_SPSC_RING_H
@@ -46,28 +60,32 @@ template <typename T>
 class SpscRing
 {
   public:
+    /** One slot: the payload and the stamp that publishes it. */
+    struct Slot
+    {
+        T value{};
+        std::atomic<size_t> stamp{0}; ///< position + 1 once published
+    };
+
     /**
-     * Producer-owned index line: the published producer index plus the
-     * producer's private snapshot of the consumer index. Single writer
-     * (the producer); the consumer acquire-loads only `head`.
+     * Producer-owned index line: the next position to fill and the
+     * producer's snapshot of the consumer index. Both are private to
+     * the producer; the consumer never loads this line.
      */
     struct alignas(kCacheLineSize) ProducerSide
     {
-        std::atomic<size_t> head{0}; ///< next slot to fill (published)
-        size_t cached_tail = 0;      ///< producer-local tail snapshot
+        size_t head = 0;        ///< next position to fill
+        size_t cached_tail = 0; ///< producer-local tail snapshot
 
-        char pad[kCacheLineSize - sizeof(std::atomic<size_t>) -
-                 sizeof(size_t)];
+        char pad[kCacheLineSize - 2 * sizeof(size_t)];
     };
 
-    /** Consumer-owned index line, mirror of ProducerSide. */
+    /** Consumer-owned index line: the published consumer index alone. */
     struct alignas(kCacheLineSize) ConsumerSide
     {
-        std::atomic<size_t> tail{0}; ///< next slot to drain (published)
-        size_t cached_head = 0;      ///< consumer-local head snapshot
+        std::atomic<size_t> tail{0}; ///< next position to drain (published)
 
-        char pad[kCacheLineSize - sizeof(std::atomic<size_t>) -
-                 sizeof(size_t)];
+        char pad[kCacheLineSize - sizeof(std::atomic<size_t>)];
     };
 
     static_assert(sizeof(ProducerSide) == kCacheLineSize &&
@@ -85,7 +103,7 @@ class SpscRing
         while (cap < min_capacity)
             cap <<= 1;
         mask_ = cap - 1;
-        slots_.resize(cap);
+        slots_ = RingStorage<Slot>(cap);
     }
 
     SpscRing(const SpscRing &) = delete;
@@ -116,23 +134,25 @@ class SpscRing
     bool
     push_with(Fill &&fill)
     {
-        const size_t head = prod_.head.load(std::memory_order_relaxed);
+        const size_t head = prod_.head;
         if (head - prod_.cached_tail > mask_) {
             prod_.cached_tail = cons_.tail.load(std::memory_order_acquire);
             if (head - prod_.cached_tail > mask_)
                 return false;
         }
-        fill(slots_[head & mask_].value);
-        prod_.head.store(head + 1, std::memory_order_release);
+        Slot &s = slot(head);
+        fill(s.value);
+        s.stamp.store(head + 1, std::memory_order_release);
+        prod_.head = head + 1;
         return true;
     }
 
     /**
      * Enqueue up to @p n values from @p src. Producer-side only.
      *
-     * One acquire of the consumer index and one release of the producer
-     * index cover the whole batch, so the per-item cost of the shared
-     * cache-line traffic is amortized by the batch size.
+     * One room check covers the whole batch (at most one acquire of the
+     * consumer index); each slot is published by its own stamp, so the
+     * consumer can take the first items while the rest are filled.
      *
      * @return number of values actually enqueued (0 when full); the
      *     first @c return values of @p src are moved from.
@@ -140,17 +160,19 @@ class SpscRing
     size_t
     push_n(T *src, size_t n)
     {
-        const size_t head = prod_.head.load(std::memory_order_relaxed);
+        const size_t head = prod_.head;
         size_t free = mask_ + 1 - (head - prod_.cached_tail);
         if (free < n) {
             prod_.cached_tail = cons_.tail.load(std::memory_order_acquire);
             free = mask_ + 1 - (head - prod_.cached_tail);
         }
         const size_t count = n < free ? n : free;
-        for (size_t i = 0; i < count; ++i)
-            slots_[(head + i) & mask_].value = std::move(src[i]);
-        if (count > 0)
-            prod_.head.store(head + count, std::memory_order_release);
+        for (size_t i = 0; i < count; ++i) {
+            Slot &s = slot(head + i);
+            s.value = std::move(src[i]);
+            s.stamp.store(head + i + 1, std::memory_order_release);
+        }
+        prod_.head = head + count;
         return count;
     }
 
@@ -162,12 +184,10 @@ class SpscRing
     pop()
     {
         const size_t tail = cons_.tail.load(std::memory_order_relaxed);
-        if (tail == cons_.cached_head) {
-            cons_.cached_head = prod_.head.load(std::memory_order_acquire);
-            if (tail == cons_.cached_head)
-                return std::nullopt;
-        }
-        T value = std::move(slots_[tail & mask_].value);
+        Slot &s = slot(tail);
+        if (s.stamp.load(std::memory_order_acquire) != tail + 1)
+            return std::nullopt;
+        T value = std::move(s.value);
         cons_.tail.store(tail + 1, std::memory_order_release);
         return value;
     }
@@ -182,12 +202,10 @@ class SpscRing
     pop_into(T &out)
     {
         const size_t tail = cons_.tail.load(std::memory_order_relaxed);
-        if (tail == cons_.cached_head) {
-            cons_.cached_head = prod_.head.load(std::memory_order_acquire);
-            if (tail == cons_.cached_head)
-                return false;
-        }
-        out = std::move(slots_[tail & mask_].value);
+        Slot &s = slot(tail);
+        if (s.stamp.load(std::memory_order_acquire) != tail + 1)
+            return false;
+        out = std::move(s.value);
         cons_.tail.store(tail + 1, std::memory_order_release);
         return true;
     }
@@ -195,10 +213,12 @@ class SpscRing
     /**
      * Dequeue up to @p max_n elements into @p dst. Consumer-side only.
      *
-     * Mirrors push_n(): one acquire of the producer index and one
-     * release of the consumer index per batch. @p dst is a pointer into
-     * a buffer or any output iterator, e.g. std::back_inserter to append
-     * to a vector's reserved capacity without value-initializing it.
+     * Takes slots while their stamps read published, then releases the
+     * consumer index once for the batch. The run cannot pass the slot at
+     * `tail` again: the producer refills it only after that release.
+     * @p dst is a pointer into a buffer or any output iterator, e.g.
+     * std::back_inserter to append to a vector's reserved capacity
+     * without value-initializing it.
      *
      * @return number of elements dequeued (0 when empty), FIFO order.
      */
@@ -207,37 +227,37 @@ class SpscRing
     pop_n(Out dst, size_t max_n)
     {
         const size_t tail = cons_.tail.load(std::memory_order_relaxed);
-        size_t avail = cons_.cached_head - tail;
-        if (avail < max_n) {
-            cons_.cached_head = prod_.head.load(std::memory_order_acquire);
-            avail = cons_.cached_head - tail;
+        size_t count = 0;
+        for (; count < max_n; ++count) {
+            Slot &s = slot(tail + count);
+            if (s.stamp.load(std::memory_order_acquire) != tail + count + 1)
+                break;
+            *dst++ = std::move(s.value);
         }
-        const size_t count = max_n < avail ? max_n : avail;
-        for (size_t i = 0; i < count; ++i)
-            *dst++ = std::move(slots_[(tail + i) & mask_].value);
         if (count > 0)
             cons_.tail.store(tail + count, std::memory_order_release);
         return count;
     }
 
-    /** Approximate occupancy; exact only when called by one of the ends. */
-    size_t
-    size() const
+    /** True when the next slot is unpublished. Consumer-side only. */
+    bool
+    empty() const
     {
-        return prod_.head.load(std::memory_order_acquire) -
-               cons_.tail.load(std::memory_order_acquire);
+        const size_t tail = cons_.tail.load(std::memory_order_relaxed);
+        return slots_[tail & mask_].value.stamp.load(
+                   std::memory_order_acquire) != tail + 1;
     }
-
-    /** True when size() == 0 at the time of the loads. */
-    bool empty() const { return size() == 0; }
 
   private:
     friend struct ::tq::LayoutAudit;
 
+    /** The slot that position @p pos maps to. */
+    Slot &slot(size_t pos) { return slots_[pos & mask_].value; }
+
     /** The slot array; a slot of more than half a line owns its line
      *  (RingSlot). The vector header is read-mostly after construction
      *  (both ends load, nobody stores). */
-    RingStorage<T> slots_;
+    RingStorage<Slot> slots_;
     size_t mask_;
 
     ProducerSide prod_; ///< writer: producer thread only

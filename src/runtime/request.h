@@ -34,8 +34,9 @@ struct Request
     uint64_t payload = 0;      ///< class-specific argument (key, ns, ...)
 };
 
-// Six words: a dispatch-ring slot is 48 bytes and an RX MPMC cell
-// (sequence + request) 56 (docs/cache_line_analysis.md).
+// Six words: a dispatch-ring slot (request + stamp) and an RX MPMC cell
+// (sequence + request) are both 56 bytes and own one line
+// (docs/cache_line_analysis.md).
 static_assert(sizeof(Request) == 48, "Request layout grew");
 
 /** One completed response, emitted directly by the worker. */
@@ -64,7 +65,8 @@ struct Response
     }
 };
 
-// Six words, like Request: a TX ring slot is 48 bytes.
+// Six words, like Request: a TX ring slot (response + stamp) is 56
+// bytes and owns one line.
 static_assert(sizeof(Response) == 48, "Response layout grew");
 
 } // namespace tq::runtime

@@ -156,25 +156,22 @@ Runtime::submit(const Request &req)
 size_t
 Runtime::drain_responses(std::vector<Response> &out)
 {
-    // Probe occupancy first so one reserve covers the burst: under a
-    // drain storm the collector used to reallocate log2(n) times while
-    // popping one response at a time. The probe is racy-low (workers
-    // keep pushing), so pop_n keeps collecting past it until a ring
-    // reads empty. pop_n appends into the reserved capacity, so no
-    // response is value-initialized only to be overwritten.
-    size_t expected = out.size();
-    for (const auto &w : workers_)
-        expected += w->tx_ring().size();
-    out.reserve(expected);
-
+    // Pop each TX ring in fixed chunks until one comes back short (the
+    // ring read empty). There is no occupancy probe: it would read every
+    // worker's index lines on every poll, while pop_n reads only the
+    // slots it takes. Each chunk lands in reserved capacity (grown
+    // geometrically), so no response is value-initialized only to be
+    // overwritten and no chunk reallocates half-way.
+    constexpr size_t kChunk = 32;
     const size_t before = out.size();
     for (auto &w : workers_) {
         auto &ring = w->tx_ring();
-        for (;;) {
-            const size_t want = std::max<size_t>(ring.size(), 1);
-            if (ring.pop_n(std::back_inserter(out), want) < want)
-                break; // ring drained (or a partial final batch)
-        }
+        size_t got;
+        do {
+            if (out.capacity() - out.size() < kChunk)
+                out.reserve(std::max(2 * out.capacity(), out.size() + kChunk));
+            got = ring.pop_n(std::back_inserter(out), kChunk);
+        } while (got == kChunk);
     }
     return out.size() - before;
 }

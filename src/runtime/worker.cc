@@ -54,8 +54,8 @@ Worker::poll_admissions()
 {
     // Pop each request straight into an idle task's slot, so admission
     // clears and copies no per-job buffer (tools/check_hot_locks.py).
-    // pop_into re-reads the producer index only when its cached copy
-    // runs out, so a burst still costs one shared-index acquire.
+    // pop_into polls the stamp of the slot it reads, so each request
+    // costs one line transfer and an empty ring one load of a slot line.
     while (!idle_.empty()) {
         Task *task = idle_.back();
         if (!dispatch_ring_.pop_into(task->req))

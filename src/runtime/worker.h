@@ -12,8 +12,8 @@
  * back to the scheduler.
  *
  * Admission pops each request straight into an idle task's slot
- * (SpscRing::pop_into; the consumer re-reads the producer index only
- * when its cached copy runs out). Each slice reads the cycle counter
+ * (SpscRing::pop_into; the consumer polls the slot's own stamp, never
+ * the dispatcher's index). Each slice reads the cycle counter
  * twice: the start arms the deadline, the end times the slice and
  * stamps a completion's done_cycles. Run-queue selection,
  * per-class budgets, deficit settlement and the starvation guard are
@@ -48,6 +48,11 @@ namespace tq::runtime {
 
 /** Application job handler; runs inside a task coroutine, probed. */
 using Handler = std::function<uint64_t(const Request &)>;
+
+static_assert(sizeof(SpscRing<Request>::Slot) <= kCacheLineSize &&
+                  sizeof(SpscRing<Response>::Slot) <= kCacheLineSize,
+              "a request or response slot, stamp included, must fit one "
+              "line so a hand-off is one line transfer");
 
 /** One worker core's scheduler and execution state. */
 class Worker

@@ -245,8 +245,9 @@ TEST(TqPass, SelfLoopUsesCloningGadget)
     run_tq_pass(m, cfg);
     for (const auto &b : m.entry().blocks)
         for (const auto &i : b.instrs)
-            if (i.probe == ProbeKind::TqLoopGuard)
+            if (i.probe == ProbeKind::TqLoopGuard) {
                 EXPECT_EQ(i.gadget, LoopGadget::Cloned);
+            }
 }
 
 TEST(TqPass, InductionVariablePreferredOverCounter)

@@ -241,6 +241,150 @@ TEST(SpscRing, TwoThreadScalarProducerBatchConsumer)
     EXPECT_TRUE(ring.empty());
 }
 
+TEST(SpscRing, PreviousLapStampReadsAsEmpty)
+{
+    // Capacity 2: each lap refills both slots, and once drained a slot
+    // still holds the stamp of the item just taken. Every pop flavour
+    // must read that stale stamp as empty, at both slot phases.
+    SpscRing<int> ring(2);
+    int next = 0;
+    int expect = 0;
+    const auto expect_empty = [&](int lap) {
+        EXPECT_TRUE(ring.empty()) << "lap " << lap;
+        EXPECT_FALSE(ring.pop().has_value()) << "lap " << lap;
+        int out = -1;
+        EXPECT_FALSE(ring.pop_into(out)) << "lap " << lap;
+        EXPECT_EQ(out, -1);
+        int dst[4] = {-1, -1, -1, -1};
+        EXPECT_EQ(ring.pop_n(dst, 4), 0u) << "lap " << lap;
+        EXPECT_EQ(dst[0], -1);
+    };
+    expect_empty(-1);
+    for (int lap = 0; lap < 12; ++lap) {
+        // Two items per lap, through push, push_with and push_n in turn.
+        if (lap % 3 == 0) {
+            ASSERT_TRUE(ring.push(next++));
+            ASSERT_TRUE(ring.push(next++));
+        } else if (lap % 3 == 1) {
+            ASSERT_TRUE(ring.push_with([&](int &v) { v = next++; }));
+            ASSERT_TRUE(ring.push_with([&](int &v) { v = next++; }));
+        } else {
+            int src[2] = {next, next + 1};
+            ASSERT_EQ(ring.push_n(src, 2), 2u);
+            next += 2;
+        }
+        EXPECT_FALSE(ring.push(-7)) << "full after two, lap " << lap;
+        if (lap % 2 == 0) {
+            EXPECT_EQ(ring.pop(), expect++);
+            int out = -1;
+            ASSERT_TRUE(ring.pop_into(out));
+            EXPECT_EQ(out, expect++);
+        } else {
+            int dst[4] = {};
+            ASSERT_EQ(ring.pop_n(dst, 4), 2u);
+            EXPECT_EQ(dst[0], expect++);
+            EXPECT_EQ(dst[1], expect++);
+        }
+        expect_empty(lap);
+        // A half lap shifts which slot the next lap starts on.
+        if (lap % 4 == 3) {
+            ASSERT_TRUE(ring.push(next++));
+            EXPECT_EQ(ring.pop(), expect++);
+            expect_empty(lap);
+        }
+    }
+    EXPECT_EQ(expect, next);
+}
+
+/** A 48-byte value, the size of a Request or Response, whose words all
+ *  derive from one sequence number so a torn read shows. */
+struct Wide
+{
+    uint64_t word[6];
+};
+static_assert(sizeof(Wide) == 48);
+
+Wide
+make_wide(uint64_t seq)
+{
+    Wide w;
+    for (uint64_t k = 0; k < 6; ++k)
+        w.word[k] = seq ^ (k * 0x9E3779B97F4A7C15ULL);
+    return w;
+}
+
+class SpscRingStampStress : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(SpscRingStampStress, MixedOpsKeepFifoAndWholeValues)
+{
+    // The producer cycles push, push_with and push_n (batches of 1-7);
+    // the consumer cycles pop_into and pop_n (up to 1-9). Every value
+    // must arrive once, in order, with all six words from one push.
+    SpscRing<Wide> ring(GetParam());
+    constexpr uint64_t kCount = 1'000'000;
+
+    std::thread producer([&] {
+        Wide batch[7];
+        uint64_t next = 0;
+        for (uint64_t round = 0; next < kCount; ++round) {
+            size_t pushed = 0;
+            switch (round % 3) {
+              case 0:
+                pushed = ring.push(make_wide(next)) ? 1 : 0;
+                break;
+              case 1:
+                pushed = ring.push_with(
+                             [&](Wide &slot) { slot = make_wide(next); })
+                             ? 1
+                             : 0;
+                break;
+              default: {
+                const size_t want = std::min<uint64_t>(
+                    1 + round % 7, kCount - next);
+                for (size_t i = 0; i < want; ++i)
+                    batch[i] = make_wide(next + i);
+                pushed = ring.push_n(batch, want);
+              }
+            }
+            next += pushed;
+            if (pushed == 0)
+                std::this_thread::yield();
+        }
+    });
+    const auto check = [](const Wide &w, uint64_t seq) {
+        const Wide want = make_wide(seq);
+        for (int k = 0; k < 6; ++k)
+            if (w.word[k] != want.word[k])
+                return false;
+        return true;
+    };
+    Wide batch[9];
+    uint64_t expected = 0;
+    for (uint64_t round = 0; expected < kCount; ++round) {
+        size_t got = 0;
+        if (round % 2 == 0) {
+            got = ring.pop_into(batch[0]) ? 1 : 0;
+        } else {
+            got = ring.pop_n(batch, 1 + round % 9);
+        }
+        if (got == 0) {
+            std::this_thread::yield();
+            continue;
+        }
+        for (size_t i = 0; i < got; ++i)
+            ASSERT_TRUE(check(batch[i], expected + i))
+                << "item " << expected + i << " torn or out of order";
+        expected += got;
+    }
+    producer.join();
+    EXPECT_TRUE(ring.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, SpscRingStampStress,
+                         ::testing::Values(1, 2, 1024));
+
 TEST(MpmcQueue, SingleThreadFifo)
 {
     MpmcQueue<int> q(4);

@@ -73,11 +73,19 @@ struct LayoutAudit
         return &r.cons_.tail;
     }
 
+    /** The ring's read-mostly header: the slot vector and the mask. */
     template <typename T>
     static const void *
-    spsc_consumer_cached_head(const SpscRing<T> &r)
+    spsc_slots_header(const SpscRing<T> &r)
     {
-        return &r.cons_.cached_head;
+        return &r.slots_;
+    }
+
+    template <typename T>
+    static const void *
+    spsc_mask(const SpscRing<T> &r)
+    {
+        return &r.mask_;
     }
 
     template <typename T>
@@ -100,6 +108,14 @@ struct LayoutAudit
     spsc_slot(const SpscRing<T> &r, size_t i)
     {
         return &r.slots_[i];
+    }
+
+    /** The publication stamp of slot @p i. */
+    template <typename T>
+    static const void *
+    spsc_stamp(const SpscRing<T> &r, size_t i)
+    {
+        return &r.slots_[i].value.stamp;
     }
 
     template <typename T>
@@ -175,6 +191,11 @@ static_assert(sizeof(telemetry::WorkerCounters) == kCacheLineSize &&
               alignof(telemetry::WorkerCounters) == kCacheLineSize);
 static_assert(sizeof(SpscRing<uint64_t>::ProducerSide) == kCacheLineSize &&
               sizeof(SpscRing<uint64_t>::ConsumerSide) == kCacheLineSize);
+static_assert(sizeof(RingSlot<SpscRing<runtime::Request>::Slot>) ==
+                  kCacheLineSize &&
+              sizeof(RingSlot<SpscRing<runtime::Response>::Slot>) ==
+                  kCacheLineSize);
+static_assert(sizeof(RingSlot<SpscRing<telemetry::TraceEvent>::Slot>) == 32);
 static_assert(sizeof(PaddedAtomic<size_t>) == kCacheLineSize &&
               alignof(PaddedAtomic<size_t>) == kCacheLineSize);
 static_assert(sizeof(CacheAligned<char>) == kCacheLineSize);
@@ -189,18 +210,22 @@ static_assert(alignof(telemetry::TraceRing) == kCacheLineSize);
 TEST(Layout, SpscRingEndsOwnDistinctLines)
 {
     SpscRing<uint64_t> ring(64);
-    // Each end's published index and its private snapshot of the remote
+    const auto line = [&](const void *member) {
+        return LayoutAudit::line_of(ring, member);
+    };
+    const ptrdiff_t producer = line(LayoutAudit::spsc_producer_head(ring));
+    const ptrdiff_t consumer = line(LayoutAudit::spsc_consumer_tail(ring));
+    // The producer's private position and its snapshot of the consumer
     // index share one line (same single writer)...
-    EXPECT_EQ(LayoutAudit::line_of(ring, LayoutAudit::spsc_producer_head(ring)),
-              LayoutAudit::line_of(
-                  ring, LayoutAudit::spsc_producer_cached_tail(ring)));
-    EXPECT_EQ(LayoutAudit::line_of(ring, LayoutAudit::spsc_consumer_tail(ring)),
-              LayoutAudit::line_of(
-                  ring, LayoutAudit::spsc_consumer_cached_head(ring)));
-    // ...but the two ends — written by distinct threads — never share.
-    EXPECT_NE(LayoutAudit::line_of(ring, LayoutAudit::spsc_producer_head(ring)),
-              LayoutAudit::line_of(ring,
-                                   LayoutAudit::spsc_consumer_tail(ring)));
+    EXPECT_EQ(producer,
+              line(LayoutAudit::spsc_producer_cached_tail(ring)));
+    // ...the consumer's published index is alone on its line...
+    EXPECT_NE(consumer, producer);
+    EXPECT_NE(consumer, line(LayoutAudit::spsc_slots_header(ring)));
+    EXPECT_NE(consumer, line(LayoutAudit::spsc_mask(ring)));
+    // ...and the read-mostly header is on neither end's line.
+    EXPECT_NE(producer, line(LayoutAudit::spsc_slots_header(ring)));
+    EXPECT_NE(producer, line(LayoutAudit::spsc_mask(ring)));
 }
 
 TEST(Layout, MpmcCursorsOwnDistinctLines)
@@ -241,7 +266,8 @@ TEST(Layout, RingSlotsOwnTheirLines)
     // A slot of more than half a line owns its line: the producer
     // publishing slot k+1 must not write the line the consumer drains
     // slot k from. Requests cross the RX MPMC queue and the dispatch
-    // rings, responses the TX rings.
+    // rings, responses the TX rings. An SPSC slot is the payload plus
+    // its stamp, and both sit on one line so a hand-off is one transfer.
     constexpr size_t kSlots = 16;
     MpmcQueue<runtime::Request> rx(kSlots);
     SpscRing<runtime::Request> dispatch(kSlots);
@@ -251,29 +277,41 @@ TEST(Layout, RingSlotsOwnTheirLines)
         LayoutAudit::mpmc_cell_bytes<runtime::Request>());
     const SlotLayout requests = slot_layout(
         [&](size_t i) { return LayoutAudit::spsc_slot(dispatch, i); },
-        kSlots, sizeof(runtime::Request));
+        kSlots, sizeof(SpscRing<runtime::Request>::Slot));
     const SlotLayout responses = slot_layout(
         [&](size_t i) { return LayoutAudit::spsc_slot(tx, i); }, kSlots,
-        sizeof(runtime::Response));
+        sizeof(SpscRing<runtime::Response>::Slot));
     for (const SlotLayout &l : {cells, requests, responses}) {
         EXPECT_EQ(l.stride, static_cast<ptrdiff_t>(kCacheLineSize));
         EXPECT_FALSE(l.neighbours_share_a_line);
     }
+    const auto abs_line = [](const void *p) {
+        return reinterpret_cast<uintptr_t>(p) / kCacheLineSize;
+    };
+    for (size_t i = 0; i < kSlots; ++i) {
+        EXPECT_EQ(abs_line(LayoutAudit::spsc_stamp(dispatch, i)),
+                  abs_line(LayoutAudit::spsc_slot(dispatch, i)))
+            << "request slot " << i;
+        EXPECT_EQ(abs_line(LayoutAudit::spsc_stamp(tx, i)),
+                  abs_line(LayoutAudit::spsc_slot(tx, i)))
+            << "response slot " << i;
+    }
 
-    // Slots of half a line or less stay packed at sizeof(T): padding
-    // the per-thread trace rings would cost megabytes for no hand-off.
+    // Slots of half a line or less stay packed at their size, value
+    // plus stamp: padding the per-thread trace rings would cost
+    // megabytes for no hand-off.
     SpscRing<telemetry::TraceEvent> trace(kSlots);
     SpscRing<uint64_t> words(kSlots);
     EXPECT_EQ(slot_layout(
                   [&](size_t i) { return LayoutAudit::spsc_slot(trace, i); },
-                  kSlots, sizeof(telemetry::TraceEvent))
+                  kSlots, sizeof(SpscRing<telemetry::TraceEvent>::Slot))
                   .stride,
-              static_cast<ptrdiff_t>(sizeof(telemetry::TraceEvent)));
+              32);
     EXPECT_EQ(slot_layout(
                   [&](size_t i) { return LayoutAudit::spsc_slot(words, i); },
-                  kSlots, sizeof(uint64_t))
+                  kSlots, sizeof(SpscRing<uint64_t>::Slot))
                   .stride,
-              static_cast<ptrdiff_t>(sizeof(uint64_t)));
+              16);
 }
 
 TEST(Layout, WorkerStatsNeighboursNeverShareALine)

@@ -188,14 +188,23 @@ TEST(Runtime, LasIsFifoAmongEqualQuanta)
     // scanned its ready deque for the minimum-quanta task, which made
     // equal-quanta tasks run in admission order. The heap keys on
     // (quanta, admit_seq) and must preserve that order exactly. A long
-    // blocker admitted first accumulates quanta; the shorts all stay at
-    // zero and finish within one quantum, so their completion order is
-    // their admission (= submission) order.
+    // blocker admitted first accumulates quanta; the shorts all wait at
+    // zero, so their first slices start in admission (= submission)
+    // order. Completion order would not show this: a worker descheduled
+    // mid-short can preempt it, and the next short then finishes first.
     RuntimeConfig cfg;
     cfg.num_workers = 1;
     cfg.quantum_us = 200.0;
     cfg.work = WorkPolicy::Las;
-    Runtime rt(cfg, spin_handler());
+    // One worker runs every handler, so the entry log needs no lock;
+    // the drained responses order each entry before the reads below.
+    std::vector<uint64_t> entries;
+    entries.reserve(16);
+    Runtime rt(cfg, [&entries](const Request &req) {
+        entries.push_back(req.id);
+        workloads::spin_for(static_cast<double>(req.payload));
+        return req.id;
+    });
     rt.start();
     std::vector<Request> reqs;
     reqs.push_back(make_spin_request(999, 5e6, 1)); // 5ms blocker first
@@ -204,12 +213,17 @@ TEST(Runtime, LasIsFifoAmongEqualQuanta)
         reqs.push_back(make_spin_request(i, 50e3, 0)); // 50us each
     const auto responses = run_requests(rt, reqs, 120.0);
     ASSERT_EQ(responses.size(), reqs.size());
+    std::vector<uint64_t> short_entries;
+    for (const uint64_t id : entries)
+        if (id != 999)
+            short_entries.push_back(id);
+    ASSERT_EQ(short_entries.size(), kShorts);
+    for (uint64_t i = 0; i < kShorts; ++i)
+        EXPECT_EQ(short_entries[i], i)
+            << "equal-quanta jobs must start in admission order";
     std::map<uint64_t, Cycles> done;
     for (const auto &r : responses)
         done[r.id] = r.done_cycles;
-    for (uint64_t i = 1; i < kShorts; ++i)
-        EXPECT_LT(done[i - 1], done[i])
-            << "equal-quanta jobs must finish in admission order";
     for (uint64_t i = 0; i < kShorts; ++i)
         EXPECT_LT(done[i], done[999]) << "blocker has higher quanta";
     rt.stop();

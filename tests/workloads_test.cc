@@ -69,8 +69,9 @@ TEST(MiniKV, MatchesMapOracleOnRandomOps)
             const bool found = kv.get(key, &v);
             const auto it = oracle.find(key);
             ASSERT_EQ(found, it != oracle.end()) << "key " << key;
-            if (found)
+            if (found) {
                 ASSERT_EQ(v[0], it->second);
+            }
         }
     }
     EXPECT_EQ(kv.size(), oracle.size());
@@ -319,8 +320,9 @@ TEST(ZipfKeyGen, HotKeysDominateAndHitLoadedStore)
         const uint64_t key = gen.sample_key(rng);
         ASSERT_LT(key, n);
         ++counts[key];
-        if (i < 200) // every sampled key must exist in the store
+        if (i < 200) { // every sampled key must exist in the store
             EXPECT_TRUE(kv.get(key, nullptr)) << key;
+        }
     }
     // The hottest key is rank 0's stable image and towers over the
     // median key (YCSB-style skew at s = 0.99).
