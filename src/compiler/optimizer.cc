@@ -68,13 +68,16 @@ struct Optimizer
 {
     Module &m;
     OptimizerResult &res;
-    ModuleVerifier mv;
+    /** Verification of the current placement: the last kept move's,
+     *  since a rolled-back move restores the module byte-exact. */
+    VerifyResult cur;
     std::vector<Cfg> cfgs;
     uint64_t target = 0;
     /** Tightest bound proven so far; gates descent-mode acceptance. */
     uint64_t best = 0;
 
-    Optimizer(Module &mod, OptimizerResult &r) : m(mod), res(r), mv(mod)
+    Optimizer(Module &mod, OptimizerResult &r)
+        : m(mod), res(r), cur(verify_module(mod))
     {
         cfgs.reserve(m.functions.size());
         for (const auto &fn : m.functions)
@@ -84,32 +87,29 @@ struct Optimizer
     uint64_t
     slack_of(int fi) const
     {
-        const uint64_t c = fn_contribution(
-            mv.result().functions[static_cast<size_t>(fi)], fi);
+        const uint64_t c =
+            fn_contribution(cur.functions[static_cast<size_t>(fi)], fi);
         return target > c ? target - c : 0;
     }
 
-    /** Re-verify after an edit to fn. A move is kept when the target
-     *  still holds — or, while the placement is still descending from
-     *  an initial bound above an explicit target, when it strictly
-     *  tightens the proof (guard deletion shrinks the window
-     *  multiplier M, so descent is how a budget below the initial
-     *  bound gets reached at all). */
+    /** Re-verify after a move; a kept move's result becomes `cur`. A
+     *  move is kept when the target still holds — or, while the
+     *  placement is still descending from an initial bound above an
+     *  explicit target, when it strictly tightens the proof (guard
+     *  deletion shrinks the window multiplier M, so descent is how a
+     *  budget below the initial bound gets reached at all). */
     bool
-    accept(int fn)
+    accept()
     {
-        const VerifyResult &vr = mv.refresh(fn);
-        if (!vr.ok)
-            return false;
-        if (vr.max_stretch <= target) {
+        VerifyResult vr = verify_module(m);
+        const bool keep =
+            vr.ok && (vr.max_stretch <= target ||
+                      (best > target && vr.max_stretch < best));
+        if (keep) {
             best = vr.max_stretch;
-            return true;
+            cur = std::move(vr);
         }
-        if (best > target && vr.max_stretch < best) {
-            best = vr.max_stretch;
-            return true;
-        }
-        return false;
+        return keep;
     }
 
     // -- Delete ------------------------------------------------------
@@ -204,7 +204,7 @@ struct Optimizer
         for (const Candidate &c : cands) {
             const DeleteUndo u = apply_delete(c.p);
             ++res.attempted;
-            if (accept(c.p.fn)) {
+            if (accept()) {
                 progress = true;
                 ++res.deleted;
                 res.changed = true;
@@ -212,7 +212,6 @@ struct Optimizer
                     {OptMove::Kind::Delete, c.p, -1});
             } else {
                 undo_delete(c.p, u);
-                mv.refresh(c.p.fn);
                 ++res.rolled_back;
             }
         }
@@ -308,7 +307,7 @@ struct Optimizer
                 Block &db = fn.blocks[static_cast<size_t>(dest)];
                 db.instrs.insert(db.instrs.begin(), saved);
                 ++res.attempted;
-                if (accept(c.p.fn)) {
+                if (accept()) {
                     progress = true;
                     ++res.hoisted;
                     res.changed = true;
@@ -319,7 +318,6 @@ struct Optimizer
                     db.instrs.erase(db.instrs.begin());
                     src.instrs.insert(src.instrs.begin() + c.p.instr,
                                       saved);
-                    mv.refresh(c.p.fn);
                     ++res.rolled_back;
                     failed.insert({c.p.fn, c.p.block, c.p.instr});
                 }
@@ -341,7 +339,7 @@ optimize_placement(Module &m, const OptimizerConfig &cfg)
     res.final_probes = res.initial_probes;
 
     Optimizer opt(m, res);
-    const VerifyResult &vr0 = opt.mv.result();
+    const VerifyResult &vr0 = opt.cur;
     res.initial_bound = vr0.max_stretch;
     res.final_bound = vr0.max_stretch;
     res.target =
@@ -371,7 +369,7 @@ optimize_placement(Module &m, const OptimizerConfig &cfg)
             break;
     }
 
-    const VerifyResult &vr = opt.mv.result();
+    const VerifyResult &vr = opt.cur;
     res.final_bound = vr.max_stretch;
     res.final_probes = m.probe_count();
     res.ok = vr.ok && vr.max_stretch <= res.target;

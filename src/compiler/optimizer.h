@@ -30,10 +30,10 @@
  *
  * Candidates are ranked by slack — the gap between the target and the
  * owning function's proven contribution — so probes in far-from-tight
- * regions go first. Verification after each move is incremental
- * (ModuleVerifier::refresh re-summarizes only the edited function and
- * the call-graph ancestors whose summaries change), so the loop costs
- * O(moves x touched-SCCs), not O(moves x whole-module).
+ * regions go first. Each move is re-proved by one whole-module
+ * verify_module; a rolled-back move restores the module byte-exact, so
+ * the last kept move's result stays current and rollback verifies
+ * nothing.
  *
  * Both move kinds strictly reduce (probe count, total loop depth of
  * probe sites), so rounds terminate; a cap of 8 delete+hoist rounds

@@ -891,10 +891,6 @@ fmt_len(uint64_t v)
     return v == kUnboundedStretch ? "unbounded" : std::to_string(v);
 }
 
-} // namespace
-
-namespace {
-
 /**
  * Name the block of a witness that dominates the bound: the Block step
  * feeding the largest Repeat marker (the window spends most of its
@@ -926,47 +922,40 @@ witness_hotspot(const Witness &w)
     return {-1, 0};
 }
 
-} // namespace
-
 // ---------------------------------------------------------------------
-// Incremental driver. The constructor performs the full analysis;
-// refresh(fn) re-runs only the SCCs whose inputs changed. Diags are
-// bucketed by origin (structural / per-function shape / per-SCC
-// analysis / aggregate) so a partial re-run can splice its bucket
-// back into the flat list in the original emission order.
+// Module driver: one straight pass over the structural check, the
+// per-function shapes, the SCCs callee-first and the aggregate windows,
+// emitting diags in that order.
 
-struct ModuleVerifier::Impl
+struct ModuleAnalysis
 {
     const Module &m;
-    const VerifyConfig cfg;
+    const VerifyConfig &cfg;
 
-    bool structural_ok = false;
     std::vector<Cfg> cfgs;
     std::vector<char> bad;   ///< per-fn: shape check failed -> top
     std::vector<char> reach; ///< per-fn: reachable from entry
-    std::vector<std::vector<int>> adj;  ///< call graph (dedup'd edges)
-    std::vector<std::vector<int>> sccs; ///< callee-first SCC order
-    std::vector<int> scc_of;            ///< fn -> index into sccs
+    std::vector<std::vector<int>> adj; ///< call graph (dedup'd edges)
     bool instrumented = false;
-
-    std::vector<Diag> structural_diags;
-    std::vector<std::vector<Diag>> shape_diags; ///< per fn
-    std::vector<std::vector<Diag>> scc_diags;   ///< per SCC
 
     VerifyResult res;
 
-    Impl(const Module &mod, const VerifyConfig &vcfg) : m(mod), cfg(vcfg)
+    ModuleAnalysis(const Module &mod, const VerifyConfig &vcfg)
+        : m(mod), cfg(vcfg)
+    {
+    }
+
+    void
+    run()
     {
         res.functions.assign(m.functions.size(), FunctionStretch{});
-        if (!structural_check(m, structural_diags)) {
+        if (!structural_check(m, res.diags)) {
             for (auto &f : res.functions)
                 f = top_summary();
             res.max_stretch = m.functions.empty() ? 0 : kUnboundedStretch;
-            res.diags = structural_diags;
             res.ok = false;
             return;
         }
-        structural_ok = true;
 
         const size_t nf = m.functions.size();
         cfgs.reserve(nf);
@@ -974,10 +963,9 @@ struct ModuleVerifier::Impl
             cfgs.emplace_back(fn);
 
         bad.assign(nf, 0);
-        shape_diags.resize(nf);
         for (size_t fi = 0; fi < nf; ++fi)
             bad[fi] = !check_function_shape(m, static_cast<int>(fi),
-                                            cfgs[fi], shape_diags[fi]);
+                                            cfgs[fi], res.diags);
 
         adj = call_edges(m);
         reach.assign(nf, 0);
@@ -995,16 +983,9 @@ struct ModuleVerifier::Impl
 
         instrumented = m.probe_count() > 0;
 
-        Tarjan tarjan(adj);
-        sccs = std::move(tarjan.sccs);
-        scc_of.assign(nf, -1);
-        for (size_t si = 0; si < sccs.size(); ++si)
-            for (int fi : sccs[si])
-                scc_of[static_cast<size_t>(fi)] = static_cast<int>(si);
-        scc_diags.resize(sccs.size());
-
-        for (size_t si = 0; si < sccs.size(); ++si)
-            run_scc(si);
+        const Tarjan tarjan(adj);
+        for (const std::vector<int> &scc : tarjan.sccs)
+            run_scc(scc);
         aggregate();
     }
 
@@ -1020,11 +1001,9 @@ struct ModuleVerifier::Impl
     }
 
     void
-    run_scc(size_t si)
+    run_scc(const std::vector<int> &scc)
     {
-        std::vector<Diag> &diags = scc_diags[si];
-        diags.clear();
-        const std::vector<int> &scc = sccs[si];
+        std::vector<Diag> &diags = res.diags;
         const bool self_recursive =
             scc.size() == 1 &&
             std::find(adj[static_cast<size_t>(scc[0])].begin(),
@@ -1069,78 +1048,19 @@ struct ModuleVerifier::Impl
             for (int fi : scc)
                 res.functions[static_cast<size_t>(fi)] = top_summary();
         } else {
-            for (int fi : scc) {
-                scratch.clear();
+            for (int fi : scc)
                 res.functions[static_cast<size_t>(fi)] =
                     analyze(fi, diags);
-            }
         }
-    }
-
-    void
-    refresh_fn(int fn)
-    {
-        if (!structural_ok || fn < 0 ||
-            fn >= static_cast<int>(m.functions.size()))
-            return;
-        const size_t f = static_cast<size_t>(fn);
-        shape_diags[f].clear();
-        bad[f] = !check_function_shape(m, fn, cfgs[f], shape_diags[f]);
-
-        // If the module flips between instrumented and probe-free, the
-        // unbounded-cycle severity of *every* function changes: fall
-        // back to a full SCC re-run.
-        const bool now_instrumented = m.probe_count() > 0;
-        const bool force_all = now_instrumented != instrumented;
-        instrumented = now_instrumented;
-
-        std::vector<char> dirty(m.functions.size(), 0);
-        const size_t start =
-            force_all ? 0 : static_cast<size_t>(scc_of[f]);
-        for (size_t si = start; si < sccs.size(); ++si) {
-            bool touched = force_all ||
-                           si == static_cast<size_t>(scc_of[f]);
-            for (size_t i = 0; !touched && i < sccs[si].size(); ++i)
-                for (int callee : adj[static_cast<size_t>(sccs[si][i])])
-                    if (dirty[static_cast<size_t>(callee)]) {
-                        touched = true;
-                        break;
-                    }
-            if (!touched)
-                continue;
-            std::vector<FunctionStretch> old;
-            old.reserve(sccs[si].size());
-            for (int fi : sccs[si])
-                old.push_back(res.functions[static_cast<size_t>(fi)]);
-            run_scc(si);
-            for (size_t i = 0; i < sccs[si].size(); ++i)
-                if (!summary_equal(
-                        old[i],
-                        res.functions[static_cast<size_t>(sccs[si][i])]))
-                    dirty[static_cast<size_t>(sccs[si][i])] = 1;
-        }
-        aggregate();
     }
 
     void
     aggregate()
     {
-        // Reassemble the flat diag list in the original emission order:
-        // structural, per-function shape, per-SCC analysis, aggregate.
-        res.diags = structural_diags;
-        for (const auto &bucket : shape_diags)
-            res.diags.insert(res.diags.end(), bucket.begin(), bucket.end());
-        for (const auto &bucket : scc_diags)
-            res.diags.insert(res.diags.end(), bucket.begin(), bucket.end());
-
-        // Aggregate: windows fully inside any reachable activation,
-        // plus the entry function's leading / trailing / silent
-        // whole-run windows (the executor counts stretch from program
-        // start).
+        // Windows fully inside any reachable activation, plus the entry
+        // function's leading / trailing / silent whole-run windows (the
+        // executor counts stretch from program start).
         const size_t nf = m.functions.size();
-        res.max_stretch = 0;
-        res.worst_function = -1;
-        res.worst_witness = Witness{};
         auto consider = [&](uint64_t v, int fi, const Witness &w) {
             if (res.worst_function < 0 || v > res.max_stretch) {
                 res.max_stretch = v;
@@ -1194,31 +1114,14 @@ struct ModuleVerifier::Impl
     }
 };
 
-ModuleVerifier::ModuleVerifier(const Module &m, const VerifyConfig &cfg)
-    : impl_(std::make_unique<Impl>(m, cfg))
-{
-}
-
-ModuleVerifier::~ModuleVerifier() = default;
-
-const VerifyResult &
-ModuleVerifier::result() const
-{
-    return impl_->res;
-}
-
-const VerifyResult &
-ModuleVerifier::refresh(int fn)
-{
-    impl_->refresh_fn(fn);
-    return impl_->res;
-}
+} // namespace
 
 VerifyResult
 verify_module(const Module &m, const VerifyConfig &cfg)
 {
-    ModuleVerifier v(m, cfg);
-    return v.result();
+    ModuleAnalysis a(m, cfg);
+    a.run();
+    return std::move(a.res);
 }
 
 // ---------------------------------------------------------------------

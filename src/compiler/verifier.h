@@ -47,7 +47,6 @@
 #define TQ_COMPILER_VERIFIER_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -183,47 +182,6 @@ struct VerifyResult
  * become Error diags and ok = false.
  */
 VerifyResult verify_module(const Module &m, const VerifyConfig &cfg = {});
-
-/**
- * Incremental verification driver for placement tools.
- *
- * Construction runs the same whole-module analysis as verify_module
- * and caches everything that is invariant under probe-only edits:
- * per-function CFGs (dominators, loop trees), the call graph, the
- * Tarjan SCC order, and the structural/shape verdicts. After mutating
- * probe instructions of one function in place — deleting a probe,
- * inserting one, or moving one between existing blocks — call
- * refresh(fn): only the edited function's SCC and the call-graph
- * ancestor SCCs whose summaries actually change are re-analyzed,
- * so a verify-after-each-move loop is not O(moves x whole-module).
- *
- * The edit contract: the module referenced at construction must stay
- * alive, and edits between refreshes may not add or remove blocks,
- * change terminators, or add/remove/retarget calls. For such edits,
- * build a fresh ModuleVerifier (or use verify_module).
- */
-class ModuleVerifier
-{
-  public:
-    explicit ModuleVerifier(const Module &m, const VerifyConfig &cfg = {});
-    ~ModuleVerifier();
-    ModuleVerifier(const ModuleVerifier &) = delete;
-    ModuleVerifier &operator=(const ModuleVerifier &) = delete;
-
-    /** Current whole-module result (valid until the module is edited). */
-    const VerifyResult &result() const;
-
-    /**
-     * Re-verify after an in-place probe edit to function @p fn.
-     * Returns the updated result; equivalent to (but cheaper than) a
-     * fresh verify_module over the current module state.
-     */
-    const VerifyResult &refresh(int fn);
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
 
 /** One-line rendering of a diagnostic (with its witness, if any). */
 std::string to_string(const Diag &d, const Module &m);

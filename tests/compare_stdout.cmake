@@ -1,11 +1,9 @@
-# Runs CMD (with the optional ;-separated ARGS) and fails unless its
-# stdout equals the GOLDEN file byte for byte. On a mismatch the actual
-# output is written to <golden>.actual in the working directory for
-# diffing.
+# Runs CMD and fails unless its stdout equals the GOLDEN file byte for
+# byte. On a mismatch the actual output is written to <golden>.actual in
+# the working directory for diffing.
 #
-#   cmake -DCMD=<program> [-DARGS=<args>] -DGOLDEN=<file> \
-#         -P compare_stdout.cmake
-execute_process(COMMAND ${CMD} ${ARGS} OUTPUT_VARIABLE actual
+#   cmake -DCMD=<program> -DGOLDEN=<file> -P compare_stdout.cmake
+execute_process(COMMAND ${CMD} OUTPUT_VARIABLE actual
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${CMD} exited with ${rc}")

@@ -16,8 +16,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <array>
-
 #include "common/rng.h"
 #include "compiler/builder.h"
 #include "compiler/exec.h"
@@ -265,64 +263,6 @@ TEST(VerifierFuzz, OptimizerPreservesInvariantOverMoveSequences)
     // The optimizer must actually be exercising moves, not vacuously
     // passing on untouched modules.
     EXPECT_GE(changed, kSeeds / 8);
-}
-
-TEST(VerifierFuzz, IncrementalRefreshMatchesFullVerifySampled)
-{
-    // ModuleVerifier::refresh is the optimizer's inner loop; sample
-    // seeds and check it against a from-scratch verify_module after
-    // random probe deletions.
-    for (uint64_t seed = 1; seed <= 64; ++seed) {
-        Module m = FuzzModuleBuilder(seed * 131).build();
-        PassConfig pcfg;
-        pcfg.bound = kBounds[seed % 3];
-        run_tq_pass(m, pcfg);
-
-        ModuleVerifier mv(m);
-        Rng rng(seed);
-        for (int edit = 0; edit < 4; ++edit) {
-            // Delete a random probe, if any remain.
-            std::vector<std::array<int, 3>> sites;
-            for (size_t fi = 0; fi < m.functions.size(); ++fi)
-                for (size_t bi = 0; bi < m.functions[fi].blocks.size();
-                     ++bi) {
-                    const auto &ins =
-                        m.functions[fi].blocks[bi].instrs;
-                    for (size_t ii = 0; ii < ins.size(); ++ii)
-                        if (ins[ii].is_probe())
-                            sites.push_back({static_cast<int>(fi),
-                                             static_cast<int>(bi),
-                                             static_cast<int>(ii)});
-                }
-            if (sites.empty())
-                break;
-            const auto &s =
-                sites[static_cast<size_t>(rng.below(sites.size()))];
-            auto &instrs = m.functions[static_cast<size_t>(s[0])]
-                               .blocks[static_cast<size_t>(s[1])]
-                               .instrs;
-            instrs.erase(instrs.begin() + s[2]);
-
-            const VerifyResult &inc = mv.refresh(s[0]);
-            const VerifyResult full = verify_module(m);
-            ASSERT_EQ(inc.ok, full.ok) << "seed " << seed;
-            ASSERT_EQ(inc.max_stretch, full.max_stretch)
-                << "seed " << seed << " edit " << edit;
-            ASSERT_EQ(inc.diags.size(), full.diags.size())
-                << "seed " << seed;
-            for (size_t fi = 0; fi < full.functions.size(); ++fi) {
-                ASSERT_EQ(inc.functions[fi].internal,
-                          full.functions[fi].internal)
-                    << "seed " << seed << " fn " << fi;
-                ASSERT_EQ(inc.functions[fi].entry_gap,
-                          full.functions[fi].entry_gap)
-                    << "seed " << seed << " fn " << fi;
-                ASSERT_EQ(inc.functions[fi].through,
-                          full.functions[fi].through)
-                    << "seed " << seed << " fn " << fi;
-            }
-        }
-    }
 }
 
 TEST(VerifierFuzz, VerifierDeterministic)

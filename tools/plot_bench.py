@@ -16,11 +16,9 @@ A .json input is treated as a recorded calibration run and dispatched
 on its keys: dispatcher_throughput rows (BENCH_dispatch.json) become a
 per-worker-count Mrps bar chart plus the simulated sharded-dispatcher
 capacity panel; a simulator document (BENCH_sim.json) becomes the
-figure-grid wall clock, serial vs threaded, plus the per-bench
-figure-suite speedup chart; a quanta document
-(BENCH_quanta.json) becomes the fixed-quantum sweep with per-class and
-adaptive reference lines; a compiler document (BENCH_compiler.json)
-becomes TQ-vs-TQopt probe-count and proven-bound bar charts.
+figure-grid wall clock, serial vs threaded; a compiler document
+(BENCH_compiler.json) becomes TQ-vs-TQopt probe-count and proven-bound
+bar charts.
 
 Usage:
     build/bench/fig01_quantum_slowdown | tools/plot_bench.py -o fig01.png
@@ -147,80 +145,24 @@ def plot_dispatch_json(path, output):
 
 
 def plot_sim_json(path, output):
-    """Render BENCH_sim.json: figure-grid wall clock + suite speedups."""
+    """Render BENCH_sim.json: figure-grid wall clock, serial vs threaded."""
     with open(path) as f:
         data = json.load(f)
     grid = data["fig_grid_wall_clock"]
     threads = data["config"]["sweep_threads"]
-    suite = data.get("figure_suite", {}).get("rows", [])
 
     import matplotlib
 
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    ncols = 2 if suite else 1
-    fig, axes = plt.subplots(1, ncols, figsize=(6 * ncols, 4.5),
-                             squeeze=False)
-    ax = axes[0][0]
+    fig, ax = plt.subplots(figsize=(6, 4.5))
     ax.bar([0, 1], [grid["serial_sec"], grid["threads_sec"]], 0.5)
     ax.set_xticks([0, 1])
     ax.set_xticklabels(["serial", f"--sweep-threads={threads}"])
     ax.set_ylabel("seconds")
     ax.set_title("Figure 5/6 grid wall clock", fontsize=9)
     ax.grid(True, axis="y", alpha=0.3)
-
-    if suite:
-        ax2 = axes[0][1]
-        ys = range(len(suite))
-        ax2.barh(list(ys), [r["speedup"] for r in suite])
-        ax2.set_yticks(list(ys))
-        ax2.set_yticklabels([r["bench"] for r in suite], fontsize=7)
-        ax2.invert_yaxis()
-        ax2.axvline(1.0, linestyle="--", alpha=0.5)
-        ax2.set_xlabel("wall-clock speedup vs seed (x)")
-        cpus = data["figure_suite"].get("cpus")
-        host = f" ({cpus}-CPU host)" if cpus else ""
-        ax2.set_title(f"figure-suite wall clock{host}", fontsize=9)
-        ax2.grid(True, axis="x", alpha=0.3)
-
-    fig.tight_layout()
-    fig.savefig(output, dpi=130)
-    print(f"wrote {output}")
-
-
-def plot_quanta_json(path, output):
-    """Render BENCH_quanta.json: per workload, the fixed-quantum sweep
-    of short-class p999 slowdown with the per-class and adaptive arms
-    overlaid as horizontal reference lines."""
-    with open(path) as f:
-        data = json.load(f)
-    loads = data["workloads"]
-
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    fig, axes = plt.subplots(1, len(loads), figsize=(6 * len(loads), 4.5),
-                             squeeze=False)
-    for ax, (name, w) in zip(axes[0], sorted(loads.items())):
-        fixed = [r for r in w["fixed"] if not r["saturated"]]
-        ax.plot([r["quantum_us"] for r in fixed],
-                [r["short_p999_slowdown"] for r in fixed], marker="o",
-                label="fixed quantum")
-        for key, style in (("per_class", "--"), ("adaptive", ":")):
-            arm = w[key]
-            if not arm["saturated"]:
-                ax.axhline(arm["short_p999_slowdown"], linestyle=style,
-                           alpha=0.8,
-                           label=f'{key} ({arm["quanta_us"]}us)')
-        ax.set_xscale("log")
-        ax.set_xlabel("fixed quantum (us)")
-        ax.set_ylabel(f'{w["short_class"]} p999 slowdown')
-        ax.set_title(f'{name} @ {w["rate_mrps"]} Mrps', fontsize=9)
-        ax.legend(fontsize=8)
-        ax.grid(True, alpha=0.3)
 
     fig.tight_layout()
     fig.savefig(output, dpi=130)
@@ -285,9 +227,7 @@ def main():
     if args.input and args.input.endswith(".json"):
         with open(args.input) as f:
             keys = json.load(f)
-        if "workloads" in keys:
-            plot_quanta_json(args.input, args.output)
-        elif "per_workload" in keys:
+        if "per_workload" in keys:
             plot_compiler_json(args.input, args.output)
         elif "fig_grid_wall_clock" in keys:
             plot_sim_json(args.input, args.output)
