@@ -21,7 +21,7 @@ using namespace tq;
 using namespace tq::sim;
 
 int
-main(int argc, char **argv)
+main()
 {
     bench::banner("Ablation",
                   "core policy: PS vs LAS vs FCFS, Extreme Bimodal, 99.9% "
@@ -51,7 +51,7 @@ main(int argc, char **argv)
         }
     }
     std::vector<SimResult> results(cells.size());
-    parallel_run(cells.size(), bench::sweep_threads(argc, argv),
+    parallel_run(cells.size(), bench::host_threads(),
                  [&](size_t i) {
                      results[i] =
                          run_two_level(cells[i].cfg, *dist, cells[i].rate);

@@ -10,10 +10,11 @@
 #ifndef TQ_BENCH_BENCH_UTIL_H
 #define TQ_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <thread>
 
 #include "common/units.h"
 
@@ -32,29 +33,15 @@ sim_duration()
 }
 
 /**
- * Sweep parallelism for DES benches: the value of a `--sweep-threads=N`
- * argument, else the TQ_SWEEP_THREADS environment variable, else 1
- * (serial, the historical behavior). Points of a sweep are independent
- * simulations and serial/parallel results are bitwise identical (see
- * sim/sweep.h), so this only trades wall clock for cores.
+ * Sweep parallelism for DES benches: one worker per hardware thread of
+ * the host, at least 1. Points of a sweep are independent simulations
+ * and serial/parallel results are bitwise identical (see sim/sweep.h),
+ * so the thread count only trades wall clock for cores.
  */
 inline int
-sweep_threads(int argc, char **argv)
+host_threads()
 {
-    constexpr const char *kFlag = "--sweep-threads=";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
-            const int v = std::atoi(argv[i] + std::strlen(kFlag));
-            if (v > 0)
-                return v;
-        }
-    }
-    if (const char *env = std::getenv("TQ_SWEEP_THREADS")) {
-        const int v = std::atoi(env);
-        if (v > 0)
-            return v;
-    }
-    return 1;
+    return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 /** Print the standard bench banner. */

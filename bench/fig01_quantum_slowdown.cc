@@ -19,7 +19,7 @@ using namespace tq;
 using namespace tq::sim;
 
 int
-main(int argc, char **argv)
+main()
 {
     bench::banner("Figure 1",
                   "99.9% slowdown vs load, centralized PS, zero overhead, "
@@ -47,7 +47,7 @@ main(int argc, char **argv)
         }
     }
     std::vector<SimResult> results(cells.size());
-    parallel_run(cells.size(), bench::sweep_threads(argc, argv),
+    parallel_run(cells.size(), bench::host_threads(),
                  [&](size_t i) {
                      results[i] =
                          run_central(cells[i].cfg, *dist, cells[i].rate);

@@ -21,7 +21,7 @@ using namespace tq;
 using namespace tq::sim;
 
 int
-main(int argc, char **argv)
+main()
 {
     bench::banner("Figure 2",
                   "max rate with 99.9% slowdown <= 10 vs quantum, for "
@@ -50,7 +50,7 @@ main(int argc, char **argv)
         }
     }
     std::vector<double> caps(tasks.size());
-    parallel_run(tasks.size(), bench::sweep_threads(argc, argv),
+    parallel_run(tasks.size(), bench::host_threads(),
                  [&](size_t i) {
                      caps[i] = max_rate_under_slo(
                          [&](double rate) {

@@ -21,7 +21,7 @@ using namespace tq;
 using namespace tq::sim;
 
 int
-main(int argc, char **argv)
+main()
 {
     bench::banner("Figures 5-6",
                   "TQ 99.9% sojourn (us) vs rate, quantum sweep, Extreme "
@@ -50,7 +50,7 @@ main(int argc, char **argv)
         }
     }
     std::vector<SimResult> results(cells.size());
-    parallel_run(cells.size(), bench::sweep_threads(argc, argv),
+    parallel_run(cells.size(), bench::host_threads(),
                  [&](size_t i) {
                      results[i] =
                          run_two_level(cells[i].cfg, *dist, cells[i].rate);

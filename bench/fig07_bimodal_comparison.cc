@@ -18,9 +18,8 @@ using namespace tq;
 using namespace tq::sim;
 
 int
-main(int argc, char **argv)
+main()
 {
-    const int threads = bench::sweep_threads(argc, argv);
     bench::SystemOptions opts;
     // Per-class TQ column (TQPC, DESIGN.md §4i): shorts get a quantum
     // covering their whole demand (one slice, no processor-sharing
@@ -36,14 +35,14 @@ main(int argc, char **argv)
                     "Shinjuku quantum 5us\n");
         auto dist = workload_table::extreme_bimodal();
         bench::compare_systems(*dist, rate_grid(mrps(0.5), mrps(4.75), 9),
-                               5.0, {"Short", "Long"}, threads, opts);
+                               5.0, {"Short", "Long"}, opts);
     }
     {
         std::printf("## High Bimodal (50%% x 1us, 50%% x 100us); Shinjuku "
                     "quantum 5us\n");
         auto dist = workload_table::high_bimodal();
         bench::compare_systems(*dist, rate_grid(mrps(0.04), mrps(0.30), 9),
-                               5.0, {"Short", "Long"}, threads, opts);
+                               5.0, {"Short", "Long"}, opts);
     }
     return 0;
 }

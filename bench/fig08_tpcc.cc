@@ -18,7 +18,7 @@ using namespace tq;
 using namespace tq::sim;
 
 int
-main(int argc, char **argv)
+main()
 {
     bench::SystemOptions opts;
     // Per-class TQ column (TQPC, DESIGN.md §4i): one slice for the two
@@ -36,8 +36,7 @@ main(int argc, char **argv)
     // re-run all three systems a second time for it).
     const auto rows =
         bench::compare_systems(*dist, rates, 10.0,
-                               {"Payment", "StockLevel"},
-                               bench::sweep_threads(argc, argv), opts);
+                               {"Payment", "StockLevel"}, opts);
 
     std::printf("## overall 99.9%% slowdown\nrate_mrps\tTQ\tTQPC\t"
                 "Shinjuku\tCaladan\n");

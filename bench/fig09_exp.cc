@@ -17,13 +17,13 @@ using namespace tq;
 using namespace tq::sim;
 
 int
-main(int argc, char **argv)
+main()
 {
     bench::banner("Figure 9",
                   "Exp(1): 99.9% sojourn (us) vs rate; Shinjuku quantum "
                   "10us");
     auto dist = workload_table::exp1();
     bench::compare_systems(*dist, rate_grid(mrps(1), mrps(14), 9), 10.0,
-                           {"exp"}, bench::sweep_threads(argc, argv));
+                           {"exp"});
     return 0;
 }

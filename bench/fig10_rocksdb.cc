@@ -17,9 +17,8 @@ using namespace tq;
 using namespace tq::sim;
 
 int
-main(int argc, char **argv)
+main()
 {
-    const int threads = bench::sweep_threads(argc, argv);
     bench::banner("Figure 10",
                   "RocksDB GET/SCAN mixes: 99.9% sojourn (us); Shinjuku "
                   "quantum 15us");
@@ -27,14 +26,14 @@ main(int argc, char **argv)
         std::printf("## 0.5%% SCAN\n");
         auto dist = workload_table::rocksdb(0.005);
         bench::compare_systems(*dist, rate_grid(mrps(0.4), mrps(3.3), 8),
-                               15.0, {"GET", "SCAN"}, threads);
+                               15.0, {"GET", "SCAN"});
     }
     {
         std::printf("## 50%% SCAN\n");
         auto dist = workload_table::rocksdb(0.5);
         bench::compare_systems(*dist,
                                rate_grid(mrps(0.005), mrps(0.045), 8),
-                               15.0, {"GET", "SCAN"}, threads);
+                               15.0, {"GET", "SCAN"});
     }
     return 0;
 }

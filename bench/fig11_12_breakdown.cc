@@ -108,9 +108,9 @@ real_runtime_decomposition()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    const int threads = bench::sweep_threads(argc, argv);
+    const int threads = bench::host_threads();
     bench::banner("Figures 11-12",
                   "TQ variant breakdown on RocksDB 0.5% SCAN: 99.9% "
                   "sojourn (us) of GET and SCAN vs rate");

@@ -70,7 +70,7 @@ max_cores(Fn &&sustains, double quantum_us, int limit = 16)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     bench::banner("Figure 16",
                   "max cores sustaining the target quantum (avg effective "
@@ -83,7 +83,7 @@ main(int argc, char **argv)
     const std::vector<double> quanta_us = {0.5, 1, 2, 3, 5};
     std::vector<int> sj_cores(quanta_us.size());
     std::vector<int> tq_cores(quanta_us.size());
-    parallel_run(quanta_us.size() * 2, bench::sweep_threads(argc, argv),
+    parallel_run(quanta_us.size() * 2, bench::host_threads(),
                  [&](size_t i) {
                      const double q = quanta_us[i / 2];
                      if (i % 2 == 0)

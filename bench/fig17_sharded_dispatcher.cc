@@ -76,7 +76,7 @@ front_pick_ns(int shards)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     using namespace tq::sim;
     bench::banner("Figure 17",
@@ -100,7 +100,7 @@ main(int argc, char **argv)
     FixedDist dist(us(0.5));
     const std::vector<int> shard_counts = {1, 2, 4};
     std::vector<double> caps(shard_counts.size());
-    parallel_run(shard_counts.size(), bench::sweep_threads(argc, argv),
+    parallel_run(shard_counts.size(), bench::host_threads(),
                  [&](size_t i) {
                      TwoLevelConfig cfg;
                      cfg.num_cores = 64;

@@ -107,28 +107,6 @@ BM_MpmcQueuePushPop(benchmark::State &state)
 BENCHMARK(BM_MpmcQueuePushPop);
 
 void
-BM_RingBatchPushPop(benchmark::State &state)
-{
-    // Batched SPSC transfer: push_n moves the whole batch after one room
-    // check, pop_n with one consumer-index release. Per-item cost vs the
-    // scalar BM_SpscRingPushPop is the batching win; Arg is the batch size
-    // (Arg 1 prices the batch-API overhead itself).
-    const size_t k = static_cast<size_t>(state.range(0));
-    SpscRing<uint64_t> ring(1024);
-    std::vector<uint64_t> src(k), dst(k);
-    uint64_t v = 0;
-    for (size_t i = 0; i < k; ++i)
-        src[i] = v++;
-    for (auto _ : state) {
-        ring.push_n(src.data(), k);
-        benchmark::DoNotOptimize(ring.pop_n(dst.data(), k));
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(k));
-}
-BENCHMARK(BM_RingBatchPushPop)->Arg(1)->Arg(8)->Arg(32);
-
-void
 BM_RingPopInto(benchmark::State &state)
 {
     // In-place scalar pop: no std::optional wrapper on the hot path.

@@ -65,14 +65,13 @@ struct SystemRow
 
 /**
  * Run the three systems at each rate, spreading the independent
- * (rate, system) simulations over @p threads workers. Rows come back in
- * rate order; a figure can print several tables from one pass instead
- * of re-running the grid per table.
+ * (rate, system) simulations over the host's hardware threads. Rows
+ * come back in rate order; a figure can print several tables from one
+ * pass instead of re-running the grid per table.
  */
 inline std::vector<SystemRow>
 run_systems(const ServiceDist &dist, const std::vector<double> &rates,
-            double shinjuku_quantum_us, int threads,
-            const SystemOptions &opts = {})
+            double shinjuku_quantum_us, const SystemOptions &opts = {})
 {
     using namespace tq::sim;
 
@@ -81,7 +80,7 @@ run_systems(const ServiceDist &dist, const std::vector<double> &rates,
     // pick only compares saturation flags and non-saturated slowdowns,
     // so overloaded runs can stop at the saturation verdict. Five slots
     // per rate; the per-class TQ slot is a no-op unless requested.
-    parallel_run(rates.size() * 5, threads, [&](size_t i) {
+    parallel_run(rates.size() * 5, host_threads(), [&](size_t i) {
         const double rate = rates[i / 5];
         SystemRow &row = rows[i / 5];
         switch (i % 5) {
@@ -174,10 +173,10 @@ inline std::vector<SystemRow>
 compare_systems(const ServiceDist &dist,
                 const std::vector<double> &rates,
                 double shinjuku_quantum_us,
-                const std::vector<std::string> &classes, int threads = 1,
+                const std::vector<std::string> &classes,
                 const SystemOptions &opts = {})
 {
-    auto rows = run_systems(dist, rates, shinjuku_quantum_us, threads, opts);
+    auto rows = run_systems(dist, rates, shinjuku_quantum_us, opts);
     print_system_rows(rows, rates, classes,
                       !opts.tq_class_quantum.empty());
     return rows;

@@ -100,9 +100,9 @@ class MpmcQueue
      *
      * The claimable prefix is the run of cells already published by
      * their producers (cells are claimed in order but may be published
-     * out of order, so the run can be shorter than size()); a single
-     * compare-exchange on the dequeue cursor then claims the entire
-     * prefix, amortizing the contended RMW across the batch.
+     * out of order, so the run can be shorter than the occupancy); a
+     * single compare-exchange on the dequeue cursor then claims the
+     * entire prefix, amortizing the contended RMW across the batch.
      *
      * @return number of elements dequeued (0 when empty), FIFO order.
      */
@@ -138,15 +138,6 @@ class MpmcQueue
             }
             return ready;
         }
-    }
-
-    /** Approximate occupancy (racy; for stats and tests only). */
-    size_t
-    size() const
-    {
-        const size_t enq = enqueue_pos_.value.load(std::memory_order_acquire);
-        const size_t deq = dequeue_pos_.value.load(std::memory_order_acquire);
-        return enq >= deq ? enq - deq : 0;
     }
 
   private:

@@ -21,9 +21,9 @@
  * the producer acquire-loads `tail` only when its cached copy says the
  * ring is full, which orders that move before the slot's refill.
  * `head` is producer-private and never published, and the consumer
- * never writes a slot. The batch APIs (push_n/pop_n) move up to k items
- * per `tail` acquire/release, dividing the index traffic by the batch
- * size (DESIGN.md "Batched hot path").
+ * never writes a slot. pop_n moves up to k items per `tail` release,
+ * dividing the consumer's index traffic by the batch size (DESIGN.md
+ * "Batched hot path").
  *
  * Index layout (docs/cache_line_analysis.md): two lines, one per end.
  * The producer's line holds `head` and its snapshot of `tail`, both
@@ -145,35 +145,6 @@ class SpscRing
         s.stamp.store(head + 1, std::memory_order_release);
         prod_.head = head + 1;
         return true;
-    }
-
-    /**
-     * Enqueue up to @p n values from @p src. Producer-side only.
-     *
-     * One room check covers the whole batch (at most one acquire of the
-     * consumer index); each slot is published by its own stamp, so the
-     * consumer can take the first items while the rest are filled.
-     *
-     * @return number of values actually enqueued (0 when full); the
-     *     first @c return values of @p src are moved from.
-     */
-    size_t
-    push_n(T *src, size_t n)
-    {
-        const size_t head = prod_.head;
-        size_t free = mask_ + 1 - (head - prod_.cached_tail);
-        if (free < n) {
-            prod_.cached_tail = cons_.tail.load(std::memory_order_acquire);
-            free = mask_ + 1 - (head - prod_.cached_tail);
-        }
-        const size_t count = n < free ? n : free;
-        for (size_t i = 0; i < count; ++i) {
-            Slot &s = slot(head + i);
-            s.value = std::move(src[i]);
-            s.stamp.store(head + i + 1, std::memory_order_release);
-        }
-        prod_.head = head + count;
-        return count;
     }
 
     /**

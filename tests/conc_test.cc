@@ -5,7 +5,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -138,15 +137,12 @@ INSTANTIATE_TEST_SUITE_P(Capacities, SpscRingCapacities,
 
 TEST(SpscRing, BatchAndScalarOpsInterleaveFifo)
 {
-    // Mixed scalar push / push_n / pop / pop_into / pop_n must observe
-    // one FIFO stream: the batch APIs move the same indices the scalar
-    // ones do.
+    // Scalar push against mixed pop / pop_into / pop_n must observe one
+    // FIFO stream: the batch pop moves the same indices the scalar ones
+    // do.
     SpscRing<int> ring(16);
-    int src[4] = {0, 1, 2, 3};
-    EXPECT_EQ(ring.push_n(src, 4), 4u);
-    EXPECT_TRUE(ring.push(4));
-    int src2[3] = {5, 6, 7};
-    EXPECT_EQ(ring.push_n(src2, 3), 3u);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_TRUE(ring.push(i));
 
     auto v = ring.pop();
     ASSERT_TRUE(v.has_value());
@@ -164,9 +160,9 @@ TEST(SpscRing, BatchAndScalarOpsInterleaveFifo)
 TEST(SpscRing, BatchOpsArePartialOnFullAndEmpty)
 {
     SpscRing<int> ring(4);
-    int src[6] = {0, 1, 2, 3, 4, 5};
-    EXPECT_EQ(ring.push_n(src, 6), 4u) << "capacity-limited partial push";
-    EXPECT_EQ(ring.push_n(src, 1), 0u) << "full ring accepts nothing";
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(ring.push(i));
+    EXPECT_FALSE(ring.push(4)) << "full ring accepts nothing";
 
     int dst[6] = {};
     EXPECT_EQ(ring.pop_n(dst, 6), 4u) << "drains what is there";
@@ -176,42 +172,6 @@ TEST(SpscRing, BatchOpsArePartialOnFullAndEmpty)
     int out = -1;
     EXPECT_FALSE(ring.pop_into(out));
     EXPECT_EQ(out, -1) << "failed pop_into must not write";
-}
-
-TEST(SpscRing, TwoThreadBatchProducerScalarConsumer)
-{
-    // push_n on one thread against scalar pop on the other: the batch
-    // publish (one release store for the whole batch) must never expose
-    // unwritten slots.
-    SpscRing<uint64_t> ring(64);
-    constexpr uint64_t kCount = 60000;
-
-    std::thread producer([&] {
-        uint64_t batch[16];
-        uint64_t next = 0;
-        while (next < kCount) {
-            const size_t want =
-                std::min<uint64_t>(16, kCount - next);
-            for (size_t i = 0; i < want; ++i)
-                batch[i] = next + i;
-            const size_t pushed = ring.push_n(batch, want);
-            next += pushed;
-            if (pushed == 0)
-                std::this_thread::yield();
-        }
-    });
-    uint64_t expected = 0;
-    while (expected < kCount) {
-        auto v = ring.pop();
-        if (!v) {
-            std::this_thread::yield();
-            continue;
-        }
-        ASSERT_EQ(*v, expected) << "FIFO order violated";
-        ++expected;
-    }
-    producer.join();
-    EXPECT_TRUE(ring.empty());
 }
 
 TEST(SpscRing, TwoThreadScalarProducerBatchConsumer)
@@ -261,17 +221,14 @@ TEST(SpscRing, PreviousLapStampReadsAsEmpty)
     };
     expect_empty(-1);
     for (int lap = 0; lap < 12; ++lap) {
-        // Two items per lap, through push, push_with and push_n in turn.
-        if (lap % 3 == 0) {
-            ASSERT_TRUE(ring.push(next++));
-            ASSERT_TRUE(ring.push(next++));
-        } else if (lap % 3 == 1) {
+        // Two items per lap, through push_with every third lap and
+        // push otherwise, so each push flavour meets both pop phases.
+        if (lap % 3 == 1) {
             ASSERT_TRUE(ring.push_with([&](int &v) { v = next++; }));
             ASSERT_TRUE(ring.push_with([&](int &v) { v = next++; }));
         } else {
-            int src[2] = {next, next + 1};
-            ASSERT_EQ(ring.push_n(src, 2), 2u);
-            next += 2;
+            ASSERT_TRUE(ring.push(next++));
+            ASSERT_TRUE(ring.push(next++));
         }
         EXPECT_FALSE(ring.push(-7)) << "full after two, lap " << lap;
         if (lap % 2 == 0) {
@@ -319,37 +276,23 @@ class SpscRingStampStress : public ::testing::TestWithParam<size_t>
 
 TEST_P(SpscRingStampStress, MixedOpsKeepFifoAndWholeValues)
 {
-    // The producer cycles push, push_with and push_n (batches of 1-7);
-    // the consumer cycles pop_into and pop_n (up to 1-9). Every value
-    // must arrive once, in order, with all six words from one push.
+    // The producer alternates push and push_with; the consumer cycles
+    // pop_into and pop_n (up to 1-9). Every value must arrive once, in
+    // order, with all six words from one push.
     SpscRing<Wide> ring(GetParam());
     constexpr uint64_t kCount = 1'000'000;
 
     std::thread producer([&] {
-        Wide batch[7];
         uint64_t next = 0;
         for (uint64_t round = 0; next < kCount; ++round) {
-            size_t pushed = 0;
-            switch (round % 3) {
-              case 0:
-                pushed = ring.push(make_wide(next)) ? 1 : 0;
-                break;
-              case 1:
-                pushed = ring.push_with(
-                             [&](Wide &slot) { slot = make_wide(next); })
-                             ? 1
-                             : 0;
-                break;
-              default: {
-                const size_t want = std::min<uint64_t>(
-                    1 + round % 7, kCount - next);
-                for (size_t i = 0; i < want; ++i)
-                    batch[i] = make_wide(next + i);
-                pushed = ring.push_n(batch, want);
-              }
-            }
-            next += pushed;
-            if (pushed == 0)
+            const bool pushed =
+                round % 2 == 0
+                    ? ring.push(make_wide(next))
+                    : ring.push_with(
+                          [&](Wide &slot) { slot = make_wide(next); });
+            if (pushed)
+                ++next;
+            else
                 std::this_thread::yield();
         }
     });
@@ -519,7 +462,7 @@ TEST(MpmcQueue, PopNUnderMultiProducerLosesNothing)
     }
     for (auto &t : producers)
         t.join();
-    EXPECT_EQ(q.size(), 0u);
+    EXPECT_FALSE(q.pop().has_value());
 }
 
 /**

@@ -52,7 +52,9 @@ class FuzzModuleBuilder
     Function
     build_function(int fi, int nfuncs)
     {
-        fb_ = FunctionBuilder("f" + std::to_string(fi));
+        std::string name = "f";
+        name += std::to_string(fi);
+        fb_ = FunctionBuilder(name);
         fi_ = fi;
         nfuncs_ = nfuncs;
         int cur = fb_.add_block();

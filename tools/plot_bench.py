@@ -15,16 +15,13 @@ dependency; the benches themselves never need it.
 A .json input is treated as a recorded calibration run and dispatched
 on its keys: dispatcher_throughput rows (BENCH_dispatch.json) become a
 per-worker-count Mrps bar chart plus the simulated sharded-dispatcher
-capacity panel; a simulator document (BENCH_sim.json) becomes the
-figure-grid wall clock, serial vs threaded; a compiler document
-(BENCH_compiler.json) becomes TQ-vs-TQopt probe-count and proven-bound
-bar charts.
+capacity panel; a compiler document (BENCH_compiler.json) becomes
+TQ-vs-TQopt probe-count and proven-bound bar charts.
 
 Usage:
     build/bench/fig01_quantum_slowdown | tools/plot_bench.py -o fig01.png
     tools/plot_bench.py bench_output_fig07.txt -o fig07.png
     tools/plot_bench.py BENCH_dispatch.json -o dispatch.png
-    tools/plot_bench.py BENCH_sim.json -o sim_core.png
 """
 
 import argparse
@@ -144,31 +141,6 @@ def plot_dispatch_json(path, output):
     print(f"wrote {output}")
 
 
-def plot_sim_json(path, output):
-    """Render BENCH_sim.json: figure-grid wall clock, serial vs threaded."""
-    with open(path) as f:
-        data = json.load(f)
-    grid = data["fig_grid_wall_clock"]
-    threads = data["config"]["sweep_threads"]
-
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    fig, ax = plt.subplots(figsize=(6, 4.5))
-    ax.bar([0, 1], [grid["serial_sec"], grid["threads_sec"]], 0.5)
-    ax.set_xticks([0, 1])
-    ax.set_xticklabels(["serial", f"--sweep-threads={threads}"])
-    ax.set_ylabel("seconds")
-    ax.set_title("Figure 5/6 grid wall clock", fontsize=9)
-    ax.grid(True, axis="y", alpha=0.3)
-
-    fig.tight_layout()
-    fig.savefig(output, dpi=130)
-    print(f"wrote {output}")
-
-
 def plot_compiler_json(path, output):
     """Render BENCH_compiler.json: per-workload TQ-vs-TQopt probe counts
     and proven bounds from the verify-guided placement optimizer."""
@@ -229,8 +201,6 @@ def main():
             keys = json.load(f)
         if "per_workload" in keys:
             plot_compiler_json(args.input, args.output)
-        elif "fig_grid_wall_clock" in keys:
-            plot_sim_json(args.input, args.output)
         else:
             plot_dispatch_json(args.input, args.output)
         return
