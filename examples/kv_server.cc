@@ -58,7 +58,7 @@ shard()
  * on a single worker. The robust, host-independent signal is completion
  * *order*: preemptive PS lets every GET overtake the SCAN; FCFS makes
  * every GET wait behind it. (Open-loop latency numbers would mostly
- * measure OS timesharing on this single-core build host.)
+ * measure OS timesharing on a shared host with few cores.)
  */
 struct BurstResult
 {

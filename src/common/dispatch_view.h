@@ -7,8 +7,8 @@
  * and current-jobs quanta of the workers it owns: two contiguous,
  * cache-line-aligned `uint32_t` arrays, so 16 workers' lengths fit in
  * one line. Its owner refreshes it from the workers' counters (the
- * runtime once per RX batch, the simulator every stats_refresh_period),
- * bumps the winner of each pick, and asks pick() for the next target.
+ * runtime once per RX batch, the simulator at every pick), bumps the
+ * winner of each pick, and asks pick() for the next target.
  * pick() is the only implementation of the four blind policies, so the
  * two engines' dispatchers agree by construction.
  *

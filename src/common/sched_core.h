@@ -10,7 +10,9 @@
  * keeps the per-class deficit and starvation accounts; SchedCore
  * composes them into the calls an engine makes and holds the shape's
  * per-slot base quanta, so a grant's base is resolved here for both
- * engines. The fixed quantum is the degenerate shape — one slot holding
+ * engines. Policy is the one per-core policy enum, and resolve_shape()
+ * the one rule that turns it and the quanta into a SchedShape. The
+ * fixed quantum is the degenerate shape — one slot holding
  * the scalar quantum, deficit clamp 0, guard off — where every budget
  * is the base quantum, every deficit settles to 0 and nothing is
  * promoted.
@@ -26,6 +28,8 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "common/check.h"
 
 namespace tq::sched {
 
@@ -297,11 +301,19 @@ class ClassLedger
     Account acct_[kMaxClasses] = {};
 };
 
-/** How a core schedules, resolved once per engine instance. Both
- *  engines fill `quantum` by one rule: per-class mode gives slot c its
- *  class's quantum (slots past the class table keep the scalar one);
- *  the fixed quantum and FCFS read slot 0 only, which holds the scalar
- *  quantum. */
+/** Per-core quantum scheduling policy (paper sections 3.1-3.2). */
+enum class Policy {
+    ProcessorSharing, ///< round-robin quanta over admitted jobs
+    Fcfs,             ///< run to completion in arrival order (the
+                      ///< engine arms no quantum; probes never fire)
+    Las,              ///< least-attained-service first: the job with
+                      ///< the fewest serviced quanta (dynamic policies
+                      ///< are possible because probes decide yields at
+                      ///< run time, paper section 3.1)
+};
+
+/** How a core schedules, resolved once per engine instance by
+ *  resolve_shape(). */
 template <typename Time>
 struct SchedShape
 {
@@ -311,6 +323,38 @@ struct SchedShape
     uint64_t promote_after = 0; ///< 0 = starvation guard off
     Time quantum[kMaxClasses] = {}; ///< base quantum of each slot
 };
+
+/**
+ * The one rule both engines resolve their shape by (DESIGN.md §4i).
+ * Per-class mode — a non-empty @p class_quanta under PS or LAS — gives
+ * every ledger slot its class's quantum (slots past the table keep
+ * @p quantum), the deficit clamp and the starvation guard; each table
+ * entry must be > 0. Otherwise, and always under FCFS (whose cores
+ * never slice), the shape is the fixed quantum: one slot holding
+ * @p quantum, neither knob.
+ */
+template <typename Time>
+SchedShape<Time>
+resolve_shape(Policy policy, Time quantum,
+              const std::vector<Time> &class_quanta, Time deficit_clamp,
+              uint64_t promote_after)
+{
+    SchedShape<Time> shape;
+    shape.las = policy == Policy::Las;
+    std::fill(std::begin(shape.quantum), std::end(shape.quantum), quantum);
+    if (class_quanta.empty() || policy == Policy::Fcfs)
+        return shape;
+    shape.slots = kMaxClasses;
+    shape.deficit_clamp = deficit_clamp;
+    shape.promote_after = promote_after;
+    for (size_t c = 0; c < class_quanta.size() &&
+                       c < static_cast<size_t>(kMaxClasses);
+         ++c) {
+        TQ_CHECK(class_quanta[c] > 0);
+        shape.quantum[c] = class_quanta[c];
+    }
+    return shape;
+}
 
 /**
  * One core's scheduler. Per job an engine calls admit(), then finish()

@@ -15,15 +15,9 @@
 
 namespace tq::runtime {
 
-/** Per-worker quantum scheduling policy. */
-enum class WorkPolicy {
-    ProcessorSharing, ///< forced multitasking in `quantum_us` slices
-    Fcfs,             ///< run to completion (probes never fire)
-    Las,              ///< least-attained-service first: resume the task
-                      ///< with the fewest serviced quanta (dynamic
-                      ///< policies are possible because probes decide
-                      ///< yields at run time, paper section 3.1)
-};
+/** Per-worker quantum scheduling policy: the one enum both engines
+ *  share (common/sched_core.h). */
+using WorkPolicy = sched::Policy;
 
 /** Task coroutines per worker. The paper observes stable performance at
  *  four or more and uses eight (section 5.1). */

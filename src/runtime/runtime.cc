@@ -1,7 +1,6 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/check.h"
 #include "common/cycles.h"
@@ -19,29 +18,16 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
           static_cast<size_t>(cfg.num_workers)))
 {
     TQ_CHECK(cfg_.num_workers > 0);
-    // Scheduling shape (DESIGN.md §4i), resolved once for all workers.
-    // Per-class mode — a populated table — gives every slot a ledger
-    // slot holding its class's quantum (quantum_us past the table), the
-    // deficit clamp and the guard. Otherwise, and always under FCFS
-    // (probes never fire), it is the fixed quantum: one slot holding
-    // quantum_us, neither knob.
-    sched_shape_.las = cfg_.work == WorkPolicy::Las;
-    std::fill(std::begin(sched_shape_.quantum),
-              std::end(sched_shape_.quantum),
-              ns_to_cycles(cfg_.quantum_us * 1e3));
-    if (!cfg_.class_quantum_us.empty() && cfg_.work != WorkPolicy::Fcfs) {
-        sched_shape_.slots = sched::kMaxClasses;
-        sched_shape_.deficit_clamp =
-            ns_to_cycles(cfg_.deficit_clamp_us * 1e3);
-        sched_shape_.promote_after = cfg_.starvation_promote_after;
-        for (size_t c = 0; c < cfg_.class_quantum_us.size() &&
-                           c < static_cast<size_t>(sched::kMaxClasses);
-             ++c) {
-            TQ_CHECK(cfg_.class_quantum_us[c] > 0);
-            sched_shape_.quantum[c] =
-                ns_to_cycles(cfg_.class_quantum_us[c] * 1e3);
-        }
-    }
+    // Scheduling shape (DESIGN.md §4i), resolved once for all workers
+    // by the rule the simulator shares. A non-positive entry converts
+    // to 0 cycles, which resolve_shape() rejects.
+    std::vector<Cycles> class_quanta;
+    for (const double q : cfg_.class_quantum_us)
+        class_quanta.push_back(ns_to_cycles(std::max(q, 0.0) * 1e3));
+    sched_shape_ = sched::resolve_shape(
+        cfg_.work, ns_to_cycles(cfg_.quantum_us * 1e3), class_quanta,
+        ns_to_cycles(cfg_.deficit_clamp_us * 1e3),
+        cfg_.starvation_promote_after);
     for (int w = 0; w < cfg_.num_workers; ++w)
         workers_.push_back(std::make_unique<Worker>(
             w, cfg_, handler, &metrics_->worker(w), &lc_, sched_shape_));

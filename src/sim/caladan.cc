@@ -6,12 +6,25 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "sim/event_core.h"
+#include "sim/overheads.h"
 
 namespace tq::sim {
 
 namespace {
 
 constexpr uint32_t kNone = ~0u;
+
+constexpr int kCores = 16;
+/** Random victims an idle core probes before parking. */
+constexpr int kStealAttempts = 2;
+/** IOKernel per-packet cost (serial resource). */
+constexpr SimNanos kIoKernelCost = 110;
+/** Directpath: extra per-request packet work on the worker. */
+constexpr SimNanos kDirectpathCost = 150;
+/** Cost of one work-stealing attempt (successful or not). */
+constexpr SimNanos kStealCost = 90;
+/** Response path at the worker: the other engines' default. */
+constexpr SimNanos kResponseCost = Overheads{}.response_cost;
 
 enum EventKind : uint32_t { kArrival, kIoDone, kCoreDone };
 
@@ -28,9 +41,8 @@ class CaladanSim
                double rate)
         : cfg_(cfg),
           core_(dist, rate, cfg.seed, cfg.duration, cfg.stop_when_saturated),
-          cores_(static_cast<size_t>(cfg.num_cores))
+          cores_(kCores)
     {
-        TQ_CHECK(cfg.num_cores > 0);
     }
 
     SimResult
@@ -82,8 +94,7 @@ class CaladanSim
         if (io_busy_ || io_q_.empty())
             return;
         io_busy_ = true;
-        core_.schedule(core_.now() + cfg_.overheads.iokernel_cost,
-                       kIoDone, -1);
+        core_.schedule(core_.now() + kIoKernelCost, kIoDone, -1);
     }
 
     void
@@ -102,7 +113,7 @@ class CaladanSim
     deliver(uint32_t idx)
     {
         const int c = static_cast<int>(
-            core_.rng().below(static_cast<uint64_t>(cfg_.num_cores)));
+            core_.rng().below(static_cast<uint64_t>(kCores)));
         Core &core = cores_[static_cast<size_t>(c)];
         core.runq.push_back(idx);
         if (core.running == kNone) {
@@ -112,15 +123,13 @@ class CaladanSim
         // The hashed core is busy. Real Caladan workers poll for steals
         // continuously, so a concurrently idle core picks the job up
         // almost immediately; emulate by letting the first idle core
-        // steal it now (one steal_cost of delay).
-        if (cfg_.steal_attempts <= 0)
-            return;
-        for (int v = 0; v < cfg_.num_cores; ++v) {
+        // steal it now (one steal attempt's cost of delay).
+        for (int v = 0; v < kCores; ++v) {
             Core &thief = cores_[static_cast<size_t>(v)];
             if (v != c && thief.running == kNone) {
                 core.runq.pop_back();
                 thief.runq.push_back(idx);
-                start_job(v, cfg_.overheads.steal_cost);
+                start_job(v, kStealCost);
                 return;
             }
         }
@@ -138,10 +147,10 @@ class CaladanSim
             core.runq.pop_front();
         } else {
             // Work stealing: probe random victims.
-            for (int a = 0; a < cfg_.steal_attempts; ++a) {
-                extra += cfg_.overheads.steal_cost;
-                const int v = static_cast<int>(core_.rng().below(
-                    static_cast<uint64_t>(cfg_.num_cores)));
+            for (int a = 0; a < kStealAttempts; ++a) {
+                extra += kStealCost;
+                const int v = static_cast<int>(
+                    core_.rng().below(static_cast<uint64_t>(kCores)));
                 Core &victim = cores_[static_cast<size_t>(v)];
                 if (v != c && !victim.runq.empty()) {
                     idx = victim.runq.back(); // steal from the tail
@@ -154,10 +163,9 @@ class CaladanSim
             return; // park idle; next delivery wakes the core
         core.running = idx;
         const Job &j = job(idx);
-        const SimNanos packet_cost =
-            cfg_.directpath ? cfg_.overheads.directpath_cost : 0;
+        const SimNanos packet_cost = cfg_.directpath ? kDirectpathCost : 0;
         core_.schedule(core_.now() + extra + packet_cost + j.remaining +
-                           cfg_.overheads.response_cost,
+                           kResponseCost,
                        kCoreDone, c);
     }
 

@@ -1,32 +1,29 @@
 /**
  * @file
  * Discrete-event model of a Caladan-style runtime (paper section 5.1):
- * FCFS run-to-completion, RSS-hash packet steering to per-core queues,
- * and work stealing from idle cores.
+ * FCFS run-to-completion on 16 cores, RSS-hash packet steering to
+ * per-core queues, and work stealing from idle cores.
  *
  * Two I/O modes, matching the paper's evaluation:
- *  - IOKernel: a serial core moves every packet (iokernel_cost each).
+ *  - IOKernel: a serial core moves every packet (110 ns each).
  *  - Directpath: no serial stage, but each request costs the worker
- *    extra packet-processing time (directpath_cost).
+ *    150 ns of extra packet processing.
+ * A steal attempt costs 90 ns and an idle core makes two before it
+ * parks; a response costs the worker Overheads::response_cost. No
+ * figure varies these, so they are constants of the model.
  */
 #ifndef TQ_SIM_CALADAN_H
 #define TQ_SIM_CALADAN_H
 
 #include "common/dist.h"
 #include "sim/metrics.h"
-#include "sim/overheads.h"
 
 namespace tq::sim {
 
 /** Configuration of one Caladan-style simulation run. */
 struct CaladanConfig
 {
-    int num_cores = 16;
-    bool directpath = false;
-    Overheads overheads = Overheads::tq_default();
-
-    /** Number of random victims an idle core probes before parking. */
-    int steal_attempts = 2;
+    bool directpath = false; ///< I/O mode: directpath, else IOKernel
 
     SimNanos duration = ms(200);
     uint64_t seed = 1;

@@ -6,9 +6,9 @@
  * mechanism costs. Of the TQ-side values, switch_overhead = 40 and
  * response_cost = 20 are set by hand, and dispatch_cost = 28 comes from
  * the 2026-08-07 run of bench/misc_dispatcher_throughput (ROADMAP
- * "Sim constants from measurements"). The Shinjuku/Caladan-side values
- * come from the paper's characterization of those systems (sections 1,
- * 5.1, 5.6, 6, 7).
+ * "Sim constants from measurements"). The Shinjuku-side values come
+ * from the paper's characterization of that system (sections 1, 5.6,
+ * 6); the Caladan model keeps its own constants (sim/caladan.cc).
  */
 #ifndef TQ_SIM_OVERHEADS_H
 #define TQ_SIM_OVERHEADS_H
@@ -63,15 +63,6 @@ struct Overheads
     /** Per-request cost on the response path at the worker. */
     SimNanos response_cost = 20;
 
-    /** Caladan IOKernel per-packet cost (serial resource). */
-    SimNanos iokernel_cost = 110;
-
-    /** Caladan directpath: extra per-request packet work on the worker. */
-    SimNanos directpath_cost = 150;
-
-    /** Cost of one work-stealing attempt (successful or not). */
-    SimNanos steal_cost = 90;
-
     /** TQ overheads with values calibrated from the real mechanisms. */
     static Overheads
     tq_default()
@@ -92,14 +83,14 @@ struct Overheads
         return o;
     }
 
-    /** Shinjuku-style interrupt-driven centralized scheduling. */
+    /** Shinjuku-style interrupt-driven centralized scheduling: ~1us
+     *  interrupt latency per preemption (paper section 1) on top of the
+     *  default ~5 Mrps centralized dispatcher (sched_op_cost). */
     static Overheads
     shinjuku_default()
     {
         Overheads o;
-        o.switch_overhead = us(1); // interrupt latency (paper section 1)
-        o.sched_op_cost = 210;     // ~5 Mrps centralized dispatcher
-        o.dispatch_cost = 210;
+        o.switch_overhead = us(1);
         return o;
     }
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <iterator>
 #include <vector>
 
 #include "common/check.h"
@@ -74,27 +73,16 @@ class TwoLevelSim
                 shard_span(cfg.num_cores, cfg.num_dispatchers, d));
         front_pending_.resize(static_cast<size_t>(cfg.num_dispatchers));
         front_loads_.resize(static_cast<size_t>(cfg.num_dispatchers), 0);
-        // Scheduling shape (DESIGN.md §4i), resolved as the runtime
-        // resolves it: per-class quanta give each class a ledger slot
-        // holding its quantum, with the deficit clamp and the
-        // starvation guard; the fixed quantum — and FCFS, whose cores
-        // never slice — is one slot holding `quantum`, with both off.
-        sched::SchedShape<SimNanos> shape;
-        shape.las = cfg.core_policy == CorePolicy::Las;
-        std::fill(std::begin(shape.quantum), std::end(shape.quantum),
-                  cfg.quantum);
+        // Scheduling shape (DESIGN.md §4i), resolved by the rule the
+        // runtime shares.
         if (!cfg.class_quantum.empty()) {
             TQ_CHECK(cfg.class_quantum.size() == dist.class_names().size());
             TQ_CHECK(cfg.class_quantum.size() <=
                      static_cast<size_t>(sched::kMaxClasses));
-            if (cfg.core_policy != CorePolicy::Fcfs) {
-                shape.slots = static_cast<int>(cfg.class_quantum.size());
-                shape.deficit_clamp = cfg.deficit_clamp;
-                shape.promote_after = cfg.starvation_promote_after;
-                std::copy(cfg.class_quantum.begin(),
-                          cfg.class_quantum.end(), shape.quantum);
-            }
         }
+        const sched::SchedShape<SimNanos> shape = sched::resolve_shape(
+            cfg.core_policy, cfg.quantum, cfg.class_quantum,
+            cfg.deficit_clamp, cfg.starvation_promote_after);
         cores_.assign(static_cast<size_t>(cfg.num_cores), Core(shape));
         num_classes_ = dist.class_names().size();
         class_grant_intervals_.resize(num_classes_, 0);
@@ -195,14 +183,13 @@ class TwoLevelSim
      * Front-tier JSQ (common/shard.h): steer to the shard with the
      * smallest aggregate load — dispatch backlog (queued + in hand +
      * still crossing the front latency) plus the owned cores' queue
-     * lengths in the shard's view, which carries the dispatchers'
-     * periodically refreshed staleness. Rotation by arrival count
-     * spreads tied picks round-robin.
+     * lengths in the shard's view, refreshed first. Rotation by arrival
+     * count spreads tied picks round-robin.
      */
     int
     pick_shard()
     {
-        refresh_stats_if_due();
+        refresh_views();
         const int n = cfg_.num_dispatchers;
         for (int d = 0; d < n; ++d) {
             const Dispatcher &disp = dispatchers_[static_cast<size_t>(d)];
@@ -253,18 +240,13 @@ class TwoLevelSim
     // -------------------------------------------------- load balancing --
     /**
      * Re-read the cores' counters into every dispatcher's view (paper
-     * section 4: the counter lines are "periodically read by the
-     * dispatcher"): length = assigned - finished, quanta = the MSQ
-     * metric. Between refreshes each view goes stale except for its own
-     * dispatcher's assignments, which bump_len() adds.
+     * section 4: the dispatcher reads the workers' counter lines):
+     * length = assigned - finished, quanta = the MSQ metric. Every pick
+     * reads fresh counters.
      */
     void
-    refresh_stats_if_due()
+    refresh_views()
     {
-        if (cfg_.stats_refresh_period > 0 &&
-            core_.now() - last_refresh_ < cfg_.stats_refresh_period)
-            return;
-        last_refresh_ = core_.now();
         for (Dispatcher &disp : dispatchers_)
             for (int i = 0; i < disp.span.count; ++i) {
                 const Core &core =
@@ -283,7 +265,7 @@ class TwoLevelSim
     int
     pick_core(int d)
     {
-        refresh_stats_if_due();
+        refresh_views();
         Dispatcher &disp = dispatchers_[static_cast<size_t>(d)];
         const int i = disp.view.pick(cfg_.lb, core_.rng());
         disp.view.bump_len(static_cast<size_t>(i));
@@ -361,7 +343,6 @@ class TwoLevelSim
     /** Scratch for the front tier's per-shard load estimates. */
     std::vector<uint32_t> front_loads_;
     std::vector<Core> cores_;
-    SimNanos last_refresh_ = -1;
 
     // Per-class effective-quantum metrics (DESIGN.md §4i).
     size_t num_classes_ = 0;

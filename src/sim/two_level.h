@@ -8,7 +8,7 @@
  * blind load-balancing policy — JSQ with MSQ or random tie-breaking,
  * uniform random, or power-of-two choices — through the runtime's own
  * pick: each dispatcher owns a common/dispatch_view.h view of its cores,
- * refreshed every stats_refresh_period. Each worker core schedules
+ * refreshed at every pick. Each worker core schedules
  * its admitted jobs with processor sharing in `quantum`-sized slices
  * (switch_overhead charged per preemption) or FCFS run-to-completion.
  * Responses leave directly from the worker (response_cost), matching the
@@ -26,19 +26,15 @@
 
 #include "common/dispatch_view.h"
 #include "common/dist.h"
+#include "common/sched_core.h"
 #include "sim/metrics.h"
 #include "sim/overheads.h"
 
 namespace tq::sim {
 
-/** Per-core quantum scheduling policies. */
-enum class CorePolicy {
-    ProcessorSharing, ///< round-robin quanta over admitted jobs
-    Fcfs,             ///< run to completion in arrival order
-    Las,              ///< least-attained-service first (the dynamic-
-                      ///< quantum policy class TQ's probes support,
-                      ///< paper section 3.1)
-};
+/** Per-core quantum scheduling policy: the one enum both engines
+ *  share (common/sched_core.h). */
+using CorePolicy = sched::Policy;
 
 /** Configuration of one two-level simulation run. */
 struct TwoLevelConfig
@@ -102,14 +98,6 @@ struct TwoLevelConfig
      * probe_overhead_frac).
      */
     double probe_overhead_frac = 0.0;
-
-    /**
-     * How often the dispatcher re-reads the workers' counter cache
-     * lines (paper section 4: "periodically read by the dispatcher").
-     * Between refreshes it sees stale finished/quanta counts, though it
-     * always knows its own assignments. 0 = refresh on every decision.
-     */
-    SimNanos stats_refresh_period = 0;
 
     /**
      * When non-null, every arrival draw (including the final

@@ -955,6 +955,42 @@ TEST(SchedCore, OneSlotShapeIsTheFixedQuantum)
     }
 }
 
+TEST(SchedCore, ResolveShapeIsOneRuleForEveryPolicy)
+{
+    // The rule both engines resolve their shape by: a class table under
+    // PS or LAS fills every slot (past the table: the scalar quantum)
+    // and turns both knobs on; no table, or FCFS, is the fixed quantum.
+    using sched::Policy;
+    const std::vector<SimNanos> table = {3000, 5000};
+    for (const Policy p : {Policy::ProcessorSharing, Policy::Las}) {
+        const auto shape =
+            sched::resolve_shape<SimNanos>(p, 2000, table, 800, 64);
+        EXPECT_EQ(shape.las, p == Policy::Las);
+        EXPECT_EQ(shape.slots, sched::kMaxClasses);
+        EXPECT_EQ(shape.deficit_clamp, 800);
+        EXPECT_EQ(shape.promote_after, 64u);
+        EXPECT_EQ(shape.quantum[0], 3000);
+        EXPECT_EQ(shape.quantum[1], 5000);
+        for (int s = 2; s < sched::kMaxClasses; ++s)
+            EXPECT_EQ(shape.quantum[s], 2000) << "slot " << s;
+    }
+    for (const auto &classes : {table, std::vector<SimNanos>{}}) {
+        const Policy policy =
+            classes.empty() ? Policy::ProcessorSharing : Policy::Fcfs;
+        const auto shape =
+            sched::resolve_shape<SimNanos>(policy, 2000, classes, 800, 64);
+        EXPECT_FALSE(shape.las);
+        EXPECT_EQ(shape.slots, 1);
+        EXPECT_EQ(shape.deficit_clamp, 0);
+        EXPECT_EQ(shape.promote_after, 0u);
+        for (int s = 0; s < sched::kMaxClasses; ++s)
+            EXPECT_EQ(shape.quantum[s], 2000) << "slot " << s;
+    }
+    EXPECT_DEATH((sched::resolve_shape<Cycles>(Policy::Las, 2000,
+                                               {4000, 0}, 0, 0)),
+                 "check failed");
+}
+
 TEST(Cycles, MonotonicAndCalibrated)
 {
     const double ratio = cycles_per_ns();
