@@ -6,23 +6,24 @@
  * A DispatchView is one dispatcher's packed view of the queue lengths
  * and current-jobs quanta of the workers it owns: two contiguous,
  * cache-line-aligned `uint32_t` arrays, so 16 workers' lengths fit in
- * one line. Its owner refreshes it from the workers' counters (the
- * runtime once per RX batch, the simulator at every pick), bumps the
+ * one line. Its owner keeps it current from the workers' counters (the
+ * runtime refreshes every lane once per RX batch; in the simulator each
+ * core writes its own lane whenever its counters change), bumps the
  * winner of each pick, and asks pick() for the next target.
  * pick() is the only implementation of the four blind policies, so the
  * two engines' dispatchers agree by construction.
  *
- * The JSQ-MSQ pick is one single-pass scan with the tie-break folded
- * into the comparison, at every width. At one line (<= 16 workers, the
- * paper's configuration and every benchmark workload) it beat every
- * formulation benched; the widest view built anywhere is 64 lanes
- * (fig17's sim tables), where a SIMD horizontal min with a movemask tie
- * walk showed no consistent win (the scan took 0.6-1.2x its time,
- * depending on the tie pattern and the build). So each policy has one
- * portable implementation, and the two-pass pick_jsq_msq_scalar() is
- * the property-test oracle (tests/layout_test.cc). See
- * docs/cache_line_analysis.md §"Picking the pick" and
- * BENCH_dispatch.json for the recorded numbers.
+ * The JSQ-MSQ pick is one branch-free single-pass scan over a 64-bit
+ * key per lane (length high, complemented quanta low), at every width.
+ * A branchy scan with the tie-break folded into the compare is cheaper
+ * only while the lengths are predictable; the simulator's are not, and
+ * there the mispredictions cost more than the scan's compare-and-select
+ * chain. The widest view built anywhere is 64 lanes (fig17's sim
+ * tables), where a SIMD horizontal min with a movemask tie walk showed
+ * no consistent win. So each policy has one portable implementation,
+ * and the two-pass pick_jsq_msq_scalar() is the property-test oracle
+ * (tests/layout_test.cc). See docs/cache_line_analysis.md §"Picking the
+ * pick" and BENCH_dispatch.json for the recorded numbers.
  *
  * Semantics:
  *  - lengths saturate at kLenMax (the uint32 lane's range); real queue
@@ -185,22 +186,20 @@ class DispatchView
     int
     pick_jsq_msq() const
     {
-        // Single-pass argmin with the tie-break folded into the
-        // comparison: strictly-smaller length wins; equal length and
-        // strictly-larger quanta wins; otherwise the incumbent (lower
-        // index) stays. Equivalent to the two-pass oracle by induction
-        // over the scan prefix.
+        // Branch-free argmin over one 64-bit key per lane: length in the
+        // high half, complemented quanta in the low half, so a smaller
+        // key is a shorter queue, then more quanta. Only a strictly
+        // smaller key displaces the incumbent, so the lowest index wins
+        // full ties. The selects compile to cmovs: the simulator's
+        // lengths are unpredictable, and a mispredicted compare costs
+        // more than the dependency chain.
         int best = 0;
-        uint32_t best_len = len_[0];
-        uint32_t best_quanta = quanta_[0];
+        uint64_t best_key = key(0);
         for (size_t i = 1; i < n_; ++i) {
-            const uint32_t l = len_[i];
-            const uint32_t q = quanta_[i];
-            if (l < best_len || (l == best_len && q > best_quanta)) {
-                best = static_cast<int>(i);
-                best_len = l;
-                best_quanta = q;
-            }
+            const uint64_t k = key(i);
+            const bool less = k < best_key;
+            best = less ? static_cast<int>(i) : best;
+            best_key = less ? k : best_key;
         }
         return best;
     }
@@ -226,6 +225,14 @@ class DispatchView
     }
 
   private:
+    /** JSQ-MSQ order of lane @p i as one integer (see pick_jsq_msq()). */
+    uint64_t
+    key(size_t i) const
+    {
+        return static_cast<uint64_t>(len_[i]) << 32 |
+               (UINT32_MAX - quanta_[i]);
+    }
+
     struct LaneFree
     {
         void

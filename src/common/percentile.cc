@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -41,16 +42,32 @@ PercentileTracker::quantiles(std::span<const double> qs,
     if (begin >= samples_.size())
         return std::vector<double>(qs.size(), 0.0);
     const size_t n = samples_.size() - begin;
-    auto first = samples_.begin() + static_cast<ptrdiff_t>(begin);
-    std::sort(first, samples_.end());
-    std::vector<double> out;
-    out.reserve(qs.size());
+    std::vector<size_t> ranks;
+    ranks.reserve(qs.size());
     for (const double q : qs) {
         TQ_CHECK(q >= 0.0 && q <= 1.0);
-        size_t rank = static_cast<size_t>(q * static_cast<double>(n));
-        if (rank >= n)
-            rank = n - 1;
-        out.push_back(*(first + static_cast<ptrdiff_t>(rank)));
+        const size_t rank = static_cast<size_t>(q * static_cast<double>(n));
+        ranks.push_back(rank < n ? rank : n - 1);
+    }
+    // Select the highest rank over the whole retained suffix, then each
+    // lower rank only in the prefix in front of the last one selected:
+    // that prefix holds exactly the smaller order statistics, and a
+    // repeated rank is already in place.
+    std::vector<size_t> order(qs.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](size_t a, size_t b) { return ranks[a] > ranks[b]; });
+    auto first = samples_.begin() + static_cast<ptrdiff_t>(begin);
+    std::vector<double> out(qs.size());
+    size_t end = n; // selections so far fixed every position from here
+    for (const size_t i : order) {
+        const size_t rank = ranks[i];
+        if (rank < end) {
+            std::nth_element(first, first + static_cast<ptrdiff_t>(rank),
+                             first + static_cast<ptrdiff_t>(end));
+            end = rank;
+        }
+        out[i] = *(first + static_cast<ptrdiff_t>(rank));
     }
     return out;
 }

@@ -50,11 +50,12 @@ class PercentileTracker
 
     /**
      * Batch form of quantile(): returns the value at each q in @p qs,
-     * in order. Sorts the retained suffix once instead of running one
-     * selection per quantile, so extracting the k quantiles a report
-     * needs costs one O(n log n) pass rather than k O(n) passes over a
-     * cache-cold array. Values are identical to calling quantile() per
-     * q (same nearest-rank convention).
+     * in order (any order, repeats allowed). Selects the highest rank
+     * over the retained suffix, then each lower rank only inside the
+     * prefix in front of the previous one: k quantiles cost k O(n)
+     * selections over shrinking ranges, not an O(n log n) sort. Values
+     * are identical to calling quantile() per q (same nearest-rank
+     * convention).
      */
     std::vector<double> quantiles(std::span<const double> qs,
                                   double warmup_fraction = 0.0);

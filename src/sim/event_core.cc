@@ -37,7 +37,6 @@ EngineCore::try_admit(double demand_scale)
     const uint32_t idx = jobs_.alloc();
     Job &j = jobs_[idx];
     const ServiceSample s = dist_.sample(rng_);
-    j.id = next_id_++;
     j.arrival = now_;
     j.demand = s.demand;
     j.remaining = s.demand * demand_scale;

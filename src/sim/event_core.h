@@ -270,7 +270,6 @@ class EngineCore
     MetricsCollector metrics_;
 
     SimNanos now_ = 0;
-    uint64_t next_id_ = 0;
     size_t in_flight_ = 0;
     uint64_t arrivals_ = 0;
     uint64_t dropped_ = 0;

@@ -14,7 +14,6 @@ namespace tq::sim {
 /** One request flowing through a simulated cluster. */
 struct Job
 {
-    uint64_t id = 0;
     SimNanos arrival = 0;     ///< time the request reached the system
     SimNanos demand = 0;      ///< total service requirement
     SimNanos remaining = 0;   ///< service still owed

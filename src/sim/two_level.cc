@@ -34,6 +34,8 @@ struct Core
                                  ///< currently admitted jobs
     uint64_t assigned = 0;       ///< jobs dispatched to this core
     uint64_t finished = 0;       ///< completions (the shared counter)
+    uint32_t shard = 0;          ///< dispatcher whose view holds it
+    uint32_t lane = 0;           ///< its lane in that view
     // Figure-16 style effective-quantum accounting.
     double grant_intervals = 0;
     uint64_t grants = 0;
@@ -84,6 +86,14 @@ class TwoLevelSim
             cfg.core_policy, cfg.quantum, cfg.class_quantum,
             cfg.deficit_clamp, cfg.starvation_promote_after);
         cores_.assign(static_cast<size_t>(cfg.num_cores), Core(shape));
+        for (int d = 0; d < cfg.num_dispatchers; ++d) {
+            const ShardSpan span = dispatchers_[static_cast<size_t>(d)].span;
+            for (int i = 0; i < span.count; ++i) {
+                Core &core = cores_[static_cast<size_t>(span.first + i)];
+                core.shard = static_cast<uint32_t>(d);
+                core.lane = static_cast<uint32_t>(i);
+            }
+        }
         num_classes_ = dist.class_names().size();
         class_grant_intervals_.resize(num_classes_, 0);
         class_grants_.resize(num_classes_, 0);
@@ -183,13 +193,12 @@ class TwoLevelSim
      * Front-tier JSQ (common/shard.h): steer to the shard with the
      * smallest aggregate load — dispatch backlog (queued + in hand +
      * still crossing the front latency) plus the owned cores' queue
-     * lengths in the shard's view, refreshed first. Rotation by arrival
-     * count spreads tied picks round-robin.
+     * lengths in the shard's view, which the cores keep current.
+     * Rotation by arrival count spreads tied picks round-robin.
      */
     int
     pick_shard()
     {
-        refresh_views();
         const int n = cfg_.num_dispatchers;
         for (int d = 0; d < n; ++d) {
             const Dispatcher &disp = dispatchers_[static_cast<size_t>(d)];
@@ -239,25 +248,21 @@ class TwoLevelSim
 
     // -------------------------------------------------- load balancing --
     /**
-     * Re-read the cores' counters into every dispatcher's view (paper
-     * section 4: the dispatcher reads the workers' counter lines):
-     * length = assigned - finished, quanta = the MSQ metric. Every pick
-     * reads fresh counters.
+     * Write @p core's counters into its lane of its dispatcher's view
+     * (paper section 4: the dispatcher reads the workers' counter
+     * lines): length = assigned - finished, quanta = the MSQ metric.
+     * The winner of a pick is bumped by the pick itself, so calling
+     * this whenever `finished` or `quanta_sum` changes keeps every lane
+     * equal to a fresh read of the counters at every pick.
      */
     void
-    refresh_views()
+    publish(const Core &core)
     {
-        for (Dispatcher &disp : dispatchers_)
-            for (int i = 0; i < disp.span.count; ++i) {
-                const Core &core =
-                    cores_[static_cast<size_t>(disp.span.first + i)];
-                disp.view.set_len(static_cast<size_t>(i),
-                                  core.assigned - core.finished);
-                disp.view.set_quanta(
-                    static_cast<size_t>(i),
-                    static_cast<uint32_t>(
-                        std::min<uint64_t>(core.quanta_sum, UINT32_MAX)));
-            }
+        DispatchView &view = dispatchers_[core.shard].view;
+        view.set_len(core.lane, core.assigned - core.finished);
+        view.set_quanta(core.lane,
+                        static_cast<uint32_t>(
+                            std::min<uint64_t>(core.quanta_sum, UINT32_MAX)));
     }
 
     /** Dispatcher @p d's pick over its owned span (one all-cores span
@@ -265,7 +270,6 @@ class TwoLevelSim
     int
     pick_core(int d)
     {
-        refresh_views();
         Dispatcher &disp = dispatchers_[static_cast<size_t>(d)];
         const int i = disp.view.pick(cfg_.lb, core_.rng());
         disp.view.bump_len(static_cast<size_t>(i));
@@ -330,6 +334,7 @@ class TwoLevelSim
             ++core.quanta_sum;
             core.sched.requeue(e);
         }
+        publish(core);
         start_slice(c);
     }
 

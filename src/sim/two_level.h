@@ -8,9 +8,11 @@
  * blind load-balancing policy — JSQ with MSQ or random tie-breaking,
  * uniform random, or power-of-two choices — through the runtime's own
  * pick: each dispatcher owns a common/dispatch_view.h view of its cores,
- * refreshed at every pick. Each worker core schedules
- * its admitted jobs with processor sharing in `quantum`-sized slices
- * (switch_overhead charged per preemption) or FCFS run-to-completion.
+ * and each core writes its own lane whenever its completion count or
+ * quanta sum changes, so every pick reads current counters. Each worker
+ * core schedules its admitted jobs with processor sharing in
+ * `quantum`-sized slices (switch_overhead charged per preemption) or
+ * FCFS run-to-completion.
  * Responses leave directly from the worker (response_cost), matching the
  * paper's datapath.
  *

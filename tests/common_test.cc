@@ -233,6 +233,56 @@ TEST(PercentileTracker, MatchesSortOracleOnRandomData)
     }
 }
 
+TEST(PercentileTracker, BatchQuantilesInAnyOrderMatchSortOracle)
+{
+    // quantiles() selects the highest rank first and each lower one in
+    // the prefix in front of it; q lists that are unsorted, descending
+    // or repeated, on tie-heavy and on distinct data, pin that order.
+    const std::vector<std::vector<double>> q_lists = {
+        {0.5, 0.999, 0.0, 0.99, 1.0, 0.25},
+        {1.0, 0.999, 0.99, 0.5, 0.1, 0.0},
+        {0.99, 0.5, 0.99, 0.999, 0.5, 0.999, 0.0, 0.0},
+        {0.0, 0.001, 0.5, 0.999, 1.0},
+    };
+    Rng rng(17);
+    for (const bool ties : {true, false}) {
+        std::vector<double> data;
+        for (int i = 0; i < 5000; ++i)
+            data.push_back(ties ? static_cast<double>(rng.below(4))
+                                : rng.uniform(0, 1000));
+        for (const double warmup : {0.0, 0.1}) {
+            const size_t begin = static_cast<size_t>(
+                std::floor(static_cast<double>(data.size()) * warmup));
+            std::vector<double> oracle(data.begin() +
+                                           static_cast<ptrdiff_t>(begin),
+                                       data.end());
+            std::sort(oracle.begin(), oracle.end());
+            for (const auto &qs : q_lists) {
+                PercentileTracker batch_t;
+                PercentileTracker single_t;
+                for (const double v : data) {
+                    batch_t.add(v);
+                    single_t.add(v);
+                }
+                const auto batch = batch_t.quantiles(qs, warmup);
+                ASSERT_EQ(batch.size(), qs.size());
+                for (size_t i = 0; i < qs.size(); ++i) {
+                    size_t rank =
+                        static_cast<size_t>(qs[i] * oracle.size());
+                    if (rank >= oracle.size())
+                        rank = oracle.size() - 1;
+                    EXPECT_EQ(batch[i], oracle[rank])
+                        << "ties=" << ties << " warmup=" << warmup
+                        << " q=" << qs[i];
+                    EXPECT_EQ(batch[i], single_t.quantile(qs[i], warmup))
+                        << "ties=" << ties << " warmup=" << warmup
+                        << " q=" << qs[i];
+                }
+            }
+        }
+    }
+}
+
 TEST(Histogram, BucketEdges)
 {
     // Bucket i covers [2^i, 2^(i+1)); 0 and 1 share bucket 0; huge

@@ -405,7 +405,7 @@ TEST(Layout, DispatchViewLanesAreLineAlignedAndPadded)
 }
 
 // ---------------------------------------------------------------------
-// Packed-pick property tests: the single-pass scan vs the two-pass oracle.
+// Packed-pick property tests: the composite-key scan vs the two-pass oracle.
 // ---------------------------------------------------------------------
 
 TEST(DispatchPick, MatchesScalarOnRandomizedViews)
@@ -422,6 +422,27 @@ TEST(DispatchPick, MatchesScalarOnRandomizedViews)
             view.set_len(i, rng.below(len_range));
             view.set_quanta(i,
                             static_cast<uint32_t>(rng.below(quanta_range)));
+        }
+        ASSERT_EQ(view.pick_jsq_msq(), view.pick_jsq_msq_scalar())
+            << "trial " << trial << " n=" << n;
+    }
+}
+
+TEST(DispatchPick, MatchesScalarAtTheLaneExtremes)
+{
+    // The pick packs each lane into one 64-bit key; lengths and quanta
+    // drawn only from the ends of their ranges are where a packing bug
+    // (overflow, sign, lost half) would show.
+    const uint64_t lens[] = {0, 1, DispatchView::kLenMax - 1,
+                             DispatchView::kLenMax};
+    const uint32_t quanta[] = {0, 1, UINT32_MAX - 1, UINT32_MAX};
+    Rng rng(43);
+    for (int trial = 0; trial < 20000; ++trial) {
+        const size_t n = 1 + rng.below(trial % 2 == 0 ? 4 : 64);
+        DispatchView view(n);
+        for (size_t i = 0; i < n; ++i) {
+            view.set_len(i, lens[rng.below(std::size(lens))]);
+            view.set_quanta(i, quanta[rng.below(std::size(quanta))]);
         }
         ASSERT_EQ(view.pick_jsq_msq(), view.pick_jsq_msq_scalar())
             << "trial " << trial << " n=" << n;
