@@ -8,19 +8,24 @@
 
 namespace tq {
 
-size_t
-PercentileTracker::warmup_index(double warmup_fraction) const
+PercentileTracker::PercentileTracker(double warmup_fraction)
+    : warmup_fraction_(warmup_fraction)
 {
     TQ_CHECK(warmup_fraction >= 0.0 && warmup_fraction < 1.0);
+}
+
+size_t
+PercentileTracker::warmup_index() const
+{
     return static_cast<size_t>(
-        std::floor(static_cast<double>(samples_.size()) * warmup_fraction));
+        std::floor(static_cast<double>(samples_.size()) * warmup_fraction_));
 }
 
 double
-PercentileTracker::quantile(double q, double warmup_fraction)
+PercentileTracker::quantile(double q)
 {
     TQ_CHECK(q >= 0.0 && q <= 1.0);
-    const size_t begin = warmup_index(warmup_fraction);
+    const size_t begin = warmup_index();
     if (begin >= samples_.size())
         return 0.0;
     const size_t n = samples_.size() - begin;
@@ -35,10 +40,9 @@ PercentileTracker::quantile(double q, double warmup_fraction)
 }
 
 std::vector<double>
-PercentileTracker::quantiles(std::span<const double> qs,
-                             double warmup_fraction)
+PercentileTracker::quantiles(std::span<const double> qs)
 {
-    const size_t begin = warmup_index(warmup_fraction);
+    const size_t begin = warmup_index();
     if (begin >= samples_.size())
         return std::vector<double>(qs.size(), 0.0);
     const size_t n = samples_.size() - begin;
@@ -73,9 +77,9 @@ PercentileTracker::quantiles(std::span<const double> qs,
 }
 
 double
-PercentileTracker::mean(double warmup_fraction) const
+PercentileTracker::mean() const
 {
-    const size_t begin = warmup_index(warmup_fraction);
+    const size_t begin = warmup_index();
     if (begin >= samples_.size())
         return 0.0;
     double sum = 0;
@@ -85,9 +89,9 @@ PercentileTracker::mean(double warmup_fraction) const
 }
 
 double
-PercentileTracker::max(double warmup_fraction) const
+PercentileTracker::max() const
 {
-    const size_t begin = warmup_index(warmup_fraction);
+    const size_t begin = warmup_index();
     if (begin >= samples_.size())
         return 0.0;
     return *std::max_element(samples_.begin() + static_cast<ptrdiff_t>(begin),

@@ -6,7 +6,11 @@
  * stores samples exactly (the experiments draw a few million samples at
  * most) and answers arbitrary quantiles via selection; it optionally
  * discards a warm-up prefix, matching the paper's methodology of dropping
- * the first 10% of samples (section 5.1).
+ * the first 10% of samples (section 5.1). The warm-up fraction is fixed
+ * per tracker: selection reorders only the samples behind the cut, so
+ * every query discards the same earliest samples. (An add() after a
+ * query moves the cut into reordered samples; callers query only after
+ * their last add().)
  */
 #ifndef TQ_COMMON_PERCENTILE_H
 #define TQ_COMMON_PERCENTILE_H
@@ -21,7 +25,11 @@ namespace tq {
 class PercentileTracker
 {
   public:
-    PercentileTracker() = default;
+    /**
+     * @param warmup_fraction fraction in [0, 1) of the earliest samples,
+     *     in arrival order, that every query discards.
+     */
+    explicit PercentileTracker(double warmup_fraction = 0.0);
 
     /**
      * Pre-size the sample store for @p n expected samples. Purely an
@@ -41,12 +49,12 @@ class PercentileTracker
 
     /**
      * @return the q-quantile (q in [0, 1]) of the recorded samples,
-     * after discarding the first @p warmup_fraction of them in arrival
-     * order. Returns 0 when no samples survive the warm-up cut.
+     * after discarding the warm-up prefix. Returns 0 when no samples
+     * survive the warm-up cut.
      *
      * Non-const: selection reorders the retained suffix in place.
      */
-    double quantile(double q, double warmup_fraction = 0.0);
+    double quantile(double q);
 
     /**
      * Batch form of quantile(): returns the value at each q in @p qs,
@@ -57,21 +65,22 @@ class PercentileTracker
      * are identical to calling quantile() per q (same nearest-rank
      * convention).
      */
-    std::vector<double> quantiles(std::span<const double> qs,
-                                  double warmup_fraction = 0.0);
+    std::vector<double> quantiles(std::span<const double> qs);
 
     /** Arithmetic mean over the post-warm-up samples (0 when empty). */
-    double mean(double warmup_fraction = 0.0) const;
+    double mean() const;
 
     /** Largest recorded sample post warm-up (0 when empty). */
-    double max(double warmup_fraction = 0.0) const;
+    double max() const;
 
     /** Drop all samples. */
     void clear() { samples_.clear(); }
 
   private:
-    size_t warmup_index(double warmup_fraction) const;
+    /** Index of the first sample behind the warm-up cut. */
+    size_t warmup_index() const;
 
+    double warmup_fraction_;
     std::vector<double> samples_;
 };
 

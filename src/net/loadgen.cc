@@ -34,8 +34,10 @@ run_open_loop(Server &server, const ServiceDist &dist,
     TQ_CHECK(cfg.rate_mrps > 0);
     Rng rng(cfg.seed);
     const auto &names = dist.class_names();
-    std::vector<PercentileTracker> sojourn(names.size());
-    std::vector<PercentileTracker> e2e(names.size());
+    std::vector<PercentileTracker> sojourn(names.size(),
+                                           PercentileTracker(kWarmup));
+    std::vector<PercentileTracker> e2e(names.size(),
+                                       PercentileTracker(kWarmup));
     std::vector<uint64_t> counts(names.size(), 0);
 
     ClientStats stats;
@@ -140,10 +142,10 @@ run_open_loop(Server &server, const ServiceDist &dist,
         ClientClassStats cs;
         cs.name = names[c];
         cs.completed = counts[c];
-        cs.p999_sojourn_us = sojourn[c].quantile(0.999, kWarmup) / 1e3;
-        cs.p99_sojourn_us = sojourn[c].quantile(0.99, kWarmup) / 1e3;
-        cs.mean_sojourn_us = sojourn[c].mean(kWarmup) / 1e3;
-        cs.p999_e2e_us = e2e[c].quantile(0.999, kWarmup) / 1e3;
+        cs.p999_sojourn_us = sojourn[c].quantile(0.999) / 1e3;
+        cs.p99_sojourn_us = sojourn[c].quantile(0.99) / 1e3;
+        cs.mean_sojourn_us = sojourn[c].mean() / 1e3;
+        cs.p999_e2e_us = e2e[c].quantile(0.999) / 1e3;
         stats.classes.push_back(std::move(cs));
     }
     return stats;

@@ -16,9 +16,9 @@ SimResult::by_class(const std::string &name) const
 MetricsCollector::MetricsCollector(std::vector<std::string> class_names,
                                    double warmup_fraction)
     : names_(std::move(class_names)),
-      warmup_(warmup_fraction),
-      sojourn_(names_.size()),
-      slowdown_(names_.size())
+      sojourn_(names_.size(), PercentileTracker(warmup_fraction)),
+      slowdown_(names_.size(), PercentileTracker(warmup_fraction)),
+      all_slowdown_(warmup_fraction)
 {
     TQ_CHECK(!names_.empty());
 }
@@ -60,16 +60,16 @@ MetricsCollector::finalize(SimResult &result)
         ClassStats stats;
         stats.name = names_[c];
         stats.completed = sojourn_[c].count();
-        const auto qs = sojourn_[c].quantiles(kSojournQs, warmup_);
+        const auto qs = sojourn_[c].quantiles(kSojournQs);
         stats.p999_sojourn = qs[0];
         stats.p99_sojourn = qs[1];
-        stats.mean_sojourn = sojourn_[c].mean(warmup_);
-        stats.p999_slowdown = slowdown_[c].quantile(0.999, warmup_);
-        stats.mean_slowdown = slowdown_[c].mean(warmup_);
+        stats.mean_sojourn = sojourn_[c].mean();
+        stats.p999_slowdown = slowdown_[c].quantile(0.999);
+        stats.mean_slowdown = slowdown_[c].mean();
         result.classes.push_back(std::move(stats));
     }
-    result.overall_p999_slowdown = all_slowdown_.quantile(0.999, warmup_);
-    result.overall_mean_slowdown = all_slowdown_.mean(warmup_);
+    result.overall_p999_slowdown = all_slowdown_.quantile(0.999);
+    result.overall_mean_slowdown = all_slowdown_.mean();
 }
 
 } // namespace tq::sim

@@ -91,7 +91,6 @@ class MetricsCollector
 
   private:
     std::vector<std::string> names_;
-    double warmup_;
     std::vector<PercentileTracker> sojourn_;
     std::vector<PercentileTracker> slowdown_;
     PercentileTracker all_slowdown_;

@@ -176,15 +176,19 @@ TEST(PercentileTracker, ExactQuantilesOfKnownData)
 
 TEST(PercentileTracker, WarmupDiscardsPrefix)
 {
-    PercentileTracker t;
+    PercentileTracker t(0.1);
     // First 10% are huge outliers that warm-up should remove.
     for (int i = 0; i < 100; ++i)
         t.add(1e9);
     for (int i = 0; i < 900; ++i)
         t.add(1.0);
-    EXPECT_DOUBLE_EQ(t.quantile(0.99, 0.1), 1.0);
-    EXPECT_DOUBLE_EQ(t.mean(0.1), 1.0);
-    EXPECT_DOUBLE_EQ(t.max(0.1), 1.0);
+    EXPECT_DOUBLE_EQ(t.quantile(0.99), 1.0);
+    EXPECT_DOUBLE_EQ(t.mean(), 1.0);
+    EXPECT_DOUBLE_EQ(t.max(), 1.0);
+    // Queries reorder only the samples behind the cut.
+    const double qs[] = {0.0, 1.0};
+    EXPECT_EQ(t.quantiles(qs), std::vector<double>(2, 1.0));
+    EXPECT_DOUBLE_EQ(t.max(), 1.0);
 }
 
 TEST(PercentileTracker, EmptyReturnsZero)
@@ -199,16 +203,20 @@ TEST(PercentileTracker, BatchQuantilesMatchSingleCalls)
 {
     Rng rng(11);
     PercentileTracker t;
+    PercentileTracker warm_t(0.1);
     t.reserve(4000);
-    for (int i = 0; i < 4000; ++i)
-        t.add(rng.exponential(3.0));
+    for (int i = 0; i < 4000; ++i) {
+        const double v = rng.exponential(3.0);
+        t.add(v);
+        warm_t.add(v);
+    }
     const double qs[] = {0.0, 0.5, 0.99, 0.999, 1.0};
     const auto batch = t.quantiles(qs);
-    const auto warm = t.quantiles(qs, 0.1);
+    const auto warm = warm_t.quantiles(qs);
     ASSERT_EQ(batch.size(), std::size(qs));
     for (size_t i = 0; i < std::size(qs); ++i) {
         EXPECT_DOUBLE_EQ(batch[i], t.quantile(qs[i]));
-        EXPECT_DOUBLE_EQ(warm[i], t.quantile(qs[i], 0.1));
+        EXPECT_DOUBLE_EQ(warm[i], warm_t.quantile(qs[i]));
     }
     EXPECT_EQ(PercentileTracker().quantiles(qs),
               std::vector<double>(std::size(qs), 0.0));
@@ -258,13 +266,13 @@ TEST(PercentileTracker, BatchQuantilesInAnyOrderMatchSortOracle)
                                        data.end());
             std::sort(oracle.begin(), oracle.end());
             for (const auto &qs : q_lists) {
-                PercentileTracker batch_t;
-                PercentileTracker single_t;
+                PercentileTracker batch_t(warmup);
+                PercentileTracker single_t(warmup);
                 for (const double v : data) {
                     batch_t.add(v);
                     single_t.add(v);
                 }
-                const auto batch = batch_t.quantiles(qs, warmup);
+                const auto batch = batch_t.quantiles(qs);
                 ASSERT_EQ(batch.size(), qs.size());
                 for (size_t i = 0; i < qs.size(); ++i) {
                     size_t rank =
@@ -274,7 +282,7 @@ TEST(PercentileTracker, BatchQuantilesInAnyOrderMatchSortOracle)
                     EXPECT_EQ(batch[i], oracle[rank])
                         << "ties=" << ties << " warmup=" << warmup
                         << " q=" << qs[i];
-                    EXPECT_EQ(batch[i], single_t.quantile(qs[i], warmup))
+                    EXPECT_EQ(batch[i], single_t.quantile(qs[i]))
                         << "ties=" << ties << " warmup=" << warmup
                         << " q=" << qs[i];
                 }
