@@ -5,7 +5,7 @@
  * Forced multitasking (paper section 3.1) keys every probe off the hardware
  * cycle counter: a probe yields only when enough cycles have elapsed since
  * the previous yield point. This header provides the raw counter read
- * (RDTSC on x86-64, a std::chrono fallback elsewhere) and a one-time
+ * (RDTSC: x86-64 with an invariant TSC is the only target) and a one-time
  * calibration of the cycles <-> nanoseconds ratio used to convert target
  * quanta expressed in time into cycle deadlines.
  */
@@ -14,9 +14,7 @@
 
 #include <cstdint>
 
-#if defined(__x86_64__)
 #include <x86intrin.h>
-#endif
 
 namespace tq {
 
@@ -26,7 +24,7 @@ using Cycles = uint64_t;
 /**
  * Read the hardware cycle counter.
  *
- * On x86-64 this compiles to a single RDTSC; modern TSCs are invariant
+ * This compiles to a single RDTSC; modern TSCs are invariant
  * (constant-rate, unhalted), which is what makes physical-clock probes
  * accurate. The read is intentionally unserialized: probe sites tolerate
  * out-of-order overlap, and that overlap is exactly why sparse RDTSC
@@ -35,12 +33,7 @@ using Cycles = uint64_t;
 inline Cycles
 rdcycles()
 {
-#if defined(__x86_64__)
     return __rdtsc();
-#else
-    return static_cast<Cycles>(
-        std::chrono::steady_clock::now().time_since_epoch().count());
-#endif
 }
 
 /**

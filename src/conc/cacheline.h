@@ -132,13 +132,11 @@ owner_add(std::atomic<T> &a, std::type_identity_t<T> n)
             std::memory_order_relaxed);
 }
 
-/** Pause hint for spin loops (PAUSE on x86, plain nop elsewhere). */
+/** Pause hint for spin loops: x86's PAUSE. */
 inline void
 cpu_relax()
 {
-#if defined(__x86_64__)
     __builtin_ia32_pause();
-#endif
 }
 
 /** A ring slot stored at sizeof(T), with no padding. */

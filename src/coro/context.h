@@ -5,9 +5,9 @@
  * This is the mechanism behind the paper's "cheap coroutine yields"
  * (section 3.1): a switch saves only the SysV callee-saved registers and
  * the FP control words, swaps stack pointers, and returns — no system
- * call, no signal-mask save, no page-table change. On x86-64 the switch
- * is ~15 instructions, giving the tens-of-nanoseconds yield cost the
- * paper relies on.
+ * call, no signal-mask save, no page-table change. The switch is ~15
+ * x86-64 instructions (context_x86_64.S, the only backend), giving the
+ * tens-of-nanoseconds yield cost the paper relies on.
  */
 #ifndef TQ_CORO_CONTEXT_H
 #define TQ_CORO_CONTEXT_H

@@ -14,8 +14,6 @@ thread_local Coroutine *tl_current = nullptr;
 
 } // namespace
 
-#if defined(__x86_64__)
-
 extern "C" void tq_context_trampoline();
 
 void *
@@ -43,8 +41,6 @@ make_context(void *stack_base, size_t stack_size, ContextEntry entry)
     frame[8] = 0;                                       // terminator
     return frame;
 }
-
-#endif // __x86_64__
 
 Coroutine::Coroutine(Body body, Stack stack)
     : stack_(std::move(stack)), body_(std::move(body))

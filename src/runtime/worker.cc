@@ -8,10 +8,6 @@
 
 namespace tq::runtime {
 
-static_assert(sched::kMaxClasses == telemetry::kMaxTrackedClasses,
-              "scheduler ledger slots and per-class telemetry slots must "
-              "stay in one-to-one correspondence");
-
 Worker::Worker(int id, const RuntimeConfig &cfg, Handler handler,
                telemetry::WorkerTelemetry *telem, const LifecycleControl *lc,
                const sched::SchedShape<Cycles> &shape)

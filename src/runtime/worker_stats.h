@@ -50,9 +50,9 @@ struct alignas(kCacheLineSize) WorkerStatsLine
      *  knowing per-class budgets. */
     std::atomic<uint32_t> current_quanta{0};
 
-    /** Total quanta serviced (monotonic; stats/tests). Like
-     *  current_quanta this counts grants, whatever each grant's
-     *  per-class cycle budget was. */
+    /** Preempted slices (monotonic; stats/tests): bumped only when a
+     *  slice ends in a requeue, so a job's final slice is not counted
+     *  and the total matches telemetry's probe-yield count. */
     std::atomic<uint64_t> total_quanta{0};
 
     char pad[kCacheLineSize - 3 * sizeof(std::atomic<uint64_t>)];

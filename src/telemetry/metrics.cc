@@ -82,11 +82,11 @@ MetricsRegistry::snapshot() const
     // (nothing recorded) yields an empty vector.
     {
         std::vector<ClassQuantaStats> classes(
-            static_cast<size_t>(kMaxTrackedClasses));
+            static_cast<size_t>(sched::kMaxClasses));
         std::vector<uint64_t> granted(
-            static_cast<size_t>(kMaxTrackedClasses), 0);
+            static_cast<size_t>(sched::kMaxClasses), 0);
         size_t highest = 0;
-        for (int c = 0; c < kMaxTrackedClasses; ++c) {
+        for (int c = 0; c < sched::kMaxClasses; ++c) {
             ClassQuantaStats &cs = classes[static_cast<size_t>(c)];
             std::vector<const Histogram *> service_h, sojourn_h;
             for (const auto &w : workers_) {

@@ -29,15 +29,11 @@
 
 #include "common/cycles.h"
 #include "common/histogram.h"
+#include "common/sched_core.h"
 #include "conc/cacheline.h"
 #include "telemetry/trace_ring.h"
 
 namespace tq::telemetry {
-
-/** Per-class instrument slots. Must match the scheduler's slot bound
- *  (common/sched_core.h sched::kMaxClasses; asserted in worker.cc):
- *  job classes at or beyond the limit share the last slot. */
-inline constexpr int kMaxTrackedClasses = 8;
 
 /**
  * One worker thread's event counters, alone on their cache line.
@@ -91,16 +87,16 @@ class WorkerTelemetry
     // snapshot's per_class block stays empty on the fixed-quantum path.
     // Same single-writer layout as everything above: only the owning
     // worker stores, snapshot readers only load.
-    std::atomic<uint64_t> class_grants[kMaxTrackedClasses] = {};
+    std::atomic<uint64_t> class_grants[sched::kMaxClasses] = {};
     /** Sum of armed cycle budgets per class: mean granted budget =
      *  granted_cycles / grants, the runtime-side effective quantum the
      *  sim-parity test compares orderings against. */
-    std::atomic<uint64_t> class_granted_cycles[kMaxTrackedClasses] = {};
-    std::atomic<uint64_t> class_finished[kMaxTrackedClasses] = {};
+    std::atomic<uint64_t> class_granted_cycles[sched::kMaxClasses] = {};
+    std::atomic<uint64_t> class_finished[sched::kMaxClasses] = {};
     /** Last settled deficit per class (gauge, signed cycles). */
-    std::atomic<int64_t> class_deficit[kMaxTrackedClasses] = {};
-    Histogram class_service[kMaxTrackedClasses]; ///< per-job attained
-    Histogram class_sojourn[kMaxTrackedClasses]; ///< arrival -> done
+    std::atomic<int64_t> class_deficit[sched::kMaxClasses] = {};
+    Histogram class_service[sched::kMaxClasses]; ///< per-job attained
+    Histogram class_sojourn[sched::kMaxClasses]; ///< arrival -> done
 
     TraceRing trace;              ///< typed event ring (producer: worker)
 };
@@ -173,9 +169,9 @@ struct MetricsSnapshot
     uint64_t dispatch_batches = 0;      ///< non-empty dispatcher RX polls
     double mean_dispatch_batch = 0;     ///< mean requests per such batch
 
-    /** Cumulative serviced quanta from the workers' 64-bit
-     *  WorkerStatsLine counters (filled by
-     *  Runtime::telemetry_snapshot(); 0 when taken registry-only). */
+    /** Cumulative preempted slices from the workers' 64-bit
+     *  WorkerStatsLine::total_quanta counters; matches `yields` (filled
+     *  by Runtime::telemetry_snapshot(); 0 when taken registry-only). */
     uint64_t stats_total_quanta = 0;
 
     // Backpressure / lifecycle counters (filled by
@@ -199,7 +195,7 @@ struct MetricsSnapshot
     /** Per-class quantum instruments, trimmed to the highest class with
      *  any grants — empty on the fixed-quantum path, so consumers of
      *  the default snapshot see no new fields light up. Classes index
-     *  by scheduler ledger slot (kMaxTrackedClasses bound). */
+     *  by scheduler ledger slot (sched::kMaxClasses bound). */
     std::vector<ClassQuantaStats> per_class;
 
     /** Starvation-guard force-promotions across all workers (filled by
