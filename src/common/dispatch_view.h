@@ -9,9 +9,11 @@
  * one line. Its owner keeps it current from the workers' counters (the
  * runtime refreshes every lane once per RX batch; in the simulator each
  * core writes its own lane whenever its counters change), bumps the
- * winner of each pick, and asks pick() for the next target.
- * pick() is the only implementation of the four blind policies, so the
- * two engines' dispatchers agree by construction.
+ * winner of each pick, and asks for the next target. The runtime calls
+ * pick_jsq_msq() directly: JSQ-MSQ is its only balancer. The simulator
+ * calls pick(), the only implementation of the four blind policies,
+ * which hands JsqMsq to the same scan, so the two engines' JSQ-MSQ
+ * picks agree by construction.
  *
  * The JSQ-MSQ pick is one branch-free single-pass scan over a 64-bit
  * key per lane (length high, complemented quanta low), at every width.
@@ -32,8 +34,8 @@
  *    makes the narrowing safe by construction;
  *  - JSQ-MSQ tie-break: minimum length, then maximum current-quanta,
  *    then lowest worker index (DESIGN.md §4c);
- *  - the randomized policies draw from the caller's RNG in a fixed
- *    order (see pick()), so seeded runs reproduce.
+ *  - the randomized policies (simulator only) draw from the caller's
+ *    RNG in a fixed order (see pick()), so seeded runs reproduce.
  *
  * Plain struct, no globals: one view per dispatcher (the runtime has
  * one; the simulator's sharded model has one per shard, as in

@@ -12,8 +12,8 @@ namespace {
  * purposes. Probes are handled by the walkers themselves.
  */
 int
-instr_size(const Instr &instr, const PassConfig &cfg,
-           const std::vector<FunctionSummary> &summaries, int *post_gap)
+instr_size(const Instr &instr, const std::vector<FunctionSummary> &summaries,
+           int *post_gap)
 {
     *post_gap = -1; // -1: no reset inside this instruction
     if (instr.is_probe())
@@ -21,7 +21,7 @@ instr_size(const Instr &instr, const PassConfig &cfg,
     if (instr.op != Op::Call)
         return 1;
     if (instr.callee < 0)
-        return 1 + cfg.ext_call_instrs;
+        return 1 + kExtCallInstrs;
     if (instr.callee < static_cast<int>(summaries.size())) {
         const FunctionSummary &s = summaries[instr.callee];
         if (s.has_probes) {
@@ -34,7 +34,7 @@ instr_size(const Instr &instr, const PassConfig &cfg,
         return 1 + s.entry_gap; // probe-free callee: its whole path counts
     }
     // Callee not yet summarized (recursion): treat as external.
-    return 1 + cfg.ext_call_instrs;
+    return 1 + kExtCallInstrs;
 }
 
 /**
@@ -54,9 +54,8 @@ struct GapWalk
 
 template <typename ProbeHook>
 GapWalk
-walk_block(const Block &block, const PassConfig &cfg,
-           const std::vector<FunctionSummary> &summaries, int gap_in,
-           ProbeHook &&hook)
+walk_block(const Block &block, const std::vector<FunctionSummary> &summaries,
+           int gap_in, ProbeHook &&hook)
 {
     GapWalk w;
     w.gap_in = gap_in;
@@ -84,7 +83,7 @@ walk_block(const Block &block, const PassConfig &cfg,
             continue;
         }
         int post_gap = -1;
-        const int size = instr_size(instr, cfg, summaries, &post_gap);
+        const int size = instr_size(instr, summaries, &post_gap);
         if (hook(i, gap, size)) {
             // A probe was inserted before this instruction.
             if (!saw) {
@@ -130,7 +129,6 @@ struct NoInsert
  */
 StretchFacts
 stretch_over_blocks(const Function &fn, const Cfg &cfg,
-                    const PassConfig &pass_cfg,
                     const std::vector<FunctionSummary> &summaries,
                     const std::vector<bool> *in_set, int entry_block)
 {
@@ -151,14 +149,14 @@ stretch_over_blocks(const Function &fn, const Cfg &cfg,
             continue;
         const Block &block = fn.blocks[static_cast<size_t>(b)];
         const GapWalk w =
-            walk_block(block, pass_cfg, summaries, gap_in[b], NoInsert{});
+            walk_block(block, summaries, gap_in[b], NoInsert{});
         facts.max_gap = std::max(facts.max_gap, w.max_gap);
 
         // Longest raw path (no probe resets) through this block.
         int block_size = 0;
         for (const auto &instr : block.instrs) {
             int post = -1;
-            block_size += instr_size(instr, pass_cfg, summaries, &post);
+            block_size += instr_size(instr, summaries, &post);
         }
         const int path_out = path_in[b] + block_size;
 
@@ -220,7 +218,7 @@ tq_bound_straightline(Function &fn, const Cfg &cfg, const PassConfig &pass_cfg,
         std::vector<Instr> rewritten;
         rewritten.reserve(block.instrs.size());
         const GapWalk w = walk_block(
-            block, pass_cfg, summaries, gap_in[b],
+            block, summaries, gap_in[b],
             [&](size_t index, int gap, int size) {
                 rewritten.push_back(block.instrs[index]);
                 if (gap + size > pass_cfg.bound) {
@@ -276,7 +274,7 @@ tq_instrument_loops(Function &fn, const PassConfig &pass_cfg,
         const Block &header = fn.blocks[static_cast<size_t>(loop.header)];
 
         const StretchFacts body = stretch_over_blocks(
-            fn, cfg, pass_cfg, summaries, &loop.body, loop.header);
+            fn, cfg, summaries, &loop.body, loop.header);
         const int body_stretch = std::max(
             1, body.has_probes ? body.max_gap : body.longest_path);
 
@@ -315,11 +313,11 @@ tq_instrument_loops(Function &fn, const PassConfig &pass_cfg,
 } // namespace
 
 StretchFacts
-analyze_stretch(const Function &fn, const PassConfig &cfg,
+analyze_stretch(const Function &fn,
                 const std::vector<FunctionSummary> &summaries)
 {
     Cfg g(fn);
-    return stretch_over_blocks(fn, g, cfg, summaries, nullptr, 0);
+    return stretch_over_blocks(fn, g, summaries, nullptr, 0);
 }
 
 std::vector<FunctionSummary>
@@ -353,7 +351,7 @@ run_tq_pass(Module &m, const PassConfig &cfg)
             tq_bound_straightline(fn, g, cfg, summaries);
         }
         tq_instrument_loops(fn, cfg, summaries);
-        const StretchFacts facts = analyze_stretch(fn, cfg, summaries);
+        const StretchFacts facts = analyze_stretch(fn, summaries);
         FunctionSummary &s = summaries[static_cast<size_t>(f)];
         s.has_probes = facts.has_probes;
         s.entry_gap = facts.entry_gap;
@@ -379,7 +377,7 @@ run_ci_like_pass(Module &m, const PassConfig &cfg, ProbeKind kind)
             int total = 0;
             for (const auto &i : fn.blocks[static_cast<size_t>(b)].instrs) {
                 int post = -1;
-                total += instr_size(i, cfg, {}, &post);
+                total += instr_size(i, {}, &post);
             }
             count[static_cast<size_t>(b)] = static_cast<uint32_t>(total);
         }

@@ -29,6 +29,10 @@
 
 namespace tq::compiler {
 
+/** Instruction-equivalent cost charged for a call to an uninstrumented
+ *  (external) function (paper section 3.1). */
+inline constexpr int kExtCallInstrs = 25;
+
 /** Tuning knobs shared by the passes. */
 struct PassConfig
 {
@@ -39,10 +43,6 @@ struct PassConfig
      * probes.
      */
     int bound = 400;
-
-    /** Instruction-equivalent cost charged for a call to an
-     *  uninstrumented (external) function (paper section 3.1). */
-    int ext_call_instrs = 25;
 
     /** CI: merge the probes of single-entry single-exit straight-line
      *  chains into one probe (the SESE-style optimization of [8, 10]). */
@@ -101,11 +101,12 @@ struct StretchFacts
 
 /**
  * Analyze probe-free stretches of @p fn.
- * @param summaries instrumentation facts of callees (may be empty, in
- *     which case instrumented callees are treated as opaque external
- *     calls of cfg.ext_call_instrs instructions).
+ * @param summaries instrumentation facts of callees, indexed by
+ *     function; a call to a function with no entry (every call when
+ *     empty) is charged like an external call, 1 + kExtCallInstrs
+ *     instructions.
  */
-StretchFacts analyze_stretch(const Function &fn, const PassConfig &cfg,
+StretchFacts analyze_stretch(const Function &fn,
                              const std::vector<FunctionSummary> &summaries);
 
 } // namespace tq::compiler

@@ -85,20 +85,4 @@ Stack::release() noexcept
     }
 }
 
-Stack
-StackPool::take()
-{
-    if (free_.empty())
-        return Stack(stack_size_);
-    Stack s = std::move(free_.back());
-    free_.pop_back();
-    return s;
-}
-
-void
-StackPool::put(Stack stack)
-{
-    free_.push_back(std::move(stack));
-}
-
 } // namespace tq

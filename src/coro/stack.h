@@ -4,15 +4,12 @@
  *
  * Each task coroutine gets an mmap'd stack with an inaccessible guard
  * page below it, so a stack overflow faults immediately instead of
- * corrupting a neighbouring coroutine. StackPool recycles stacks because
- * TQ workers construct their task coroutines once and reuse them for the
- * lifetime of the worker (paper section 4).
+ * corrupting a neighbouring coroutine.
  */
 #ifndef TQ_CORO_STACK_H
 #define TQ_CORO_STACK_H
 
 #include <cstddef>
-#include <vector>
 
 namespace tq {
 
@@ -45,28 +42,6 @@ class Stack
     void *base_ = nullptr;  ///< usable region start
     size_t size_ = 0;       ///< usable bytes
     size_t map_size_ = 0;   ///< mapped bytes
-};
-
-/** Simple freelist of equally-sized stacks. Not thread-safe. */
-class StackPool
-{
-  public:
-    explicit StackPool(size_t stack_size = kDefaultStackSize)
-        : stack_size_(stack_size)
-    {}
-
-    /** Take a stack from the pool, allocating if the pool is empty. */
-    Stack take();
-
-    /** Return a stack for reuse. */
-    void put(Stack stack);
-
-    /** Number of stacks currently cached. */
-    size_t cached() const { return free_.size(); }
-
-  private:
-    size_t stack_size_;
-    std::vector<Stack> free_;
 };
 
 } // namespace tq

@@ -1,7 +1,10 @@
 /**
  * @file
- * Configuration of the real TQ runtime and its built-in policy variants
- * (the TQ-RAND / TQ-POWER-TWO / TQ-FCFS variants of paper section 5.4).
+ * Configuration of the real TQ runtime. Its dispatcher always balances
+ * by JSQ with Maximum-Serviced-Quanta ties (paper section 3.2); the
+ * TQ-RAND and TQ-POWER-TWO variants of section 5.4 live in the
+ * simulator (sim::TwoLevelConfig::lb). The TQ-FCFS variant is
+ * WorkPolicy::Fcfs.
  */
 #ifndef TQ_RUNTIME_CONFIG_H
 #define TQ_RUNTIME_CONFIG_H
@@ -10,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/dispatch_view.h"
 #include "common/sched_core.h"
 
 namespace tq::runtime {
@@ -89,11 +91,11 @@ struct RuntimeConfig
         sched::kDefaultStarvationPromoteAfter;
 
     size_t ring_capacity = 1 << 14; ///< per-ring request/response slots
-    DispatchPolicy dispatch = DispatchPolicy::JsqMsq; ///< load balancer
-    WorkPolicy work = WorkPolicy::ProcessorSharing;   ///< per-core policy
+    WorkPolicy work = WorkPolicy::ProcessorSharing; ///< per-core policy
 
-    /** Dispatch RNG seed: the JsqRandom, Random and PowerOfTwo picks
-     *  draw from it. */
+    /** Read by nothing: the dispatcher's JSQ-MSQ pick draws no
+     *  randomness. Kept only because the benchmark's runtime workloads
+     *  still assign it. */
     uint64_t seed = 1;
 };
 

@@ -42,20 +42,6 @@ enum class Lifecycle : uint32_t {
     Stopped = 4,  ///< all threads joined
 };
 
-/** Human-readable phase name (logs, tests). */
-inline const char *
-lifecycle_name(Lifecycle s)
-{
-    switch (s) {
-      case Lifecycle::Created:  return "Created";
-      case Lifecycle::Running:  return "Running";
-      case Lifecycle::Draining: return "Draining";
-      case Lifecycle::Stopping: return "Stopping";
-      case Lifecycle::Stopped:  return "Stopped";
-    }
-    return "?";
-}
-
 /**
  * Shared lifecycle control block. Writer: the controlling thread.
  * Readers: dispatcher and workers, relaxed loads at loop boundaries.

@@ -9,15 +9,31 @@
 
 namespace tq::runtime {
 
+namespace {
+
+/** @p cfg after checking the fields that size and time everything the
+ *  runtime builds. It initializes cfg_, the first member, so a bad
+ *  value stops here before any vector is sized or any negative time
+ *  reaches ns_to_cycles(). */
+const RuntimeConfig &
+checked(const RuntimeConfig &cfg)
+{
+    TQ_CHECK(cfg.num_workers > 0);
+    TQ_CHECK(cfg.quantum_us > 0);
+    TQ_CHECK(cfg.deficit_clamp_us >= 0);
+    return cfg;
+}
+
+} // namespace
+
 Runtime::Runtime(RuntimeConfig cfg, Handler handler)
-    : cfg_(cfg),
+    : cfg_(checked(cfg)),
       metrics_(std::make_unique<telemetry::MetricsRegistry>(
-          cfg.num_workers,
+          cfg_.num_workers,
           telemetry::kEnabled ? kTelemetryTraceCapacity : 1)),
       assigned_(std::make_unique<std::atomic<uint64_t>[]>(
-          static_cast<size_t>(cfg.num_workers)))
+          static_cast<size_t>(cfg_.num_workers)))
 {
-    TQ_CHECK(cfg_.num_workers > 0);
     // Scheduling shape (DESIGN.md §4i), resolved once for all workers
     // by the rule the simulator shares. A non-positive entry converts
     // to 0 cycles, which resolve_shape() rejects.
@@ -221,7 +237,7 @@ Runtime::refresh_dispatch_views()
     // assigned - finished (clamped at 0 against the transient
     // finished>assigned race noted in queue_lengths()). This is the
     // only place the dispatcher touches shared cache lines for load
-    // balancing; every policy's pick works on the packed view until the
+    // balancing; the JSQ-MSQ pick works on the packed view until the
     // next batch boundary. stat_lines keeps the walk over the workers'
     // lines pointer-chase-free.
     Dispatcher &d = *disp_;
@@ -231,9 +247,8 @@ Runtime::refresh_dispatch_views()
         const uint64_t fin = line.finished.load(std::memory_order_relaxed);
         const uint64_t asn = assigned_[i].load(std::memory_order_relaxed);
         d.view.set_len(i, asn > fin ? asn - fin : 0);
-        if (cfg_.dispatch == DispatchPolicy::JsqMsq)
-            d.view.set_quanta(
-                i, line.current_quanta.load(std::memory_order_relaxed));
+        d.view.set_quanta(
+            i, line.current_quanta.load(std::memory_order_relaxed));
     }
 }
 
@@ -296,9 +311,9 @@ Runtime::dispatch_batch(Request *reqs, size_t n)
     // RX when the batch was claimed, and per-request RDTSC is
     // exactly the kind of per-job cost batching amortizes away.
     const Cycles arrived_at = rdcycles();
-    // One view refresh per batch, whatever the policy: with a batch
-    // of 1 every pick sees fresh counters; inside a batch the picks
-    // see the boundary snapshot plus this batch's own assignments.
+    // One view refresh per batch: with a batch of 1 every pick sees
+    // fresh counters; inside a batch the picks see the boundary
+    // snapshot plus this batch's own assignments.
     refresh_dispatch_views();
 #if defined(TQ_TELEMETRY_ENABLED)
     telemetry::DispatcherTelemetry &dt = metrics_->dispatcher();
@@ -306,7 +321,7 @@ Runtime::dispatch_batch(Request *reqs, size_t n)
     for (size_t i = 0; i < n; ++i) {
         Request &req = reqs[i];
         req.arrival_cycles = arrived_at;
-        const int target = d.view.pick(cfg_.dispatch, d.rng);
+        const int target = d.view.pick_jsq_msq();
         d.view.bump_len(static_cast<size_t>(target));
 #if defined(TQ_TELEMETRY_ENABLED)
         // Stamp the handoff *before* the push: once the request is in

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "common/dispatch_view.h"
-#include "common/rng.h"
 #include "conc/cacheline.h"
 #include "conc/mpmc_queue.h"
 #include "runtime/config.h"
@@ -86,8 +85,7 @@ struct Dispatcher
 {
     explicit Dispatcher(const RuntimeConfig &cfg)
         : rx(cfg.ring_capacity),
-          view(static_cast<size_t>(cfg.num_workers)),
-          rng(cfg.seed)
+          view(static_cast<size_t>(cfg.num_workers))
     {
     }
 
@@ -97,7 +95,7 @@ struct Dispatcher
     MpmcQueue<Request> rx;
 
     /** Dispatcher-local packed view over the workers
-     *  (common/dispatch_view.h), read by every dispatch policy:
+     *  (common/dispatch_view.h), read by the JSQ-MSQ pick:
      *  refreshed from the workers' counter lines once per RX batch,
      *  then bumped incrementally as the batch's requests are assigned —
      *  per-request work inside a batch never touches a shared cache
@@ -108,9 +106,6 @@ struct Dispatcher
      *  per-batch refresh walks pointers, not unique_ptr<Worker> double
      *  indirections. Filled once at construction. */
     std::vector<WorkerStatsLine *> stat_lines;
-
-    /** Randomized policies, seeded with cfg.seed. */
-    Rng rng;
 
     /** The RX batch dispatch_step() pops into: built once with the
      *  Dispatcher, so a step clears and allocates nothing. */

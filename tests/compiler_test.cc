@@ -164,7 +164,7 @@ TEST(TqPass, StraightLineRespectsBound)
     PassConfig cfg;
     cfg.bound = 40;
     run_tq_pass(m, cfg);
-    const StretchFacts facts = analyze_stretch(m.entry(), cfg, {});
+    const StretchFacts facts = analyze_stretch(m.entry(), {});
     EXPECT_TRUE(facts.has_probes);
     EXPECT_LE(facts.max_gap, cfg.bound);
     EXPECT_GE(m.entry().probe_count(), 3); // 150/40 ~ 4 probes
@@ -187,7 +187,7 @@ TEST(TqPass, DiamondBoundsLongestSide)
     PassConfig cfg;
     cfg.bound = 60;
     run_tq_pass(m, cfg);
-    const StretchFacts facts = analyze_stretch(m.entry(), cfg, {});
+    const StretchFacts facts = analyze_stretch(m.entry(), {});
     EXPECT_LE(facts.max_gap, cfg.bound);
     // The short side plus join must not need a probe.
     EXPECT_EQ(m.entry().blocks[2].instrs.size(), 5u);
@@ -322,7 +322,7 @@ TEST(TqPass, CallToInstrumentedCalleeUsesSummary)
     // probe densely: at most one probe around each call plus slack.
     EXPECT_LE(m.functions[0].probe_count(), 4);
     const StretchFacts caller_facts =
-        analyze_stretch(m.functions[0], cfg, summaries);
+        analyze_stretch(m.functions[0], summaries);
     // Probe-free stretches in the caller stay within bound plus one
     // callee residual (the documented conservative guarantee).
     EXPECT_LE(caller_facts.max_gap, 2 * cfg.bound + 2);
@@ -341,9 +341,9 @@ TEST(TqPass, ExternalCallChargedCost)
     m.functions.push_back(fb.build());
     PassConfig cfg;
     cfg.bound = 60;
-    cfg.ext_call_instrs = 25;
     run_tq_pass(m, cfg);
-    // Each (2 + 1 + 25) = 28-instr step; bound 60 -> probe every ~2 steps.
+    // Each (2 + 1 + kExtCallInstrs) = 28-instr step; bound 60 -> probe
+    // every ~2 steps.
     EXPECT_GE(m.entry().probe_count(), 4);
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Tests for the stackful coroutine library: lifecycle, yielding from deep
  * call frames, reuse via reset(), interleaving many coroutines, stack
- * pooling, and cross-thread handoff of suspended coroutines.
+ * allocation and moves, and cross-thread handoff of suspended
+ * coroutines.
  */
 #include <gtest/gtest.h>
 
@@ -38,18 +39,6 @@ TEST(Stack, MoveTransfersOwnership)
     Stack c(8 * 1024);
     c = std::move(b);
     EXPECT_EQ(c.base(), base);
-}
-
-TEST(StackPool, ReusesStacks)
-{
-    StackPool pool(8 * 1024);
-    Stack s1 = pool.take();
-    void *base = s1.base();
-    pool.put(std::move(s1));
-    EXPECT_EQ(pool.cached(), 1u);
-    Stack s2 = pool.take();
-    EXPECT_EQ(s2.base(), base) << "pool should hand back the cached stack";
-    EXPECT_EQ(pool.cached(), 0u);
 }
 
 TEST(Coroutine, RunsToCompletionWithoutYield)

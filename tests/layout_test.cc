@@ -613,8 +613,10 @@ TEST(DispatchPick, EveryPolicyMatchesTheSimulatorsOriginalPick)
         DispatchPolicy::JsqMsq, DispatchPolicy::JsqRandom,
         DispatchPolicy::Random, DispatchPolicy::PowerOfTwo};
     Rng data_rng(1234);
+    int one_lane_views = 0;
     for (int trial = 0; trial < 5000; ++trial) {
         const size_t n = 1 + data_rng.below(128);
+        one_lane_views += n == 1;
         const uint64_t len_range = 1 + data_rng.below(trial % 2 ? 3 : 20);
         DispatchView view(n);
         SimPickOracle oracle;
@@ -639,6 +641,8 @@ TEST(DispatchPick, EveryPolicyMatchesTheSimulatorsOriginalPick)
                 << static_cast<int>(policy);
         }
     }
+    // One-lane views are the only ones on PowerOfTwo's no-draw path.
+    EXPECT_GT(one_lane_views, 0);
 }
 
 } // namespace

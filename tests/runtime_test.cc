@@ -65,6 +65,30 @@ run_requests(Runtime &rt, const std::vector<Request> &reqs,
     return responses;
 }
 
+/** Builds a Runtime from @p cfg and throws it away. */
+void
+construct(const RuntimeConfig &cfg)
+{
+    Runtime rt(cfg, spin_handler());
+}
+
+TEST(RuntimeDeathTest, ConfigIsCheckedBeforeAnythingIsBuilt)
+{
+    // Each bad field must stop at the constructor's check, before a
+    // negative worker count reaches a vector's reserve() or a negative
+    // time a double -> unsigned conversion.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    RuntimeConfig workers;
+    workers.num_workers = -1;
+    EXPECT_DEATH(construct(workers), "check failed");
+    RuntimeConfig quantum;
+    quantum.quantum_us = -1.0;
+    EXPECT_DEATH(construct(quantum), "check failed");
+    RuntimeConfig clamp;
+    clamp.deficit_clamp_us = -1.0;
+    EXPECT_DEATH(construct(clamp), "check failed");
+}
+
 TEST(Runtime, EndToEndAllRequestsAnswered)
 {
     RuntimeConfig cfg;
@@ -309,7 +333,6 @@ TEST(Runtime, JsqSpreadsLoadAcrossWorkers)
 {
     RuntimeConfig cfg;
     cfg.num_workers = 2;
-    cfg.dispatch = DispatchPolicy::JsqMsq;
     Runtime rt(cfg, spin_handler());
     rt.start();
 
@@ -328,16 +351,10 @@ TEST(Runtime, JsqSpreadsLoadAcrossWorkers)
     rt.stop();
 }
 
-class DispatchPolicies
-    : public ::testing::TestWithParam<DispatchPolicy>
-{
-};
-
-TEST_P(DispatchPolicies, AllPoliciesDeliverEverything)
+TEST(Runtime, ThreeWorkersDeliverEverything)
 {
     RuntimeConfig cfg;
     cfg.num_workers = 3;
-    cfg.dispatch = GetParam();
     Runtime rt(cfg, spin_handler());
     rt.start();
     std::vector<Request> reqs;
@@ -354,25 +371,6 @@ TEST_P(DispatchPolicies, AllPoliciesDeliverEverything)
     EXPECT_EQ(rt.dispatched(), responses.size());
     rt.stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, DispatchPolicies,
-                         ::testing::Values(DispatchPolicy::JsqMsq,
-                                           DispatchPolicy::JsqRandom,
-                                           DispatchPolicy::Random,
-                                           DispatchPolicy::PowerOfTwo),
-                         [](const auto &info) {
-                             switch (info.param) {
-                               case DispatchPolicy::JsqMsq:
-                                 return "JsqMsq";
-                               case DispatchPolicy::JsqRandom:
-                                 return "JsqRandom";
-                               case DispatchPolicy::Random:
-                                 return "Random";
-                               case DispatchPolicy::PowerOfTwo:
-                                 return "PowerOfTwo";
-                             }
-                             return "Unknown";
-                         });
 
 TEST(Lifecycle, StatesProgressAcrossStartAndStop)
 {
@@ -574,25 +572,6 @@ TEST(Lifecycle, ForcedStopAccountsEveryJob)
         << "every accepted job must be delivered, dropped, or abandoned";
     EXPECT_GT(rt.abandoned_jobs(), 0u)
         << "100ms of queued spin cannot drain in 5ms";
-}
-
-TEST(Runtime, PowerOfTwoWithSingleWorkerDegrades)
-{
-    // Regression: PowerOfTwo with one worker used to sample rng.below(0)
-    // and index workers_[1] (out of bounds in release builds).
-    RuntimeConfig cfg;
-    cfg.num_workers = 1;
-    cfg.dispatch = DispatchPolicy::PowerOfTwo;
-    Runtime rt(cfg, spin_handler());
-    rt.start();
-    std::vector<Request> reqs;
-    for (uint64_t i = 0; i < 50; ++i)
-        reqs.push_back(make_spin_request(i, 2000));
-    const auto responses = run_requests(rt, reqs);
-    ASSERT_EQ(responses.size(), reqs.size());
-    for (const auto &r : responses)
-        EXPECT_EQ(r.worker, 0);
-    rt.stop();
 }
 
 TEST(Runtime, QueueLengthsAndSnapshotsSafeWhileDispatching)
@@ -918,7 +897,7 @@ TEST(PerClassQuanta, StarvationGuardForcesPromotionUnderLasFlood)
 // Thread-free runs: one thread drives a runtime that is never started
 // through the same iterations its threads run (Runtime::dispatch_step(),
 // Worker::step()), so every interleaving below is a pure function of
-// the step order and the dispatch seed.
+// the step order.
 
 /** Submits @p reqs in slices of @p per_round, each slice followed by a
  *  stepped round (a dispatcher step, one step of each worker, then a
@@ -980,38 +959,32 @@ TEST(Stepped, EveryJobIsDeliveredOnce)
     EXPECT_EQ(rt.abandoned_jobs(), 0u);
 }
 
-TEST(Stepped, SameSeedGivesTheSameTargets)
+TEST(Stepped, SameStepOrderGivesTheSameTargets)
 {
     // Zero-work FCFS jobs, submitted a few per round so the queue
     // lengths the picks see vary: the id -> worker map is a function of
-    // the dispatch seed and the step order alone.
+    // the step order alone.
     constexpr uint64_t kJobs = 200;
     std::vector<Request> reqs;
     for (uint64_t i = 0; i < kJobs; ++i)
         reqs.push_back(make_spin_request(i, 0));
-    for (DispatchPolicy policy :
-         {DispatchPolicy::Random, DispatchPolicy::JsqMsq}) {
-        const auto targets = [&] {
-            RuntimeConfig cfg;
-            cfg.num_workers = 4;
-            cfg.work = WorkPolicy::Fcfs;
-            cfg.dispatch = policy;
-            cfg.seed = 7;
-            Runtime rt(cfg, spin_handler());
-            std::map<uint64_t, int> by_id;
-            for (const Response &r : run_stepped(rt, reqs, 3))
-                by_id[r.id] = r.worker;
-            EXPECT_EQ(by_id.size(), kJobs);
-            return by_id;
-        };
-        const auto first = targets();
-        EXPECT_EQ(first, targets())
-            << "policy " << static_cast<int>(policy);
-        std::map<int, int> per_worker;
-        for (const auto &[id, w] : first)
-            ++per_worker[w];
-        EXPECT_GT(per_worker.size(), 1u) << "every job went to one worker";
-    }
+    const auto targets = [&] {
+        RuntimeConfig cfg;
+        cfg.num_workers = 4;
+        cfg.work = WorkPolicy::Fcfs;
+        Runtime rt(cfg, spin_handler());
+        std::map<uint64_t, int> by_id;
+        for (const Response &r : run_stepped(rt, reqs, 3))
+            by_id[r.id] = r.worker;
+        EXPECT_EQ(by_id.size(), kJobs);
+        return by_id;
+    };
+    const auto first = targets();
+    EXPECT_EQ(first, targets());
+    std::map<int, int> per_worker;
+    for (const auto &[id, w] : first)
+        ++per_worker[w];
+    EXPECT_GT(per_worker.size(), 1u) << "every job went to one worker";
 }
 
 TEST(Stepped, LeftoversAreCountedAbandoned)

@@ -196,7 +196,7 @@ TEST(Verifier, CallCompositionSoundAndTight)
 TEST(Verifier, ExternalCallChargedInExecutorUnits)
 {
     // Executor charges floor(ext_cost / ialu) stretch for an external
-    // call; the verifier must use the same units, not ext_call_instrs.
+    // call; the verifier must use the same units, not kExtCallInstrs.
     FunctionBuilder fb("main");
     const int b = fb.add_block();
     fb.ops(b, Op::IAlu, 2).ext_call(b, 500.0).ops(b, Op::IAlu, 1).ret(b);
