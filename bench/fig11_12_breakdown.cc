@@ -92,7 +92,6 @@ real_runtime_decomposition()
     net::LoadGenConfig lg;
     lg.rate_mrps = 0.01; // modest: threads timeshare the host's cores
     lg.duration_sec = 0.2;
-    lg.metrics = &rt.metrics();
     const net::ClientStats client = net::run_open_loop(
         server, *dist, net::spin_request_factory(), lg);
     rt.stop();

@@ -377,7 +377,7 @@ BM_TelemetrySnapshot(benchmark::State &state)
         auto &wt = reg.worker(w);
         for (uint64_t i = 0; i < 1000; ++i) {
             wt.queue_cycles.add(i * 97);
-            wt.service_cycles.add(i * 13);
+            wt.class_service[0].add(i * 13);
         }
     }
     for (auto _ : state) {

@@ -52,10 +52,6 @@ run_open_loop(Server &server, const ServiceDist &dist,
     const PoissonProcess arrival(cfg.rate_mrps * 1e-3);
     const double duration_ns = cfg.duration_sec * 1e9;
 
-#if defined(TQ_TELEMETRY_ENABLED)
-    telemetry::ClientTelemetry *const ct =
-        cfg.metrics != nullptr ? &cfg.metrics->client() : nullptr;
-#endif
     auto collect = [&] {
         TQ_FAULT_SITE(LoadgenCollect);
         // The server drains each worker TX ring with batched pop_n
@@ -69,10 +65,6 @@ run_open_loop(Server &server, const ServiceDist &dist,
             e2e[c].add(r.e2e_ns());
             ++counts[c];
             ++stats.completed;
-#if defined(TQ_TELEMETRY_ENABLED)
-            if (ct != nullptr)
-                ct->sojourn_cycles.add(r.done_cycles - r.arrival_cycles);
-#endif
         }
     };
 

@@ -23,7 +23,6 @@
 #include "common/dist.h"
 #include "common/percentile.h"
 #include "runtime/request.h"
-#include "telemetry/telemetry.h"
 
 namespace tq::net {
 
@@ -45,16 +44,6 @@ struct LoadGenConfig
      * EngineCore::set_arrival_trace, compared by the parity tests.
      */
     std::vector<double> *send_trace = nullptr;
-
-    /**
-     * Optional telemetry registry: when set (and the build has
-     * TQ_TELEMETRY on), the generator records the sojourn histogram
-     * into the registry's client slot, so server snapshots and
-     * client-side views come from one substrate.
-     * The request counts live in ClientStats. Typically
-     * `&runtime.metrics()`.
-     */
-    telemetry::MetricsRegistry *metrics = nullptr;
 };
 
 /** Per-class client-side latency statistics. */

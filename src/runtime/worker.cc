@@ -175,16 +175,12 @@ Worker::complete(const Sched::Entry &e, Cycles done)
     owner_add(stats_.current_quanta, 0u - e.quanta);
     sched_.finish(e);
 #if defined(TQ_TELEMETRY_ENABLED)
-    telem_->service_cycles.add(task->service_cycles);
+    // The job's service and sojourn stages, recorded once in its ledger
+    // slot (slot 0 on the fixed path).
+    telem_->class_service[e.slot].add(task->service_cycles);
+    telem_->class_sojourn[e.slot].add(resp.done_cycles -
+                                      task->req.arrival_cycles);
     telem_->trace.record(telemetry::EventKind::JobFinished, task->req.id);
-    if (classes_tracked()) {
-        // Per-class service and sojourn (DESIGN.md §4i), keyed by the
-        // scheduler ledger slot.
-        owner_add(telem_->class_finished[e.slot], 1);
-        telem_->class_service[e.slot].add(task->service_cycles);
-        telem_->class_sojourn[e.slot].add(resp.done_cycles -
-                                          task->req.arrival_cycles);
-    }
 #endif
     idle_.push_back(task);
 }

@@ -187,9 +187,9 @@ class Worker
      *  check_hot_locks.py). */
     [[gnu::cold, gnu::noinline]] void count_promotion();
 
-    /** Per-class telemetry instruments record only when classes have
-     *  ledger slots of their own; the one-slot fixed path leaves them
-     *  untouched, which keeps the default snapshot text unchanged. */
+    /** The per-class grant and deficit instruments record only when
+     *  classes have ledger slots of their own; the one-slot fixed path
+     *  leaves them untouched, so its snapshot has no per-class block. */
     bool classes_tracked() const { return sched_.ledger().slots() > 1; }
 
     int id_;

@@ -48,8 +48,12 @@ struct Overheads
      * a serial resource — submitters are many and run in parallel, so
      * the front tier delays each request but imposes no aggregate
      * throughput ceiling. bench/fig17_sharded_dispatcher's front-pick
-     * micro measures ~2-4 ns at 2-4 shards; 5 ns is a conservative
-     * default. Unused at num_dispatchers = 1 (no front tier exists).
+     * micro recorded 7.4, 7.3, 14.4 and 29.1 ns at 2, 4, 8 and 16
+     * shards (BENCH_dispatch.json sharded_scaling.front_tier_pick_ns),
+     * so 5 ns is below every recorded row. It stays because re-pinning
+     * it moves every sharded sim output; that belongs with re-pinning
+     * the other sim constants (ROADMAP's calibration item). Unused at
+     * num_dispatchers = 1 (no front tier exists).
      */
     SimNanos front_tier_cost = 5;
 

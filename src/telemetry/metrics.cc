@@ -64,7 +64,7 @@ MetricsRegistry::snapshot() const
         s.mean_dispatch_batch =
             static_cast<double>(d.batch_occupancy.sum()) /
             static_cast<double>(s.dispatch_batches);
-    std::vector<const Histogram *> queue, service, preempt;
+    std::vector<const Histogram *> queue, service, sojourn, preempt;
     for (const auto &w : workers_) {
         const WorkerCounters &c = w->counters;
         s.admitted += c.admitted.load(std::memory_order_relaxed);
@@ -74,8 +74,11 @@ MetricsRegistry::snapshot() const
             c.guard_deferrals.load(std::memory_order_relaxed);
         s.trace_dropped += w->trace.dropped();
         queue.push_back(&w->queue_cycles);
-        service.push_back(&w->service_cycles);
         preempt.push_back(&w->preempt_cycles);
+        for (int c = 0; c < sched::kMaxClasses; ++c) {
+            service.push_back(&w->class_service[c]);
+            sojourn.push_back(&w->class_sojourn[c]);
+        }
     }
     // Per-class quantum instruments (§4i): fold worker-wise, then trim
     // to the highest class that saw a grant so the fixed-quantum path
@@ -95,8 +98,6 @@ MetricsRegistry::snapshot() const
                 granted[static_cast<size_t>(c)] +=
                     w->class_granted_cycles[c].load(
                         std::memory_order_relaxed);
-                cs.finished +=
-                    w->class_finished[c].load(std::memory_order_relaxed);
                 cs.deficit_cycles +=
                     w->class_deficit[c].load(std::memory_order_relaxed);
                 service_h.push_back(&w->class_service[c]);
@@ -108,6 +109,7 @@ MetricsRegistry::snapshot() const
                     static_cast<double>(cs.grants) / 1e3;
                 cs.service = summarize(service_h);
                 cs.sojourn = summarize(sojourn_h);
+                cs.finished = cs.sojourn.count;
                 highest = static_cast<size_t>(c) + 1;
             }
         }
@@ -115,10 +117,10 @@ MetricsRegistry::snapshot() const
         s.per_class = std::move(classes);
     }
     s.dispatch = summarize({&d.dispatch_cycles});
-    s.sojourn = summarize({&client_.sojourn_cycles});
     s.queueing = summarize(queue);
     s.service = summarize(service);
     s.preempt = summarize(preempt);
+    s.sojourn = summarize(sojourn);
     return s;
 }
 

@@ -75,9 +75,8 @@ class WorkerTelemetry
     {
     }
 
-    WorkerCounters counters;      ///< event counters (writer: the worker)
+    WorkerCounters counters;  ///< event counters (writer: the worker)
     Histogram queue_cycles;   ///< dispatch -> first quantum start
-    Histogram service_cycles; ///< per-job sum of slice durations
     Histogram preempt_cycles; ///< per-preemption overshoot past the
                               ///< armed deadline (incl. switch-out)
 
@@ -92,9 +91,15 @@ class WorkerTelemetry
      *  granted_cycles / grants, the runtime-side effective quantum the
      *  sim-parity test compares orderings against. */
     std::atomic<uint64_t> class_granted_cycles[sched::kMaxClasses] = {};
-    std::atomic<uint64_t> class_finished[sched::kMaxClasses] = {};
     /** Last settled deficit per class (gauge, signed cycles). */
     std::atomic<int64_t> class_deficit[sched::kMaxClasses] = {};
+
+    // Every completed job records its attained service and its sojourn
+    // (dispatcher arrival stamp -> done stamp) once, here, in its
+    // scheduler ledger slot: slot 0 on the fixed path, the job's class
+    // slot in per-class mode. The snapshot's service and sojourn stages
+    // are the union of these histograms, and a class's finished count is
+    // the count of its sojourn histogram.
     Histogram class_service[sched::kMaxClasses]; ///< per-job attained
     Histogram class_sojourn[sched::kMaxClasses]; ///< arrival -> done
 
@@ -112,7 +117,7 @@ class DispatcherTelemetry
     {
     }
 
-    Histogram dispatch_cycles; ///< RX arrival -> handed to a worker
+    Histogram dispatch_cycles; ///< RX batch claimed -> handed to a worker
 
     /** Requests per non-empty RX batch (a value histogram, not cycles:
      *  count = batches, sum = requests,
@@ -122,13 +127,6 @@ class DispatcherTelemetry
     Histogram batch_occupancy;
 
     TraceRing trace;                ///< JobDispatched events
-};
-
-/** Client-side (load generator) telemetry. */
-class ClientTelemetry
-{
-  public:
-    Histogram sojourn_cycles; ///< dispatcher arrival -> completion
 };
 
 /** Summary of one histogram-backed pipeline stage, in nanoseconds. */
@@ -186,11 +184,11 @@ struct MetricsSnapshot
     uint64_t abandoned_jobs = 0;           ///< jobs a drain gave up on
                                            ///< (never finished)
 
-    StageStats dispatch; ///< RX arrival -> handed to a worker
+    StageStats dispatch; ///< RX batch claimed -> handed to a worker
     StageStats queueing; ///< handed to a worker -> first quantum
     StageStats service;  ///< sum of slice durations per job
     StageStats preempt;  ///< per-preemption deadline overshoot
-    StageStats sojourn;  ///< client-observed arrival -> completion
+    StageStats sojourn;  ///< dispatcher arrival -> completion
 
     /** Per-class quantum instruments, trimmed to the highest class with
      *  any grants — empty on the fixed-quantum path, so consumers of
@@ -209,7 +207,7 @@ struct MetricsSnapshot
 
 /**
  * Owner of all telemetry state for one Runtime: one WorkerTelemetry per
- * worker, the dispatcher's and the client's. Construction is the only
+ * worker and the dispatcher's. Construction is the only
  * allocation; everything afterwards is wait-free on the writer side and
  * lock-free on the reader side.
  */
@@ -235,9 +233,6 @@ class MetricsRegistry
     /** The dispatcher's slot. */
     DispatcherTelemetry &dispatcher() { return *dispatcher_; }
 
-    /** Client/load-generator slot. */
-    ClientTelemetry &client() { return client_; }
-
     /** Number of worker slots. */
     int num_workers() const { return static_cast<int>(workers_.size()); }
 
@@ -261,7 +256,6 @@ class MetricsRegistry
     /** Heap-allocated like each worker's slot, so the dispatcher's
      *  writes never share a line with another writer's. */
     std::unique_ptr<DispatcherTelemetry> dispatcher_;
-    ClientTelemetry client_;
 };
 
 /**

@@ -214,7 +214,6 @@ TEST(Integration, PoissonArrivalSequenceIdenticalAcrossRuntimeAndSim)
         lg.duration_sec = kDurationSec;
         lg.seed = kSeed;
         lg.send_trace = &send_trace;
-        lg.metrics = &rt.metrics();
         const net::ClientStats stats = net::run_open_loop(
             server, dist, net::spin_request_factory(), lg);
         rt.stop();

@@ -661,6 +661,20 @@ TEST(PerClassQuanta, BudgetsResolvedAtAdmissionFollowTheTable)
     EXPECT_GT(eff0, eff1) << "eff0=" << eff0 << " eff1=" << eff1;
     EXPECT_EQ(c0.runnable, 0u) << "all admitted jobs completed";
     EXPECT_EQ(c1.runnable, 0u);
+
+    // Every completion records its sojourn once, in its class slot, so
+    // the per-class table adds up to the totals.
+    const telemetry::MetricsSnapshot snap = rt.telemetry_snapshot();
+    if (telemetry::kEnabled) {
+        uint64_t finished = 0, sojourns = 0;
+        for (const telemetry::ClassQuantaStats &cs : snap.per_class) {
+            finished += cs.finished;
+            sojourns += cs.sojourn.count;
+        }
+        EXPECT_EQ(finished, snap.finished);
+        EXPECT_EQ(sojourns, snap.sojourn.count);
+        EXPECT_EQ(snap.sojourn.count, reqs.size());
+    }
 }
 
 TEST(PerClassQuanta, NeverArrivingClassIsInertNoPromotionsNoGrants)

@@ -92,11 +92,11 @@ stage_row(const char *name, uint64_t count, double mean, double p99)
 
 TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
 {
-    // Fixed samples spread over two workers, the dispatcher and the
-    // client. Every stage's count, exact mean and bucket p99 — and the
-    // rendered table — must equal what the merge rules give: means
-    // from the summed sum/count, p99 at the geometric midpoint of the
-    // first bucket covering 99 % of the merged bucket total.
+    // Fixed samples spread over two workers and the dispatcher. Every
+    // stage's count, exact mean and bucket p99 — and the rendered table
+    // — must equal what the merge rules give: means from the summed
+    // sum/count, p99 at the geometric midpoint of the first bucket
+    // covering 99 % of the merged bucket total.
     MetricsRegistry reg(2, 64);
     DispatcherTelemetry &d = reg.dispatcher();
     WorkerTelemetry &w0 = reg.worker(0);
@@ -116,14 +116,16 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
     Cycles queue_sum = add_n(w0.queue_cycles, 50, 0);
     queue_sum += add_n(w0.queue_cycles, 49, 1);
     queue_sum += add_n(w1.queue_cycles, 1, 70'000);
-    // service: 99 % of 20 is 20 -> bucket 10 (2000) on worker 1.
-    Cycles service_sum = add_n(w0.service_cycles, 10, 1000);
-    service_sum += add_n(w1.service_cycles, 10, 2000);
+    // service and sojourn are the union of every worker's ledger-slot
+    // histograms. Slot 2 saw no grants, so per_class trims it, but its
+    // samples still count in both stages; the per-class samples below
+    // join them.
+    Cycles service_sum = add_n(w0.class_service[2], 10, 1000);
+    service_sum += add_n(w1.class_service[2], 10, 2000);
+    Cycles sojourn_sum = add_n(w0.class_sojourn[2], 3, 7);
+    sojourn_sum += add_n(w1.class_sojourn[2], 1, 123'456);
     // preempt: worker 1 recorded nothing.
     const Cycles preempt_sum = add_n(w0.preempt_cycles, 3, 40);
-    // sojourn: the client's one histogram, top sample decides.
-    Cycles sojourn_sum = add_n(reg.client().sojourn_cycles, 3, 7);
-    sojourn_sum += add_n(reg.client().sojourn_cycles, 1, 123'456);
 
     // Per-class instruments: class 0 on both workers, class 1 on one;
     // a sample past 2^39 clamps into the last bucket.
@@ -131,19 +133,16 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
     w1.class_grants[0].store(2);
     w0.class_granted_cycles[0].store(8000);
     w1.class_granted_cycles[0].store(1000);
-    w0.class_finished[0].store(2);
-    w1.class_finished[0].store(1);
     w0.class_deficit[0].store(-5);
     w1.class_deficit[0].store(7);
     Cycles c0_service = add_n(w0.class_service[0], 2, 500);
     c0_service += add_n(w1.class_service[0], 1, 600);
-    add_n(w0.class_sojourn[0], 2, 900);
-    add_n(w1.class_sojourn[0], 1, Cycles{1} << 45);
+    Cycles c0_sojourn = add_n(w0.class_sojourn[0], 2, 900);
+    c0_sojourn += add_n(w1.class_sojourn[0], 1, Cycles{1} << 45);
     w1.class_grants[1].store(3);
     w1.class_granted_cycles[1].store(6000);
-    w1.class_finished[1].store(1);
     const Cycles c1_service = add_n(w1.class_service[1], 1, 5000);
-    add_n(w1.class_sojourn[1], 1, 5000);
+    const Cycles c1_sojourn = add_n(w1.class_sojourn[1], 1, 5000);
 
     for (WorkerTelemetry *w : {&w0, &w1}) {
         w->counters.admitted.store(10);
@@ -171,9 +170,13 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
     } stages[] = {
         {"dispatch", s.dispatch, 202, dispatch_sum, 11},
         {"queueing", s.queueing, 100, queue_sum, 0},
-        {"service", s.service, 20, service_sum, 10},
+        // 99 % of 24 is 24 -> bucket 12 (class 1's 5000).
+        {"service", s.service, 24, service_sum + c0_service + c1_service,
+         12},
         {"preempt", s.preempt, 3, preempt_sum, 5},
-        {"sojourn", s.sojourn, 4, sojourn_sum, 16},
+        // 99 % of 8 is 8 -> class 0's clamped 2^45 in bucket 39.
+        {"sojourn", s.sojourn, 8, sojourn_sum + c0_sojourn + c1_sojourn,
+         39},
     };
     std::string table = "stage\tcount\tmean_us\tp99_us\n";
     for (const auto &st : stages) {
@@ -197,8 +200,17 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
     EXPECT_EQ(s.per_class[0].sojourn.count, 3u);
     EXPECT_EQ(s.per_class[0].sojourn.p99_ns, bucket_p99_ns(39));
     EXPECT_EQ(s.per_class[1].grants, 3u);
+    EXPECT_EQ(s.per_class[1].finished, 1u);
     EXPECT_EQ(s.per_class[1].service.mean_ns, mean_ns(c1_service, 1));
     EXPECT_EQ(s.per_class[1].sojourn.p99_ns, bucket_p99_ns(12));
+    // The per-class tables read the stage totals' own histograms: with
+    // slot 2's 20 service and 4 sojourn samples they add up exactly.
+    EXPECT_EQ(s.per_class[0].service.count + s.per_class[1].service.count +
+                  20,
+              s.service.count);
+    EXPECT_EQ(s.per_class[0].sojourn.count + s.per_class[1].sojourn.count +
+                  4,
+              s.sojourn.count);
 
     char buf[256];
     std::string classes = "starvation promotions: 0\n"
@@ -268,7 +280,7 @@ TEST(MetricsRegistry, SnapshotWhileRunning)
                 wt.counters.quanta.fetch_add(1, std::memory_order_relaxed);
                 wt.counters.yields.fetch_add(1, std::memory_order_relaxed);
                 wt.queue_cycles.add(i & 0xffff);
-                wt.service_cycles.add(i & 0xff);
+                wt.class_service[0].add(i & 0xff);
             }
         });
     }
@@ -411,6 +423,10 @@ TEST(RuntimeTelemetry, EndToEndSnapshotAndTrace)
     EXPECT_EQ(snap.queueing.count, kJobs);
     EXPECT_EQ(snap.service.count, kJobs);
     EXPECT_GT(snap.service.mean_ns, 0.0);
+    // The worker records each job's sojourn, so no load generator is
+    // needed for a whole stage table.
+    EXPECT_EQ(snap.sojourn.count, kJobs);
+    EXPECT_GE(snap.sojourn.mean_ns, snap.service.mean_ns);
 
     int dispatched = 0, starts = 0, finishes = 0;
     for (const TraceEvent &ev : events) {
