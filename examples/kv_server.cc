@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 
 #include "core/tq.h"
 
@@ -36,29 +35,12 @@ namespace {
 constexpr uint64_t kKeys = 50'000;
 constexpr size_t kScanLen = 3'000;
 
-/** Each worker thread owns a MiniKV shard (no cross-thread mutation). */
-workloads::MiniKV &
-shard()
-{
-    // Loading happens lazily inside a probed job: suppress yields while
-    // the thread_local initializes, or a preemption mid-construction
-    // would let another task re-enter the initializer (the reentrancy
-    // hazard of paper section 6).
-    thread_local auto kv = [] {
-        PreemptGuard guard;
-        auto fresh = std::make_unique<workloads::MiniKV>(42, 100);
-        fresh->load_sequential(kKeys);
-        return fresh;
-    }();
-    return *kv;
-}
-
 /**
- * Burst demo: one multi-ms SCAN enters first, then a wave of GETs, all
- * on a single worker. The robust, host-independent signal is completion
- * *order*: preemptive PS lets every GET overtake the SCAN; FCFS makes
- * every GET wait behind it. (Open-loop latency numbers would mostly
- * measure OS timesharing on a shared host with few cores.)
+ * Burst demo: one long SCAN (~0.1 ms) enters first, then a wave of
+ * GETs, all on a single worker. The robust, host-independent signal is
+ * completion *order*: preemptive PS lets every GET overtake the SCAN;
+ * FCFS makes every GET wait behind it. (Open-loop latency numbers would
+ * mostly measure OS timesharing on a shared host with few cores.)
  */
 struct BurstResult
 {
@@ -82,22 +64,26 @@ arm_chaos()
     inj.stall(fault::Site::WorkerComplete, 5.0);
 }
 
+/** Serve the burst from @p kv, which the worker only reads (GET and SCAN
+ *  are const), so the store is loaded once, before any runtime starts,
+ *  and no job pays for it. */
 BurstResult
-serve_burst(runtime::WorkPolicy policy, const char *trace_path = nullptr)
+serve_burst(const workloads::MiniKV &kv, runtime::WorkPolicy policy,
+            const char *trace_path = nullptr)
 {
     runtime::RuntimeConfig cfg;
     cfg.num_workers = 1;
     cfg.quantum_us = 2.0;
     cfg.work = policy;
 
-    runtime::Runtime rt(cfg, [](const runtime::Request &req) {
+    runtime::Runtime rt(cfg, [&kv](const runtime::Request &req) {
         uint64_t checksum = 0;
         if (req.job_class == 0) {
             std::string value;
-            shard().get(req.payload % kKeys, &value);
+            kv.get(req.payload % kKeys, &value);
             checksum = value.empty() ? 0 : static_cast<uint64_t>(value[0]);
         } else {
-            shard().scan(req.payload % kKeys, kScanLen, &checksum);
+            kv.scan(req.payload % kKeys, kScanLen, &checksum);
         }
         return checksum;
     });
@@ -194,9 +180,11 @@ main(int argc, char **argv)
         g_chaos_seed = 0;
     }
 
+    workloads::MiniKV kv(42, 100);
+    kv.load_sequential(kKeys);
     const BurstResult ps =
-        serve_burst(runtime::WorkPolicy::ProcessorSharing, trace_path);
-    const BurstResult fcfs = serve_burst(runtime::WorkPolicy::Fcfs);
+        serve_burst(kv, runtime::WorkPolicy::ProcessorSharing, trace_path);
+    const BurstResult fcfs = serve_burst(kv, runtime::WorkPolicy::Fcfs);
 
     std::printf("TQ (PS, 2us quanta): %d / %d GETs completed before the "
                 "SCAN\n",

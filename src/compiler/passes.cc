@@ -283,7 +283,7 @@ tq_instrument_loops(Function &fn, const PassConfig &pass_cfg,
         if (facts.static_trip &&
             static_cast<long>(*facts.static_trip) *
                     static_cast<long>(body_stretch) <=
-                pass_cfg.static_skip_limit()) {
+                pass_cfg.bound) {
             continue;
         }
 

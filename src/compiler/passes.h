@@ -40,20 +40,15 @@ struct PassConfig
      * TQ: maximum number of real instructions on any execution path
      * between consecutive probe firings (up to loop-guard rounding).
      * Smaller bounds support smaller minimum quanta at the price of more
-     * probes.
+     * probes. A loop whose statically-known total work (trip count x
+     * longest body path) stays within the bound is not instrumented; it
+     * is treated as straight-line cost.
      */
     int bound = 400;
 
     /** CI: merge the probes of single-entry single-exit straight-line
      *  chains into one probe (the SESE-style optimization of [8, 10]). */
     bool ci_merge_chains = true;
-
-    /**
-     * TQ: skip instrumenting a loop whose statically-known total work
-     * (trip count x longest body path) stays below this many
-     * instructions; the loop is then treated as straight-line cost.
-     */
-    int static_skip_limit() const { return bound; }
 };
 
 /**

@@ -2,17 +2,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
 
 namespace tq {
-
-namespace {
-
-/// Coroutine executing on the current thread (nullptr in native context).
-thread_local Coroutine *tl_current = nullptr;
-
-} // namespace
 
 extern "C" void tq_context_trampoline();
 
@@ -42,8 +36,7 @@ make_context(void *stack_base, size_t stack_size, ContextEntry entry)
     return frame;
 }
 
-Coroutine::Coroutine(Body body, Stack stack)
-    : stack_(std::move(stack)), body_(std::move(body))
+Coroutine::Coroutine(Body body) : body_(std::move(body))
 {
     TQ_CHECK(body_);
     self_sp_ = make_context(stack_.base(), stack_.size(), &Coroutine::entry);
@@ -55,38 +48,21 @@ Coroutine::resume()
     TQ_CHECK(!done_);
     TQ_CHECK(!running_);
     running_ = true;
-    started_ = true;
-    Coroutine *const prev = tl_current;
-    tl_current = this;
     tq_context_jump(&caller_sp_, self_sp_, this);
-    tl_current = prev;
     running_ = false;
 }
 
 void
 Coroutine::yield()
 {
-    TQ_CHECK(running_);
-    TQ_CHECK(tl_current == this);
+    // Only the innermost running coroutine executes on its own stack, so
+    // this one check rejects a yield from native context and a yield of
+    // an outer coroutine from inside a nested one.
+    uintptr_t sp;
+    asm("mov %%rsp, %0" : "=r"(sp));
+    const auto base = reinterpret_cast<uintptr_t>(stack_.base());
+    TQ_CHECK(sp - base < stack_.size());
     tq_context_jump(&self_sp_, caller_sp_, this);
-}
-
-void
-Coroutine::reset(Body body)
-{
-    TQ_CHECK(done_ || !started_);
-    TQ_CHECK(!running_);
-    TQ_CHECK(body);
-    body_ = std::move(body);
-    started_ = false;
-    done_ = false;
-    self_sp_ = make_context(stack_.base(), stack_.size(), &Coroutine::entry);
-}
-
-Coroutine *
-Coroutine::current()
-{
-    return tl_current;
 }
 
 void
@@ -101,8 +77,7 @@ Coroutine::run_body()
 {
     body_(*this);
     done_ = true;
-    // Final switch back to the resumer; this context is never re-entered
-    // unless reset() rebuilds it.
+    // Final switch back to the resumer; this context is never re-entered.
     tq_context_jump(&self_sp_, caller_sp_, this);
     TQ_CHECK(false); // unreachable: finished coroutines are not resumed
 }

@@ -10,13 +10,14 @@
  *
  * Threading model: a coroutine is owned by one worker thread at a time.
  * resume() is called from the scheduler side, yield() from inside the
- * coroutine; neither is reentrant.
+ * coroutine; neither is reentrant. A coroutine runs one body for its
+ * whole life: TQ workers recycle task coroutines by giving each a
+ * persistent body that serves job after job (runtime/worker.cc).
  */
 #ifndef TQ_CORO_COROUTINE_H
 #define TQ_CORO_COROUTINE_H
 
 #include <functional>
-#include <utility>
 
 #include "coro/context.h"
 #include "coro/stack.h"
@@ -31,11 +32,11 @@ class Coroutine
     using Body = std::function<void(Coroutine &)>;
 
     /**
-     * Create a coroutine (not started) around @p body.
+     * Create a coroutine (not started) around @p body, on a fresh
+     * guarded stack.
      * @param body callable run on the coroutine stack at first resume().
-     * @param stack stack to execute on; defaults to a fresh guarded stack.
      */
-    explicit Coroutine(Body body, Stack stack = Stack());
+    explicit Coroutine(Body body);
 
     /**
      * Destroying a suspended (unfinished) coroutine is allowed: its stack
@@ -56,29 +57,14 @@ class Coroutine
 
     /**
      * Suspend and return control to the resume() caller.
-     * Must be called from inside the coroutine body.
+     * Must be called from inside the coroutine body, on this coroutine's
+     * own stack: a yield from native context, or of an outer coroutine
+     * from inside a nested one, fails a check.
      */
     void yield();
 
     /** True once the body has returned. */
     bool done() const { return done_; }
-
-    /** True between resume() and the matching yield()/completion. */
-    bool running() const { return running_; }
-
-    /**
-     * Re-arm a finished coroutine with a new body, reusing its stack.
-     * This is how TQ workers recycle task coroutines across requests.
-     */
-    void reset(Body body);
-
-    /**
-     * The coroutine currently running on this thread, or nullptr when
-     * the thread is in scheduler (native) context. Used by the probe
-     * runtime to find the yield target without plumbing pointers through
-     * instrumented application code.
-     */
-    static Coroutine *current();
 
   private:
     static void entry(void *self);
@@ -88,7 +74,6 @@ class Coroutine
     Body body_;
     void *self_sp_ = nullptr;    ///< suspension point of the coroutine
     void *caller_sp_ = nullptr;  ///< suspension point of the resumer
-    bool started_ = false;
     bool running_ = false;
     bool done_ = false;
 };

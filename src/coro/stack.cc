@@ -3,8 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <utility>
-
 #include "common/check.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -46,43 +44,13 @@ Stack::Stack(size_t size)
 
 Stack::~Stack()
 {
-    release();
-}
-
-Stack::Stack(Stack &&other) noexcept
-    : map_(std::exchange(other.map_, nullptr)),
-      base_(std::exchange(other.base_, nullptr)),
-      size_(std::exchange(other.size_, 0)),
-      map_size_(std::exchange(other.map_size_, 0))
-{
-}
-
-Stack &
-Stack::operator=(Stack &&other) noexcept
-{
-    if (this != &other) {
-        release();
-        map_ = std::exchange(other.map_, nullptr);
-        base_ = std::exchange(other.base_, nullptr);
-        size_ = std::exchange(other.size_, 0);
-        map_size_ = std::exchange(other.map_size_, 0);
-    }
-    return *this;
-}
-
-void
-Stack::release() noexcept
-{
-    if (map_) {
 #if defined(__SANITIZE_ADDRESS__)
-        // ASan does not know this region is a stack: the redzones of
-        // the frames that ran on it stay in the shadow after munmap and
-        // would poison the next mapping the kernel places here.
-        __asan_unpoison_memory_region(map_, map_size_);
+    // ASan does not know this region is a stack: the redzones of the
+    // frames that ran on it stay in the shadow after munmap and would
+    // poison the next mapping the kernel places here.
+    __asan_unpoison_memory_region(map_, map_size_);
 #endif
-        munmap(map_, map_size_);
-        map_ = nullptr;
-    }
+    munmap(map_, map_size_);
 }
 
 } // namespace tq

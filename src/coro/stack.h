@@ -24,8 +24,6 @@ class Stack
     explicit Stack(size_t size = kDefaultStackSize);
     ~Stack();
 
-    Stack(Stack &&other) noexcept;
-    Stack &operator=(Stack &&other) noexcept;
     Stack(const Stack &) = delete;
     Stack &operator=(const Stack &) = delete;
 
@@ -36,8 +34,6 @@ class Stack
     size_t size() const { return size_; }
 
   private:
-    void release() noexcept;
-
     void *map_ = nullptr;   ///< whole mapping including guard page
     void *base_ = nullptr;  ///< usable region start
     size_t size_ = 0;       ///< usable bytes

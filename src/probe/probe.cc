@@ -33,13 +33,12 @@ probe_expired(ProbeState &s)
     }
     s.yield_pending = false;
     TQ_CHECK(s.call_the_yield != nullptr);
-    ++s.yields;
 #if defined(TQ_TELEMETRY_ENABLED)
-    if (s.telem != nullptr) {
-        owner_add(s.telem->counters.yields, 1);
+    // The yield itself is counted once, by the worker's stats line when
+    // the slice requeues; the trace only marks when it happened.
+    if (s.telem != nullptr)
         s.telem->trace.record(telemetry::EventKind::ProbeYield,
                               s.telem_job);
-    }
 #endif
     // Push the deadline out so nested probes reached while unwinding to
     // the yield do not recurse; the scheduler re-arms before resuming.

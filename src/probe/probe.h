@@ -49,9 +49,6 @@ struct ProbeState
     /** Opaque argument for call_the_yield. */
     void *yield_arg = nullptr;
 
-    /** Total yields taken through probes (stats). */
-    uint64_t yields = 0;
-
 #if defined(TQ_TELEMETRY_ENABLED)
     /** Telemetry sink of the worker owning this thread (may be null). */
     telemetry::WorkerTelemetry *telem = nullptr;
@@ -65,7 +62,7 @@ struct ProbeState
 ProbeState &probe_state();
 
 namespace detail {
-/** Out-of-line expired-deadline path of tq_probe(). */
+/** Out-of-line expired-deadline path of tq_probe_at(). */
 void probe_expired(ProbeState &state);
 } // namespace detail
 
@@ -127,17 +124,42 @@ disarm_quantum()
     probe_state().deadline = ~Cycles{0};
 }
 
+namespace detail {
+/** The probe body: yields via call_the_yield if the quantum expired by
+ *  @p now. @return true when the expired path ran. */
+inline bool
+probe_at(ProbeState &s, Cycles now)
+{
+    if (__builtin_expect(now < s.deadline, 1))
+        return false;
+    probe_expired(s);
+    return true;
+}
+} // namespace detail
+
 /**
- * The probe inserted by the compiler pass. Reads the cycle counter and
- * yields via call_the_yield if the quantum expired.
+ * The probe on a cycle stamp @p now the caller has already read: a
+ * caller that stamps its own work anyway (workloads::spin_cycles)
+ * probes with that stamp instead of reading the counter twice.
+ * @return true when the expired path ran (a yield, or a deferral inside
+ *     a PreemptGuard).
+ */
+inline bool
+tq_probe_at(Cycles now)
+{
+    return detail::probe_at(probe_state(), now);
+}
+
+/**
+ * The probe inserted by the compiler pass: the probe body on a fresh
+ * read of the cycle counter, taken after the state lookup so the stamp
+ * is as late as it can be.
  */
 inline void
 tq_probe()
 {
     ProbeState &s = probe_state();
-    if (__builtin_expect(rdcycles() < s.deadline, 1))
-        return;
-    detail::probe_expired(s);
+    detail::probe_at(s, rdcycles());
 }
 
 /**

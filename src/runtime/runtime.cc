@@ -257,14 +257,12 @@ Runtime::telemetry_snapshot() const
 {
     telemetry::MetricsSnapshot snap = metrics_->snapshot();
     // The per-job counts every build keeps: dispatched from the assigned
-    // counts, finished and the stats-contract cross-check from the
-    // workers' 64-bit stats lines.
+    // counts, finished and yields from the workers' 64-bit stats lines.
     snap.dispatched = dispatched();
     for (const auto &w : workers_) {
         const WorkerStatsLine &line = w->stats_line();
         snap.finished += line.finished.load(std::memory_order_relaxed);
-        snap.stats_total_quanta +=
-            line.total_quanta.load(std::memory_order_relaxed);
+        snap.yields += line.yields.load(std::memory_order_relaxed);
     }
     // Backpressure/lifecycle counters record in every build (cold paths
     // only), so fold them in even when TQ_TELEMETRY is off.

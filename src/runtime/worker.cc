@@ -133,7 +133,7 @@ Worker::run_one_slice()
         // Preempted: account the serviced quantum and requeue — tail of
         // the PS ring, or heap reinsert with the bumped quanta for LAS.
         owner_add(stats_.current_quanta, 1);
-        owner_add(stats_.total_quanta, 1);
+        owner_add(stats_.yields, 1);
         sched_.requeue(e);
     }
 }

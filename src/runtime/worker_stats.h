@@ -31,7 +31,7 @@ namespace tq::runtime {
  * one line per worker keeps the 16-worker refresh to 16 line reads.
  * Field order is the read order of refresh_dispatch_views(), so the
  * 32-bit current_quanta occupies an 8-byte slot (4 bytes of alignment
- * padding before total_quanta): 24 bytes used. The pad keeps
+ * padding before yields): 24 bytes used. The pad keeps
  * neighbouring workers' lines (e.g. in a bench's contiguous array) from
  * false-sharing.
  */
@@ -50,10 +50,10 @@ struct alignas(kCacheLineSize) WorkerStatsLine
      *  knowing per-class budgets. */
     std::atomic<uint32_t> current_quanta{0};
 
-    /** Preempted slices (monotonic; stats/tests): bumped only when a
-     *  slice ends in a requeue, so a job's final slice is not counted
-     *  and the total matches telemetry's probe-yield count. */
-    std::atomic<uint64_t> total_quanta{0};
+    /** Probe-forced preemptions (monotonic): bumped when a slice ends
+     *  in a requeue, so a job's final slice is not counted. Feeds
+     *  MetricsSnapshot::yields in every build. */
+    std::atomic<uint64_t> yields{0};
 
     char pad[kCacheLineSize - 3 * sizeof(std::atomic<uint64_t>)];
 };

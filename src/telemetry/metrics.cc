@@ -69,7 +69,6 @@ MetricsRegistry::snapshot() const
         const WorkerCounters &c = w->counters;
         s.admitted += c.admitted.load(std::memory_order_relaxed);
         s.quanta += c.quanta.load(std::memory_order_relaxed);
-        s.yields += c.yields.load(std::memory_order_relaxed);
         s.guard_deferrals +=
             c.guard_deferrals.load(std::memory_order_relaxed);
         s.trace_dropped += w->trace.dropped();
@@ -149,14 +148,11 @@ MetricsSnapshot::to_string() const
                   static_cast<unsigned long long>(admitted),
                   static_cast<unsigned long long>(finished));
     out += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "quanta: %llu (probe yields %llu, guard-deferred %llu, "
-        "stats-line total %llu)\n",
-        static_cast<unsigned long long>(quanta),
-        static_cast<unsigned long long>(yields),
-        static_cast<unsigned long long>(guard_deferrals),
-        static_cast<unsigned long long>(stats_total_quanta));
+    std::snprintf(buf, sizeof(buf),
+                  "quanta: %llu (probe yields %llu, guard-deferred %llu)\n",
+                  static_cast<unsigned long long>(quanta),
+                  static_cast<unsigned long long>(yields),
+                  static_cast<unsigned long long>(guard_deferrals));
     out += buf;
     std::snprintf(buf, sizeof(buf), "trace events dropped: %llu\n",
                   static_cast<unsigned long long>(trace_dropped));

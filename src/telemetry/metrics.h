@@ -38,11 +38,12 @@ namespace tq::telemetry {
 /**
  * One worker thread's event counters, alone on their cache line.
  *
- * Single writer (the owning worker); snapshot readers only load. Four
- * counters fit one line with 32 bytes of stated pad — room for four more
+ * Single writer (the owning worker); snapshot readers only load. Three
+ * counters fit one line with 40 bytes of stated pad — room for five more
  * before the static_assert below forces a second (still worker-owned)
- * line. Completions are not counted here: the worker's stats line
- * (runtime/worker_stats.h) already counts them in every build. Each worker's WorkerTelemetry is a separate heap allocation, so
+ * line. Completions and probe yields are not counted here: the worker's
+ * stats line (runtime/worker_stats.h) already counts them in every
+ * build. Each worker's WorkerTelemetry is a separate heap allocation, so
  * distinct workers' counters can never share a line regardless of
  * allocator behaviour (checked in tests/layout_test.cc).
  */
@@ -51,12 +52,11 @@ struct alignas(kCacheLineSize) WorkerCounters
     std::atomic<uint64_t> admitted{0};        ///< jobs pulled off the
                                               ///< dispatch ring
     std::atomic<uint64_t> quanta{0};          ///< task slices resumed
-    std::atomic<uint64_t> yields{0};          ///< probe-forced preemptions
     std::atomic<uint64_t> guard_deferrals{0}; ///< expiries deferred by a
                                               ///< PreemptGuard
 
     /** Pad out the line so neighbouring workers never false-share. */
-    char pad[kCacheLineSize - 4 * sizeof(std::atomic<uint64_t>)];
+    char pad[kCacheLineSize - 3 * sizeof(std::atomic<uint64_t>)];
 };
 
 static_assert(sizeof(WorkerCounters) == kCacheLineSize &&
@@ -152,7 +152,7 @@ struct ClassQuantaStats
 /** Point-in-time copy of every registry metric (values in ns). */
 struct MetricsSnapshot
 {
-    // dispatched and finished are the runtime's per-job counts (its
+    // dispatched, finished and yields are the runtime's counts (its
     // assigned counts and the workers' stats lines), filled by
     // Runtime::telemetry_snapshot() in every build, -DTQ_TELEMETRY=OFF
     // included; 0 when taken registry-only.
@@ -166,11 +166,6 @@ struct MetricsSnapshot
 
     uint64_t dispatch_batches = 0;      ///< non-empty dispatcher RX polls
     double mean_dispatch_batch = 0;     ///< mean requests per such batch
-
-    /** Cumulative preempted slices from the workers' 64-bit
-     *  WorkerStatsLine::total_quanta counters; matches `yields` (filled
-     *  by Runtime::telemetry_snapshot(); 0 when taken registry-only). */
-    uint64_t stats_total_quanta = 0;
 
     // Backpressure / lifecycle counters (filled by
     // Runtime::telemetry_snapshot(); 0 when taken registry-only). These

@@ -20,24 +20,22 @@ work_chunk(uint64_t x)
 void
 spin_cycles(Cycles cycles)
 {
-    // Consumed-cycle accounting: count everything the loop does (work,
-    // clock reads, probes — all genuine service time), but exclude the
-    // time spent preempted. A yield is detected through the probe
-    // runtime's yield counter; the iteration it happens in is skipped
-    // from the accounting (conservative by one ~40ns chunk).
-    ProbeState &ps = probe_state();
+    // Consumed-cycle accounting: one clock read per chunk both charges
+    // the chunk (work, probe, clock read — all genuine service time) and
+    // is the probe's stamp. Time spent preempted must not count, so the
+    // loop restamps after the probe's slow path. Every chunk is charged
+    // before its probe, so a job whose every probe yields still finishes.
     Cycles consumed = 0;
     volatile uint64_t sink = 0;
     uint64_t x = 88172645463325252ULL;
     Cycles last = rdcycles();
     while (consumed < cycles) {
         x = work_chunk(x);
-        const uint64_t yields_before = ps.yields;
-        tq_probe(); // may yield; time away must not count
         const Cycles now = rdcycles();
-        if (ps.yields == yields_before)
-            consumed += now - last;
+        consumed += now - last;
         last = now;
+        if (tq_probe_at(now))
+            last = rdcycles();
     }
     sink = x;
     (void)sink;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the stackful coroutine library: lifecycle, yielding from deep
- * call frames, reuse via reset(), interleaving many coroutines, stack
- * allocation and moves, and cross-thread handoff of suspended
+ * call frames, nesting and the yield misuse check, interleaving many
+ * coroutines, stack allocation, and cross-thread handoff of suspended
  * coroutines.
  */
 #include <gtest/gtest.h>
@@ -27,18 +27,6 @@ TEST(Stack, AllocatesUsableRegion)
     auto *p = static_cast<volatile char *>(s.base());
     for (size_t i = 0; i < s.size(); i += 512)
         p[i] = static_cast<char>(i);
-}
-
-TEST(Stack, MoveTransfersOwnership)
-{
-    Stack a(8 * 1024);
-    void *base = a.base();
-    Stack b(std::move(a));
-    EXPECT_EQ(b.base(), base);
-    EXPECT_EQ(a.base(), nullptr);
-    Stack c(8 * 1024);
-    c = std::move(b);
-    EXPECT_EQ(c.base(), base);
 }
 
 TEST(Coroutine, RunsToCompletionWithoutYield)
@@ -118,60 +106,43 @@ TEST(Coroutine, LocalVariablesSurviveYield)
     EXPECT_EQ(out, "abcdef246913578");
 }
 
-TEST(Coroutine, CurrentTracksRunningCoroutine)
+TEST(Coroutine, NestedCoroutinesReturnToTheirResumer)
 {
-    EXPECT_EQ(Coroutine::current(), nullptr);
-    Coroutine *inner_seen = nullptr;
-    Coroutine co([&](Coroutine &self) {
-        inner_seen = Coroutine::current();
-        self.yield();
-        EXPECT_EQ(Coroutine::current(), &self);
-    });
-    co.resume();
-    EXPECT_EQ(inner_seen, &co);
-    EXPECT_EQ(Coroutine::current(), nullptr);
-    co.resume();
-    EXPECT_EQ(Coroutine::current(), nullptr);
-}
-
-TEST(Coroutine, NestedCoroutinesRestoreCurrent)
-{
+    std::vector<int> trace;
     Coroutine inner([&](Coroutine &self) {
-        EXPECT_EQ(Coroutine::current(), &self);
+        trace.push_back(2);
         self.yield();
+        trace.push_back(6);
     });
     Coroutine outer([&](Coroutine &self) {
-        EXPECT_EQ(Coroutine::current(), &self);
+        trace.push_back(1);
         inner.resume(); // runs inner on top of outer
-        EXPECT_EQ(Coroutine::current(), &self) << "current must be restored";
+        trace.push_back(3);
         self.yield();
+        trace.push_back(5);
     });
     outer.resume();
-    EXPECT_EQ(Coroutine::current(), nullptr);
+    trace.push_back(4);
     outer.resume();
     EXPECT_TRUE(outer.done());
+    EXPECT_FALSE(inner.done());
     inner.resume();
     EXPECT_TRUE(inner.done());
+    EXPECT_EQ(trace, (std::vector<int>{1, 2, 3, 4, 5, 6}));
 }
 
-TEST(Coroutine, ResetReusesStackForNewBody)
+TEST(CoroutineDeathTest, YieldOfTheOuterCoroutineFromANestedOneAborts)
 {
-    int runs = 0;
-    Coroutine co([&](Coroutine &) { ++runs; });
-    co.resume();
-    EXPECT_TRUE(co.done());
-    for (int i = 0; i < 100; ++i) {
-        co.reset([&](Coroutine &self) {
-            ++runs;
-            self.yield();
-            ++runs;
-        });
-        EXPECT_FALSE(co.done());
-        co.resume();
-        co.resume();
-        EXPECT_TRUE(co.done());
-    }
-    EXPECT_EQ(runs, 1 + 200);
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            Coroutine *outer_ptr = nullptr;
+            Coroutine inner([&](Coroutine &) { outer_ptr->yield(); });
+            Coroutine outer([&](Coroutine &) { inner.resume(); });
+            outer_ptr = &outer;
+            outer.resume();
+        },
+        "check failed");
 }
 
 TEST(Coroutine, ManyCoroutinesInterleaveRoundRobin)

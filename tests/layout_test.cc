@@ -323,7 +323,7 @@ TEST(Layout, WorkerStatsNeighboursNeverShareALine)
     EXPECT_EQ(LayoutAudit::line_of(lines[0], &lines[0].finished),
               LayoutAudit::line_of(lines[0], &lines[0].current_quanta));
     EXPECT_EQ(LayoutAudit::line_of(lines[0], &lines[0].finished),
-              LayoutAudit::line_of(lines[0], &lines[0].total_quanta));
+              LayoutAudit::line_of(lines[0], &lines[0].yields));
     EXPECT_NE(LayoutAudit::line_of(lines[0], &lines[0].finished),
               LayoutAudit::line_of(lines[0], &lines[1].finished));
     EXPECT_EQ(reinterpret_cast<uintptr_t>(&lines[0]) % kCacheLineSize, 0u);

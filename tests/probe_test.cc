@@ -34,7 +34,6 @@ TEST(Probe, NoYieldBeforeDeadline)
     for (int i = 0; i < 1000; ++i)
         tq_probe();
     EXPECT_FALSE(yielded);
-    EXPECT_EQ(probe_state().yields, 0u);
 }
 
 TEST(Probe, YieldsOnceDeadlinePasses)
@@ -52,7 +51,28 @@ TEST(Probe, YieldsOnceDeadlinePasses)
     arm_quantum(0);
     tq_probe();
     EXPECT_EQ(yields, 2);
-    EXPECT_EQ(probe_state().yields, 2u);
+}
+
+TEST(Probe, ProbeAtJudgesTheCallersStamp)
+{
+    // tq_probe_at() reads no clock: the stamp alone decides, and the
+    // result says whether the expired path ran.
+    reset_probe_state();
+    int yields = 0;
+    bind_yield([](void *arg) { ++*static_cast<int *>(arg); }, &yields);
+    arm_quantum_from(1000, 500);
+    EXPECT_FALSE(tq_probe_at(1499));
+    EXPECT_EQ(yields, 0);
+    EXPECT_TRUE(tq_probe_at(1500));
+    EXPECT_EQ(yields, 1);
+    arm_quantum_from(1000, 500);
+    {
+        PreemptGuard guard;
+        EXPECT_TRUE(tq_probe_at(2000)) << "a deferral runs the slow path";
+        EXPECT_EQ(yields, 1);
+    }
+    EXPECT_TRUE(tq_probe_at(2000));
+    EXPECT_EQ(yields, 2);
 }
 
 TEST(Probe, ArmFromCountsTheQuantumFromTheGivenStart)

@@ -147,16 +147,17 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
     for (WorkerTelemetry *w : {&w0, &w1}) {
         w->counters.admitted.store(10);
         w->counters.quanta.store(12);
-        w->counters.yields.store(2);
     }
 
     MetricsSnapshot s = reg.snapshot();
     EXPECT_EQ(s.dispatched, 0u) << "the runtime fills the per-job counts";
     EXPECT_EQ(s.finished, 0u);
+    EXPECT_EQ(s.yields, 0u);
     // As Runtime::telemetry_snapshot() does, from its assigned counts
     // and the workers' stats lines.
     s.dispatched = 202;
     s.finished = 20;
+    s.yields = 4;
     EXPECT_EQ(s.dispatch_batches, 4u);
     EXPECT_EQ(s.mean_dispatch_batch, 7.0 / 4.0);
 
@@ -227,8 +228,7 @@ TEST(MetricsRegistry, SnapshotMergesStagesAcrossWritersExactly)
 
     EXPECT_EQ(s.to_string(),
               "jobs: dispatched 202, admitted 20, finished 20\n"
-              "quanta: 24 (probe yields 4, guard-deferred 0, "
-              "stats-line total 0)\n"
+              "quanta: 24 (probe yields 4, guard-deferred 0)\n"
               "trace events dropped: 0\n"
               "dispatch batches: 4 (mean occupancy 1.75)\n"
               "backpressure: tx-full spins 0, dispatch-full spins 0, "
@@ -278,7 +278,8 @@ TEST(MetricsRegistry, SnapshotWhileRunning)
             WorkerTelemetry &wt = reg.worker(w);
             for (uint64_t i = 0; i < kIters; ++i) {
                 wt.counters.quanta.fetch_add(1, std::memory_order_relaxed);
-                wt.counters.yields.fetch_add(1, std::memory_order_relaxed);
+                wt.counters.guard_deferrals.fetch_add(
+                    1, std::memory_order_relaxed);
                 wt.queue_cycles.add(i & 0xffff);
                 wt.class_service[0].add(i & 0xff);
             }
@@ -287,21 +288,21 @@ TEST(MetricsRegistry, SnapshotWhileRunning)
 
     go.store(true);
     uint64_t last_quanta = 0;
-    uint64_t last_yields = 0;
+    uint64_t last_deferrals = 0;
     for (int i = 0; i < 200; ++i) {
         const MetricsSnapshot snap = reg.snapshot();
         EXPECT_GE(snap.quanta, last_quanta);
-        EXPECT_GE(snap.yields, last_yields);
+        EXPECT_GE(snap.guard_deferrals, last_deferrals);
         EXPECT_LE(snap.quanta, kWorkers * kIters);
         last_quanta = snap.quanta;
-        last_yields = snap.yields;
+        last_deferrals = snap.guard_deferrals;
     }
     for (auto &t : writers)
         t.join();
 
     const MetricsSnapshot fin = reg.snapshot();
     EXPECT_EQ(fin.quanta, kWorkers * kIters);
-    EXPECT_EQ(fin.yields, kWorkers * kIters);
+    EXPECT_EQ(fin.guard_deferrals, kWorkers * kIters);
     EXPECT_EQ(fin.queueing.count, kWorkers * kIters);
     EXPECT_EQ(fin.service.count, kWorkers * kIters);
     EXPECT_FALSE(fin.to_string().empty());
@@ -403,10 +404,11 @@ TEST(RuntimeTelemetry, EndToEndSnapshotAndTrace)
     std::vector<TraceEvent> events;
     rt.drain_trace(events);
 
-    // The per-job counts come from the runtime's own counters, so they
-    // are true in every build.
+    // The per-job counts and the yields come from the runtime's own
+    // counters, so they are true in every build.
     EXPECT_EQ(snap.dispatched, kJobs);
     EXPECT_EQ(snap.finished, kJobs);
+    EXPECT_GT(snap.yields, 0u) << "20us jobs at 2us quanta must preempt";
     if (!kEnabled) {
         EXPECT_EQ(events.size(), 0u);
         return;
@@ -416,9 +418,6 @@ TEST(RuntimeTelemetry, EndToEndSnapshotAndTrace)
     EXPECT_GE(snap.quanta, kJobs); // 20us jobs need > 1 quantum each
     EXPECT_EQ(snap.quanta, snap.yields + snap.finished)
         << "every slice ends in a probe yield or a completion";
-    // The wrap-tolerant stats-line view counts *preempted* quanta, which
-    // is exactly the probe-yield count.
-    EXPECT_EQ(snap.stats_total_quanta, snap.yields);
     EXPECT_EQ(snap.dispatch.count, kJobs);
     EXPECT_EQ(snap.queueing.count, kJobs);
     EXPECT_EQ(snap.service.count, kJobs);
@@ -428,7 +427,7 @@ TEST(RuntimeTelemetry, EndToEndSnapshotAndTrace)
     EXPECT_EQ(snap.sojourn.count, kJobs);
     EXPECT_GE(snap.sojourn.mean_ns, snap.service.mean_ns);
 
-    int dispatched = 0, starts = 0, finishes = 0;
+    int dispatched = 0, starts = 0, yields = 0, finishes = 0;
     for (const TraceEvent &ev : events) {
         switch (ev.kind) {
           case EventKind::JobDispatched:
@@ -437,6 +436,9 @@ TEST(RuntimeTelemetry, EndToEndSnapshotAndTrace)
             break;
           case EventKind::QuantumStart:
             ++starts;
+            break;
+          case EventKind::ProbeYield:
+            ++yields;
             break;
           case EventKind::JobFinished:
             ++finishes;
@@ -448,6 +450,8 @@ TEST(RuntimeTelemetry, EndToEndSnapshotAndTrace)
     EXPECT_EQ(dispatched, kJobs);
     EXPECT_EQ(finishes, kJobs);
     EXPECT_EQ(static_cast<uint64_t>(starts), snap.quanta);
+    // The probe marks each yield in the trace; the stats line counts it.
+    EXPECT_EQ(static_cast<uint64_t>(yields), snap.yields);
 }
 
 } // namespace

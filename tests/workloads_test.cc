@@ -415,6 +415,23 @@ TEST(Spin, PreemptableAndAccountsOnlyConsumedTime)
     EXPECT_GE(running_ns, 90'000.0);
 }
 
+TEST(Spin, ProgressesWhenEveryProbeYields)
+{
+    // A zero quantum makes every probe yield: each chunk of work must
+    // still count, or the job never finishes.
+    reset_probe_state();
+    Coroutine job([](Coroutine &) { spin_for(us(5)); });
+    bind_yield([](void *c) { static_cast<Coroutine *>(c)->yield(); }, &job);
+    int resumes = 0;
+    while (!job.done()) {
+        arm_quantum(0);
+        job.resume();
+        ++resumes;
+        ASSERT_LT(resumes, 100000);
+    }
+    disarm_quantum();
+}
+
 // ---------------------------------------------------------- ZipfKeyGen --
 
 TEST(ZipfKeyGen, ScrambleIsABijectionOnTheKeyspace)
